@@ -4,14 +4,12 @@ sufficient stability criteria with margins, a two-zero inequality with a
 disconjugacy certificate, and a seeded validation harness."""
 
 from .piecewise import (CumulativeIntegral, EvaluationError, FuncSegment, LEFT,
-                        PiecewiseFunction, PolySegment, RIGHT, eval_coeff,
-                        integrate_periodic, integrate_piecewise)
+                        PiecewiseFunction, PolySegment, RIGHT, integrate_periodic)
 from .system import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
-                     jump_matrix, positive_part_impulse_sum, time_shift,
-                     validate_system)
+                     jump_matrix, time_shift, validate_system)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .propagation import (DensePath, FundamentalMatrix, IntegrationFailureError,
-                          MonodromyResult, State, Trajectory, floquet_multipliers,
+                          MonodromyResult, State, floquet_multipliers,
                           fundamental_matrix, monodromy, propagate_state)
 from .floquet import (BOUNDARY_UNDECIDED, CONDITIONALLY_STABLE, NOT_STABLE_DET,
                       STABLE, UNSTABLE, StabilityVerdict, classify, growth_bound)

@@ -14,6 +14,7 @@ segments partition [0, T].
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
@@ -31,7 +32,13 @@ class DescriptorError(ValueError):
 def _number(doc, path: str) -> float:
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise DescriptorError(f"{path}: expected a number, got {type(doc).__name__}")
-    return float(doc)
+    try:
+        value = float(doc)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DescriptorError(f"{path}: expected a finite number, got {doc}")
+    return value
 
 
 def _coefficient(segments, period: float, path: str) -> PiecewiseFunction:

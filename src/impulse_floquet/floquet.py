@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import MonodromyResult
+from .propagation import MonodromyResult, _mat_pow
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -104,28 +104,11 @@ def growth_bound(m: MonodromyResult, k_max: int) -> list[float]:
     X = np.asarray(m.matrix, dtype=float)
     cache = [X]
     norms: list[float] = []
-    for k in range(1, k_max + 1):
-        out = None
-        j = 0
-        kk = k
-        overflow = False
-        while kk:
-            if len(cache) <= j:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cache.append(cache[j - 1] @ cache[j - 1])
-            if kk & 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = cache[j] if out is None else cache[j] @ out
-            kk >>= 1
-            j += 1
-        if out is None or not np.all(np.isfinite(out)):
-            overflow = True
-        else:
-            n = float(np.linalg.norm(out, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            P = _mat_pow(X, k, cache)
+            n = float(np.linalg.norm(P, 2)) if np.all(np.isfinite(P)) else math.inf
             if not math.isfinite(n):
-                overflow = True
-        if overflow:
-            norms.extend([math.inf] * (k_max - len(norms)))
-            break
-        norms.append(n)
+                return norms + [math.inf] * (k_max - len(norms))
+            norms.append(n)
     return norms

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .piecewise import CumulativeIntegral, adaptive_integral, integrate_periodic
+from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, golden_min,
+                        integrate_periodic)
 from .propagation import DensePath, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -29,8 +29,6 @@ DISCONJUGATE_CERTIFIED = "disconjugate-certified"
 INCONCLUSIVE = "inconclusive"
 DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(eq=False)
@@ -154,19 +152,9 @@ def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float,
     ztol = 1e-9 * scale
     xtol = tol.root * max(1.0, T)
 
-    zeros: list[float] = []
-    flagged = np.abs(zs) <= ztol
-    i = 0
-    while i <= n:
-        if flagged[i]:
-            zeros.append(float(ts[i]))
-            while i <= n and flagged[i]:
-                i += 1
-            continue
-        if i < n and not flagged[i + 1] and zs[i] * zs[i + 1] < 0.0:
-            root = brentq(lambda t: sol.z(t), ts[i], ts[i + 1], xtol=xtol)
-            zeros.append(float(root))
-        i += 1
+    runs, changes = _zero_sites(zs, ztol)
+    zeros = [float(ts[i]) for i in runs]
+    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], xtol) for i in changes]
     zeros.sort()
     distinct: list[float] = []
     for z in zeros:
@@ -258,30 +246,11 @@ class _LhsFactors:
         i = int(np.argmax(vals))
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, ts.size - 1)]
-        t_best, a_best = _golden_max(self.a_cum, lo, hi)
+        t_best, a_neg = golden_min(lambda t: -self.a_cum(t), lo, hi)
+        a_best = -a_neg
         if vals[i] > a_best:
             t_best, a_best = float(ts[i]), float(vals[i])
         return math.exp(2.0 * a_best) * self.weighted_b * self.factor2, t_best
-
-
-def _golden_max(fn, lo: float, hi: float, iterations: int = 70) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-    t = 0.5 * (a + b)
-    return t, fn(t)
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float,
@@ -324,8 +293,8 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     i = int(np.argmax(sign * zs))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, ts.size - 1)]
-    t_best, z_best = _golden_max(lambda t: sign * sol.z(t), float(lo), float(hi))
-    if sign * zs[i] > z_best:
+    t_best, z_neg = golden_min(lambda t: -sign * sol.z(t), float(lo), float(hi))
+    if sign * zs[i] > -z_neg:
         t_best = float(ts[i])
     t0 = t_best + offset
 
@@ -351,21 +320,16 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
     return DisconjugacyCheck(status, sup, t0)
 
 
-def _count_zero_sites(zs: np.ndarray, ztol: float) -> int:
+def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero sites of a sampled z: the first index of each run of samples with
+    |z| <= ztol, and the left index of each sign change between neighbours
+    that both lie outside that band."""
     flagged = np.abs(zs) <= ztol
-    count = 0
-    i = 0
-    n = zs.size
-    while i < n:
-        if flagged[i]:
-            count += 1
-            while i < n and flagged[i]:
-                i += 1
-            continue
-        if i + 1 < n and not flagged[i + 1] and zs[i] * zs[i + 1] < 0.0:
-            count += 1
-        i += 1
-    return count
+    runs = np.flatnonzero(flagged & ~np.concatenate(([False], flagged[:-1])))
+    free = ~flagged
+    with np.errstate(over="ignore", under="ignore"):
+        changes = np.flatnonzero(free[:-1] & free[1:] & (zs[:-1] * zs[1:] < 0.0))
+    return runs, changes
 
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
@@ -390,6 +354,7 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
         scale = float(np.max(np.abs(zs)))
         if scale == 0.0:
             continue
-        if _count_zero_sites(zs, 1e-9 * scale) >= 2:
+        runs, changes = _zero_sites(zs, 1e-9 * scale)
+        if len(runs) + len(changes) >= 2:
             return NOT_DISCONJUGATE
     return DISCONJUGATE

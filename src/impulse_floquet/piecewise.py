@@ -9,7 +9,7 @@ are accepted, but they leave derivative-based downstream checks undecidable.
 
 The quadrature here is breakpoint-aware adaptive Gauss-Legendre. For the
 absolute-value and positive-part transforms, every interior sign change is
-located first (bracketing plus root refinement per segment), so each panel
+located first (bracketing plus Brent root refinement per segment), so each panel
 integrates a smooth sign-definite integrand.
 """
 
@@ -22,7 +22,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 LEFT = "left"
 RIGHT = "right"
@@ -37,6 +36,8 @@ _POS = "pos"
 _TRANSFORMS = (_IDENTITY, _ABS, _POS)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class EvaluationError(ValueError):
@@ -61,7 +62,12 @@ class PolySegment:
         return POLYNOMIAL
 
     def __call__(self, t):
-        return npoly.polyval(t, self.coeffs)
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        out = 0.0
+        for c in reversed(self.coeffs):  # Horner, in numpy polyval's order, minus its overhead
+            out = out * t + c
+        return out
 
     def derivative(self) -> "PolySegment":
         return PolySegment(tuple(npoly.polyder(self.coeffs)))
@@ -170,32 +176,77 @@ def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, f
     return float(vals[i]), float(cands[i])
 
 
+def golden_min(fn, a: float, b: float) -> tuple[float, float]:
+    """Golden-section search for a minimum of fn on [a, b]; returns (t, fn(t))."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(70):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
+            break
+    t = 0.5 * (a + b)
+    return t, fn(t)
+
+
+def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
+    """Zero of fn in [a, b], where fn(a) and fn(b) differ in sign or one vanishes.
+
+    Brent's method: inverse quadratic or secant steps inside the bracket,
+    bisection whenever a step would not shrink it fast enough. Stops when the
+    bracket is narrower than xtol + 4*eps*|x|, or after 100 evaluations.
+    """
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = float(fn(x_pre)), float(fn(x_cur))
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur != 0.0 and math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"no sign change on [{a}, {b}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + _ROOT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        short = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            short = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        if short:
+            s_pre, s_cur = s_cur, trial
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = float(fn(x_cur))
+    return x_cur
+
+
 def sampled_min(fn, lo: float, hi: float, n: int = 129) -> tuple[float, float]:
     """Approximate minimum of a black-box function on [lo, hi]."""
     xs = _chebyshev_nodes(lo, hi, n)
     vals = np.asarray(fn(xs), dtype=float)
     i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
-    # golden-section refinement around the best node
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(fn(c)), float(fn(d))
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(fn(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(fn(d))
-        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-    t = 0.5 * (a + b)
-    best = min(float(vals[i]), float(fn(t)), fc, fd)
-    return best, t
+    t, ft = golden_min(lambda x: float(fn(x)), xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
+    return min(float(vals[i]), ft), t
 
 
 @dataclass(frozen=True)
@@ -408,7 +459,7 @@ def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 3
         if v0 == 0.0:
             roots.append(float(xs[i]))
         elif v0 * v1 < 0.0:
-            roots.append(float(brentq(lambda t: float(seg(t)), xs[i], xs[i + 1], xtol=eps_root)))
+            roots.append(bracketed_root(seg, xs[i], xs[i + 1], eps_root))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     cuts = [lo]
@@ -483,17 +534,6 @@ class CumulativeIntegral:
                 out[mask] = [self.value(float(t)) for t in ts[mask]]
         out[ts < knots[0]] = 0.0
         return out
-
-
-def eval_coeff(f: PiecewiseFunction, t: float, side: str) -> float:
-    """One-sided value of f at t; functional form of PiecewiseFunction.eval."""
-    return f.eval(t, side)
-
-
-def integrate_piecewise(f: PiecewiseFunction, lo: float, hi: float,
-                        transform: str = _IDENTITY, rel_tol: float = 1e-10) -> float:
-    """Functional form of PiecewiseFunction.integrate."""
-    return f.integrate(lo, hi, transform, rel_tol)
 
 
 def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,

@@ -1,11 +1,14 @@
 """Propagation of states and fundamental matrices across smooth pieces and jumps.
 
-Between breakpoints the coefficients are smooth, so each piece is handled by
-an adaptive embedded Runge-Kutta 5(4) pair with dense output; integration
-never steps across a breakpoint or impulse time because the pieces end there
-by construction. Jumps are exact 2x2 matrix applications. Beyond one period,
-solutions are composed from the period map rather than integrated, which
-keeps long-horizon error flat.
+Between breakpoints A(t) = [[a, b], [-c, -a]] is smooth and traceless, so each
+piece takes fourth-order Magnus steps (A at two Gauss nodes plus a commutator
+term) whose exponential has the closed form cosh(s) I + sinh(s)/s W, s^2 = -det W
+(cos and sin when s^2 < 0): every step map has determinant one, and constant
+pieces are exact. A piece starts at one step and doubles the count until two
+successive piece products agree within abs_tol + rel_tol * max|X|. Matrices at
+the step nodes are kept; a value between nodes is a partial step from the
+nearest node. Jumps are exact 2x2 matrix applications. Beyond one period,
+solutions are composed from the period map rather than integrated.
 
 Side conventions: an impulse strictly inside the propagation window is always
 applied; an impulse at the start is applied only when the starting state
@@ -18,17 +21,22 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .piecewise import LEFT, RIGHT
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+_MAX_STEPS = 1 << 16  # per smooth piece
+_REL_FLOOR = 100.0 * np.finfo(float).eps
+
 
 class IntegrationFailureError(RuntimeError):
-    """The ODE solver failed or produced a non-finite state."""
+    """The propagator ran out of steps or produced a non-finite state."""
 
     def __init__(self, message: str, t_last: float):
         super().__init__(f"{message} (last good t={t_last})")
@@ -97,153 +105,162 @@ def floquet_multipliers(trace: float, det: float) -> tuple[complex, complex]:
     return complex(re, im), complex(re, -im)
 
 
-def _apply_jump(imp, y: np.ndarray) -> np.ndarray:
-    if y.size == 2:
-        return imp.matrix @ y
-    Y = y.reshape(2, 2, order="F")
-    return (imp.matrix @ Y).ravel(order="F")
+def _exp_factors(d):
+    """(ch, sh) with exp(W) = ch*I + sh*W for traceless W, W @ W = d*I; `d` is a
+    float (math module, for cheap single evaluations) or an array."""
+    series = (1.0 + d * (1.0 / 2 + d * (1.0 / 24 + d * (1.0 / 720 + d / 40320))),
+              1.0 + d * (1.0 / 6 + d * (1.0 / 120 + d * (1.0 / 5040 + d / 362880))))
+    if np.ndim(d) == 0 and -math.inf < d < 5e5:  # cosh stays finite
+        if abs(d) < 1e-2:
+            return series
+        s = math.sqrt(abs(d))
+        return (math.cosh(s), math.sinh(s) / s) if d > 0 else (math.cos(s), math.sin(s) / s)
+    s = np.sqrt(np.abs(d))
+    small = np.abs(d) < 1e-2
+    return (np.where(small, series[0], np.where(d > 0, np.cosh(s), np.cos(s))),
+            np.where(small, series[1], np.where(d > 0, np.sinh(s), np.sin(s)) / s))
 
 
-def _rhs_factory(seg_a, seg_b, seg_c, size: int):
-    if size == 2:
-        def rhs(t, y):
-            a = float(seg_a(t))
-            b = float(seg_b(t))
-            c = float(seg_c(t))
-            return (a * y[0] + b * y[1], -c * y[0] - a * y[1])
-        return rhs
+def _step_maps(segs, t0, h):
+    """Magnus step maps over [t0, t0 + h]; t0 and h are floats or arrays, h may
+    be negative. Returns (2, 2) for floats and (n, 2, 2) for arrays."""
+    t1 = t0 + _GAUSS[0] * h
+    t2 = t0 + _GAUSS[1] * h
+    if np.ndim(t1) == 0:
+        (a1, a2), (b1, b2), (c1, c2) = ((float(s(t1)), float(s(t2))) for s in segs)
+    else:
+        n = len(t1)
+        (a1, a2), (b1, b2), (c1, c2) = ((v[:n], v[n:]) for v in
+                                        (s(np.concatenate([t1, t2])) for s in segs))
+    with np.errstate(all="ignore"):  # overflow surfaces as a non-finite map
+        k = _COMMUTATOR * h * h
+        p = 0.5 * h * (a1 + a2) + k * (b1 * c2 - b2 * c1)
+        q = 0.5 * h * (b1 + b2) + 2.0 * k * (a2 * b1 - a1 * b2)
+        r = 2.0 * k * (a2 * c1 - a1 * c2) - 0.5 * h * (c1 + c2)
+        ch, sh = _exp_factors(p * p + q * r)
+        E = np.empty(np.shape(ch) + (2, 2))
+        E[..., 0, 0] = ch + sh * p
+        E[..., 0, 1] = sh * q
+        E[..., 1, 0] = sh * r
+        E[..., 1, 1] = ch - sh * p
+    return E
 
-    def rhs4(t, y):
-        a = float(seg_a(t))
-        b = float(seg_b(t))
-        c = float(seg_c(t))
-        return (a * y[0] + b * y[1], -c * y[0] - a * y[1],
-                a * y[2] + b * y[3], -c * y[2] - a * y[3])
-    return rhs4
+
+def _magnus_steps(segs, lo: float, hi: float, tol: Tolerances):
+    """Step maps over [lo, hi] and their product, doubling the count from one."""
+    rel = max(tol.rel_tol, _REL_FLOOR)
+    prev, n = None, 1
+    while n <= _MAX_STEPS:
+        h = (hi - lo) / n
+        steps = _step_maps(segs, lo + h * np.arange(n), h)
+        X = steps
+        while len(X) > 1:
+            X = X[1::2] @ X[::2]
+        X = X[0]
+        if not np.all(np.isfinite(X)):
+            raise IntegrationFailureError("non-finite step map", lo)
+        if prev is not None and np.max(np.abs(X - prev)) <= tol.abs_tol + rel * np.max(np.abs(X)):
+            return steps, X
+        prev = X
+        n *= 2
+    raise IntegrationFailureError(f"no convergence within {_MAX_STEPS} steps per piece", lo)
 
 
 @dataclass(eq=False)
 class _Piece:
-    t_lo: float
-    t_hi: float
-    sol: object  # scipy OdeSolution, or None for a zero-length piece
+    """Step maps of one smooth piece, its starting matrix and its alpha product."""
+
+    lo: float
+    hi: float
+    segs: tuple
+    steps: np.ndarray  # (n, 2, 2); n = 0 for a zero-length piece
+    start: np.ndarray
     aprod: float
-    y_const: np.ndarray | None = None
 
-    def __call__(self, t):
-        if self.sol is None:
-            return np.array(self.y_const, dtype=float)
-        return np.asarray(self.sol(t), dtype=float)
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Fundamental matrices at the step nodes lo + i*h, i = 0..n."""
+        P = np.concatenate([np.eye(2)[None], self.steps])
+        k = 1
+        while k < len(P):
+            P[k:] = P[k:] @ P[:-k]
+            k *= 2
+        return P @ self.start
 
-
-def _walk(system: ImpulsiveSystem, t_from: float, t_to: float, y0: np.ndarray,
-          tol: Tolerances, dense: bool, jump_at_start: bool = False):
-    """Integrate piecewise, applying jumps at interior impulse times."""
-    T = system.period
-    eps = 1e-12 * max(1.0, T)
-    y = np.array(y0, dtype=float).ravel(order="F")
-    aprod = 1.0
-    if jump_at_start:
-        imp = system.impulse_at(t_from)
-        if imp is not None:
-            y = _apply_jump(imp, y)
-            aprod *= imp.alpha
-    pieces: list[_Piece] = []
-    bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo > eps:
-            segs = system.segment_evaluators(0.5 * (lo + hi))
-            rhs = _rhs_factory(*segs, y.size)
-            sol = solve_ivp(rhs, (lo, hi), y, method="RK45",
-                            rtol=tol.rel_tol, atol=tol.abs_tol, dense_output=dense)
-            if not sol.success:
-                raise IntegrationFailureError(sol.message, float(sol.t[-1]))
-            y = np.asarray(sol.y[:, -1], dtype=float)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationFailureError("state is non-finite", float(sol.t[-1]))
-            pieces.append(_Piece(lo, hi, sol.sol if dense else None, aprod,
-                                 None if dense else y))
-        else:
-            pieces.append(_Piece(lo, hi, None, aprod, y.copy()))
-        if hi < t_to - eps:
-            imp = system.impulse_at(hi)
-            if imp is not None:
-                y = _apply_jump(imp, y)
-                aprod *= imp.alpha
-    return y, aprod, pieces
+    def at(self, t):
+        """Fundamental matrix at t (a float or an array) within the piece."""
+        n = len(self.steps)
+        if n == 0:
+            return np.array(self.start)  # zero-length piece
+        h = (self.hi - self.lo) / n
+        j = (min(max(round((t - self.lo) / h), 0), n) if np.ndim(t) == 0
+             else np.clip(np.rint((t - self.lo) / h).astype(int), 0, n))
+        t0 = self.lo + j * h
+        return _step_maps(self.segs, t0, t - t0) @ self.nodes[j]
 
 
-class Trajectory:
-    """Dense solution over a window inside one period."""
+class _Window:
+    """Fundamental solution over [t_from, t_to] inside one period, starting
+    from the identity, or from the jump matrix at t_from when `jump_at_start`."""
 
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
-                 y0: np.ndarray, tol: Tolerances, jump_at_start: bool = False):
-        self.system = system
-        self.t_from = float(t_from)
-        self.t_to = float(t_to)
-        self.shape = np.asarray(y0).shape
-        y_end, aprod_end, pieces = _walk(system, t_from, t_to, np.asarray(y0, dtype=float),
-                                         tol, dense=True, jump_at_start=jump_at_start)
-        self.pieces = pieces
-        self.y_end = y_end
-        self.aprod_end = aprod_end
-        self._starts = [p.t_lo for p in pieces]
-        self._eps = 1e-12 * max(1.0, system.period)
+                 tol: Tolerances, jump_at_start: bool = False):
+        self.system, self.t_from, self.t_to = system, float(t_from), float(t_to)
+        self._eps = eps = 1e-12 * max(1.0, system.period)
+        Y, aprod = np.eye(2), 1.0
+        self.pieces: list[_Piece] = []
+        bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            imp = system.impulse_at(lo) if lo > t_from or jump_at_start else None
+            if imp is not None:
+                Y = imp.matrix @ Y
+                aprod *= imp.alpha
+            segs = system.segment_evaluators(0.5 * (lo + hi))
+            steps, X = (_magnus_steps(segs, lo, hi, tol) if hi - lo > eps
+                        else (np.empty((0, 2, 2)), np.eye(2)))
+            self.pieces.append(_Piece(lo, hi, segs, steps, Y, aprod))
+            Y = X @ Y
+        self.end, self.aprod_end = Y, aprod
+        self._starts = [p.lo for p in self.pieces]
 
     def _locate(self, t: float, side: str | None) -> _Piece:
         eps = self._eps
         if t < self.t_from - eps or t > self.t_to + eps:
             raise ValueError(f"t={t} outside trajectory window [{self.t_from}, {self.t_to}]")
         t = min(max(t, self.t_from), self.t_to)
-        if not self.pieces:
-            raise ValueError("empty trajectory")
-        i = bisect.bisect_right(self._starts, t) - 1
-        i = max(i, 0)
+        i = max(bisect.bisect_right(self._starts, t) - 1, 0)
         if side is None:
             side = LEFT if self.system.impulse_at(t) is not None or t >= self.t_to - eps else RIGHT
         if side == LEFT and i > 0 and t - self._starts[i] <= eps:
             i -= 1
-        if side == RIGHT and i < len(self.pieces) - 1 and self.pieces[i].t_hi - t <= eps:
+        if side == RIGHT and i < len(self.pieces) - 1 and self.pieces[i].hi - t <= eps:
             i += 1
         return self.pieces[i]
 
     def eval(self, t: float, side: str | None = None) -> np.ndarray:
         p = self._locate(t, side)
-        t = min(max(t, p.t_lo), p.t_hi)
-        y = p(t)
-        return y.reshape(self.shape, order="F") if len(self.shape) == 2 else y
+        return p.at(min(max(t, p.lo), p.hi))
 
     def alpha_product(self, t: float, side: str | None = None) -> float:
         return self._locate(t, side).aprod
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and alpha products on a grid (right-limit convention)."""
+        """Matrices and alpha products on a grid (right-limit convention)."""
         ts = np.asarray(ts, dtype=float)
-        size = 4 if len(self.shape) == 2 else 2
-        flat = np.empty((ts.size, size))
+        out = np.empty((ts.size, 2, 2))
         prods = np.empty(ts.size)
         eps = self._eps
         for j, p in enumerate(self.pieces):
-            last = j == len(self.pieces) - 1
-            mask = (ts >= p.t_lo - (eps if j == 0 else 0.0)) & \
-                   ((ts <= p.t_hi + eps) if last else (ts < p.t_hi))
-            if not np.any(mask):
-                continue
-            tt = np.clip(ts[mask], p.t_lo, p.t_hi)
-            if p.sol is None:
-                flat[mask] = np.asarray(p.y_const, dtype=float)
-            else:
-                flat[mask] = np.asarray(p.sol(tt), dtype=float).T
-            prods[mask] = p.aprod
-        if len(self.shape) == 2:
-            return flat.reshape(ts.size, 2, 2).transpose(0, 2, 1), prods
-        return flat, prods
+            mask = (ts >= p.lo - (eps if j == 0 else 0.0)) & \
+                   ((ts <= p.hi + eps) if j == len(self.pieces) - 1 else (ts < p.hi))
+            if np.any(mask):
+                out[mask] = p.at(np.clip(ts[mask], p.lo, p.hi))
+                prods[mask] = p.aprod
+        return out, prods
 
 
 def _mat_pow(M: np.ndarray, k: int, cache: list[np.ndarray]) -> np.ndarray:
     """M**k by binary expansion; cache holds M**(2**j)."""
-    if k == 0:
-        return np.eye(2)
     out = None
     j = 0
     while (1 << j) <= k:
@@ -252,7 +269,7 @@ def _mat_pow(M: np.ndarray, k: int, cache: list[np.ndarray]) -> np.ndarray:
         if k & (1 << j):
             out = cache[j] if out is None else cache[j] @ out
         j += 1
-    return out
+    return np.eye(2) if out is None else out
 
 
 class DensePath:
@@ -271,19 +288,13 @@ class DensePath:
             raise ValueError(f"t_start={t_start} must lie in [0, {T}]")
         if t_end < t_start - eps:
             raise ValueError("t_end before t_start")
-        self.system = system
-        self.t_start = float(t_start)
-        self.t_end = float(t_end)
-        self._eps = eps
-        self.head = Trajectory(system, t_start, min(t_end, T), np.eye(2), tol)
+        self.system, self.t_start, self.t_end, self._eps = system, float(t_start), float(t_end), eps
+        self.head = _Window(system, t_start, min(t_end, T), tol)
         self.cycle = None
         self._pow_cache: list[np.ndarray] = []
         if t_end > T + eps:
-            if abs(t_start) <= eps:
-                self.cycle = self.head
-            else:
-                self.cycle = Trajectory(system, 0.0, T, np.eye(2), tol)
-            self._pow_cache = [np.asarray(self.cycle.y_end).reshape(2, 2, order="F").copy()]
+            self.cycle = self.head if abs(t_start) <= eps else _Window(system, 0.0, T, tol)
+            self._pow_cache = [self.cycle.end]
 
     def _split(self, t: float) -> tuple[int, float]:
         T = self.system.period
@@ -297,23 +308,18 @@ class DensePath:
         return k, s
 
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
-        eps = self._eps
-        if t < self.t_start - eps or t > self.t_end + eps:
+        if t < self.t_start - self._eps or t > self.t_end + self._eps:
             raise ValueError(f"t={t} outside path window")
-        T = self.system.period
-        if t <= self.head.t_to + eps:
+        if t <= self.head.t_to + self._eps:
             return self.head.eval(min(t, self.head.t_to), side)
         k, s = self._split(t)
-        headT = self.head.y_end.reshape(2, 2, order="F")
-        Mk = _mat_pow(self._pow_cache[0], k - 1, self._pow_cache)
-        base = Mk @ headT
+        base = _mat_pow(self._pow_cache[0], k - 1, self._pow_cache) @ self.head.end
         if s == 0.0 and side in (None, LEFT):
             return base
         return self.cycle.eval(s, side) @ base
 
     def alpha_product(self, t: float, side: str | None = None) -> float:
-        eps = self._eps
-        if t <= self.head.t_to + eps:
+        if t <= self.head.t_to + self._eps:
             return self.head.alpha_product(min(t, self.head.t_to), side)
         k, s = self._split(t)
         prod = self.head.aprod_end * self.cycle.aprod_end ** (k - 1)
@@ -332,24 +338,20 @@ class DensePath:
         eps = self._eps
         head_mask = ts <= self.head.t_to + eps
         if np.any(head_mask):
-            vals, pr = self.head.sample(np.minimum(ts[head_mask], self.head.t_to))
-            out[head_mask] = vals
-            prods[head_mask] = pr
+            out[head_mask], prods[head_mask] = self.head.sample(
+                np.minimum(ts[head_mask], self.head.t_to))
         rest = ~head_mask
         if np.any(rest):
             T = self.system.period
-            ks = np.floor(ts[rest] / T + self._eps / T).astype(int)
+            ks = np.floor(ts[rest] / T + eps / T).astype(int)
             ss = ts[rest] - ks * T
             ss[ss < eps] = 0.0
-            headT = self.head.y_end.reshape(2, 2, order="F")
-            full = self.cycle.aprod_end
-            idx = np.flatnonzero(rest)
-            for k in np.unique(ks):
-                m = ks == k
-                base = _mat_pow(self._pow_cache[0], int(k) - 1, self._pow_cache) @ headT
-                vals, pr = self.cycle.sample(ss[m])
-                out[idx[m]] = vals @ base
-                prods[idx[m]] = self.head.aprod_end * full ** (int(k) - 1) * pr
+            periods, which = np.unique(ks, return_inverse=True)
+            bases = np.array([_mat_pow(self._pow_cache[0], int(k) - 1, self._pow_cache)
+                              for k in periods]) @ self.head.end
+            vals, pr = self.cycle.sample(ss)
+            out[rest] = vals @ bases[which]
+            prods[rest] = self.head.aprod_end * self.cycle.aprod_end ** (periods[which] - 1) * pr
         return out, prods
 
 
@@ -370,8 +372,7 @@ def propagate_state(system: ImpulsiveSystem, state: State, t_to: float,
         raise ValueError(f"window [{state.t}, {t_to}] outside [0, {T}]")
     if abs(t_to - state.t) <= eps:
         return state
-    y, _, _ = _walk(system, state.t, t_to, state.vector, tol, dense=False,
-                    jump_at_start=(state.side == LEFT))
+    y = _Window(system, state.t, t_to, tol, jump_at_start=(state.side == LEFT)).end @ state.vector
     side = LEFT if system.impulse_at(t_to) is not None else RIGHT
     return State(t_to, float(y[0]), float(y[1]), side)
 
@@ -382,8 +383,7 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
     tol = tolerances or DEFAULT_TOLERANCES
     if t_to < t_from:
         raise ValueError("t_to must not precede t_from")
-    y, _, _ = _walk(system, t_from, t_to, np.eye(2), tol, dense=False)
-    return FundamentalMatrix(y.reshape(2, 2, order="F"), t_from, t_to)
+    return FundamentalMatrix(_Window(system, t_from, t_to, tol).end, t_from, t_to)
 
 
 def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> MonodromyResult:
@@ -396,8 +396,7 @@ def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> 
     if violations:
         raise InvalidSystemError(violations)
     tol = tolerances or DEFAULT_TOLERANCES
-    fm = fundamental_matrix(system, 0.0, system.period, tol)
-    X = fm.matrix
+    X = fundamental_matrix(system, 0.0, system.period, tol).matrix
     trace = float(X[0, 0] + X[1, 1])
     det_prod = system.schedule.alpha_sq_product
     det_int = float(np.linalg.det(X))

@@ -124,11 +124,6 @@ def jump_matrix(schedule: ImpulseSchedule, i: int) -> np.ndarray:
     return schedule.impulses[i].matrix
 
 
-def positive_part_impulse_sum(schedule: ImpulseSchedule, lo: float, hi: float) -> float:
-    """Sum of max(beta/alpha, 0) over impulse times in [lo, hi), periodically extended."""
-    return schedule.ratio_sum(lo, hi, positive=True)
-
-
 @dataclass(frozen=True)
 class ImpulsiveSystem:
     """Coefficients plus impulse schedule; the complete periodic system."""
@@ -194,6 +189,9 @@ def validate_system(system: ImpulsiveSystem) -> list[str]:
             out.append(f"coefficient {name}: domain end {f.domain_end} does not match period {T}")
     prev = 0.0
     for i, imp in enumerate(system.schedule.impulses, start=1):
+        for key in ("tau", "alpha", "beta"):
+            if not math.isfinite(getattr(imp, key)):
+                out.append(f"impulse {i}: {key}={getattr(imp, key)} is not finite")
         if imp.tau <= eps or imp.tau >= T - eps:
             out.append(f"impulse {i}: tau={imp.tau} at interval endpoint")
         if i > 1 and imp.tau <= prev + eps:

@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 class Tolerances:
     """Knobs for every numeric decision in the package.
 
-    abs_tol / rel_tol: per-component ODE integration tolerances.
+    abs_tol / rel_tol: propagator tolerances; two successive piece products
+                       must agree within abs_tol + rel_tol * max|X|
+                       (rel_tol is floored at 100 machine epsilons).
     quad_rel:          relative tolerance for piecewise quadrature.
     boundary:          half-width of the classification band around |trace| = 2
                        and |det - 1| = 0.

@@ -223,3 +223,32 @@ class TestSoundnessSmall:
                 if pair is not None:
                     w = lyapunov_verify(sys_, pair)
                     assert w.holds, (seed, k, w.lhs)
+
+
+def _zero_sites_by_loop(zs, ztol):
+    """Reference scan: one site per run of |z| <= ztol, one per sign change
+    between neighbours outside the band."""
+    flagged = np.abs(zs) <= ztol
+    count, i, n = 0, 0, zs.size
+    while i < n:
+        if flagged[i]:
+            count += 1
+            while i < n and flagged[i]:
+                i += 1
+            continue
+        if i + 1 < n and not flagged[i + 1] and zs[i] * zs[i + 1] < 0.0:
+            count += 1
+        i += 1
+    return count
+
+
+def test_zero_site_scan_matches_the_loop():
+    from impulse_floquet.lyapunov import _zero_sites
+    rng = np.random.default_rng(7)
+    for _ in range(20000):
+        n = int(rng.integers(1, 24))
+        zs = rng.choice([-1.0, 1.0], n) * rng.choice([0.0, 1e-12, 1e-3, 0.5, 2.0], n)
+        zs += rng.normal(0.0, 1e-10, n) * rng.integers(0, 2, n)
+        ztol = float(rng.choice([0.0, 1e-9, 1e-2]))
+        runs, changes = _zero_sites(zs, ztol)
+        assert len(runs) + len(changes) == _zero_sites_by_loop(zs, ztol)

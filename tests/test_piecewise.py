@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from numpy.polynomial import polynomial as npoly
+
 from impulse_floquet import EvaluationError, PiecewiseFunction, PolySegment
-from impulse_floquet.piecewise import (CumulativeIntegral, integrate_periodic,
-                                       poly_min_on, sampled_min)
+from impulse_floquet.piecewise import (CumulativeIntegral, bracketed_root, golden_min,
+                                       integrate_periodic, poly_min_on, sampled_min)
 
 INV_PI = 0.3183098861837907  # closed form: integral of sin(2*pi*t) over [0, 1/2]
 
@@ -174,14 +176,48 @@ class TestCumulative:
 
 
 class TestFunctionalAliases:
+    """The former functional aliases, now the methods they wrapped."""
+
     def test_eval_coeff(self):
-        from impulse_floquet import eval_coeff
-        assert eval_coeff(step_function(), 0.5, "left") == 1.0
+        assert step_function().eval(0.5, "left") == 1.0
 
     def test_integrate_piecewise(self):
-        from impulse_floquet import integrate_piecewise
         f = PiecewiseFunction(1.0, (), (PolySegment((-0.5, 1.0)),))
-        assert integrate_piecewise(f, 0.0, 1.0, "abs") == pytest.approx(0.25, abs=1e-12)
+        assert f.integrate(0.0, 1.0, "abs") == pytest.approx(0.25, abs=1e-12)
+
+
+class TestPolySegment:
+    def test_evaluation_matches_numpy_polyval(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            seg = PolySegment(tuple(rng.normal(size=int(rng.integers(1, 6)))))
+            ts = rng.uniform(-3.0, 3.0, 5)
+            expect = npoly.polyval(ts, seg.coeffs)
+            assert np.array_equal(seg(ts), expect)
+            assert [seg(float(t)) for t in ts] == list(expect)
+
+
+class TestSearch:
+    def test_root_of_cubic(self):
+        root = bracketed_root(lambda t: t ** 3 - 2.0, 0.0, 2.0, 1e-14)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
+
+    def test_root_at_either_end(self):
+        assert bracketed_root(lambda t: t - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert bracketed_root(lambda t: t - 3.0, 1.0, 3.0, 1e-12) == 3.0
+
+    def test_root_needs_a_sign_change(self):
+        with pytest.raises(ValueError):
+            bracketed_root(lambda t: t * t + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_root_of_flat_then_steep_function_within_tolerance(self):
+        fn = lambda t: math.expm1(40.0 * (t - 0.9))  # noqa: E731
+        assert bracketed_root(fn, 0.0, 1.0, 1e-13) == pytest.approx(0.9, abs=1e-12)
+
+    def test_golden_min_of_parabola(self):
+        t, val = golden_min(lambda x: (x - 0.3) ** 2 + 1.0, 0.0, 1.0)
+        assert t == pytest.approx(0.3, abs=1e-7)
+        assert val == pytest.approx(1.0, abs=1e-13)
 
 
 class TestPeriodic:

@@ -3,7 +3,7 @@ import pytest
 
 from impulse_floquet import (ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
                              PiecewiseFunction, jump_matrix, monodromy,
-                             positive_part_impulse_sum, time_shift, validate_system)
+                             time_shift, validate_system)
 from helpers import make_system, poly
 
 
@@ -40,24 +40,24 @@ class TestJumpMatrix:
 class TestImpulseSums:
     def test_negative_ratio_gives_zero(self):
         sched = ImpulseSchedule.from_triples(1.0, [(0.5, -1.0, 0.5)])
-        assert positive_part_impulse_sum(sched, 0.0, 1.0) == 0.0
+        assert sched.ratio_sum(0.0, 1.0, positive=True) == 0.0
 
     def test_mixed_signs(self):
         sched = ImpulseSchedule.from_triples(1.0, [(0.3, 2.0, 3.0), (0.7, 0.5, -1.0)])
-        assert positive_part_impulse_sum(sched, 0.0, 1.0) == pytest.approx(1.5)
+        assert sched.ratio_sum(0.0, 1.0, positive=True) == pytest.approx(1.5)
 
     def test_empty_schedule(self):
-        assert positive_part_impulse_sum(ImpulseSchedule(1.0), 0.0, 1.0) == 0.0
+        assert ImpulseSchedule(1.0).ratio_sum(0.0, 1.0, positive=True) == 0.0
 
     def test_periodic_extension(self):
         sched = ImpulseSchedule.from_triples(1.0, [(0.3, 2.0, 3.0), (0.7, 0.5, -1.0)])
-        assert positive_part_impulse_sum(sched, 1.0, 2.0) == pytest.approx(1.5)
-        assert positive_part_impulse_sum(sched, 0.5, 2.5) == pytest.approx(3.0)
+        assert sched.ratio_sum(1.0, 2.0, positive=True) == pytest.approx(1.5)
+        assert sched.ratio_sum(0.5, 2.5, positive=True) == pytest.approx(3.0)
 
     def test_half_open_window(self):
         sched = ImpulseSchedule.from_triples(1.0, [(0.5, 1.0, 1.0)])
-        assert positive_part_impulse_sum(sched, 0.5, 0.6) == 1.0
-        assert positive_part_impulse_sum(sched, 0.4, 0.5) == 0.0
+        assert sched.ratio_sum(0.5, 0.6, positive=True) == 1.0
+        assert sched.ratio_sum(0.4, 0.5, positive=True) == 0.0
 
     def test_signed_sum(self):
         sched = ImpulseSchedule.from_triples(1.0, [(0.3, 2.0, 3.0), (0.7, 0.5, -1.0)])
