@@ -3,14 +3,18 @@
 Seven criteria are implemented: three classical impulse-free tests (krein,
 guseinov-kaymakcalan, wang), the impulse-aware pair (guseinov-zafer and its
 equality-boundary variant), and the sharper exponential-weighted pair (main
-and main-boundary). Every check reports each hypothesis with a signed margin
-(positive means satisfied with room to spare), and certifies stability only
-when all hypotheses hold clear of the strictness tolerance.
+and main-boundary). The criteria are data: one table maps each hypothesis
+label to its condition over a shared set of cached quantities, and another
+lists each criterion's hypotheses in report order. Every check reports each
+hypothesis with a signed margin (positive means satisfied with room to
+spare), and certifies stability only when all hypotheses hold clear of the
+strictness tolerance.
 
-Pointwise hypotheses (b > 0 and the like) are decided by exact polynomial
-minimization where the representation allows it, and by dense sampling with
-local refinement otherwise. Ratio hypotheses guard against b approaching
-zero and degrade to "undecidable" rather than guessing.
+Pointwise minima and maxima (b > 0, b*c - a^2 not identically 0 and the
+like) share one helper, `segments_min`: exact polynomial minimization where
+the representation allows it, dense sampling with local refinement
+otherwise. Ratio hypotheses guard against b approaching zero and degrade to
+"undecidable" rather than guessing.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes,
-                        adaptive_integral, poly_min_on, sampled_min)
+from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes, adaptive_integral,
+                        segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -202,46 +206,41 @@ class _Quantities:
 
     @cached_property
     def min_b(self) -> tuple[float, float]:
-        return _pointwise_min(self.system, "b")
+        return segments_min((lo, hi, sb) for lo, hi, _, sb, _ in self.system.segment_triples())
 
     @cached_property
     def min_c(self) -> tuple[float, float]:
-        return _pointwise_min(self.system, "c")
+        return segments_min((lo, hi, sc) for lo, hi, _, _, sc in self.system.segment_triples())
 
     @cached_property
     def min_bc_a2(self) -> tuple[float, float]:
-        return _pointwise_min(self.system, "bc-a2")
+        return segments_min(_bc_minus_a2_pieces(self.system, 1.0))
 
     @cached_property
     def max_abs_bc_a2(self) -> float:
-        return _pointwise_max_abs(self.system, "bc-a2")
+        top = -segments_min(_bc_minus_a2_pieces(self.system, -1.0))[0]
+        return max(abs(self.min_bc_a2[0]), abs(top))
 
     @cached_property
     def b_safe(self) -> bool:
         return self.min_b[0] > self.tol.strict
 
     @cached_property
+    def pos_mass(self) -> float:
+        """int(c+) + sum((beta/alpha)+), floored at zero."""
+        return max(self.int_c_plus + self.sum_ratio_plus, 0.0)
+
+    @cached_property
     def int_a2_over_b(self) -> float | None:
         if not self.b_safe:
             return None
-        total = 0.0
-        rough = 0.0
-        pieces = list(self.system.segment_triples())
-        span = self.system.period
-        for lo, hi, sa, sb, _ in pieces:
-            def fn(ts, _sa=sa, _sb=sb):
-                a = np.asarray(_sa(ts), dtype=float)
-                b = np.asarray(_sb(ts), dtype=float)
-                return a * a / b
-            rough += abs(_rough_panel(fn, lo, hi))
+        panels = [(lo, hi, _a2_over_b(sa, sb))
+                  for lo, hi, sa, sb, _ in self.system.segment_triples()]
+        rough = sum(abs(_rough_panel(fn, lo, hi)) for lo, hi, fn in panels)
         budget = self.tol.quad_rel * max(rough, 1e-3)
-        for lo, hi, sa, sb, _ in pieces:
-            def fn(ts, _sa=sa, _sb=sb):
-                a = np.asarray(_sa(ts), dtype=float)
-                b = np.asarray(_sb(ts), dtype=float)
-                return a * a / b
-            total += adaptive_integral(fn, lo, hi, budget * (hi - lo) / span)
-        return total
+        span = self.system.period
+        return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span)
+                   for lo, hi, fn in panels)
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -277,7 +276,7 @@ class _Quantities:
 
     @cached_property
     def condition_c(self) -> ConditionCStatus:
-        return condition_C_status(self.system, self.tol, _pre=self)
+        return _condition_c_branch(self)
 
 
 def _rough_panel(fn, lo: float, hi: float) -> float:
@@ -285,60 +284,33 @@ def _rough_panel(fn, lo: float, hi: float) -> float:
     return float(np.mean(np.asarray(fn(xs), dtype=float))) * (hi - lo)
 
 
-def _pointwise_min(system: ImpulsiveSystem, kind: str) -> tuple[float, float]:
-    """Minimum of b, c or b*c - a^2 over the closed period, one-sided at knots."""
-    best = math.inf
-    best_at = 0.0
+def _a2_over_b(sa, sb):
+    def fn(ts):
+        a = np.asarray(sa(ts), dtype=float)
+        return a * a / np.asarray(sb(ts), dtype=float)
+    return fn
+
+
+def _bc_minus_a2_pieces(system: ImpulsiveSystem, sign: float):
+    """(lo, hi, segment) pieces of sign * (b*c - a^2), polynomial where a, b, c are."""
     for lo, hi, sa, sb, sc in system.segment_triples():
-        if kind == "b":
-            seg = sb
-            polyable = isinstance(sb, PolySegment)
-            coeffs = sb.coeffs if polyable else None
-        elif kind == "c":
-            seg = sc
-            polyable = isinstance(sc, PolySegment)
-            coeffs = sc.coeffs if polyable else None
-        else:
-            polyable = all(isinstance(s, PolySegment) for s in (sa, sb, sc))
-            if polyable:
-                coeffs = tuple(npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
-                                             npoly.polymul(sa.coeffs, sa.coeffs)))
+        if all(isinstance(s, PolySegment) for s in (sa, sb, sc)):
+            coeffs = npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
+                                   npoly.polymul(sa.coeffs, sa.coeffs))
+            yield lo, hi, PolySegment(coeffs).scaled(sign)
+            continue
 
-            def seg(ts, _sa=sa, _sb=sb, _sc=sc):
-                a = np.asarray(_sa(ts), dtype=float)
-                return np.asarray(_sb(ts), dtype=float) * np.asarray(_sc(ts), dtype=float) - a * a
-        if polyable:
-            val, at = poly_min_on(coeffs, lo, hi)
-        else:
-            val, at = sampled_min(seg, lo, hi)
-        if val < best:
-            best, best_at = val, at
-    return best, best_at
-
-
-def _pointwise_max_abs(system: ImpulsiveSystem, kind: str) -> float:
-    assert kind == "bc-a2"
-    best = 0.0
-    for lo, hi, sa, sb, sc in system.segment_triples():
-        polyable = all(isinstance(s, PolySegment) for s in (sa, sb, sc))
-        if polyable:
-            coeffs = tuple(npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
-                                         npoly.polymul(sa.coeffs, sa.coeffs)))
-            mn, _ = poly_min_on(coeffs, lo, hi)
-            mx = -poly_min_on(tuple(-c for c in coeffs), lo, hi)[0]
-            best = max(best, abs(mn), abs(mx))
-        else:
-            ts = _chebyshev_nodes(lo, hi, 129)
-            a = np.asarray(sa(ts), dtype=float)
-            vals = np.asarray(sb(ts), dtype=float) * np.asarray(sc(ts), dtype=float) - a * a
-            best = max(best, float(np.max(np.abs(vals))))
-    return best
+        def seg(ts, _sa=sa, _sb=sb, _sc=sc):
+            a = np.asarray(_sa(ts), dtype=float)
+            return sign * (np.asarray(_sb(ts), dtype=float) * np.asarray(_sc(ts), dtype=float)
+                           - a * a)
+        yield lo, hi, seg
 
 
 # -- condition (C) ----------------------------------------------------------
 
-def condition_C_status(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                       _pre: "_Quantities | None" = None) -> ConditionCStatus:
+def condition_C_status(system: ImpulsiveSystem,
+                       tolerances: Tolerances | None = None) -> ConditionCStatus:
     """Branch of the alternative enabling the boundary criteria.
 
     C1: some impulse strength is nonzero. C2: all strengths vanish and a/b is
@@ -348,8 +320,11 @@ def condition_C_status(system: ImpulsiveSystem, tolerances: Tolerances | None = 
     derivative tests require polynomial a and b; otherwise the status is
     undecidable.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
+    return _Quantities(system, tolerances or DEFAULT_TOLERANCES).condition_c
+
+
+def _condition_c_branch(q: _Quantities) -> ConditionCStatus:
+    system, tol = q.system, q.tol
     for i, imp in enumerate(system.schedule.impulses, start=1):
         if imp.beta != 0.0:
             return ConditionCStatus("C1", f"impulse {i} has nonzero strength",
@@ -400,23 +375,7 @@ def condition_C_status(system: ImpulsiveSystem, tolerances: Tolerances | None = 
                             max_expression=max_expr)
 
 
-def _condition_c_condition(q: _Quantities) -> Condition:
-    st = q.condition_c
-    if st.branch in ("C1", "C2", "C3"):
-        return Condition("condition C (C1/C2/C3)", SATISFIED, None, note=f"{st.branch}: {st.detail}")
-    if st.branch == UNDECIDABLE:
-        return _cond_undecidable("condition C (C1/C2/C3)", st.detail)
-    return Condition("condition C (C1/C2/C3)", VIOLATED, st.max_expression, note=st.detail)
-
-
-def _mean_condition(q: _Quantities, label: str, equality: bool) -> Condition:
-    value = q.mean_condition_value
-    if value is None:
-        return _cond_undecidable(label, "a^2/b integral undecidable: b not bounded away from zero")
-    if equality:
-        return _cond_equality(label, value, q.equality_scale, q.tol)
-    return _cond_positive(label, value, q.tol)
-
+# -- the criteria as data -----------------------------------------------------
 
 LBL_IMPULSE_FREE = "impulse-free"
 LBL_B_NONNEG = "b(t) >= 0"
@@ -433,166 +392,108 @@ LBL_ROOT_SUM_POS = "int|a| + sqrt(int(b)) * sqrt(int(c+) + sum((beta/alpha)+)) <
 LBL_EXP_PRODUCT = "exp(2*int|a|) * int(b) * (int(c+) + sum((beta/alpha)+)) < 4"
 LBL_WANG_PRODUCT = "int(b) * int(c+) < 4*exp(-2*int|a|)"
 LBL_RATIO_CONT = "a/b continuous on [0, T]"
+LBL_CONDITION_C = "condition C (C1/C2/C3)"
 
 
-def _impulse_precondition(q: _Quantities, criterion: str) -> CriterionReport | None:
-    if q.impulse_free:
-        return None
-    cond = Condition(LBL_IMPULSE_FREE, VIOLATED, None,
-                     note="criterion applies only without genuine impulses")
-    return CriterionReport(criterion, (cond,), NOT_APPLICABLE)
+def _mean_condition(q: _Quantities, label: str, equality: bool) -> Condition:
+    value = q.mean_condition_value
+    if value is None:
+        return _cond_undecidable(label, "a^2/b integral undecidable: b not bounded away from zero")
+    if equality:
+        return _cond_equality(label, value, q.equality_scale, q.tol)
+    return _cond_positive(label, value, q.tol)
 
 
-def check_krein(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    na = _impulse_precondition(q, KREIN)
-    if na is not None:
-        return na
-    conds = [
-        _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, tol),
-        _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, tol),
-        _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, tol),
-        _cond_positive(LBL_DET_INTEGRALS, q.int_b * q.int_c - q.int_a ** 2, tol),
-        _cond_upper(LBL_ROOT_SUM_PLAIN,
-                    q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, tol),
-    ]
-    return CriterionReport(KREIN, tuple(conds), _conclude(conds))
-
-
-def check_guseinov_kaymakcalan(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                               _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    na = _impulse_precondition(q, GUSEINOV_KAYMAKCALAN)
-    if na is not None:
-        return na
+def _nonzero_condition(q: _Quantities) -> Condition:
     nz = q.max_abs_bc_a2
-    nz_status = SATISFIED if nz > tol.strict * (1.0 + nz) else VIOLATED
-    conds = [
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, tol),
-        _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, tol),
-        Condition(LBL_BCA2_NONZERO, nz_status, nz),
-        _cond_upper(LBL_ROOT_SUM_PLAIN,
-                    q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, tol),
-    ]
-    return CriterionReport(GUSEINOV_KAYMAKCALAN, tuple(conds), _conclude(conds))
+    return Condition(LBL_BCA2_NONZERO, SATISFIED if nz > q.tol.strict * (1.0 + nz) else VIOLATED, nz)
 
 
-def _prod_alpha_condition(q: _Quantities) -> Condition:
-    return _cond_equality(LBL_PROD_ALPHA, q.prod_alpha2 - 1.0, 1.0, q.tol)
+def _condition_c_condition(q: _Quantities) -> Condition:
+    st = q.condition_c
+    if st.branch in ("C1", "C2", "C3"):
+        return Condition(LBL_CONDITION_C, SATISFIED, None, note=f"{st.branch}: {st.detail}")
+    if st.branch == UNDECIDABLE:
+        return _cond_undecidable(LBL_CONDITION_C, st.detail)
+    return Condition(LBL_CONDITION_C, VIOLATED, st.max_expression, note=st.detail)
 
 
-def _root_sum_value(q: _Quantities) -> float:
-    inner = max(q.int_c_plus + q.sum_ratio_plus, 0.0)
-    return q.int_abs_a + math.sqrt(max(q.int_b, 0.0)) * math.sqrt(inner)
-
-
-def check_guseinov_zafer(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                         _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    conds = [
-        _prod_alpha_condition(q),
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _mean_condition(q, LBL_MEAN_POS, equality=False),
-        _cond_upper(LBL_ROOT_SUM_POS, _root_sum_value(q), 2.0, tol),
-    ]
-    return CriterionReport(GUSEINOV_ZAFER, tuple(conds), _conclude(conds))
-
-
-def check_guseinov_zafer_boundary(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                                  _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    cont_status, cont_detail = q.ratio_continuity
-    cont = (Condition(LBL_RATIO_CONT, cont_status, None, note=cont_detail)
-            if cont_status != UNDECIDABLE else _cond_undecidable(LBL_RATIO_CONT, cont_detail))
-    conds = [
-        _prod_alpha_condition(q),
-        _cond_upper(LBL_ROOT_SUM_POS, _root_sum_value(q), 2.0, tol),
-        cont,
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _mean_condition(q, LBL_MEAN_ZERO, equality=True),
-        _condition_c_condition(q),
-    ]
-    if cont_status == VIOLATED:
-        return CriterionReport(GUSEINOV_ZAFER_BOUNDARY, tuple(conds), NOT_APPLICABLE)
-    return CriterionReport(GUSEINOV_ZAFER_BOUNDARY, tuple(conds), _conclude(conds))
-
-
-def check_wang(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-               _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    na = _impulse_precondition(q, WANG)
-    if na is not None:
-        return na
-    bound = 4.0 * math.exp(-2.0 * q.int_abs_a)
-    conds = [
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _mean_condition(q, LBL_MEAN_POS, equality=False),
-        _cond_upper(LBL_WANG_PRODUCT, q.int_b * q.int_c_plus, bound, tol),
-    ]
-    return CriterionReport(WANG, tuple(conds), _conclude(conds))
-
-
-def _exp_product_value(q: _Quantities) -> float:
-    return math.exp(2.0 * q.int_abs_a) * q.int_b * max(q.int_c_plus + q.sum_ratio_plus, 0.0)
-
-
-def check_main(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-               _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    conds = [
-        _prod_alpha_condition(q),
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _mean_condition(q, LBL_MEAN_POS, equality=False),
-        _cond_upper(LBL_EXP_PRODUCT, _exp_product_value(q), 4.0, tol),
-    ]
-    return CriterionReport(MAIN, tuple(conds), _conclude(conds))
-
-
-def check_main_boundary(system: ImpulsiveSystem, tolerances: Tolerances | None = None,
-                        _pre: _Quantities | None = None) -> CriterionReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _pre or _Quantities(system, tol)
-    cont_status, cont_detail = q.ratio_continuity
-    cont = (Condition(LBL_RATIO_CONT, cont_status, None, note=cont_detail)
-            if cont_status != UNDECIDABLE else _cond_undecidable(LBL_RATIO_CONT, cont_detail))
-    conds = [
-        _prod_alpha_condition(q),
-        _cond_upper(LBL_EXP_PRODUCT, _exp_product_value(q), 4.0, tol),
-        cont,
-        _cond_pointwise_positive(LBL_B_POS, *q.min_b, tol),
-        _mean_condition(q, LBL_MEAN_ZERO, equality=True),
-        _condition_c_condition(q),
-    ]
-    if cont_status == VIOLATED:
-        return CriterionReport(MAIN_BOUNDARY, tuple(conds), NOT_APPLICABLE)
-    return CriterionReport(MAIN_BOUNDARY, tuple(conds), _conclude(conds))
-
-
-_CHECKS = {
-    KREIN: check_krein,
-    GUSEINOV_KAYMAKCALAN: check_guseinov_kaymakcalan,
-    GUSEINOV_ZAFER: check_guseinov_zafer,
-    GUSEINOV_ZAFER_BOUNDARY: check_guseinov_zafer_boundary,
-    WANG: check_wang,
-    MAIN: check_main,
-    MAIN_BOUNDARY: check_main_boundary,
+# Each hypothesis, keyed by its label, as a function of the shared quantities.
+_CONDITIONS = {
+    LBL_B_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, q.tol),
+    LBL_C_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, q.tol),
+    LBL_BCA2_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, q.tol),
+    LBL_B_POS: lambda q: _cond_pointwise_positive(LBL_B_POS, *q.min_b, q.tol),
+    LBL_DET_INTEGRALS: lambda q: _cond_positive(
+        LBL_DET_INTEGRALS, q.int_b * q.int_c - q.int_a ** 2, q.tol),
+    LBL_ROOT_SUM_PLAIN: lambda q: _cond_upper(
+        LBL_ROOT_SUM_PLAIN, q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, q.tol),
+    LBL_BCA2_NONZERO: _nonzero_condition,
+    LBL_PROD_ALPHA: lambda q: _cond_equality(LBL_PROD_ALPHA, q.prod_alpha2 - 1.0, 1.0, q.tol),
+    LBL_MEAN_POS: lambda q: _mean_condition(q, LBL_MEAN_POS, equality=False),
+    LBL_MEAN_ZERO: lambda q: _mean_condition(q, LBL_MEAN_ZERO, equality=True),
+    LBL_ROOT_SUM_POS: lambda q: _cond_upper(
+        LBL_ROOT_SUM_POS, q.int_abs_a + math.sqrt(max(q.int_b, 0.0)) * math.sqrt(q.pos_mass),
+        2.0, q.tol),
+    LBL_EXP_PRODUCT: lambda q: _cond_upper(
+        LBL_EXP_PRODUCT, math.exp(2.0 * q.int_abs_a) * q.int_b * q.pos_mass, 4.0, q.tol),
+    LBL_WANG_PRODUCT: lambda q: _cond_upper(
+        LBL_WANG_PRODUCT, q.int_b * q.int_c_plus, 4.0 * math.exp(-2.0 * q.int_abs_a), q.tol),
+    LBL_RATIO_CONT: lambda q: Condition(LBL_RATIO_CONT, q.ratio_continuity[0],
+                                        note=q.ratio_continuity[1]),
+    LBL_CONDITION_C: _condition_c_condition,
 }
+
+# Each criterion: (applies only to impulse-free systems, its hypotheses in report order).
+_CRITERIA = {
+    KREIN: (True, (LBL_B_NONNEG, LBL_C_NONNEG, LBL_BCA2_NONNEG, LBL_DET_INTEGRALS,
+                   LBL_ROOT_SUM_PLAIN)),
+    GUSEINOV_KAYMAKCALAN: (True, (LBL_B_POS, LBL_C_NONNEG, LBL_BCA2_NONNEG, LBL_BCA2_NONZERO,
+                                  LBL_ROOT_SUM_PLAIN)),
+    GUSEINOV_ZAFER: (False, (LBL_PROD_ALPHA, LBL_B_POS, LBL_MEAN_POS, LBL_ROOT_SUM_POS)),
+    GUSEINOV_ZAFER_BOUNDARY: (False, (LBL_PROD_ALPHA, LBL_ROOT_SUM_POS, LBL_RATIO_CONT,
+                                      LBL_B_POS, LBL_MEAN_ZERO, LBL_CONDITION_C)),
+    WANG: (True, (LBL_B_POS, LBL_MEAN_POS, LBL_WANG_PRODUCT)),
+    MAIN: (False, (LBL_PROD_ALPHA, LBL_B_POS, LBL_MEAN_POS, LBL_EXP_PRODUCT)),
+    MAIN_BOUNDARY: (False, (LBL_PROD_ALPHA, LBL_EXP_PRODUCT, LBL_RATIO_CONT,
+                            LBL_B_POS, LBL_MEAN_ZERO, LBL_CONDITION_C)),
+}
+
+
+def _report(name: str, q: _Quantities) -> CriterionReport:
+    impulse_free_only, labels = _CRITERIA[name]
+    if impulse_free_only and not q.impulse_free:
+        cond = Condition(LBL_IMPULSE_FREE, VIOLATED, None,
+                         note="criterion applies only without genuine impulses")
+        return CriterionReport(name, (cond,), NOT_APPLICABLE)
+    conds = tuple(_CONDITIONS[label](q) for label in labels)
+    if any(c.label == LBL_RATIO_CONT and c.status == VIOLATED for c in conds):
+        return CriterionReport(name, conds, NOT_APPLICABLE)
+    return CriterionReport(name, conds, _conclude(conds))
+
+
+def _check(name: str):
+    def check(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> CriterionReport:
+        return _report(name, _Quantities(system, tolerances or DEFAULT_TOLERANCES))
+    check.__name__ = check.__qualname__ = "check_" + name.replace("-", "_")
+    check.__doc__ = f"The {name} criterion, reported hypothesis by hypothesis."
+    return check
+
+
+check_krein = _check(KREIN)
+check_guseinov_kaymakcalan = _check(GUSEINOV_KAYMAKCALAN)
+check_guseinov_zafer = _check(GUSEINOV_ZAFER)
+check_guseinov_zafer_boundary = _check(GUSEINOV_ZAFER_BOUNDARY)
+check_wang = _check(WANG)
+check_main = _check(MAIN)
+check_main_boundary = _check(MAIN_BOUNDARY)
 
 
 def evaluate_all(system: ImpulsiveSystem,
                  tolerances: Tolerances | None = None) -> list[CriterionReport]:
     """All seven criteria, in fixed order, sharing one set of quantities."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    q = _Quantities(system, tol)
-    return [_CHECKS[name](system, tol, _pre=q) for name in CRITERION_ORDER]
+    q = _Quantities(system, tolerances or DEFAULT_TOLERANCES)
+    return [_report(name, q) for name in CRITERION_ORDER]
 
 
 def any_certified(reports) -> bool:

@@ -25,7 +25,7 @@ from . import criteria as crit
 from .criteria import evaluate_all
 from .floquet import STABLE, classify
 from .lyapunov import find_zero_pair, lyapunov_verify
-from .piecewise import PiecewiseFunction, PolySegment, poly_min_on
+from .piecewise import PiecewiseFunction, PolySegment, segments_min
 from .propagation import State, monodromy
 from .system import Impulse, ImpulseSchedule, ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -71,12 +71,8 @@ def _random_piecewise(rng, T: float, breakpoints, degree: int, amp: float) -> Pi
 
 
 def _min_value(f: PiecewiseFunction) -> float:
-    best = math.inf
     knots = f.knots
-    for i, seg in enumerate(f.segments):
-        val, _ = poly_min_on(seg.coeffs, knots[i], knots[i + 1])
-        best = min(best, val)
-    return best
+    return segments_min(zip(knots[:-1], knots[1:], f.segments))[0]
 
 
 def generate(spec: GeneratorSpec) -> ImpulsiveSystem:

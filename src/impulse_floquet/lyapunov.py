@@ -30,6 +30,11 @@ INCONCLUSIVE = "inconclusive"
 DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
+_WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
+_GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pair
+_ORACLE_DIRECTIONS = 180
+_ORACLE_SAMPLES = 1024
+
 
 @dataclass(eq=False)
 class RescaledSolution:
@@ -56,11 +61,6 @@ class RescaledSolution:
         mats, prods = self.path.sample_matrices(np.asarray(ts, dtype=float))
         xs = mats[:, 0, :] @ self.y0
         return xs / prods
-
-    def v_samples(self, ts: np.ndarray) -> np.ndarray:
-        mats, prods = self.path.sample_matrices(np.asarray(ts, dtype=float))
-        us = mats[:, 1, :] @ self.y0
-        return us / prods
 
 
 def rescale(path: DensePath, y0) -> RescaledSolution:
@@ -118,8 +118,7 @@ def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
 
 
 def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float, float],
-                   tolerances: Tolerances | None = None,
-                   grid_per_period: int = 512) -> ZeroPair | None:
+                   tolerances: Tolerances | None = None) -> ZeroPair | None:
     """First two consecutive zeros of z in the window, or None.
 
     The solution starts from `initial` (which must not lie after the window)
@@ -143,7 +142,7 @@ def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float,
             y0 = imp.matrix @ y0
     sol = RescaledSolution(path, y0)
 
-    n = max(64, int(math.ceil(grid_per_period * (w1 - w0) / T)))
+    n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
     ts = np.linspace(w0, w1, n + 1)
     zs = sol.z_samples(ts)
     scale = float(np.max(np.abs(zs)))
@@ -153,8 +152,8 @@ def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float,
     xtol = tol.root * max(1.0, T)
 
     runs, changes = _zero_sites(zs, ztol)
-    zeros = [float(ts[i]) for i in runs]
-    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], xtol) for i in changes]
+    zeros = [float(ts[i]) for i in np.flatnonzero(runs)]
+    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], xtol) for i in np.flatnonzero(changes)]
     zeros.sort()
     distinct: list[float] = []
     for z in zeros:
@@ -237,11 +236,11 @@ class _LhsFactors:
     def lhs(self, t0: float) -> float:
         return math.exp(2.0 * self.a_cum(t0)) * self.weighted_b * self.factor2
 
-    def sup_over_t0(self, grid: int = 256) -> tuple[float, float]:
+    def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the open window interior."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
-        ts = np.linspace(self.t1, self.t2, grid + 2)[1:-1]
+        ts = np.linspace(self.t1, self.t2, _WINDOW_GRID + 2)[1:-1]
         vals = self.a_cum_array(ts)
         i = int(np.argmax(vals))
         lo = ts[max(i - 1, 0)]
@@ -268,8 +267,8 @@ def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float,
 
 
 def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
-                    tolerances: Tolerances | None = None, slack: float = 1e-6,
-                    grid: int = 256) -> LyapunovWitness:
+                    tolerances: Tolerances | None = None,
+                    slack: float = 1e-6) -> LyapunovWitness:
     """Evaluate the product at the witness point (the argmax of z).
 
     Also reports the supremum over all interior weight points; `holds` refers
@@ -287,7 +286,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
         offset = k * T
         path = DensePath(system, t1 - offset, t2 - offset, tol)
         sol = RescaledSolution(path, np.array([0.0, 1.0]))
-    ts = np.linspace(t1 - offset, t2 - offset, grid + 2)[1:-1]
+    ts = np.linspace(t1 - offset, t2 - offset, _WINDOW_GRID + 2)[1:-1]
     zs = sol.z_samples(ts)
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
     i = int(np.argmax(sign * zs))
@@ -300,41 +299,41 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
 
     factors = _LhsFactors(system, t1, t2, tol)
     lhs = factors.lhs(t0)
-    lhs_sup, t0_sup = factors.sup_over_t0(grid)
+    lhs_sup, t0_sup = factors.sup_over_t0()
     return LyapunovWitness(t0=t0, lhs=lhs, holds=lhs >= 4.0 - slack,
                            t0_sup=t0_sup, lhs_sup=lhs_sup)
 
 
 def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
-                      tolerances: Tolerances | None = None,
-                      grid: int = 256) -> DisconjugacyCheck:
+                      tolerances: Tolerances | None = None) -> DisconjugacyCheck:
     """Certify that no solution has two zeros in [t1, t2] when the supremum
     of the product over interior weight points stays below 4."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     factors = _LhsFactors(system, t1, t2, tol)
-    sup, t0 = factors.sup_over_t0(grid)
+    sup, t0 = factors.sup_over_t0()
     margin = tol.strict * 4.0
     status = DISCONJUGATE_CERTIFIED if sup < 4.0 - margin else INCONCLUSIVE
     return DisconjugacyCheck(status, sup, t0)
 
 
-def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero sites of a sampled z: the first index of each run of samples with
-    |z| <= ztol, and the left index of each sign change between neighbours
-    that both lie outside that band."""
+def _zero_sites(zs: np.ndarray, ztol: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero sites of sampled z along the last axis, as boolean masks: the first
+    sample of each run with |z| <= ztol, and the left sample of each sign
+    change between neighbours that both lie outside that band (one entry
+    shorter). `ztol` broadcasts against zs, so rows may have their own band."""
     flagged = np.abs(zs) <= ztol
-    runs = np.flatnonzero(flagged & ~np.concatenate(([False], flagged[:-1])))
+    starts = flagged.copy()
+    starts[..., 1:] &= ~flagged[..., :-1]
     free = ~flagged
     with np.errstate(over="ignore", under="ignore"):
-        changes = np.flatnonzero(free[:-1] & free[1:] & (zs[:-1] * zs[1:] < 0.0))
-    return runs, changes
+        changes = free[..., :-1] & free[..., 1:] & (zs[..., :-1] * zs[..., 1:] < 0.0)
+    return starts, changes
 
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
-                        tolerances: Tolerances | None = None,
-                        directions: int = 180, samples: int = 1024) -> str:
+                        tolerances: Tolerances | None = None) -> str:
     """Brute-force check: scan the one-parameter family of initial directions
     and count zeros of z on a dense grid; two zeros anywhere means the window
     is not disconjugate. Sound up to grid resolution."""
@@ -345,16 +344,13 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     k = math.floor(t1 / T + 1e-15)
     s1 = t1 - k * T
     path = DensePath(system, s1, s1 + (t2 - t1), tol)
-    ts = np.linspace(s1, s1 + (t2 - t1), samples + 1)
+    ts = np.linspace(s1, s1 + (t2 - t1), _ORACLE_SAMPLES + 1)
     mats, prods = path.sample_matrices(ts)
     z_basis = mats[:, 0, :] / prods[:, None]
-    for j in range(directions):
-        theta = math.pi * j / directions
-        zs = z_basis[:, 0] * math.cos(theta) + z_basis[:, 1] * math.sin(theta)
-        scale = float(np.max(np.abs(zs)))
-        if scale == 0.0:
-            continue
-        runs, changes = _zero_sites(zs, 1e-9 * scale)
-        if len(runs) + len(changes) >= 2:
-            return NOT_DISCONJUGATE
-    return DISCONJUGATE
+    thetas = [math.pi * j / _ORACLE_DIRECTIONS for j in range(_ORACLE_DIRECTIONS)]
+    zs = np.outer([math.cos(th) for th in thetas], z_basis[:, 0])
+    zs += np.outer([math.sin(th) for th in thetas], z_basis[:, 1])
+    scale = np.max(np.abs(zs), axis=1)
+    starts, changes = _zero_sites(zs, 1e-9 * scale[:, None])
+    sites = np.count_nonzero(starts, axis=1) + np.count_nonzero(changes, axis=1)
+    return NOT_DISCONJUGATE if np.any((sites >= 2) & (scale > 0.0)) else DISCONJUGATE

@@ -249,6 +249,18 @@ def sampled_min(fn, lo: float, hi: float, n: int = 129) -> tuple[float, float]:
     return min(float(vals[i]), ft), t
 
 
+def segments_min(pieces) -> tuple[float, float]:
+    """(minimum, argmin) over (lo, hi, segment) pieces: exact for a PolySegment,
+    sampled otherwise; a tie goes to the earliest piece."""
+    best, best_at = math.inf, 0.0
+    for lo, hi, seg in pieces:
+        val, at = (poly_min_on(seg.coeffs, lo, hi) if isinstance(seg, PolySegment)
+                   else sampled_min(seg, lo, hi))
+        if val < best:
+            best, best_at = val, at
+    return best, best_at
+
+
 @dataclass(frozen=True)
 class PiecewiseFunction:
     """Real function on [0, domain_end] given by segments between breakpoints."""

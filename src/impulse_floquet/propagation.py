@@ -115,8 +115,10 @@ def _exp_factors(d):
             return series
         s = math.sqrt(abs(d))
         return (math.cosh(s), math.sinh(s) / s) if d > 0 else (math.cos(s), math.sin(s) / s)
-    s = np.sqrt(np.abs(d))
     small = np.abs(d) < 1e-2
+    if small.all():  # the usual case once steps are short: skip cosh, cos, sinh and sin
+        return series
+    s = np.sqrt(np.abs(d))
     return (np.where(small, series[0], np.where(d > 0, np.cosh(s), np.cos(s))),
             np.where(small, series[1], np.where(d > 0, np.sinh(s), np.sin(s)) / s))
 
@@ -129,9 +131,8 @@ def _step_maps(segs, t0, h):
     if np.ndim(t1) == 0:
         (a1, a2), (b1, b2), (c1, c2) = ((float(s(t1)), float(s(t2))) for s in segs)
     else:
-        n = len(t1)
-        (a1, a2), (b1, b2), (c1, c2) = ((v[:n], v[n:]) for v in
-                                        (s(np.concatenate([t1, t2])) for s in segs))
+        ts, n = np.concatenate([t1, t2]), len(t1)
+        (a1, a2), (b1, b2), (c1, c2) = ((v[:n], v[n:]) for v in (s(ts) for s in segs))
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite map
         k = _COMMUTATOR * h * h
         p = 0.5 * h * (a1 + a2) + k * (b1 * c2 - b2 * c1)
@@ -139,10 +140,15 @@ def _step_maps(segs, t0, h):
         r = 2.0 * k * (a2 * c1 - a1 * c2) - 0.5 * h * (c1 + c2)
         ch, sh = _exp_factors(p * p + q * r)
         E = np.empty(np.shape(ch) + (2, 2))
-        E[..., 0, 0] = ch + sh * p
         E[..., 0, 1] = sh * q
         E[..., 1, 0] = sh * r
-        E[..., 1, 1] = ch - sh * p
+        # ch and sh*p cancel in one diagonal entry; once the other exceeds one,
+        # det E = 1 gives the small entry as (1 + sh^2 q r) / big instead.
+        up, down = ch + sh * p, ch - sh * p
+        mag_up, mag_down = np.abs(up), np.abs(down)
+        unit = 1.0 + E[..., 0, 1] * E[..., 1, 0]
+        E[..., 0, 0] = np.where(mag_down > np.maximum(mag_up, 1.0), unit / down, up)
+        E[..., 1, 1] = np.where(mag_up > np.maximum(mag_down, 1.0), unit / up, down)
     return E
 
 

@@ -251,4 +251,37 @@ def test_zero_site_scan_matches_the_loop():
         zs += rng.normal(0.0, 1e-10, n) * rng.integers(0, 2, n)
         ztol = float(rng.choice([0.0, 1e-9, 1e-2]))
         runs, changes = _zero_sites(zs, ztol)
-        assert len(runs) + len(changes) == _zero_sites_by_loop(zs, ztol)
+        assert np.count_nonzero(runs) + np.count_nonzero(changes) == _zero_sites_by_loop(zs, ztol)
+
+
+def _oracle_by_direction(sys_, t1, t2):
+    """Reference oracle: one direction at a time, stopping at the first with two
+    zero sites."""
+    from impulse_floquet.lyapunov import _zero_sites
+    s1 = t1 - math.floor(t1 / sys_.period + 1e-15) * sys_.period
+    ts = np.linspace(s1, s1 + (t2 - t1), 1025)
+    mats, prods = DensePath(sys_, s1, s1 + (t2 - t1)).sample_matrices(ts)
+    z_basis = mats[:, 0, :] / prods[:, None]
+    for j in range(180):
+        theta = math.pi * j / 180
+        zs = z_basis[:, 0] * math.cos(theta) + z_basis[:, 1] * math.sin(theta)
+        scale = float(np.max(np.abs(zs)))
+        if scale == 0.0:
+            continue
+        runs, changes = _zero_sites(zs, 1e-9 * scale)
+        if np.count_nonzero(runs) + np.count_nonzero(changes) >= 2:
+            return NOT_DISCONJUGATE
+    return DISCONJUGATE
+
+
+def test_oracle_matches_the_direction_loop():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for i in range(40):
+        sys_ = generate(GeneratorSpec(seed=700 + i, mode="positive-b", amplitude=3.0))
+        t1 = float(rng.uniform(0.0, 1.0))
+        t2 = t1 + float(rng.uniform(0.15, 4.0))
+        verdict = disconjugacy_oracle(sys_, t1, t2)
+        assert verdict == _oracle_by_direction(sys_, t1, t2), (i, t1, t2)
+        verdicts.append(verdict)
+    assert {DISCONJUGATE, NOT_DISCONJUGATE} <= set(verdicts)

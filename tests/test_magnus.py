@@ -48,6 +48,16 @@ def test_det_is_the_alpha_square_product(sys_):
     assert abs(m.det_integrated - m.det) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("T", [3.0, 4.0])
+def test_growing_diagonal_keeps_det_one(T):
+    # a = 1 + t, b = c = 0: X = diag(e^A, e^-A) with A = T + T^2/2. The small
+    # entry is ch - sh*p in each step, where ch and sh*p nearly cancel.
+    m = monodromy(make_system(poly([1.0, 1.0], T=T), 0.0, 0.0, T=T))
+    assert abs(m.det_integrated - 1.0) <= 1e-13
+    expected = math.exp(-(T + T * T / 2.0))
+    assert abs(m.matrix[1, 1] - expected) <= 1e-13 * expected
+
+
 def _fastest_monodromy(sys_):
     best = math.inf
     for _ in range(3):
