@@ -7,15 +7,20 @@ global time variable, ascending degree) are the canonical representation:
 they admit exact derivatives, extrema and antiderivatives. Opaque callables
 are accepted, but they leave derivative-based downstream checks undecidable.
 
-The quadrature here is breakpoint-aware adaptive Gauss-Legendre. For the
-absolute-value and positive-part transforms, every interior sign change is
-located first (bracketing plus Brent root refinement per segment), so each panel
-integrates a smooth sign-definite integrand.
+Integrals never cross a breakpoint. A polynomial panel is integrated in
+closed form from its antiderivative in the local variable t - lo; for the
+absolute-value and positive-part transforms it is split at the real roots of
+the polynomial. Callable panels use adaptive Gauss-Legendre, with every
+interior sign change located first (a node scan plus Brent root refinement)
+for those transforms, so each panel integrates a smooth sign-definite
+integrand. One adaptive call has a budget of panel splits; past it the open
+panels keep their estimate and a warning is logged.
 """
 
 from __future__ import annotations
 
 import bisect
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -36,8 +41,13 @@ _POS = "pos"
 _TRANSFORMS = (_IDENTITY, _ABS, _POS)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# Panel splits one adaptive_integral call may make. Every integral of the test
+# suite and the benchmark workloads converges without a split, and a kink
+# inside a panel takes about 30.
+_PANEL_BUDGET = 1 << 12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
+_LOG = logging.getLogger("impulse_floquet")
 
 
 class EvaluationError(ValueError):
@@ -46,6 +56,32 @@ class EvaluationError(ValueError):
     def __init__(self, message: str, t: float | None = None):
         super().__init__(message)
         self.t = t
+
+
+def _horner(coeffs, t):
+    """Polynomial value in numpy polyval's order; t is a float or an ndarray."""
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * t + c
+    return out
+
+
+def _taylor_shift(coeffs, lo: float) -> list[float]:
+    """Coefficients of p(lo + s) in s.
+
+    Integrating in the shifted variable keeps the rounding at the size of a
+    panel's own values: a global-time antiderivative differences two values of
+    size |c_k| * t^(k+1), which on a short panel far from t = 0 loses most
+    digits."""
+    q = list(coeffs)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += lo * q[j + 1]
+    return q
+
+
+def _antiderivative(coeffs) -> tuple[float, ...]:
+    return (0.0, *(c / (k + 1) for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -64,16 +100,14 @@ class PolySegment:
     def __call__(self, t):
         if not isinstance(t, float):
             t = np.asarray(t, dtype=float)
-        out = 0.0
-        for c in reversed(self.coeffs):  # Horner, in numpy polyval's order, minus its overhead
-            out = out * t + c
-        return out
+        return _horner(self.coeffs, t)  # polyval's result without its overhead
 
     def derivative(self) -> "PolySegment":
         return PolySegment(tuple(npoly.polyder(self.coeffs)))
 
     def antiderivative(self) -> "PolySegment":
-        return PolySegment(tuple(npoly.polyint(self.coeffs)))
+        """The antiderivative that vanishes at t = 0."""
+        return PolySegment(_antiderivative(self.coeffs))
 
     def scaled(self, factor: float) -> "PolySegment":
         return PolySegment(tuple(factor * c for c in self.coeffs))
@@ -144,17 +178,35 @@ def _gauss(fn, lo: float, hi: float) -> float:
     return half * float(_GL_W @ ys)
 
 
-def adaptive_integral(fn, lo: float, hi: float, tol_abs: float, _depth: int = 48) -> float:
-    """Adaptive Gauss-Legendre on a smooth integrand; `fn` takes ndarray."""
+def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
+    """Adaptive Gauss-Legendre on a smooth integrand; `fn` takes ndarray.
+
+    Panels split depth first, each half with half the tolerance, until the two
+    halves of a panel agree. After _PANEL_BUDGET splits the panels still open
+    return their two-half estimate instead, and one warning is logged: rounding
+    noise above the tolerance would otherwise split down to depth 48."""
+    budget = [_PANEL_BUDGET]
+    total = _adaptive(fn, lo, hi, tol_abs, 48, budget)
+    if budget[0] < 0:
+        _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; "
+                     "the result may miss its tolerance %.3g", lo, hi, _PANEL_BUDGET, tol_abs)
+    return total
+
+
+def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list) -> float:
     if hi - lo <= 0.0:
         return 0.0
     whole = _gauss(fn, lo, hi)
     mid = 0.5 * (lo + hi)
     halves = _gauss(fn, lo, mid) + _gauss(fn, mid, hi)
-    if abs(halves - whole) <= tol_abs or _depth == 0 or (hi - lo) < 1e-15 * (1.0 + abs(lo) + abs(hi)):
+    if abs(halves - whole) <= tol_abs or depth == 0 or (hi - lo) < 1e-15 * (1.0 + abs(lo) + abs(hi)):
         return halves
-    return (adaptive_integral(fn, lo, mid, 0.5 * tol_abs, _depth - 1)
-            + adaptive_integral(fn, mid, hi, 0.5 * tol_abs, _depth - 1))
+    if budget[0] <= 0:
+        budget[0] = -1
+        return halves
+    budget[0] -= 1
+    return (_adaptive(fn, lo, mid, 0.5 * tol_abs, depth - 1, budget)
+            + _adaptive(fn, mid, hi, 0.5 * tol_abs, depth - 1, budget))
 
 
 def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -419,43 +471,78 @@ class PiecewiseFunction:
         if hi - lo <= eps:
             return 0.0
 
-        pieces = []
-        prev = lo
-        for b in self.breakpoints:
-            if lo + eps < b < hi - eps:
-                pieces.append((prev, b))
-                prev = b
-        pieces.append((prev, hi))
-
-        rough = 0.0
-        panels = []  # (lo, hi, segment, sign or None)
-        for a, b in pieces:
-            seg = self.segments[self._interior_index(0.5 * (a + b))]
-            rough += abs(_gauss(seg, a, b))
-            if transform == _IDENTITY:
-                panels.append((a, b, seg, None))
-            else:
-                for a2, b2, sgn in _sign_definite_panels(seg, a, b, eps_root=1e-13 * max(1.0, self.domain_end)):
-                    panels.append((a2, b2, seg, sgn))
-
-        budget = rel_tol * max(rough, 1e-3)
-        span = hi - lo
+        cuts = [lo, *(b for b in self.breakpoints if lo + eps < b < hi - eps), hi]
+        pieces = [(a, b, self.segments[self._interior_index(0.5 * (a + b))])
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        budget = None
         total = 0.0
-        for a, b, seg, sgn in panels:
-            if b - a <= 0.0:
-                continue
-            val = adaptive_integral(seg, a, b, budget * (b - a) / span)
-            if transform == _IDENTITY:
+        for a, b, seg in pieces:
+            val = _poly_integral(seg, a, b, transform) if isinstance(seg, PolySegment) else math.nan
+            if math.isfinite(val):
                 total += val
-            elif transform == _ABS:
-                total += abs(val) if sgn == 0 else sgn * val
-            else:  # positive part
-                if sgn > 0:
-                    total += val
+                continue
+            # callables, and the error report for non-finite polynomials
+            if budget is None:
+                budget = rel_tol * max(sum(abs(_gauss(g, p0, p1)) for p0, p1, g in pieces), 1e-3)
+            for val in _adaptive_panels(seg, a, b, transform, budget, hi - lo,
+                                        1e-13 * max(1.0, self.domain_end)):
+                total += val
         return total
 
     def cumulative(self, rel_tol: float = 1e-12) -> "CumulativeIntegral":
         return CumulativeIntegral(self, rel_tol)
+
+
+def _poly_integral(seg: PolySegment, lo: float, hi: float, transform: str) -> float:
+    """Integral of transform(seg) over [lo, hi] from the antiderivative in
+    s = t - lo, split at the real roots for the abs and pos transforms."""
+    q = _taylor_shift(seg.coeffs, lo)
+    F = _antiderivative(q)
+    length = hi - lo
+    if transform == _IDENTITY:
+        return _horner(F, length)
+    vals = [_horner(F, s) for s in (0.0, *_roots_within(q, length), length)]
+    parts = [b - a for a, b in zip(vals[:-1], vals[1:])]
+    return sum(abs(p) for p in parts) if transform == _ABS else sum(max(p, 0.0) for p in parts)
+
+
+def _roots_within(q: list[float], length: float) -> list[float]:
+    """Sorted roots in (0, length) of the polynomial with coefficients q. Above
+    degree two these are the real parts of all roots: a split at the real part
+    of a complex root is harmless, and a double root may come out complex."""
+    while len(q) > 1 and q[-1] == 0.0:
+        q = q[:-1]
+    if len(q) == 2:
+        roots = [-q[0] / q[1]]
+    elif len(q) == 3:
+        disc = q[1] * q[1] - 4.0 * q[2] * q[0]
+        if disc < 0.0:
+            return []
+        w = -0.5 * (q[1] + math.copysign(math.sqrt(disc), q[1]))  # no cancellation
+        roots = [w / q[2], q[0] / w] if w != 0.0 else [0.0]
+    elif len(q) > 3:
+        roots = npoly.polyroots(q).real.tolist()
+    else:
+        return []
+    return sorted(r for r in roots if 0.0 < r < length)
+
+
+def _adaptive_panels(seg, lo: float, hi: float, transform: str, budget: float, span: float,
+                     eps_root: float):
+    """Adaptive quadrature of transform(seg) over [lo, hi], split into
+    sign-definite panels for abs and pos; yields each panel's contribution.
+    A panel's share of the tolerance `budget` is its part of `span`."""
+    if transform == _IDENTITY:
+        yield adaptive_integral(seg, lo, hi, budget * (hi - lo) / span)
+        return
+    for a, b, sgn in _sign_definite_panels(seg, lo, hi, eps_root):
+        if b - a <= 0.0:
+            continue
+        val = adaptive_integral(seg, a, b, budget * (b - a) / span)
+        if transform == _ABS:
+            yield abs(val) if sgn == 0 else sgn * val
+        elif sgn > 0:
+            yield val
 
 
 def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 33):
@@ -494,7 +581,11 @@ def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 3
 
 
 class CumulativeIntegral:
-    """F(t) = integral of f from 0 to t, with fast in-segment evaluation."""
+    """F(t) = integral of f from 0 to t, with fast in-segment evaluation.
+
+    A polynomial segment carries its antiderivative in the local variable
+    t - lo, which gives both its contribution to the knot bases and its
+    in-segment values."""
 
     def __init__(self, f: PiecewiseFunction, rel_tol: float = 1e-12):
         self.f = f
@@ -504,8 +595,12 @@ class CumulativeIntegral:
         anti = []
         for i, seg in enumerate(f.segments):
             lo, hi = knots[i], knots[i + 1]
-            base.append(base[-1] + f.integrate(lo, hi, _IDENTITY, rel_tol))
-            anti.append(seg.antiderivative() if isinstance(seg, PolySegment) else None)
+            F = _antiderivative(_taylor_shift(seg.coeffs, lo)) if isinstance(seg, PolySegment) else None
+            step = _horner(F, hi - lo) if F is not None else math.nan
+            if not math.isfinite(step):  # callables, or the error report
+                step = f.integrate(lo, hi, _IDENTITY, rel_tol)
+            base.append(base[-1] + step)
+            anti.append(F)
         self._base = base
         self._anti = anti
 
@@ -525,7 +620,7 @@ class CumulativeIntegral:
             return self._base[i]
         anti = self._anti[i]
         if anti is not None:
-            return self._base[i] + float(anti(t)) - float(anti(lo))
+            return self._base[i] + _horner(anti, t - float(lo))
         seg = f.segments[i]
         return self._base[i] + adaptive_integral(seg, float(lo), float(t), 1e-13 * (1.0 + abs(self._base[i])))
 
@@ -541,7 +636,7 @@ class CumulativeIntegral:
                 continue
             anti = self._anti[i]
             if anti is not None:
-                out[mask] = self._base[i] + anti(ts[mask]) - float(anti(lo))
+                out[mask] = self._base[i] + _horner(anti, ts[mask] - lo)
             else:
                 out[mask] = [self.value(float(t)) for t in ts[mask]]
         out[ts < knots[0]] = 0.0

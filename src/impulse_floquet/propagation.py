@@ -5,10 +5,13 @@ piece takes fourth-order Magnus steps (A at two Gauss nodes plus a commutator
 term) whose exponential has the closed form cosh(s) I + sinh(s)/s W, s^2 = -det W
 (cos and sin when s^2 < 0): every step map has determinant one, and constant
 pieces are exact. A piece starts at one step and doubles the count until two
-successive piece products agree within abs_tol + rel_tol * max|X|. Matrices at
-the step nodes are kept; a value between nodes is a partial step from the
-nearest node. Jumps are exact 2x2 matrix applications. Beyond one period,
-solutions are composed from the period map rather than integrated.
+successive piece products agree within abs_tol + rel_tol * max|X|. The pieces
+of a window double together: each level evaluates the coefficients of every
+piece still doubling (one Horner pass over their stacked polynomial
+coefficients) and makes their step maps and products in one kernel call.
+Matrices at the step nodes are kept; a value between nodes is a partial step
+from the nearest node. Jumps are exact 2x2 matrix applications. Beyond one
+period, solutions are composed from the period map rather than integrated.
 
 Side conventions: an impulse strictly inside the propagation window is always
 applied; an impulse at the start is applied only when the starting state
@@ -25,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import LEFT, RIGHT
+from .piecewise import LEFT, RIGHT, PolySegment
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -123,16 +126,10 @@ def _exp_factors(d):
             np.where(small, series[1], np.where(d > 0, np.sinh(s), np.sin(s)) / s))
 
 
-def _step_maps(segs, t0, h):
-    """Magnus step maps over [t0, t0 + h]; t0 and h are floats or arrays, h may
-    be negative. Returns (2, 2) for floats and (n, 2, 2) for arrays."""
-    t1 = t0 + _GAUSS[0] * h
-    t2 = t0 + _GAUSS[1] * h
-    if np.ndim(t1) == 0:
-        (a1, a2), (b1, b2), (c1, c2) = ((float(s(t1)), float(s(t2))) for s in segs)
-    else:
-        ts, n = np.concatenate([t1, t2]), len(t1)
-        (a1, a2), (b1, b2), (c1, c2) = ((v[:n], v[n:]) for v in (s(ts) for s in segs))
+def _maps(a1, a2, b1, b2, c1, c2, h):
+    """Magnus step maps from the coefficients at the two Gauss nodes of steps of
+    length h (h may be negative); values and h are floats, giving (2, 2), or
+    broadcasting arrays, giving their shape + (2, 2)."""
     with np.errstate(all="ignore"):  # overflow surfaces as a non-finite map
         k = _COMMUTATOR * h * h
         p = 0.5 * h * (a1 + a2) + k * (b1 * c2 - b2 * c1)
@@ -152,24 +149,93 @@ def _step_maps(segs, t0, h):
     return E
 
 
-def _magnus_steps(segs, lo: float, hi: float, tol: Tolerances):
-    """Step maps over [lo, hi] and their product, doubling the count from one."""
+def _step_maps(segs, t0, h):
+    """Magnus step maps over [t0, t0 + h]; t0 and h are floats or arrays, h may
+    be negative. Returns (2, 2) for floats and (n, 2, 2) for arrays."""
+    t1 = t0 + _GAUSS[0] * h
+    t2 = t0 + _GAUSS[1] * h
+    if np.ndim(t1) == 0:
+        (a1, a2), (b1, b2), (c1, c2) = ((float(s(t1)), float(s(t2))) for s in segs)
+    else:
+        ts, n = np.concatenate([t1, t2]), len(t1)
+        (a1, a2), (b1, b2), (c1, c2) = ((v[:n], v[n:]) for v in (s(ts) for s in segs))
+    return _maps(a1, a2, b1, b2, c1, c2, h)
+
+
+def _poly_table(pieces) -> np.ndarray:
+    """Coefficients of every PolySegment of the pieces as a (3, pieces, degree + 1)
+    array, zero-padded at the top degree (Horner then gives the same bits)."""
+    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in segs]
+             for _, _, segs in pieces]
+    width = max([1] + [len(c) for row in polys for c in row])
+    table = np.zeros((3, len(pieces), width))
+    for i, row in enumerate(polys):
+        for j, c in enumerate(row):
+            table[j, i, :len(c)] = c
+    return table
+
+
+def _magnus_steps(pieces, tol: Tolerances):
+    """Step maps and products of smooth pieces [(lo, hi, segs)], in time order.
+
+    Every piece starts at one step and doubles its count until two successive
+    products agree; all pieces still doubling share one kernel call per level.
+    The earliest piece that fails, in time order, raises.
+    """
     rel = max(tol.rel_tol, _REL_FLOOR)
-    prev, n = None, 1
-    while n <= _MAX_STEPS:
-        h = (hi - lo) / n
-        steps = _step_maps(segs, lo + h * np.arange(n), h)
+    lo = np.array([p[0] for p in pieces])
+    span = np.array([p[1] for p in pieces]) - lo
+    table = _poly_table(pieces)
+    callable_rows = np.array([not all(isinstance(s, PolySegment) for s in segs)
+                              for _, _, segs in pieces], dtype=bool)
+    results: list = [None] * len(pieces)
+    failures: dict[int, Exception] = {}
+    active = np.arange(len(pieces))
+    prev = None
+    n = 1
+    while len(active) and n <= _MAX_STEPS:
+        h = (span[active] / n)[:, None]
+        t0 = lo[active, None] + h * np.arange(n)
+        ts = np.concatenate([t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h], axis=1)
+        coeffs, vals = table[:, active, :, None], 0.0
+        for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
+            vals = vals * ts + coeffs[:, :, k]
+        for row in np.flatnonzero(callable_rows[active]):
+            i = int(active[row])
+            try:
+                for j, s in enumerate(pieces[i][2]):
+                    if not isinstance(s, PolySegment):
+                        vals[j, row] = s(ts[row])
+            except Exception as exc:  # raised in time order with the other failures
+                failures[i] = exc
+                vals[:, row] = np.nan
+        (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
+        steps = _maps(a1, a2, b1, b2, c1, c2, h)
         X = steps
-        while len(X) > 1:
-            X = X[1::2] @ X[::2]
-        X = X[0]
-        if not np.all(np.isfinite(X)):
-            raise IntegrationFailureError("non-finite step map", lo)
-        if prev is not None and np.max(np.abs(X - prev)) <= tol.abs_tol + rel * np.max(np.abs(X)):
-            return steps, X
-        prev = X
-        n *= 2
-    raise IntegrationFailureError(f"no convergence within {_MAX_STEPS} steps per piece", lo)
+        while X.shape[1] > 1:
+            X = X[:, 1::2] @ X[:, ::2]
+        X = X[:, 0]
+        finite = np.isfinite(X).all(axis=(1, 2))
+        done = np.zeros(len(active), dtype=bool)
+        if prev is not None:
+            done = np.max(np.abs(X - prev), axis=(1, 2)) <= \
+                tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
+        if not finite.all():
+            for i in active[~finite]:
+                failures.setdefault(int(i), IntegrationFailureError("non-finite step map",
+                                                                    pieces[i][0]))
+        for row in np.flatnonzero(done & finite):
+            results[active[row]] = steps[row], X[row]
+        keep = finite & ~done
+        if failures:  # later pieces cannot change which failure is raised
+            keep &= active < min(failures)
+        active, prev, n = active[keep], X[keep], 2 * n
+    for i in active:
+        failures[int(i)] = IntegrationFailureError(
+            f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0])
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 @dataclass(eq=False)
@@ -213,17 +279,18 @@ class _Window:
                  tol: Tolerances, jump_at_start: bool = False):
         self.system, self.t_from, self.t_to = system, float(t_from), float(t_to)
         self._eps = eps = 1e-12 * max(1.0, system.period)
+        bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
+        spans = [(lo, hi, system.segment_evaluators(0.5 * (lo + hi)))
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+        smooth = iter(_magnus_steps([p for p in spans if p[1] - p[0] > eps], tol))
         Y, aprod = np.eye(2), 1.0
         self.pieces: list[_Piece] = []
-        bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for lo, hi, segs in spans:
             imp = system.impulse_at(lo) if lo > t_from or jump_at_start else None
             if imp is not None:
                 Y = imp.matrix @ Y
                 aprod *= imp.alpha
-            segs = system.segment_evaluators(0.5 * (lo + hi))
-            steps, X = (_magnus_steps(segs, lo, hi, tol) if hi - lo > eps
-                        else (np.empty((0, 2, 2)), np.eye(2)))
+            steps, X = next(smooth) if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
             self.pieces.append(_Piece(lo, hi, segs, steps, Y, aprod))
             Y = X @ Y
         self.end, self.aprod_end = Y, aprod

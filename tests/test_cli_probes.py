@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -78,3 +79,38 @@ def test_tiny_relative_tolerance_exits_0(tmp_path, capsys):
     rc, default, _ = run(capsys, ["analyze", "--input", path])
     assert json.loads(out)["monodromy"]["trace"] == pytest.approx(
         json.loads(default)["monodromy"]["trace"], abs=1e-9)
+
+
+def _cubic_probe(where):
+    """T = 1000, b = 1, c = 1, a = 0, except that `where` is a cubic with
+    coefficients of size 4e8 (values -1.7 to -98) on [993.63, 1000]."""
+    doc = rotation_descriptor(T=1000.0)
+    first = doc["coefficients"][where][0]["poly"]
+    doc["coefficients"][where] = [{"end": 993.6280168780241, "poly": first},
+                                  {"end": 1000.0,
+                                   "poly": [431335316.0, -1301805.72, 1309.65279, -0.439182484]}]
+    return doc
+
+
+def _criteria_in_subprocess(path):
+    src = os.path.dirname(os.path.dirname(impulse_floquet.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "impulse_floquet.cli", "criteria", "--input", path],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc, time.perf_counter() - start
+
+
+def test_noisy_a_squared_integral_exits_0(tmp_path):
+    # a^2/b stays adaptive; its rounding noise exceeds every panel tolerance
+    proc, _ = _criteria_in_subprocess(write_descriptor(tmp_path, _cubic_probe("a")))
+    assert proc.returncode == 0, proc.stderr
+    assert "panel splits" in proc.stderr
+    assert len(json.loads(proc.stdout)["criteria"]) == 7
+
+
+def test_cubic_c_integrals_exit_0_quickly(tmp_path):
+    # int(c), int(c+) and int|c| are closed-form for a polynomial c
+    proc, seconds = _criteria_in_subprocess(write_descriptor(tmp_path, _cubic_probe("c")))
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 2.0
