@@ -10,7 +10,7 @@ from .system import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemErr
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .propagation import (DensePath, FundamentalMatrix, IntegrationFailureError,
                           MonodromyResult, State, floquet_multipliers,
-                          fundamental_matrix, monodromy, propagate_state)
+                          fundamental_matrix, monodromies, monodromy, propagate_state)
 from .floquet import (BOUNDARY_UNDECIDED, CONDITIONALLY_STABLE, NOT_STABLE_DET,
                       STABLE, UNSTABLE, StabilityVerdict, classify, growth_bound)
 from .criteria import (CERTIFIED, INCONCLUSIVE, NOT_APPLICABLE, Condition,

@@ -29,7 +29,7 @@ from .harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, GeneratorSpec,
                       lyapunov_sweep, soundness_sweep)
 from .lyapunov import (DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE,
                        disconjugacy_oracle, disconjugacy_test)
-from .propagation import DensePath, IntegrationFailureError, monodromy
+from .propagation import DensePath, IntegrationFailureError, monodromies, monodromy
 from .system import InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -38,6 +38,7 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
+_SWEEP_CHUNK = 64  # grid points per batched period-map call
 
 
 def _tolerances(args):
@@ -171,25 +172,31 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
     return path.strip(), np.linspace(lo, hi, steps)
 
 
-def _sweep_point(job) -> list:
-    doc, assignments, tol = job
-    doc = copy.deepcopy(doc)
-    try:
-        for path, value in assignments:
-            set_descriptor_value(doc, path, float(value))
-        system = system_from_descriptor(doc)
-        violations = validate_system(system)
-        if violations:
-            raise InvalidSystemError(violations)
-        analysis = _analysis_document(system, tol)
-        conclusions = {r["criterion"]: r["conclusion"] for r in analysis["criteria"]}
-        return [*(v for _, v in assignments),
-                analysis["monodromy"]["trace"], analysis["monodromy"]["det"],
-                analysis["verdict"]["category"],
-                *(conclusions[c] for c in crit.CRITERION_ORDER), "ok"]
-    except (DescriptorError, InvalidSystemError, IntegrationFailureError) as exc:
-        return [*(v for _, v in assignments), "", "", "",
-                *([""] * len(crit.CRITERION_ORDER)), f"error: {exc}"]
+def _sweep_chunk(job) -> list[list]:
+    """CSV rows of consecutive grid points, their period maps made in one call."""
+    doc, points, tol = job
+    systems: list = []
+    for assignments in points:
+        point = copy.deepcopy(doc)
+        try:
+            for path, value in assignments:
+                set_descriptor_value(point, path, float(value))
+            systems.append(system_from_descriptor(point))
+        except (DescriptorError, InvalidSystemError) as exc:
+            systems.append(exc)
+    maps = iter(monodromies([s for s in systems if not isinstance(s, Exception)], tol))
+    rows = []
+    for assignments, system in zip(points, systems):
+        values = [v for _, v in assignments]
+        m = system if isinstance(system, Exception) else next(maps)
+        if isinstance(m, Exception):
+            rows.append([*values, "", "", "", *([""] * len(crit.CRITERION_ORDER)),
+                         f"error: {m}"])
+            continue
+        conclusions = {r.criterion: r.conclusion for r in evaluate_all(system, tol)}
+        rows.append([*values, m.trace, m.det, classify(m, tol.boundary).category,
+                     *(conclusions[c] for c in crit.CRITERION_ORDER), "ok"])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -201,28 +208,24 @@ def cmd_sweep(args) -> int:
     for path, vals in axes:
         set_descriptor_value(copy.deepcopy(doc), path, float(vals[0]))
 
-    grids = [vals for _, vals in axes]
     paths = [p for p, _ in axes]
-    jobs = []
-    if len(axes) == 1:
-        for v in grids[0]:
-            jobs.append((doc, [(paths[0], float(v))], tol))
-    else:
-        for v0 in grids[0]:
-            for v1 in grids[1]:
-                jobs.append((doc, [(paths[0], float(v0)), (paths[1], float(v1))], tol))
-
+    points = [[]]
+    for path, vals in axes:  # row-major: the first axis varies slowest
+        points = [[*point, (path, float(v))] for point in points for v in vals]
     workers = args.workers
+    size = min(_SWEEP_CHUNK, -(-len(points) // max(workers, 1)))  # a chunk per worker at least
+    jobs = [(doc, points[k:k + size], tol) for k in range(0, len(points), size)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
+            chunks = list(pool.map(_sweep_chunk, jobs))
     else:
-        rows = [_sweep_point(j) for j in jobs]
+        chunks = [_sweep_chunk(j) for j in jobs]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([*paths, *SWEEP_BASE_COLUMNS])
-    writer.writerows(rows)
+    for rows in chunks:
+        writer.writerows(rows)
     _emit(args, buf.getvalue())
     return 0
 

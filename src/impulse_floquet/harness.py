@@ -192,6 +192,7 @@ class SystemRecord:
     conclusions: dict
     certified_any: bool
     coverage: dict
+    target_margins: tuple[float, ...]  # of the criterion a forced mode targets
 
     def to_json(self) -> dict:
         return {"index": self.index, "seed": self.seed, "trace": self.trace,
@@ -251,17 +252,23 @@ def _coverage_flags(system: ImpulsiveSystem) -> dict:
     }
 
 
+_TARGETS = {FORCE_MAIN: crit.MAIN, FORCE_GUSEINOV_ZAFER: crit.GUSEINOV_ZAFER}
+
+
 def _analyze_one(args) -> SystemRecord:
     spec, index, tol = args
     system = generate(replace(spec, seed=spec.seed + index))
     reports = evaluate_all(system, tol)
     verdict = classify(monodromy(system, tol), tol.boundary)
     conclusions = {r.criterion: r.conclusion for r in reports}
+    target = _TARGETS.get(spec.mode)
     return SystemRecord(
         index=index, seed=spec.seed + index, trace=verdict.trace, det=verdict.det,
         verdict=verdict.category, conclusions=conclusions,
         certified_any=any(c == crit.CERTIFIED for c in conclusions.values()),
-        coverage=_coverage_flags(system))
+        coverage=_coverage_flags(system),
+        target_margins=tuple(cond.margin for r in reports if r.criterion == target
+                             for cond in r.conditions if cond.margin is not None))
 
 
 def soundness_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
@@ -296,7 +303,7 @@ def soundness_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None =
 
     min_margin = None
     if records and any(r.certified_any for r in records):
-        min_margin = _min_certified_margin(spec, records, tol)
+        min_margin = _min_certified_margin(records)
 
     return SoundnessSummary(mode=spec.mode, seed=spec.seed, n=n,
                             records=tuple(records), violations=tuple(violations),
@@ -304,20 +311,11 @@ def soundness_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None =
                             min_condition_margin=min_margin, coverage=coverage)
 
 
-def _min_certified_margin(spec: GeneratorSpec, records, tol: Tolerances) -> float | None:
-    target = {FORCE_MAIN: crit.MAIN, FORCE_GUSEINOV_ZAFER: crit.GUSEINOV_ZAFER}.get(spec.mode)
-    if target is None:
-        return None
-    worst = None
-    for rec in records[: min(len(records), 32)]:
-        system = generate(replace(spec, seed=rec.seed))
-        report = {crit.MAIN: crit.check_main,
-                  crit.GUSEINOV_ZAFER: crit.check_guseinov_zafer}[target](system, tol)
-        for cond in report.conditions:
-            if cond.margin is None:
-                continue
-            worst = cond.margin if worst is None else min(worst, cond.margin)
-    return worst
+def _min_certified_margin(records) -> float | None:
+    """Smallest margin of the targeted criterion over the first 32 systems;
+    None unless the mode targets a criterion."""
+    margins = [m for rec in records[:32] for m in rec.target_margins]
+    return min(margins) if margins else None
 
 
 @dataclass(frozen=True)

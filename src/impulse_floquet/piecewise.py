@@ -216,15 +216,18 @@ def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, float]:
-    """Exact minimum of a polynomial on [lo, hi] via derivative roots."""
-    cands = [lo, hi]
-    der = npoly.polyder(coeffs)
-    if len(der) and np.any(np.asarray(der) != 0.0):
+    """Exact minimum of a polynomial on [lo, hi] via derivative roots; a linear
+    derivative's root is taken in closed form, as npoly.polyroots returns it."""
+    der = [k * c for k, c in enumerate(coeffs)][1:]  # npoly.polyder's products
+    roots = []
+    if len(der) == 2:
+        roots = [-der[0] / der[1]] if der[1] != 0.0 else []
+    elif any(d != 0.0 for d in der):
         roots = npoly.polyroots(der)
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        cands.extend(float(r) for r in real if lo < r < hi)
-    vals = npoly.polyval(np.asarray(cands), coeffs)
-    i = int(np.argmin(vals))
+        roots = roots[np.abs(roots.imag) < 1e-9].real
+    cands = [lo, hi, *(float(r) for r in roots if lo < r < hi)]
+    vals = [_horner(coeffs, t) for t in cands]
+    i = min(range(len(vals)), key=vals.__getitem__)
     return float(vals[i]), float(cands[i])
 
 

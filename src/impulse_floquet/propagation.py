@@ -175,12 +175,15 @@ def _poly_table(pieces) -> np.ndarray:
     return table
 
 
-def _magnus_steps(pieces, tol: Tolerances):
-    """Step maps and products of smooth pieces [(lo, hi, segs)], in time order.
+def _magnus_steps(pieces, tol: Tolerances, groups):
+    """Step maps and products of smooth pieces [(lo, hi, segs)], one group id per
+    piece; the pieces of a group are in time order.
 
     Every piece starts at one step and doubles its count until two successive
     products agree; all pieces still doubling share one kernel call per level.
-    The earliest piece that fails, in time order, raises.
+    Returns (results, failures): results[i] is (steps, product) of piece i, and
+    failures maps a group to the exception of its earliest failing piece. Once
+    a group has failed, its later pieces stop doubling; other groups go on.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
@@ -189,7 +192,13 @@ def _magnus_steps(pieces, tol: Tolerances):
     callable_rows = np.array([not all(isinstance(s, PolySegment) for s in segs)
                               for _, _, segs in pieces], dtype=bool)
     results: list = [None] * len(pieces)
-    failures: dict[int, Exception] = {}
+    failures: dict[int, Exception] = {}  # by piece
+    first_failure: dict = {}  # group -> index of its earliest failing piece
+
+    def fail(i: int, exc: Exception) -> None:
+        failures.setdefault(i, exc)
+        first_failure[groups[i]] = min(first_failure.get(groups[i], i), i)
+
     active = np.arange(len(pieces))
     prev = None
     n = 1
@@ -207,7 +216,7 @@ def _magnus_steps(pieces, tol: Tolerances):
                     if not isinstance(s, PolySegment):
                         vals[j, row] = s(ts[row])
             except Exception as exc:  # raised in time order with the other failures
-                failures[i] = exc
+                fail(i, exc)
                 vals[:, row] = np.nan
         (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
         steps = _maps(a1, a2, b1, b2, c1, c2, h)
@@ -222,20 +231,29 @@ def _magnus_steps(pieces, tol: Tolerances):
                 tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
         if not finite.all():
             for i in active[~finite]:
-                failures.setdefault(int(i), IntegrationFailureError("non-finite step map",
-                                                                    pieces[i][0]))
+                fail(int(i), IntegrationFailureError("non-finite step map", pieces[i][0]))
         for row in np.flatnonzero(done & finite):
             results[active[row]] = steps[row], X[row]
         keep = finite & ~done
-        if failures:  # later pieces cannot change which failure is raised
-            keep &= active < min(failures)
+        if failures:  # later pieces cannot change which failure their group raises
+            keep &= [i < first_failure.get(groups[i], i + 1) for i in active]
         active, prev, n = active[keep], X[keep], 2 * n
     for i in active:
-        failures[int(i)] = IntegrationFailureError(
-            f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0])
-    if failures:
-        raise failures[min(failures)]
-    return results
+        fail(int(i), IntegrationFailureError(
+            f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0]))
+    return results, {g: failures[i] for g, i in first_failure.items()}
+
+
+def _spans(system: ImpulsiveSystem, t_from: float, t_to: float) -> list:
+    """Pieces (lo, hi, segment evaluators) between the knots inside [t_from, t_to]."""
+    bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
+    return [(lo, hi, system.segment_evaluators(0.5 * (lo + hi)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _smooth(spans, eps: float) -> list:
+    """The pieces the propagator steps through; shorter ones map as the identity."""
+    return [p for p in spans if p[1] - p[0] > eps]
 
 
 @dataclass(eq=False)
@@ -277,12 +295,26 @@ class _Window:
 
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
                  tol: Tolerances, jump_at_start: bool = False):
+        spans = _spans(system, t_from, t_to)
+        smooth = _smooth(spans, 1e-12 * max(1.0, system.period))
+        results, failures = _magnus_steps(smooth, tol, [0] * len(smooth))
+        if failures:
+            raise failures[0]
+        self._assemble(system, t_from, t_to, spans, results, jump_at_start)
+
+    @classmethod
+    def from_steps(cls, system: ImpulsiveSystem, t_from: float, t_to: float, spans,
+                   results, jump_at_start: bool = False) -> "_Window":
+        """Window over `spans` (from `_spans`) from the `_magnus_steps` results
+        of its smooth pieces, in time order."""
+        window = cls.__new__(cls)
+        window._assemble(system, t_from, t_to, spans, results, jump_at_start)
+        return window
+
+    def _assemble(self, system, t_from, t_to, spans, results, jump_at_start) -> None:
         self.system, self.t_from, self.t_to = system, float(t_from), float(t_to)
         self._eps = eps = 1e-12 * max(1.0, system.period)
-        bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
-        spans = [(lo, hi, system.segment_evaluators(0.5 * (lo + hi)))
-                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-        smooth = iter(_magnus_steps([p for p in spans if p[1] - p[0] > eps], tol))
+        smooth = iter(results)
         Y, aprod = np.eye(2), 1.0
         self.pieces: list[_Piece] = []
         for lo, hi, segs in spans:
@@ -459,17 +491,7 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
     return FundamentalMatrix(_Window(system, t_from, t_to, tol).end, t_from, t_to)
 
 
-def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> MonodromyResult:
-    """Period map, trace, determinant and characteristic roots.
-
-    The determinant used in the characteristic polynomial is the exact
-    impulse product; the integrated determinant is retained as a cross-check.
-    """
-    violations = validate_system(system)
-    if violations:
-        raise InvalidSystemError(violations)
-    tol = tolerances or DEFAULT_TOLERANCES
-    X = fundamental_matrix(system, 0.0, system.period, tol).matrix
+def _period_map(system: ImpulsiveSystem, X: np.ndarray, tol: Tolerances) -> MonodromyResult:
     trace = float(X[0, 0] + X[1, 1])
     det_prod = system.schedule.alpha_sq_product
     det_int = float(np.linalg.det(X))
@@ -478,3 +500,47 @@ def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> 
     return MonodromyResult(matrix=X, period=system.period, trace=trace, det=det_prod,
                            det_integrated=det_int, multipliers=mult,
                            error_estimate=err, tolerances=tol)
+
+
+def monodromies(systems, tolerances: Tolerances | None = None) -> list:
+    """Period maps of many systems, their smooth pieces doubling together in one
+    kernel call per level.
+
+    Entry i is the MonodromyResult of systems[i], or the InvalidSystemError or
+    IntegrationFailureError (or the exception of a callable coefficient) that
+    `monodromy(systems[i])` raises.
+    """
+    tol = tolerances or DEFAULT_TOLERANCES
+    out: list = [None] * len(systems)
+    plans, pieces, groups = [], [], []
+    for i, system in enumerate(systems):
+        violations = validate_system(system)
+        if violations:
+            out[i] = InvalidSystemError(violations)
+            continue
+        spans = _spans(system, 0.0, system.period)
+        smooth = _smooth(spans, 1e-12 * max(1.0, system.period))
+        plans.append((i, spans, len(pieces), len(pieces) + len(smooth)))
+        pieces += smooth
+        groups += [i] * len(smooth)
+    results, failures = _magnus_steps(pieces, tol, groups)
+    for i, spans, start, stop in plans:
+        if i in failures:
+            out[i] = failures[i]
+            continue
+        system = systems[i]
+        window = _Window.from_steps(system, 0.0, system.period, spans, results[start:stop])
+        out[i] = _period_map(system, window.end, tol)
+    return out
+
+
+def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> MonodromyResult:
+    """Period map, trace, determinant and characteristic roots.
+
+    The determinant used in the characteristic polynomial is the exact
+    impulse product; the integrated determinant is retained as a cross-check.
+    """
+    result = monodromies([system], tolerances)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
