@@ -18,7 +18,7 @@ from .criteria import (CERTIFIED, INCONCLUSIVE, NOT_APPLICABLE, Condition,
                        check_guseinov_kaymakcalan, check_guseinov_zafer,
                        check_guseinov_zafer_boundary, check_krein, check_main,
                        check_main_boundary, check_wang, condition_C_status,
-                       evaluate_all)
+                       evaluate_all, evaluate_many)
 from .lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE,
                        DisconjugacyCheck, LyapunovWitness, RescaledSolution,
                        ZeroPair, disconjugacy_oracle, disconjugacy_test,

@@ -10,7 +10,6 @@ delimiter and '.' as the decimal separator.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import io
 import json
@@ -21,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import criteria as crit
-from .criteria import evaluate_all
+from .criteria import evaluate_all, evaluate_many
 from .descriptors import (DescriptorError, load_system, read_descriptor_source,
                           set_descriptor_value, system_from_descriptor)
 from .floquet import classify
@@ -173,27 +172,30 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
 
 
 def _sweep_chunk(job) -> list[list]:
-    """CSV rows of consecutive grid points, their period maps made in one call."""
+    """CSV rows of consecutive grid points, their period maps and criteria in one call each."""
     doc, points, tol = job
     systems: list = []
     for assignments in points:
-        point = copy.deepcopy(doc)
+        point = doc
         try:
             for path, value in assignments:
-                set_descriptor_value(point, path, float(value))
+                point = set_descriptor_value(point, path, float(value), copy=True)
             systems.append(system_from_descriptor(point))
         except (DescriptorError, InvalidSystemError) as exc:
             systems.append(exc)
-    maps = iter(monodromies([s for s in systems if not isinstance(s, Exception)], tol))
+    made = iter(monodromies([s for s in systems if not isinstance(s, Exception)], tol))
+    maps = [s if isinstance(s, Exception) else next(made) for s in systems]
+    reports = iter(evaluate_many(
+        [s for s, m in zip(systems, maps) if not isinstance(m, Exception)], tol))
     rows = []
-    for assignments, system in zip(points, systems):
+    for assignments, m in zip(points, maps):
         values = [v for _, v in assignments]
-        m = system if isinstance(system, Exception) else next(maps)
-        if isinstance(m, Exception):
+        outcome = m if isinstance(m, Exception) else next(reports)
+        if isinstance(outcome, Exception):
             rows.append([*values, "", "", "", *([""] * len(crit.CRITERION_ORDER)),
-                         f"error: {m}"])
+                         f"error: {outcome}"])
             continue
-        conclusions = {r.criterion: r.conclusion for r in evaluate_all(system, tol)}
+        conclusions = {r.criterion: r.conclusion for r in outcome}
         rows.append([*values, m.trace, m.det, classify(m, tol.boundary).category,
                      *(conclusions[c] for c in crit.CRITERION_ORDER), "ok"])
     return rows
@@ -206,7 +208,7 @@ def cmd_sweep(args) -> int:
     if not 1 <= len(axes) <= 2:
         raise DescriptorError("sweep needs one or two --axes")
     for path, vals in axes:
-        set_descriptor_value(copy.deepcopy(doc), path, float(vals[0]))
+        set_descriptor_value(doc, path, float(vals[0]), copy=True)
 
     paths = [p for p, _ in axes]
     points = [[]]

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes, adaptive_integral,
-                        segments_min)
+from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes, _gauss,
+                        adaptive_integral, segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -149,37 +149,56 @@ def _conclude(conditions: list[Condition]) -> str:
     return CERTIFIED if all(c.status == SATISFIED for c in conditions) else INCONCLUSIVE
 
 
-class _Quantities:
-    """Lazily computed per-system integrals, sums and pointwise extrema."""
+def _shared_property(fn):
+    """A cached quantity of a, b, c and the period alone, kept in `q.shared`."""
+    def get(q: "_Quantities"):
+        if fn.__name__ not in q.shared:
+            q.shared[fn.__name__] = fn(q)
+        return q.shared[fn.__name__]
+    return property(get, doc=fn.__doc__)
 
-    def __init__(self, system: ImpulsiveSystem, tol: Tolerances):
+
+def _coefficient_key(system: ImpulsiveSystem) -> tuple:
+    """Everything a shared quantity reads, with the sign of each number (-0.0 == 0.0)."""
+    fs = system.coefficients()
+    numbers = [system.period, *(c for f in fs for s in f.segments
+                                if isinstance(s, PolySegment) for c in s.coeffs)]
+    return (*fs, tuple(math.copysign(1.0, x) for x in numbers))
+
+
+class _Quantities:
+    """Lazily computed integrals, sums and pointwise extrema of one system; those
+    of the coefficients alone are `_shared_property`s, the rest its own."""
+
+    def __init__(self, system: ImpulsiveSystem, tol: Tolerances, shared: dict | None = None):
         self.system = system
         self.tol = tol
+        self.shared = {} if shared is None else shared
 
     def _integral(self, f: PiecewiseFunction, transform: str = "identity") -> float:
         return f.integrate(0.0, f.domain_end, transform, self.tol.quad_rel)
 
-    @cached_property
+    @_shared_property
     def int_abs_a(self) -> float:
         return self._integral(self.system.coeff_a, "abs")
 
-    @cached_property
+    @_shared_property
     def int_a(self) -> float:
         return self._integral(self.system.coeff_a)
 
-    @cached_property
+    @_shared_property
     def int_b(self) -> float:
         return self._integral(self.system.coeff_b)
 
-    @cached_property
+    @_shared_property
     def int_c(self) -> float:
         return self._integral(self.system.coeff_c)
 
-    @cached_property
+    @_shared_property
     def int_c_plus(self) -> float:
         return self._integral(self.system.coeff_c, "pos")
 
-    @cached_property
+    @_shared_property
     def int_abs_c(self) -> float:
         return self._integral(self.system.coeff_c, "abs")
 
@@ -204,24 +223,24 @@ class _Quantities:
         return all(imp.alpha == 1.0 and imp.beta == 0.0
                    for imp in self.system.schedule.impulses)
 
-    @cached_property
+    @_shared_property
     def min_b(self) -> tuple[float, float]:
         return segments_min((lo, hi, sb) for lo, hi, _, sb, _ in self.system.segment_triples())
 
-    @cached_property
+    @_shared_property
     def min_c(self) -> tuple[float, float]:
         return segments_min((lo, hi, sc) for lo, hi, _, _, sc in self.system.segment_triples())
 
-    @cached_property
+    @_shared_property
     def min_bc_a2(self) -> tuple[float, float]:
         return segments_min(_bc_minus_a2_pieces(self.system, 1.0))
 
-    @cached_property
+    @_shared_property
     def max_abs_bc_a2(self) -> float:
         top = -segments_min(_bc_minus_a2_pieces(self.system, -1.0))[0]
         return max(abs(self.min_bc_a2[0]), abs(top))
 
-    @cached_property
+    @_shared_property
     def b_safe(self) -> bool:
         return self.min_b[0] > self.tol.strict
 
@@ -230,17 +249,17 @@ class _Quantities:
         """int(c+) + sum((beta/alpha)+), floored at zero."""
         return max(self.int_c_plus + self.sum_ratio_plus, 0.0)
 
-    @cached_property
+    @_shared_property
     def int_a2_over_b(self) -> float | None:
         if not self.b_safe:
             return None
         panels = [(lo, hi, _a2_over_b(sa, sb))
                   for lo, hi, sa, sb, _ in self.system.segment_triples()]
-        rough = sum(abs(_rough_panel(fn, lo, hi)) for lo, hi, fn in panels)
-        budget = self.tol.quad_rel * max(rough, 1e-3)
+        wholes = [_gauss(fn, lo, hi) for lo, hi, fn in panels]  # where each adaptive call starts
+        budget = self.tol.quad_rel * max(sum(map(abs, wholes)), 1e-3)
         span = self.system.period
-        return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span)
-                   for lo, hi, fn in panels)
+        return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span, whole)
+                   for (lo, hi, fn), whole in zip(panels, wholes))
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -254,7 +273,7 @@ class _Quantities:
         extra = self.int_a2_over_b if self.int_a2_over_b is not None else 0.0
         return self.int_abs_c + extra + self.sum_abs_ratio
 
-    @cached_property
+    @_shared_property
     def ratio_continuity(self) -> tuple[str, str]:
         """("satisfied"|"violated"|"undecidable", detail) for a/b being continuous."""
         if not self.b_safe:
@@ -277,11 +296,6 @@ class _Quantities:
     @cached_property
     def condition_c(self) -> ConditionCStatus:
         return _condition_c_branch(self)
-
-
-def _rough_panel(fn, lo: float, hi: float) -> float:
-    xs = np.linspace(lo, hi, 17)[1:-1]
-    return float(np.mean(np.asarray(fn(xs), dtype=float))) * (hi - lo)
 
 
 def _a2_over_b(sa, sb):
@@ -418,6 +432,17 @@ def _condition_c_condition(q: _Quantities) -> Condition:
     return Condition(LBL_CONDITION_C, VIOLATED, st.max_expression, note=st.detail)
 
 
+def _exp_product_condition(q: _Quantities) -> Condition:
+    try:
+        return _cond_upper(LBL_EXP_PRODUCT, math.exp(2.0 * q.int_abs_a) * q.int_b * q.pos_mass,
+                           4.0, q.tol)
+    except OverflowError:  # exp(2*int|a|) is not a float: decide in log space
+        product = q.int_b * q.pos_mass
+        below = product <= 0.0 or 2.0 * q.int_abs_a + math.log(product) < math.log(4.0)
+        return Condition(LBL_EXP_PRODUCT, SATISFIED if below else VIOLATED, None,
+                         note="exp(2*int|a|) overflows; decided in log space")
+
+
 # Each hypothesis, keyed by its label, as a function of the shared quantities.
 _CONDITIONS = {
     LBL_B_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, q.tol),
@@ -435,8 +460,7 @@ _CONDITIONS = {
     LBL_ROOT_SUM_POS: lambda q: _cond_upper(
         LBL_ROOT_SUM_POS, q.int_abs_a + math.sqrt(max(q.int_b, 0.0)) * math.sqrt(q.pos_mass),
         2.0, q.tol),
-    LBL_EXP_PRODUCT: lambda q: _cond_upper(
-        LBL_EXP_PRODUCT, math.exp(2.0 * q.int_abs_a) * q.int_b * q.pos_mass, 4.0, q.tol),
+    LBL_EXP_PRODUCT: _exp_product_condition,
     LBL_WANG_PRODUCT: lambda q: _cond_upper(
         LBL_WANG_PRODUCT, q.int_b * q.int_c_plus, 4.0 * math.exp(-2.0 * q.int_abs_a), q.tol),
     LBL_RATIO_CONT: lambda q: Condition(LBL_RATIO_CONT, q.ratio_continuity[0],
@@ -489,11 +513,27 @@ check_main = _check(MAIN)
 check_main_boundary = _check(MAIN_BOUNDARY)
 
 
+def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
+    """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
+    with the same `_coefficient_key` share their coefficient quantities."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    shared, out = {}, []
+    for system in systems:
+        q = _Quantities(system, tol, shared.setdefault(_coefficient_key(system), {}))
+        try:
+            out.append([_report(name, q) for name in CRITERION_ORDER])
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
 def evaluate_all(system: ImpulsiveSystem,
                  tolerances: Tolerances | None = None) -> list[CriterionReport]:
     """All seven criteria, in fixed order, sharing one set of quantities."""
-    q = _Quantities(system, tolerances or DEFAULT_TOLERANCES)
-    return [_report(name, q) for name in CRITERION_ORDER]
+    reports = evaluate_many([system], tolerances)[0]
+    if isinstance(reports, Exception):
+        raise reports
+    return reports
 
 
 def any_certified(reports) -> bool:

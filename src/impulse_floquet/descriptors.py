@@ -151,10 +151,16 @@ def load_system(source: str) -> ImpulsiveSystem:
     return system_from_descriptor(read_descriptor_source(source))
 
 
-def set_descriptor_value(doc: dict, path: str, value: float) -> None:
+def set_descriptor_value(doc: dict, path: str, value: float, copy: bool = False) -> dict:
     """Assign into a descriptor by path, e.g. 'impulses[0].beta' or
-    'coefficients.c[0].poly[1]'."""
-    target = doc
+    'coefficients.c[0].poly[1]', and return it. With `copy`, the assignment
+    goes into copies of the containers along the path, and `doc` is unchanged."""
+    def step(container, key):
+        if copy and isinstance(container[key], (dict, list)):
+            container[key] = type(container[key])(container[key])
+        return container[key]
+
+    target = root = dict(doc) if copy and isinstance(doc, dict) else doc
     parts = path.split(".")
     trail = []
     for n, part in enumerate(parts):
@@ -169,15 +175,15 @@ def set_descriptor_value(doc: dict, path: str, value: float) -> None:
                 raise KeyError(key)
             if last and not indices:
                 target[key] = value
-                return
-            target = target[key]
+                return root
+            target = step(target, key)
             for j, ix in enumerate(indices):
                 if not isinstance(target, list) or ix >= len(target):
                     raise IndexError(ix)
                 if last and j == len(indices) - 1:
                     target[ix] = value
-                    return
-                target = target[ix]
+                    return root
+                target = step(target, ix)
         except (KeyError, IndexError) as exc:
             raise DescriptorError(f"sweep axis path {path!r}: no field at "
                                   f"{'.'.join(trail + [part])}") from exc

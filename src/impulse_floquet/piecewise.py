@@ -122,11 +122,8 @@ class PolySegment:
         shifted = npoly.Polynomial(self.coeffs)(npoly.Polynomial([delta, 1.0]))
         return PolySegment(tuple(shifted.coef))
 
-    def negated(self) -> "PolySegment":
-        return self.scaled(-1.0)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself, so hashable whatever its callable
 class FuncSegment:
     """Opaque callable segment; `smooth` declares continuous differentiability."""
 
@@ -161,9 +158,6 @@ class FuncSegment:
         fn = self.fn
         return FuncSegment(lambda t, _f=fn, _d=delta: _f(t + _d), self.smooth)
 
-    def negated(self) -> "FuncSegment":
-        return self.scaled(-1.0)
-
 
 Segment = Union[PolySegment, FuncSegment]
 
@@ -178,7 +172,8 @@ def _gauss(fn, lo: float, hi: float) -> float:
     return half * float(_GL_W @ ys)
 
 
-def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
+def adaptive_integral(fn, lo: float, hi: float, tol_abs: float,
+                      whole: float | None = None) -> float:
     """Adaptive Gauss-Legendre on a smooth integrand; `fn` takes ndarray.
 
     Panels split depth first, each half with half the tolerance, until the two
@@ -186,17 +181,18 @@ def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
     return their two-half estimate instead, and one warning is logged: rounding
     noise above the tolerance would otherwise split down to depth 48."""
     budget = [_PANEL_BUDGET]
-    total = _adaptive(fn, lo, hi, tol_abs, 48, budget)
+    total = _adaptive(fn, lo, hi, tol_abs, 48, budget, whole)
     if budget[0] < 0:
         _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; "
                      "the result may miss its tolerance %.3g", lo, hi, _PANEL_BUDGET, tol_abs)
     return total
 
 
-def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list) -> float:
+def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list,
+              whole: float | None = None) -> float:
     if hi - lo <= 0.0:
         return 0.0
-    whole = _gauss(fn, lo, hi)
+    whole = _gauss(fn, lo, hi) if whole is None else whole  # a caller may have it already
     mid = 0.5 * (lo + hi)
     halves = _gauss(fn, lo, mid) + _gauss(fn, mid, hi)
     if abs(halves - whole) <= tol_abs or depth == 0 or (hi - lo) < 1e-15 * (1.0 + abs(lo) + abs(hi)):
@@ -442,7 +438,7 @@ class PiecewiseFunction:
                                  tuple(s.derivative() for s in self.segments))
 
     def __neg__(self) -> "PiecewiseFunction":
-        return self.map_segments(lambda s: s.negated())
+        return self.scaled(-1.0)
 
     def scaled(self, factor: float) -> "PiecewiseFunction":
         return self.map_segments(lambda s: s.scaled(factor))
@@ -491,9 +487,6 @@ class PiecewiseFunction:
                                         1e-13 * max(1.0, self.domain_end)):
                 total += val
         return total
-
-    def cumulative(self, rel_tol: float = 1e-12) -> "CumulativeIntegral":
-        return CumulativeIntegral(self, rel_tol)
 
 
 def _poly_integral(seg: PolySegment, lo: float, hi: float, transform: str) -> float:

@@ -317,14 +317,15 @@ class _Window:
         smooth = iter(results)
         Y, aprod = np.eye(2), 1.0
         self.pieces: list[_Piece] = []
-        for lo, hi, segs in spans:
-            imp = system.impulse_at(lo) if lo > t_from or jump_at_start else None
-            if imp is not None:
-                Y = imp.matrix @ Y
-                aprod *= imp.alpha
-            steps, X = next(smooth) if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
-            self.pieces.append(_Piece(lo, hi, segs, steps, Y, aprod))
-            Y = X @ Y
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves Y non-finite
+            for lo, hi, segs in spans:
+                imp = system.impulse_at(lo) if lo > t_from or jump_at_start else None
+                if imp is not None:
+                    Y = imp.matrix @ Y
+                    aprod *= imp.alpha
+                steps, X = next(smooth) if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
+                self.pieces.append(_Piece(lo, hi, segs, steps, Y, aprod))
+                Y = X @ Y
         self.end, self.aprod_end = Y, aprod
         self._starts = [p.lo for p in self.pieces]
 
@@ -530,6 +531,10 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
             continue
         system = systems[i]
         window = _Window.from_steps(system, 0.0, system.period, spans, results[start:stop])
+        if not np.isfinite(window.end).all():  # finite pieces, overflowing product
+            out[i] = IntegrationFailureError("non-finite period map", max(
+                p.lo for p in window.pieces if np.isfinite(p.start).all()))
+            continue
         out[i] = _period_map(system, window.end, tol)
     return out
 

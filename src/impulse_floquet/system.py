@@ -64,13 +64,6 @@ class ImpulseSchedule:
         return tuple(imp.tau for imp in self.impulses)
 
     @property
-    def alpha_product(self) -> float:
-        out = 1.0
-        for imp in self.impulses:
-            out *= imp.alpha
-        return out
-
-    @property
     def alpha_sq_product(self) -> float:
         out = 1.0
         for imp in self.impulses:
