@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,10 +23,11 @@ from .criteria import evaluate_all, evaluate_many
 from .descriptors import (DescriptorError, load_system, read_descriptor_source,
                           set_descriptor_value, system_from_descriptor)
 from .floquet import classify
-from .harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, GeneratorSpec,
+from .harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, GeneratorSpec, chunked_map,
                       lyapunov_sweep, soundness_sweep)
 from .lyapunov import (DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE,
                        disconjugacy_oracle, disconjugacy_test)
+from .piecewise import EvaluationError
 from .propagation import DensePath, IntegrationFailureError, monodromies, monodromy
 from .system import InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES
@@ -37,7 +37,6 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
-_SWEEP_CHUNK = 64  # grid points per batched period-map call
 
 
 def _tolerances(args):
@@ -214,14 +213,7 @@ def cmd_sweep(args) -> int:
     points = [[]]
     for path, vals in axes:  # row-major: the first axis varies slowest
         points = [[*point, (path, float(v))] for point in points for v in vals]
-    workers = args.workers
-    size = min(_SWEEP_CHUNK, -(-len(points) // max(workers, 1)))  # a chunk per worker at least
-    jobs = [(doc, points[k:k + size], tol) for k in range(0, len(points), size)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, jobs))
-    else:
-        chunks = [_sweep_chunk(j) for j in jobs]
+    chunks = chunked_map(_sweep_chunk, points, args.workers, lambda c: (doc, c, tol))
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -375,7 +367,7 @@ def main(argv=None) -> int:
     except (DescriptorError, InvalidSystemError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except IntegrationFailureError as exc:
+    except (IntegrationFailureError, EvaluationError) as exc:  # ODE or quadrature
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3
 

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import criteria as crit
-from .criteria import evaluate_all
+# Unused names stay imported: perfbench/spans.py wraps monodromy, evaluate_all, find_zero_pair here.
+from .criteria import evaluate_all, evaluate_many
 from .floquet import STABLE, classify
-from .lyapunov import find_zero_pair, lyapunov_verify
+from .lyapunov import find_zero_pair, find_zero_pairs, lyapunov_verify
 from .piecewise import PiecewiseFunction, PolySegment, segments_min
-from .propagation import State, monodromy
+from .propagation import State, monodromies, monodromy
 from .system import Impulse, ImpulseSchedule, ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -252,35 +252,60 @@ def _coverage_flags(system: ImpulsiveSystem) -> dict:
     }
 
 
+CHUNK = 64  # systems, or sweep grid points, per batched period-map and criteria call
 _TARGETS = {FORCE_MAIN: crit.MAIN, FORCE_GUSEINOV_ZAFER: crit.GUSEINOV_ZAFER}
 
 
-def _analyze_one(args) -> SystemRecord:
-    spec, index, tol = args
-    system = generate(replace(spec, seed=spec.seed + index))
-    reports = evaluate_all(system, tol)
-    verdict = classify(monodromy(system, tol), tol.boundary)
-    conclusions = {r.criterion: r.conclusion for r in reports}
+def chunked_map(fn, items, workers: int, make_job) -> list:
+    """fn over jobs made from consecutive chunks of at most CHUNK items, at least one
+    chunk per worker; `workers` > 1 spreads them over processes, results in chunk order."""
+    size = max(1, min(CHUNK, -(-len(items) // max(workers, 1))))
+    jobs = [make_job(items[k:k + size]) for k in range(0, len(items), size)]
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
+def _soundness_chunk(job) -> list[SystemRecord]:
+    """Records of consecutive systems, criteria and period maps in one call each; the lowest
+    failing index raises its generation, else its criteria, else its period-map error."""
+    spec, indices, tol = job
+    systems = []
+    for index in indices:
+        try:
+            systems.append(generate(replace(spec, seed=spec.seed + index)))
+        except Exception as exc:  # raised below, unless a lower index fails first
+            systems.append(exc)
+    made = [s for s in systems if not isinstance(s, Exception)]
+    found = iter(zip(evaluate_many(made, tol), monodromies(made, tol)))
     target = _TARGETS.get(spec.mode)
-    return SystemRecord(
-        index=index, seed=spec.seed + index, trace=verdict.trace, det=verdict.det,
-        verdict=verdict.category, conclusions=conclusions,
-        certified_any=any(c == crit.CERTIFIED for c in conclusions.values()),
-        coverage=_coverage_flags(system),
-        target_margins=tuple(cond.margin for r in reports if r.criterion == target
-                             for cond in r.conditions if cond.margin is not None))
+    records = []
+    for index, system in zip(indices, systems):
+        reports, m = (system, system) if isinstance(system, Exception) else next(found)
+        for outcome in (reports, m):
+            if isinstance(outcome, Exception):
+                raise outcome
+        verdict = classify(m, tol.boundary)
+        conclusions = {r.criterion: r.conclusion for r in reports}
+        records.append(SystemRecord(
+            index=index, seed=spec.seed + index, trace=verdict.trace, det=verdict.det,
+            verdict=verdict.category, conclusions=conclusions,
+            certified_any=any(c == crit.CERTIFIED for c in conclusions.values()),
+            coverage=_coverage_flags(system),
+            target_margins=tuple(cond.margin for r in reports if r.criterion == target
+                                 for cond in r.conditions if cond.margin is not None)))
+    return records
 
 
 def soundness_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
                     workers: int = 1) -> SoundnessSummary:
-    """Generate n systems, certify, classify, and cross-check the two."""
+    """Generate n systems, certify, classify, and cross-check the two, in chunks of
+    up to CHUNK systems; `workers` spreads the chunks and does not change the result."""
     tol = tolerances or DEFAULT_TOLERANCES
-    jobs = [(spec, i, tol) for i in range(n)]
-    if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_analyze_one, jobs, chunksize=max(1, n // (workers * 4))))
-    else:
-        records = [_analyze_one(j) for j in jobs]
+    chunks = chunked_map(_soundness_chunk, range(n), workers, lambda idx: (spec, idx, tol))
+    records = [rec for chunk in chunks for rec in chunk]
 
     violations = []
     counts = {name: 0 for name in crit.CRITERION_ORDER}
@@ -355,11 +380,10 @@ def lyapunov_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = 
             skipped += 1
             continue
         scanned += 1
-        T = system.period
-        for j in range(directions):
-            theta = math.pi * j / directions
-            initial = State(0.0, math.cos(theta), math.sin(theta))
-            pair = find_zero_pair(system, initial, (0.0, periods * T), tol)
+        initials = [State(0.0, math.cos(math.pi * j / directions),
+                          math.sin(math.pi * j / directions)) for j in range(directions)]
+        for j, pair in enumerate(find_zero_pairs(system, initials,
+                                                 (0.0, periods * system.period), tol)):
             if pair is None:
                 continue
             pairs += 1

@@ -31,7 +31,7 @@ DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
 _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
-_GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pair
+_GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
 _ORACLE_DIRECTIONS = 180
 _ORACLE_SAMPLES = 1024
 
@@ -117,54 +117,60 @@ def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
     return False
 
 
-def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float, float],
-                   tolerances: Tolerances | None = None) -> ZeroPair | None:
-    """First two consecutive zeros of z in the window, or None.
+def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, float],
+                    tolerances: Tolerances | None = None) -> list[ZeroPair | None]:
+    """First two consecutive zeros of z in the window for each initial state, or None.
 
-    The solution starts from `initial` (which must not lie after the window)
-    and is scanned on a dense grid; sign changes are refined by bracketing on
-    the continuous z. Zeros closer together than the grid resolution cannot
-    be separated.
+    The states share a start time, not after the window, and one dense path and grid
+    sample; sign changes are refined by bracketing on the continuous z. Zeros closer
+    together than the grid resolution cannot be separated.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     w0, w1 = window
     T = system.period
     eps = 1e-12 * max(1.0, T)
-    if not (initial.t <= w0 + eps and w0 < w1):
+    t_start = initials[0].t if initials else w0
+    if any(s.t != t_start for s in initials):
+        raise ValueError("initial states must share a start time")
+    if not (t_start <= w0 + eps and w0 < w1):
         raise ValueError("window must start at or after the initial state and be nonempty")
-    y0 = np.array([initial.x, initial.u])
-    if float(np.hypot(*y0)) == 0.0:
-        return None
-    path = DensePath(system, initial.t, w1, tol)
-    if initial.side == "left":
-        imp = system.impulse_at(initial.t)
-        if imp is not None:
-            y0 = imp.matrix @ y0
-    sol = RescaledSolution(path, y0)
-
+    pairs: list[ZeroPair | None] = [None] * len(initials)
+    if not any(s.x or s.u for s in initials):
+        return pairs
+    path = DensePath(system, t_start, w1, tol)
+    imp = system.impulse_at(t_start)
     n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
     ts = np.linspace(w0, w1, n + 1)
-    zs = sol.z_samples(ts)
-    scale = float(np.max(np.abs(zs)))
-    if scale == 0.0:
-        return None
-    ztol = 1e-9 * scale
+    mats, prods = path.sample_matrices(ts)
     xtol = tol.root * max(1.0, T)
+    for i, state in enumerate(initials):
+        if not (state.x or state.u):
+            continue
+        y0 = np.array([state.x, state.u])
+        sol = RescaledSolution(path, imp.matrix @ y0 if state.side == "left" and imp else y0)
+        zs = (mats[:, 0, :] @ sol.y0) / prods  # sol.z_samples(ts) from the shared sample
+        scale = float(np.max(np.abs(zs)))
+        if scale == 0.0:
+            continue
+        runs, changes = _zero_sites(zs, 1e-9 * scale)
+        zeros = [float(ts[k]) for k in np.flatnonzero(runs)]
+        zeros += [bracketed_root(sol.z, ts[k], ts[k + 1], xtol) for k in np.flatnonzero(changes)]
+        zeros.sort()
+        distinct: list[float] = []
+        for z in zeros:
+            if not distinct or z - distinct[-1] > 1e-9 * max(1.0, T):
+                distinct.append(z)
+        if len(distinct) >= 2:
+            t1, t2 = distinct[0], distinct[1]
+            pairs[i] = ZeroPair(t1, t2, _impulse_time_flags(system, t1),
+                                _impulse_time_flags(system, t2), solution=sol)
+    return pairs
 
-    runs, changes = _zero_sites(zs, ztol)
-    zeros = [float(ts[i]) for i in np.flatnonzero(runs)]
-    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], xtol) for i in np.flatnonzero(changes)]
-    zeros.sort()
-    distinct: list[float] = []
-    for z in zeros:
-        if not distinct or z - distinct[-1] > 1e-9 * max(1.0, T):
-            distinct.append(z)
-    if len(distinct) < 2:
-        return None
-    t1, t2 = distinct[0], distinct[1]
-    return ZeroPair(t1, t2,
-                    _impulse_time_flags(system, t1), _impulse_time_flags(system, t2),
-                    solution=sol)
+
+def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float, float],
+                   tolerances: Tolerances | None = None) -> ZeroPair | None:
+    """`find_zero_pairs` for one initial state."""
+    return find_zero_pairs(system, [initial], window, tolerances)[0]
 
 
 class _LhsFactors:

@@ -177,6 +177,8 @@ def validate_system(system: ImpulsiveSystem) -> list[str]:
     out: list[str] = []
     T = system.period
     eps = 1e-12 * max(1.0, T)
+    if T <= eps:
+        out.append(f"period {T} is not above the knot tolerance {eps}")
     for name, f in zip("abc", system.coefficients()):
         if abs(f.domain_end - T) > eps:
             out.append(f"coefficient {name}: domain end {f.domain_end} does not match period {T}")

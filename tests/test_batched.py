@@ -19,7 +19,7 @@ from impulse_floquet import (DEFAULT_TOLERANCES, FuncSegment, IntegrationFailure
 from impulse_floquet.criteria import CRITERION_ORDER
 from impulse_floquet.descriptors import (set_descriptor_value, system_from_descriptor,
                                          system_to_descriptor)
-from impulse_floquet.harness import GeneratorSpec, generate
+from impulse_floquet.harness import CHUNK, GeneratorSpec, generate
 from perfbench.inputs import SWEEP_ROW_VALUES, sweep_descriptor, sweep_rows
 
 from helpers import make_system, poly
@@ -173,7 +173,7 @@ def test_two_workers_equal_the_serial_sweep(tmp_path):
     axes = [("coefficients.c[0].poly[0]", float(SWEEP_ROW_VALUES[0]), 3.0, 3),
             ("impulses[0].beta", -2.0, 2.0, 50)]
     serial = _sweep(tmp_path, axes, 1)
-    assert len(serial.splitlines()) == 151 > cli._SWEEP_CHUNK + 1
+    assert len(serial.splitlines()) == 151 > CHUNK + 1
     assert _sweep(tmp_path, axes, 2) == serial
 
 

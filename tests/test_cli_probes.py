@@ -114,3 +114,38 @@ def test_cubic_c_integrals_exit_0_quickly(tmp_path):
     proc, seconds = _criteria_in_subprocess(write_descriptor(tmp_path, _cubic_probe("c")))
     assert proc.returncode == 0, proc.stderr
     assert seconds < 2.0
+
+
+def test_criteria_evaluation_error_exits_3_with_one_line(tmp_path, capsys):
+    # c = 0.5 + 1e300 t^10 on a period of 10 overflows inside the criteria quadrature
+    doc = rotation_descriptor(T=10.0)
+    doc["coefficients"]["c"] = [{"end": 10.0, "poly": [0.5] + [0.0] * 9 + [1e300]}]
+    path = write_descriptor(tmp_path, doc)
+    for command, named in (("criteria", "non-finite segment value"),
+                           ("analyze", "non-finite step map")):
+        rc, out, err = run(capsys, [command, "--input", path])
+        assert rc == 3 and out == "", command
+        messages = [line for line in err.splitlines() if line.startswith("integration failure: ")]
+        assert len(messages) == 1 and named in messages[0]
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("period", [1e-300, 1e-13, 1e-12])
+def test_period_at_or_below_knot_tolerance_exits_2(tmp_path, capsys, period):
+    path = write_descriptor(tmp_path, rotation_descriptor(T=period))
+    rc, out, err = run(capsys, ["analyze", "--input", path])
+    assert rc == 2 and out == ""
+    assert "knot tolerance" in err
+    one = PiecewiseFunction.constant(1.0, period)
+    assert any("period" in v for v in validate_system(ImpulsiveSystem(
+        one, one, one, ImpulseSchedule(period, ()))))
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(impulse_floquet.__file__))
+    code = ("import sys, impulse_floquet.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

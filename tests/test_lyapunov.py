@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulse_floquet import (DensePath, State, disconjugacy_oracle, disconjugacy_test,
                              find_zero_pair, lyapunov_lhs, lyapunov_verify, rescale)
@@ -153,6 +154,20 @@ class TestLyapunovVerify:
         bad = type(find_zero_pair(sys_, State(0.0, 0.0, 1.0), (0.0, 1.5)))(0.0, 1e-12)
         with pytest.raises(ValueError):
             lyapunov_verify(sys_, bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(3.0, 10.0, exclude_min=True, exclude_max=True))
+    def test_sharp_constant_probe(self, beta):
+        # x' = u with one kick u+ = u - beta x at 0.5: from (0, 1), x = t up to
+        # the kick, then 0.5 + (1 - beta/2)(t - 0.5), whose zero is 0.5 + 1/s
+        # for s = beta - 2; the product is (0.5 + 1/s) * beta = 2 + s/2 + 2/s,
+        # exactly 4 at beta = 4
+        s = beta - 2.0
+        sys_ = make_system(0.0, 1.0, 0.0, impulses=[(0.5, 1.0, beta)])
+        pair = find_zero_pair(sys_, State(0.0, 0.0, 1.0), (0.0, 1.5))
+        assert pair.t1 == 0.0
+        assert abs(pair.t2 - (0.5 + 1.0 / s)) <= 1e-9
+        assert abs(lyapunov_verify(sys_, pair).lhs - (2.0 + s / 2.0 + 2.0 / s)) <= 1e-9
 
     def test_lhs_sup_at_least_witness(self):
         sys_ = generate(GeneratorSpec(seed=77, mode="positive-b", amplitude=1.5))
