@@ -22,7 +22,7 @@ from .criteria import (CERTIFIED, INCONCLUSIVE, NOT_APPLICABLE, Condition,
 from .lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE,
                        DisconjugacyCheck, LyapunovWitness, RescaledSolution,
                        ZeroPair, disconjugacy_oracle, disconjugacy_test,
-                       find_zero_pair, find_zero_pairs, lyapunov_lhs, lyapunov_verify, rescale)
+                       find_zero_pair, find_zero_pairs, lyapunov_lhs, lyapunov_verify)
 from .harness import (GeneratorSpec, GenerationError, LyapunovSummary,
                       SoundnessSummary, generate, lyapunov_sweep, soundness_sweep)
 from .descriptors import (DescriptorError, load_system, set_descriptor_value,

@@ -89,7 +89,7 @@ def _analysis_document(system, tol) -> dict:
         },
         "verdict": verdict.to_json(),
         "criteria": [r.to_json() for r in reports],
-        "any_certified": any(r.conclusion == crit.CERTIFIED for r in reports),
+        "any_certified": crit.any_certified(reports),
     }
 
 
@@ -138,7 +138,7 @@ def cmd_criteria(args) -> int:
     system = _load_valid_system(args)
     reports = evaluate_all(system, tol)
     doc = {"criteria": [r.to_json() for r in reports],
-           "any_certified": any(r.conclusion == crit.CERTIFIED for r in reports)}
+           "any_certified": crit.any_certified(reports)}
     if args.format == "human":
         lines = []
         for rep in doc["criteria"]:

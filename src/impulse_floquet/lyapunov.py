@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, golden_min,
-                        integrate_periodic)
+                        integrate_periodic, knot_eps, period_chunks, split_period)
 from .propagation import DensePath, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -61,11 +61,6 @@ class RescaledSolution:
         mats, prods = self.path.sample_matrices(np.asarray(ts, dtype=float))
         xs = mats[:, 0, :] @ self.y0
         return xs / prods
-
-
-def rescale(path: DensePath, y0) -> RescaledSolution:
-    """Rescaled view of the solution with initial vector y0 along `path`."""
-    return RescaledSolution(path, np.asarray(y0, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +123,10 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     tol = tolerances or DEFAULT_TOLERANCES
     w0, w1 = window
     T = system.period
-    eps = 1e-12 * max(1.0, T)
     t_start = initials[0].t if initials else w0
     if any(s.t != t_start for s in initials):
         raise ValueError("initial states must share a start time")
-    if not (t_start <= w0 + eps and w0 < w1):
+    if not (t_start <= w0 + knot_eps(T) and w0 < w1):
         raise ValueError("window must start at or after the initial state and be nonempty")
     pairs: list[ZeroPair | None] = [None] * len(initials)
     if not any(s.x or s.u for s in initials):
@@ -182,76 +176,42 @@ class _LhsFactors:
         self.t2 = t2
         self.tol = tol
         self._cum_a = CumulativeIntegral(system.coeff_a, min(tol.quad_rel, 1e-12))
-        self._a_total = self._cum_a.total
         self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos", tol.quad_rel)
                         + system.schedule.ratio_sum(t1, t2, positive=True))
         self.weighted_b = self._weighted_b_integral()
 
-    def a_cum(self, t: float) -> float:
-        T = self.system.period
-        k = math.floor(t / T + 1e-15)
-        s = t - k * T
-        if s > T - 1e-12 * max(1.0, T):
-            k += 1
-            s = 0.0
-        return k * self._a_total + self._cum_a.value(s)
-
-    def a_cum_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        T = self.system.period
-        ks = np.floor(ts / T + 1e-15).astype(int)
-        ss = ts - ks * T
-        roll = ss > T - 1e-12 * max(1.0, T)
-        ks[roll] += 1
-        ss[roll] = 0.0
-        return ks * self._a_total + self._cum_a.values(ss)
-
     def _weighted_b_integral(self) -> float:
         """Integral of b(t) * exp(-2 * A(t)) over [t1, t2], A the running a-integral."""
-        system = self.system
-        T = system.period
-        b = system.coeff_b
-        eps = 1e-12 * max(1.0, T)
-        total = 0.0
-        panels = []
-        t = self.t1
-        k = math.floor(t / T + 1e-15)
-        while t < self.t2 - eps:
-            hi = min(self.t2, (k + 1) * T)
-            lo_loc, hi_loc = t - k * T, hi - k * T
-            cuts = [lo_loc, *(x for x in b.knots if lo_loc + eps < x < hi_loc - eps), hi_loc]
-            for p0, p1 in zip(cuts[:-1], cuts[1:]):
-                if p1 - p0 > eps:
-                    seg = b.segments[b._interior_index(0.5 * (p0 + p1))]
-                    panels.append((p0, p1, seg, k))
-            t = hi
-            k += 1
+        T = self.system.period
+        panels = [(p0, p1, seg, k * self._cum_a.total)
+                  for k, s0, s1 in period_chunks(self.t1, self.t2, T)
+                  for p0, p1, seg in self.system.coeff_b.pieces(s0, s1)]
         rough = sum(abs((p1 - p0)) * (1.0 + abs(float(seg(0.5 * (p0 + p1)))))
                     for p0, p1, seg, _ in panels)
         budget = self.tol.quad_rel * max(rough, 1e-3)
-        span = max(self.t2 - self.t1, eps)
-        for p0, p1, seg, k in panels:
-            shift = k * self._a_total
+        span = max(self.t2 - self.t1, knot_eps(T))
+        total = 0.0
+        for p0, p1, seg, shift in panels:
 
             def fn(ts, _seg=seg, _shift=shift):
-                av = self._cum_a.values(np.asarray(ts, dtype=float)) + _shift
+                av = self._cum_a.values(ts) + _shift
                 return np.asarray(_seg(ts), dtype=float) * np.exp(-2.0 * av)
             total += adaptive_integral(fn, p0, p1, budget * (p1 - p0) / span)
         return total
 
     def lhs(self, t0: float) -> float:
-        return math.exp(2.0 * self.a_cum(t0)) * self.weighted_b * self.factor2
+        return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2
 
     def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the open window interior."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
         ts = np.linspace(self.t1, self.t2, _WINDOW_GRID + 2)[1:-1]
-        vals = self.a_cum_array(ts)
+        vals = self._cum_a.values(ts)
         i = int(np.argmax(vals))
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, ts.size - 1)]
-        t_best, a_neg = golden_min(lambda t: -self.a_cum(t), lo, hi)
+        t_best, a_neg = golden_min(lambda t: -self._cum_a.value(t), lo, hi)
         a_best = -a_neg
         if vals[i] > a_best:
             t_best, a_best = float(ts[i]), float(vals[i])
@@ -285,14 +245,11 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     if pair.t2 - pair.t1 <= 1e-9 * max(1.0, T):
         raise ValueError("zero pair too narrow to evaluate")
     sol = pair.solution
-    offset = 0.0
-    t1, t2 = pair.t1, pair.t2
-    if sol is None:
-        k = math.floor(t1 / T + 1e-15)
-        offset = k * T
-        path = DensePath(system, t1 - offset, t2 - offset, tol)
-        sol = RescaledSolution(path, np.array([0.0, 1.0]))
-    ts = np.linspace(t1 - offset, t2 - offset, _WINDOW_GRID + 2)[1:-1]
+    k, s1 = split_period(pair.t1, T) if sol is None else (0, pair.t1)
+    offset = k * T
+    if sol is None:  # a path from the period of t1
+        sol = RescaledSolution(DensePath(system, s1, pair.t2 - offset, tol), np.array([0.0, 1.0]))
+    ts = np.linspace(s1, pair.t2 - offset, _WINDOW_GRID + 2)[1:-1]
     zs = sol.z_samples(ts)
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
     i = int(np.argmax(sign * zs))
@@ -303,7 +260,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
         t_best = float(ts[i])
     t0 = t_best + offset
 
-    factors = _LhsFactors(system, t1, t2, tol)
+    factors = _LhsFactors(system, pair.t1, pair.t2, tol)
     lhs = factors.lhs(t0)
     lhs_sup, t0_sup = factors.sup_over_t0()
     return LyapunovWitness(t0=t0, lhs=lhs, holds=lhs >= 4.0 - slack,
@@ -347,8 +304,7 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
-    k = math.floor(t1 / T + 1e-15)
-    s1 = t1 - k * T
+    _, s1 = split_period(t1, T)
     path = DensePath(system, s1, s1 + (t2 - t1), tol)
     ts = np.linspace(s1, s1 + (t2 - t1), _ORACLE_SAMPLES + 1)
     mats, prods = path.sample_matrices(ts)

@@ -58,6 +58,43 @@ class EvaluationError(ValueError):
         self.t = t
 
 
+def knot_eps(T: float) -> float:
+    """Knot tolerance on a period T: times closer than this are one time."""
+    return 1e-12 * max(1.0, T)
+
+
+def split_period(t, T: float):
+    """(k, s) with t = k*T + s and s in [0, T), for a float or an ndarray t; an
+    s within knot_eps(T) of 0 reads as 0 of period k, of T as 0 of period k + 1."""
+    eps = knot_eps(T)
+    if not isinstance(t, np.ndarray):  # math module: golden-section searches call this
+        t = float(t)
+        k = math.floor(t / T)
+        s = t - k * T
+        if s > T - eps:
+            return k + 1, 0.0
+        return k, (0.0 if s < eps else s)
+    k = np.floor(t / T).astype(int)
+    s = t - k * T
+    roll = s > T - eps
+    k[roll] += 1
+    s[roll | (s < eps)] = 0.0
+    return k, s
+
+
+def period_chunks(lo: float, hi: float, T: float):
+    """Walk the window [lo, hi] period by period: yields (k, s0, s1), the part
+    [k*T + s0, k*T + s1] of the window in period k. The first s0 comes from
+    split_period, later ones are 0; s1 is min(hi, (k+1)*T) - k*T."""
+    eps = knot_eps(T)
+    k, s0 = split_period(lo, T)
+    t = lo
+    while t < hi - eps:
+        t = min(hi, (k + 1) * T)
+        yield k, s0, t - k * T
+        k, s0 = k + 1, 0.0
+
+
 def _horner(coeffs, t):
     """Polynomial value in numpy polyval's order; t is a float or an ndarray."""
     out = 0.0
@@ -165,7 +202,8 @@ Segment = Union[PolySegment, FuncSegment]
 def _gauss(fn, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     xs = 0.5 * (hi + lo) + half * _GL_X
-    ys = np.asarray(fn(xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the EvaluationError below
+        ys = np.asarray(fn(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         bad = float(xs[~np.isfinite(ys)][0])
         raise EvaluationError(f"non-finite segment value at t={bad}", t=bad)
@@ -211,6 +249,14 @@ def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return xs[::-1]
 
 
+def _polyroots(q) -> np.ndarray:
+    """npoly.polyroots without the top coefficients that would overflow its companion
+    matrix (a LinAlgError); each is negligible for |t| up to 1e30 at degree 10."""
+    while len(q) > 1 and (q[-1] == 0.0 or not all(math.isfinite(c / q[-1]) for c in q[:-1])):
+        q = q[:-1]
+    return npoly.polyroots(q)
+
+
 def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, float]:
     """Exact minimum of a polynomial on [lo, hi] via derivative roots; a linear
     derivative's root is taken in closed form, as npoly.polyroots returns it."""
@@ -219,7 +265,7 @@ def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, f
     if len(der) == 2:
         roots = [-der[0] / der[1]] if der[1] != 0.0 else []
     elif any(d != 0.0 for d in der):
-        roots = npoly.polyroots(der)
+        roots = _polyroots(der)
         roots = roots[np.abs(roots.imag) < 1e-9].real
     cands = [lo, hi, *(float(r) for r in roots if lo < r < hi)]
     vals = [_horner(coeffs, t) for t in cands]
@@ -360,12 +406,9 @@ class PiecewiseFunction:
     def is_polynomial(self) -> bool:
         return all(isinstance(s, PolySegment) for s in self.segments)
 
-    def _eps(self) -> float:
-        return 1e-12 * max(1.0, self.domain_end)
-
     def segment_index(self, t: float, side: str) -> int:
         """Index of the segment owning the one-sided limit at t."""
-        eps = self._eps()
+        eps = knot_eps(self.domain_end)
         if t < -eps or t > self.domain_end + eps:
             raise ValueError(f"t={t} outside [0, {self.domain_end}]")
         t = min(max(t, 0.0), self.domain_end)
@@ -388,7 +431,7 @@ class PiecewiseFunction:
     def eval(self, t: float, side: str | None = None) -> float:
         """One-sided value at t; side defaults to right (left at domain_end)."""
         if side is None:
-            side = LEFT if t >= self.domain_end - self._eps() else RIGHT
+            side = LEFT if t >= self.domain_end - knot_eps(self.domain_end) else RIGHT
         idx = self.segment_index(t, side)
         val = float(self.segments[idx](min(max(t, 0.0), self.domain_end)))
         if not math.isfinite(val):
@@ -411,7 +454,7 @@ class PiecewiseFunction:
 
     def with_breakpoints(self, points: Sequence[float]) -> "PiecewiseFunction":
         """Refined copy whose breakpoints include `points` (interior ones only)."""
-        eps = self._eps()
+        eps = knot_eps(self.domain_end)
         extra = [float(p) for p in points
                  if eps < p < self.domain_end - eps
                  and all(abs(p - b) > eps for b in self.breakpoints)]
@@ -428,6 +471,14 @@ class PiecewiseFunction:
 
     def _interior_index(self, t: float) -> int:
         return bisect.bisect_right(self.breakpoints, t)
+
+    def pieces(self, lo: float, hi: float) -> list:
+        """(a, b, segment) for [lo, hi] cut at the breakpoints more than the
+        knot tolerance inside it; lo and hi are taken as given."""
+        eps = knot_eps(self.domain_end)
+        cuts = [lo, *(b for b in self.breakpoints if lo + eps < b < hi - eps), hi]
+        return [(a, b, self.segments[self._interior_index(0.5 * (a + b))])
+                for a, b in zip(cuts[:-1], cuts[1:])]
 
     # -- calculus ----------------------------------------------------------
 
@@ -462,7 +513,7 @@ class PiecewiseFunction:
         """
         if transform not in _TRANSFORMS:
             raise ValueError(f"unknown transform {transform!r}")
-        eps = self._eps()
+        eps = knot_eps(self.domain_end)
         if lo < -eps or hi > self.domain_end + eps or lo > hi + eps:
             raise ValueError(f"integration range [{lo}, {hi}] outside [0, {self.domain_end}]")
         lo = min(max(lo, 0.0), self.domain_end)
@@ -470,9 +521,7 @@ class PiecewiseFunction:
         if hi - lo <= eps:
             return 0.0
 
-        cuts = [lo, *(b for b in self.breakpoints if lo + eps < b < hi - eps), hi]
-        pieces = [(a, b, self.segments[self._interior_index(0.5 * (a + b))])
-                  for a, b in zip(cuts[:-1], cuts[1:])]
+        pieces = self.pieces(lo, hi)
         budget = None
         total = 0.0
         for a, b, seg in pieces:
@@ -517,7 +566,7 @@ def _roots_within(q: list[float], length: float) -> list[float]:
         w = -0.5 * (q[1] + math.copysign(math.sqrt(disc), q[1]))  # no cancellation
         roots = [w / q[2], q[0] / w] if w != 0.0 else [0.0]
     elif len(q) > 3:
-        roots = npoly.polyroots(q).real.tolist()
+        roots = _polyroots(q).real.tolist()
     else:
         return []
     return sorted(r for r in roots if 0.0 < r < length)
@@ -577,7 +626,8 @@ def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 3
 
 
 class CumulativeIntegral:
-    """F(t) = integral of f from 0 to t, with fast in-segment evaluation.
+    """F(t) = integral of f from 0 to t, extended periodically: with (k, s)
+    from split_period, F(k*T + s) = k*F(T) + F(s).
 
     A polynomial segment carries its antiderivative in the local variable
     t - lo, which gives both its contribution to the knot bases and its
@@ -585,8 +635,7 @@ class CumulativeIntegral:
 
     def __init__(self, f: PiecewiseFunction, rel_tol: float = 1e-12):
         self.f = f
-        knots = f.knots
-        self._knots = np.asarray(knots)
+        self._knots = knots = f.knots
         base = [0.0]
         anti = []
         for i, seg in enumerate(f.segments):
@@ -605,52 +654,36 @@ class CumulativeIntegral:
         return self._base[-1]
 
     def value(self, t: float) -> float:
-        f = self.f
-        eps = f._eps()
-        t = min(max(t, 0.0), f.domain_end)
-        i = bisect.bisect_right(f.breakpoints, t)
-        if i > 0 and t - f.breakpoints[i - 1] <= eps:
-            return self._base[i]
+        k, s = split_period(t, self.f.domain_end)
+        return k * self.total + self._within(s)
+
+    def _within(self, s: float) -> float:
+        """F(s) for s in [0, T); an s within the knot tolerance after a knot reads as the knot."""
+        i = bisect.bisect_right(self.f.breakpoints, s)
         lo = self._knots[i]
-        if t - lo <= eps:
+        if s - lo <= knot_eps(self.f.domain_end):
             return self._base[i]
         anti = self._anti[i]
         if anti is not None:
-            return self._base[i] + _horner(anti, t - float(lo))
-        seg = f.segments[i]
-        return self._base[i] + adaptive_integral(seg, float(lo), float(t), 1e-13 * (1.0 + abs(self._base[i])))
+            return self._base[i] + _horner(anti, s - lo)
+        return self._base[i] + adaptive_integral(self.f.segments[i], lo, s,
+                                                 1e-13 * (1.0 + abs(self._base[i])))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty_like(ts)
-        f = self.f
-        knots = f.knots
-        for i, seg in enumerate(f.segments):
-            lo, hi = knots[i], knots[i + 1]
-            mask = (ts >= lo) & (ts < hi) if i < len(f.segments) - 1 else (ts >= lo) & (ts <= hi)
-            if not np.any(mask):
-                continue
-            anti = self._anti[i]
+        ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)
+        out = np.empty_like(ss)
+        idx = np.searchsorted(self.f.breakpoints, ss, side="right")
+        for i in set(idx.tolist()):  # the segments hit: one for the nodes of a panel
+            mask, anti, lo = idx == i, self._anti[i], self._knots[i]
             if anti is not None:
-                out[mask] = self._base[i] + _horner(anti, ts[mask] - lo)
+                out[mask] = self._base[i] + _horner(anti, ss[mask] - lo)
             else:
-                out[mask] = [self.value(float(t)) for t in ts[mask]]
-        out[ts < knots[0]] = 0.0
-        return out
+                out[mask] = [self._within(float(s)) for s in ss[mask]]
+        return ks * self.total + out
 
 
 def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,
                        transform: str = _IDENTITY, rel_tol: float = 1e-10) -> float:
     """Integral of transform(f) over an arbitrary window, extending f by periodicity."""
-    if hi <= lo:
-        return 0.0
-    T = f.domain_end
-    total = 0.0
-    k = math.floor(lo / T + 1e-15)
-    t = lo
-    while t < hi - 1e-15 * max(1.0, T):
-        chunk_hi = min(hi, (k + 1) * T)
-        total += f.integrate(t - k * T, chunk_hi - k * T, transform, rel_tol)
-        t = chunk_hi
-        k += 1
-    return total
+    return sum((f.integrate(s0, s1, transform, rel_tol)
+                for _, s0, s1 in period_chunks(lo, hi, f.domain_end)), 0.0)

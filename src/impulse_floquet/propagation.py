@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import LEFT, RIGHT, PolySegment
+from .piecewise import LEFT, RIGHT, PolySegment, knot_eps, split_period
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -207,8 +207,9 @@ def _magnus_steps(pieces, tol: Tolerances, groups):
         t0 = lo[active, None] + h * np.arange(n)
         ts = np.concatenate([t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h], axis=1)
         coeffs, vals = table[:, active, :, None], 0.0
-        for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
-            vals = vals * ts + coeffs[:, :, k]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the piece below
+            for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
+                vals = vals * ts + coeffs[:, :, k]
         for row in np.flatnonzero(callable_rows[active]):
             i = int(active[row])
             try:
@@ -221,14 +222,15 @@ def _magnus_steps(pieces, tol: Tolerances, groups):
         (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
         steps = _maps(a1, a2, b1, b2, c1, c2, h)
         X = steps
-        while X.shape[1] > 1:
-            X = X[:, 1::2] @ X[:, ::2]
-        X = X[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _maps
+            while X.shape[1] > 1:
+                X = X[:, 1::2] @ X[:, ::2]
+            X = X[:, 0]
+            done = np.zeros(len(active), dtype=bool)
+            if prev is not None:
+                done = np.max(np.abs(X - prev), axis=(1, 2)) <= \
+                    tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
         finite = np.isfinite(X).all(axis=(1, 2))
-        done = np.zeros(len(active), dtype=bool)
-        if prev is not None:
-            done = np.max(np.abs(X - prev), axis=(1, 2)) <= \
-                tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
         if not finite.all():
             for i in active[~finite]:
                 fail(int(i), IntegrationFailureError("non-finite step map", pieces[i][0]))
@@ -251,9 +253,9 @@ def _spans(system: ImpulsiveSystem, t_from: float, t_to: float) -> list:
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _smooth(spans, eps: float) -> list:
+def _smooth(spans, T: float) -> list:
     """The pieces the propagator steps through; shorter ones map as the identity."""
-    return [p for p in spans if p[1] - p[0] > eps]
+    return [p for p in spans if p[1] - p[0] > knot_eps(T)]
 
 
 @dataclass(eq=False)
@@ -296,7 +298,7 @@ class _Window:
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
                  tol: Tolerances, jump_at_start: bool = False):
         spans = _spans(system, t_from, t_to)
-        smooth = _smooth(spans, 1e-12 * max(1.0, system.period))
+        smooth = _smooth(spans, system.period)
         results, failures = _magnus_steps(smooth, tol, [0] * len(smooth))
         if failures:
             raise failures[0]
@@ -313,7 +315,7 @@ class _Window:
 
     def _assemble(self, system, t_from, t_to, spans, results, jump_at_start) -> None:
         self.system, self.t_from, self.t_to = system, float(t_from), float(t_to)
-        self._eps = eps = 1e-12 * max(1.0, system.period)
+        self._eps = eps = knot_eps(system.period)
         smooth = iter(results)
         Y, aprod = np.eye(2), 1.0
         self.pieces: list[_Piece] = []
@@ -389,7 +391,7 @@ class DensePath:
                  tol: Tolerances | None = None):
         tol = tol or DEFAULT_TOLERANCES
         T = system.period
-        eps = 1e-12 * max(1.0, T)
+        eps = knot_eps(T)
         if not -eps <= t_start <= T + eps:
             raise ValueError(f"t_start={t_start} must lie in [0, {T}]")
         if t_end < t_start - eps:
@@ -402,23 +404,12 @@ class DensePath:
             self.cycle = self.head if abs(t_start) <= eps else _Window(system, 0.0, T, tol)
             self._pow_cache = [self.cycle.end]
 
-    def _split(self, t: float) -> tuple[int, float]:
-        T = self.system.period
-        k = math.floor(t / T)
-        s = t - k * T
-        if s > T - self._eps:
-            k += 1
-            s = 0.0
-        elif s < self._eps:
-            s = 0.0
-        return k, s
-
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
         if t < self.t_start - self._eps or t > self.t_end + self._eps:
             raise ValueError(f"t={t} outside path window")
         if t <= self.head.t_to + self._eps:
             return self.head.eval(min(t, self.head.t_to), side)
-        k, s = self._split(t)
+        k, s = split_period(t, self.system.period)
         base = _mat_pow(self._pow_cache[0], k - 1, self._pow_cache) @ self.head.end
         if s == 0.0 and side in (None, LEFT):
             return base
@@ -427,7 +418,7 @@ class DensePath:
     def alpha_product(self, t: float, side: str | None = None) -> float:
         if t <= self.head.t_to + self._eps:
             return self.head.alpha_product(min(t, self.head.t_to), side)
-        k, s = self._split(t)
+        k, s = split_period(t, self.system.period)
         prod = self.head.aprod_end * self.cycle.aprod_end ** (k - 1)
         if s == 0.0 and side in (None, LEFT):
             return prod
@@ -441,17 +432,13 @@ class DensePath:
         ts = np.asarray(ts, dtype=float)
         out = np.empty((ts.size, 2, 2))
         prods = np.empty(ts.size)
-        eps = self._eps
-        head_mask = ts <= self.head.t_to + eps
+        head_mask = ts <= self.head.t_to + self._eps
         if np.any(head_mask):
             out[head_mask], prods[head_mask] = self.head.sample(
                 np.minimum(ts[head_mask], self.head.t_to))
         rest = ~head_mask
         if np.any(rest):
-            T = self.system.period
-            ks = np.floor(ts[rest] / T + eps / T).astype(int)
-            ss = ts[rest] - ks * T
-            ss[ss < eps] = 0.0
+            ks, ss = split_period(ts[rest], self.system.period)
             periods, which = np.unique(ks, return_inverse=True)
             bases = np.array([_mat_pow(self._pow_cache[0], int(k) - 1, self._pow_cache)
                               for k in periods]) @ self.head.end
@@ -471,7 +458,7 @@ def propagate_state(system: ImpulsiveSystem, state: State, t_to: float,
     """
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
-    eps = 1e-12 * max(1.0, T)
+    eps = knot_eps(T)
     if t_to < state.t - eps:
         raise ValueError("t_to must not precede the state time")
     if t_to > T + eps or state.t < -eps:
@@ -495,7 +482,8 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
 def _period_map(system: ImpulsiveSystem, X: np.ndarray, tol: Tolerances) -> MonodromyResult:
     trace = float(X[0, 0] + X[1, 1])
     det_prod = system.schedule.alpha_sq_product
-    det_int = float(np.linalg.det(X))
+    with np.errstate(over="ignore", invalid="ignore"):  # the cross-check may be inf; det is exact
+        det_int = float(np.linalg.det(X))
     mult = floquet_multipliers(trace, det_prod)
     err = 10.0 * (tol.abs_tol + tol.rel_tol * float(np.linalg.norm(X, 2)))
     return MonodromyResult(matrix=X, period=system.period, trace=trace, det=det_prod,
@@ -520,7 +508,7 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
             out[i] = InvalidSystemError(violations)
             continue
         spans = _spans(system, 0.0, system.period)
-        smooth = _smooth(spans, 1e-12 * max(1.0, system.period))
+        smooth = _smooth(spans, system.period)
         plans.append((i, spans, len(pieces), len(pieces) + len(smooth)))
         pieces += smooth
         groups += [i] * len(smooth)

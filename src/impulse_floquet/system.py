@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction
+from .piecewise import PiecewiseFunction, knot_eps
 
 
 class InvalidSystemError(ValueError):
@@ -102,8 +102,8 @@ class ImpulseSchedule:
                     total += val
         return total
 
-    def find(self, t: float, eps: float | None = None) -> Impulse | None:
-        eps = eps if eps is not None else 1e-12 * max(1.0, self.period)
+    def find(self, t: float) -> Impulse | None:
+        eps = knot_eps(self.period)
         for imp in self.impulses:
             if abs(imp.tau - t) <= eps:
                 return imp
@@ -132,7 +132,7 @@ class ImpulsiveSystem:
         object.__setattr__(self, "coeff_a", self.coeff_a.with_breakpoints(taus))
         object.__setattr__(self, "coeff_b", self.coeff_b.with_breakpoints(taus))
         object.__setattr__(self, "coeff_c", self.coeff_c.with_breakpoints(taus))
-        eps = 1e-12 * max(1.0, self.period)
+        eps = knot_eps(self.period)
         merged: list[float] = []
         for f in (self.coeff_a, self.coeff_b, self.coeff_c):
             for k in f.knots:
@@ -152,7 +152,7 @@ class ImpulsiveSystem:
         return self.coeff_a, self.coeff_b, self.coeff_c
 
     def interior_knots(self, lo: float, hi: float) -> list[float]:
-        eps = 1e-12 * max(1.0, self.period)
+        eps = knot_eps(self.period)
         return [k for k in self._knots if lo + eps < k < hi - eps]
 
     def segment_evaluators(self, t_mid: float):
@@ -176,7 +176,7 @@ def validate_system(system: ImpulsiveSystem) -> list[str]:
     """Every violated standing assumption, with its location; empty if valid."""
     out: list[str] = []
     T = system.period
-    eps = 1e-12 * max(1.0, T)
+    eps = knot_eps(T)
     if T <= eps:
         out.append(f"period {T} is not above the knot tolerance {eps}")
     for name, f in zip("abc", system.coefficients()):
@@ -212,7 +212,7 @@ def time_shift(system: ImpulsiveSystem, delta: float) -> ImpulsiveSystem:
         return system
 
     def shift_fn(f: PiecewiseFunction) -> PiecewiseFunction:
-        eps = f._eps()
+        eps = knot_eps(f.domain_end)
         new_bps = sorted({round_mod: None for round_mod in
                           [(k - delta) % T for k in f.knots]}.keys())
         new_bps = [b for b in new_bps if eps < b < T - eps]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -123,11 +124,35 @@ def test_criteria_evaluation_error_exits_3_with_one_line(tmp_path, capsys):
     path = write_descriptor(tmp_path, doc)
     for command, named in (("criteria", "non-finite segment value"),
                            ("analyze", "non-finite step map")):
-        rc, out, err = run(capsys, [command, "--input", path])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, [command, "--input", path])
+        assert caught == [], [str(w.message) for w in caught]
         assert rc == 3 and out == "", command
         messages = [line for line in err.splitlines() if line.startswith("integration failure: ")]
         assert len(messages) == 1 and named in messages[0]
         assert "Traceback" not in err
+
+
+def test_analyze_with_an_overflowing_determinant_records_no_warning(tmp_path, capsys):
+    # alpha = 1e300: the period map is finite, its integrated determinant is not
+    path = write_descriptor(tmp_path, probe("alpha", 1e300))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, ["analyze", "--input", path])
+    assert caught == [], [str(w.message) for w in caught]
+    assert rc in (0, 3) and "Traceback" not in err
+
+
+def test_subnormal_top_coefficient_exits_0(tmp_path, capsys):
+    # dividing by the top coefficient 1e-320 overflows the root finder's companion matrix
+    doc = rotation_descriptor(T=1.0)
+    doc["coefficients"]["c"] = [{"end": 1.0, "poly": [1.0, 0.5, 0.3, 1e-320]}]
+    path = write_descriptor(tmp_path, doc)
+    for command in ("criteria", "analyze"):
+        rc, out, err = run(capsys, [command, "--input", path])
+        assert rc == 0 and "Traceback" not in err, command
+        assert len(json.loads(out)["criteria"]) == 7
 
 
 @pytest.mark.parametrize("period", [1e-300, 1e-13, 1e-12])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DensePath, State, disconjugacy_oracle, disconjugacy_test,
-                             find_zero_pair, lyapunov_lhs, lyapunov_verify, rescale)
+from impulse_floquet import (DensePath, RescaledSolution, State, disconjugacy_oracle,
+                             disconjugacy_test, find_zero_pair, lyapunov_lhs, lyapunov_verify)
 from impulse_floquet.harness import GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
                                       INCONCLUSIVE, NOT_DISCONJUGATE)
@@ -23,7 +23,7 @@ class TestRescale:
     def test_no_impulses_identity(self):
         sys_ = rotation_system(1.0)
         path = DensePath(sys_, 0.0, 1.0)
-        sol = rescale(path, (0.0, 1.0))
+        sol = RescaledSolution(path, (0.0, 1.0))
         for t in (0.2, 0.5, 0.9):
             z, v = sol.zv(t)
             assert z == pytest.approx(math.sin(t), abs=1e-9)
@@ -31,7 +31,7 @@ class TestRescale:
 
     def test_continuity_across_positive_jump(self):
         sys_ = make_system(0.0, 1.0, 1.0, impulses=[(0.5, 2.0, 0.0)])
-        sol = rescale(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
+        sol = RescaledSolution(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
         zl = sol.z(0.5, "left")
         zr = sol.z(0.5, "right")
         assert zr == pytest.approx(zl, abs=1e-10)
@@ -39,13 +39,13 @@ class TestRescale:
     def test_two_negative_jumps_restore_scale(self):
         sys_ = make_system(0.0, 0.0, 0.0,
                            impulses=[(0.3, -1.0, 0.0), (0.7, -1.0, 0.0)])
-        sol = rescale(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
+        sol = RescaledSolution(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
         assert sol.z(0.9) == pytest.approx(1.0, abs=1e-12)
         assert sol.path.alpha_product(0.9) == 1.0
 
     def test_v_jump_rule(self):
         sys_ = make_system(0.0, 0.0, 0.0, impulses=[(0.5, 2.0, 1.0)])
-        sol = rescale(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
+        sol = RescaledSolution(DensePath(sys_, 0.0, 1.0), (1.0, 0.0))
         vl = sol.v(0.5, "left")
         vr = sol.v(0.5, "right")
         zl = sol.z(0.5, "left")
@@ -55,7 +55,7 @@ class TestRescale:
         for seed in range(6):
             sys_ = generate(GeneratorSpec(seed=40 + seed, mode="positive-b",
                                           impulse_range=(1, 3)))
-            sol = rescale(DensePath(sys_, 0.0, 1.0), (0.7, -0.4))
+            sol = RescaledSolution(DensePath(sys_, 0.0, 1.0), (0.7, -0.4))
             ts = np.linspace(0.0, 1.0, 65)
             scale = float(np.max(np.abs(sol.z_samples(ts)))) or 1.0
             for imp in sys_.schedule.impulses:
