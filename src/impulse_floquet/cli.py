@@ -278,7 +278,7 @@ def cmd_selftest(args) -> int:
         results[mode] = doc
         bad = bad or bool(summary.violations)
     ly = lyapunov_sweep(GeneratorSpec(seed=args.seed, mode=FORCE_MAIN, margin=1e-3),
-                        max(1, n // 5), tol)
+                        max(1, n // 5), tol, workers=args.workers)
     results["lyapunov"] = ly.to_json()
     bad = bad or bool(ly.failures)
     _emit(args, json.dumps(results, indent=2, sort_keys=True))

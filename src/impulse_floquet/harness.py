@@ -365,33 +365,41 @@ class LyapunovSummary:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def lyapunov_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
-                   directions: int = 8, periods: float = 4.0,
-                   slack: float = 1e-6) -> LyapunovSummary:
-    """Scan initial directions of generated systems for zero pairs and check
-    the two-zero product bound at each witness."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    scanned = skipped = pairs = 0
-    min_lhs = None
-    failures = []
-    for i in range(n):
+def _lyapunov_chunk(job) -> list:
+    """Per system of consecutive seeds: None when b is not positive (skipped), else
+    (lhs, failure record or None) for each initial direction with a zero pair."""
+    spec, indices, tol, directions, periods, slack = job
+    initials = [State(0.0, math.cos(math.pi * j / directions),
+                      math.sin(math.pi * j / directions)) for j in range(directions)]
+    out = []
+    for i in indices:
         system = generate(replace(spec, seed=spec.seed + i))
         if _min_value(system.coeff_b) <= 0.0:
-            skipped += 1
+            out.append(None)
             continue
-        scanned += 1
-        initials = [State(0.0, math.cos(math.pi * j / directions),
-                          math.sin(math.pi * j / directions)) for j in range(directions)]
+        out.append([])
         for j, pair in enumerate(find_zero_pairs(system, initials,
                                                  (0.0, periods * system.period), tol)):
             if pair is None:
                 continue
-            pairs += 1
             witness = lyapunov_verify(system, pair, tol, slack=slack)
-            min_lhs = witness.lhs if min_lhs is None else min(min_lhs, witness.lhs)
-            if not witness.holds:
-                failures.append({"seed": spec.seed + i, "direction": j,
-                                 "t1": pair.t1, "t2": pair.t2, "lhs": witness.lhs})
-    return LyapunovSummary(mode=spec.mode, seed=spec.seed, n=n,
-                           systems_scanned=scanned, systems_skipped=skipped,
-                           pairs_found=pairs, min_lhs=min_lhs, failures=tuple(failures))
+            out[-1].append((witness.lhs, None if witness.holds else {"seed": spec.seed + i,
+                            "direction": j, "t1": pair.t1, "t2": pair.t2, "lhs": witness.lhs}))
+    return out
+
+
+def lyapunov_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
+                   directions: int = 8, periods: float = 4.0,
+                   slack: float = 1e-6, workers: int = 1) -> LyapunovSummary:
+    """Scan initial directions of generated systems for zero pairs and check the two-zero
+    product bound at each witness, in chunks; `workers` does not change the result."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    chunks = chunked_map(_lyapunov_chunk, range(n), workers,
+                         lambda idx: (spec, idx, tol, directions, periods, slack))
+    systems = [entry for chunk in chunks for entry in chunk]
+    found = [w for entry in systems if entry is not None for w in entry]
+    skipped = systems.count(None)
+    return LyapunovSummary(mode=spec.mode, seed=spec.seed, n=n, systems_scanned=n - skipped,
+                           systems_skipped=skipped, pairs_found=len(found),
+                           min_lhs=min((lhs for lhs, _ in found), default=None),
+                           failures=tuple(f for _, f in found if f is not None))

@@ -10,6 +10,8 @@ The continuous object scanned for zeros is the rescaled first component z,
 obtained by dividing out the running product of impulse multipliers; z is
 continuous across impulses and has exactly the zero set of x in the
 one-sided sense, which makes sign-change bracketing on a dense grid sound.
+An impulse acts on z as a point mass in c, so by Sturm separation (Reid 1980; Atkinson
+1964) a window where b > 0 is disconjugate exactly when z with z(t1) = 0 has no later zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, golden_min,
-                        integrate_periodic, knot_eps, period_chunks, split_period)
+                        integrate_periodic, knot_eps, period_chunks, segments_min, split_period)
 from .propagation import DensePath, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -297,21 +299,27 @@ def _zero_sites(zs: np.ndarray, ztol: float | np.ndarray) -> tuple[np.ndarray, n
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
-    """Brute-force check: scan the one-parameter family of initial directions
-    and count zeros of z on a dense grid; two zeros anywhere means the window
-    is not disconjugate. Sound up to grid resolution."""
+    """Count zeros of z on a dense grid: two for one solution mean the window is not
+    disconjugate. Scans the focal solution, (x, u) = (0, 1) at t1, when b > 0 on the
+    window (Sturm separation), else the one-parameter family of initial directions.
+    Sound up to grid resolution."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
     _, s1 = split_period(t1, T)
-    path = DensePath(system, s1, s1 + (t2 - t1), tol)
-    ts = np.linspace(s1, s1 + (t2 - t1), _ORACLE_SAMPLES + 1)
+    s2 = s1 + (t2 - t1)
+    path = DensePath(system, s1, s2, tol)
+    ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
     mats, prods = path.sample_matrices(ts)
     z_basis = mats[:, 0, :] / prods[:, None]
-    thetas = [math.pi * j / _ORACLE_DIRECTIONS for j in range(_ORACLE_DIRECTIONS)]
-    zs = np.outer([math.cos(th) for th in thetas], z_basis[:, 0])
-    zs += np.outer([math.sin(th) for th in thetas], z_basis[:, 1])
+    b = [p for _, lo, hi in period_chunks(s1, s2, T) for p in system.coeff_b.pieces(lo, hi)]
+    if system.coeff_b.is_polynomial and segments_min(b)[0] > 0.0:
+        zs = z_basis[None, :, 1]  # the focal solution
+    else:
+        thetas = [math.pi * j / _ORACLE_DIRECTIONS for j in range(_ORACLE_DIRECTIONS)]
+        zs = np.outer([math.cos(th) for th in thetas], z_basis[:, 0])
+        zs += np.outer([math.sin(th) for th in thetas], z_basis[:, 1])
     scale = np.max(np.abs(zs), axis=1)
     starts, changes = _zero_sites(zs, 1e-9 * scale[:, None])
     sites = np.count_nonzero(starts, axis=1) + np.count_nonzero(changes, axis=1)

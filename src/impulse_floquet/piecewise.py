@@ -657,16 +657,20 @@ class CumulativeIntegral:
         k, s = split_period(t, self.f.domain_end)
         return k * self.total + self._within(s)
 
+    def _offset(self, s, i: int):
+        """s - knot i for a float or an array s, read as 0 within the knot tolerance."""
+        return (s - self._knots[i]) * (s - self._knots[i] > knot_eps(self.f.domain_end))
+
     def _within(self, s: float) -> float:
         """F(s) for s in [0, T); an s within the knot tolerance after a knot reads as the knot."""
         i = bisect.bisect_right(self.f.breakpoints, s)
-        lo = self._knots[i]
-        if s - lo <= knot_eps(self.f.domain_end):
+        local = self._offset(s, i)
+        if local == 0.0:
             return self._base[i]
         anti = self._anti[i]
         if anti is not None:
-            return self._base[i] + _horner(anti, s - lo)
-        return self._base[i] + adaptive_integral(self.f.segments[i], lo, s,
+            return self._base[i] + _horner(anti, local)
+        return self._base[i] + adaptive_integral(self.f.segments[i], self._knots[i], s,
                                                  1e-13 * (1.0 + abs(self._base[i])))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -674,9 +678,9 @@ class CumulativeIntegral:
         out = np.empty_like(ss)
         idx = np.searchsorted(self.f.breakpoints, ss, side="right")
         for i in set(idx.tolist()):  # the segments hit: one for the nodes of a panel
-            mask, anti, lo = idx == i, self._anti[i], self._knots[i]
+            mask, anti = idx == i, self._anti[i]
             if anti is not None:
-                out[mask] = self._base[i] + _horner(anti, ss[mask] - lo)
+                out[mask] = self._base[i] + _horner(anti, self._offset(ss[mask], i))
             else:
                 out[mask] = [self._within(float(s)) for s in ss[mask]]
         return ks * self.total + out

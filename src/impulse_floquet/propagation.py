@@ -258,6 +258,18 @@ def _smooth(spans, T: float) -> list:
     return [p for p in spans if p[1] - p[0] > knot_eps(T)]
 
 
+def _grouped_steps(system: ImpulsiveSystem, bounds, tol: Tolerances):
+    """Spans of windows [(t_from, t_to)] in one period and an iterator over the steps of
+    their smooth pieces, doubled together; raises the earliest window's failure."""
+    spans = [_spans(system, lo, hi) for lo, hi in bounds]
+    smooth = [_smooth(s, system.period) for s in spans]
+    results, failures = _magnus_steps([p for s in smooth for p in s], tol,
+                                      [g for g, s in enumerate(smooth) for _ in s])
+    if failures:
+        raise failures[min(failures)]
+    return spans, iter(results)
+
+
 @dataclass(eq=False)
 class _Piece:
     """Step maps of one smooth piece, its starting matrix and its alpha product."""
@@ -297,18 +309,14 @@ class _Window:
 
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
                  tol: Tolerances, jump_at_start: bool = False):
-        spans = _spans(system, t_from, t_to)
-        smooth = _smooth(spans, system.period)
-        results, failures = _magnus_steps(smooth, tol, [0] * len(smooth))
-        if failures:
-            raise failures[0]
-        self._assemble(system, t_from, t_to, spans, results, jump_at_start)
+        (spans,), steps = _grouped_steps(system, [(t_from, t_to)], tol)
+        self._assemble(system, t_from, t_to, spans, steps, jump_at_start)
 
     @classmethod
     def from_steps(cls, system: ImpulsiveSystem, t_from: float, t_to: float, spans,
                    results, jump_at_start: bool = False) -> "_Window":
-        """Window over `spans` (from `_spans`) from the `_magnus_steps` results
-        of its smooth pieces, in time order."""
+        """Window over `spans` (from `_spans`) from the `_magnus_steps` results of its
+        smooth pieces in time order; from an iterator it takes only its own."""
         window = cls.__new__(cls)
         window._assemble(system, t_from, t_to, spans, results, jump_at_start)
         return window
@@ -397,12 +405,14 @@ class DensePath:
         if t_end < t_start - eps:
             raise ValueError("t_end before t_start")
         self.system, self.t_start, self.t_end, self._eps = system, float(t_start), float(t_end), eps
-        self.head = _Window(system, t_start, min(t_end, T), tol)
-        self.cycle = None
-        self._pow_cache: list[np.ndarray] = []
-        if t_end > T + eps:
-            self.cycle = self.head if abs(t_start) <= eps else _Window(system, 0.0, T, tol)
-            self._pow_cache = [self.cycle.end]
+        bounds = [(t_start, min(t_end, T))]
+        if t_end > T + eps and abs(t_start) > eps:  # past T, a cycle [0, T] unless the head is one
+            bounds.append((0.0, T))
+        spans, steps = _grouped_steps(system, bounds, tol)
+        windows = [_Window.from_steps(system, lo, hi, sp, steps)
+                   for (lo, hi), sp in zip(bounds, spans)]
+        self.head, self.cycle = windows[0], (windows[-1] if t_end > T + eps else None)
+        self._pow_cache = [] if self.cycle is None else [self.cycle.end]
 
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
         if t < self.t_start - self._eps or t > self.t_end + self._eps:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DensePath, RescaledSolution, State, disconjugacy_oracle,
-                             disconjugacy_test, find_zero_pair, lyapunov_lhs, lyapunov_verify)
-from impulse_floquet.harness import GeneratorSpec, generate
+from impulse_floquet import (DensePath, ImpulsiveSystem, PiecewiseFunction, RescaledSolution,
+                             State, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
+                             lyapunov, lyapunov_lhs, lyapunov_verify)
+from impulse_floquet.descriptors import system_from_descriptor
+from impulse_floquet.harness import UNCONSTRAINED, GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
                                       INCONCLUSIVE, NOT_DISCONJUGATE)
+from perfbench.inputs import windows_population
 
 from helpers import make_system, rotation_system
 
@@ -214,6 +217,27 @@ class TestDisconjugacy:
                 for w in (0.3, 0.6, 0.9, 1.2)]
         assert all(b >= a - 1e-9 for a, b in zip(sups, sups[1:]))
 
+    @pytest.mark.parametrize("delta, status, verdict", [
+        (-1e-6, DISCONJUGATE_CERTIFIED, DISCONJUGATE),
+        (1e-6, INCONCLUSIVE, NOT_DISCONJUGATE),
+    ])
+    def test_sharp_constant_probes(self, delta, status, verdict):
+        # the kick probe of TestLyapunovVerify: with b = 1 the product on [0, 1]
+        # is beta, and the focal solution's second zero 0.5 + 1/(beta - 2)
+        # reaches t = 1 at beta = 4
+        sys_ = make_system(0.0, 1.0, 0.0, impulses=[(0.5, 1.0, 4.0 + delta)])
+        assert disconjugacy_test(sys_, 0.0, 1.0).status == status
+        assert disconjugacy_oracle(sys_, 0.0, 1.0) == verdict
+
+    @settings(max_examples=60, deadline=None)
+    @given(beta=st.floats(2.0, 10.0, exclude_min=True, exclude_max=True)
+           .filter(lambda beta: abs(beta - 4.0) >= 1e-3))
+    def test_sharp_constant_oracle(self, beta):
+        sys_ = make_system(0.0, 1.0, 0.0, impulses=[(0.5, 1.0, beta)])
+        t2 = 0.5 + 1.0 / (beta - 2.0)
+        expect = NOT_DISCONJUGATE if t2 <= 1.0 else DISCONJUGATE
+        assert disconjugacy_oracle(sys_, 0.0, 1.0) == expect
+
     def test_certificate_sound_against_oracle(self):
         rng = np.random.default_rng(2)
         for i in range(12):
@@ -289,14 +313,66 @@ def _oracle_by_direction(sys_, t1, t2):
     return DISCONJUGATE
 
 
-def test_oracle_matches_the_direction_loop():
+def _oracle_and_scan_size(monkeypatch, sys_, t1, t2):
+    """Oracle verdict, checked against the reference, and how many solutions it
+    scanned: 1 for the focal solution, 180 for the direction scan."""
+    rows, real = [], lyapunov._zero_sites
+    monkeypatch.setattr(lyapunov, "_zero_sites",
+                        lambda zs, ztol: rows.append(len(zs)) or real(zs, ztol))
+    try:
+        verdict = disconjugacy_oracle(sys_, t1, t2)
+    finally:
+        monkeypatch.undo()
+    assert verdict == _oracle_by_direction(sys_, t1, t2), (t1, t2)
+    return verdict, rows[0]
+
+
+def test_oracle_matches_the_direction_loop(monkeypatch):
     rng = np.random.default_rng(11)
     verdicts = []
     for i in range(40):
         sys_ = generate(GeneratorSpec(seed=700 + i, mode="positive-b", amplitude=3.0))
         t1 = float(rng.uniform(0.0, 1.0))
         t2 = t1 + float(rng.uniform(0.15, 4.0))
-        verdict = disconjugacy_oracle(sys_, t1, t2)
-        assert verdict == _oracle_by_direction(sys_, t1, t2), (i, t1, t2)
+        verdicts.append(_oracle_and_scan_size(monkeypatch, sys_, t1, t2))
+    assert {DISCONJUGATE, NOT_DISCONJUGATE} <= {v for v, _ in verdicts}
+    assert {n for _, n in verdicts} == {1}
+
+    # the benchmark's windows, seeds 0-5: b >= 0.2 on every one
+    for seed in range(6):
+        for w in windows_population(seed):
+            sys_ = system_from_descriptor(w["system"])
+            assert _oracle_and_scan_size(monkeypatch, sys_, w["t1"], w["t2"])[1] == 1
+
+    # positive b at three amplitudes, c shifted up by the amplitude, windows of
+    # 0.2 to 3.5 periods: about a quarter are not disconjugate
+    verdicts = []
+    for amp in (1.0, 3.0, 8.0):
+        for i in range(20):
+            gen = generate(GeneratorSpec(seed=300 + i, mode="positive-b", amplitude=amp))
+            sys_ = ImpulsiveSystem(gen.coeff_a, gen.coeff_b, gen.coeff_c.plus_constant(amp),
+                                   gen.schedule)
+            t1 = float(rng.uniform(0.0, 1.0))
+            t2 = t1 + float(rng.uniform(0.2, 3.5))
+            verdicts.append(_oracle_and_scan_size(monkeypatch, sys_, t1, t2)[0])
+    assert verdicts.count(NOT_DISCONJUGATE) >= 0.2 * len(verdicts)
+
+    # b changes sign on windows of one period or more: the direction scan
+    verdicts = []
+    for i in range(40):
+        sys_ = generate(GeneratorSpec(seed=600 + i, mode=UNCONSTRAINED, amplitude=2.0))
+        bs = sys_.coeff_b.eval_array(np.linspace(0.0, sys_.period, 257))
+        if not bs.min() < 0.0 < bs.max():
+            continue
+        t1 = float(rng.uniform(0.0, 1.0))
+        t2 = t1 + float(rng.uniform(1.0, 2.5))
+        verdict, scanned = _oracle_and_scan_size(monkeypatch, sys_, t1, t2)
+        assert scanned == 180
         verdicts.append(verdict)
-    assert {DISCONJUGATE, NOT_DISCONJUGATE} <= set(verdicts)
+    assert len(verdicts) >= 15 and {DISCONJUGATE, NOT_DISCONJUGATE} <= set(verdicts)
+
+    # a callable b is not decided exactly, so it takes the scan although b > 0
+    b = PiecewiseFunction.from_callable(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t), 1.0)
+    sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
+    assert _oracle_and_scan_size(monkeypatch, sys_, 0.1, 1.4) == (NOT_DISCONJUGATE, 180)
+    assert _oracle_and_scan_size(monkeypatch, sys_, 0.1, 0.3) == (DISCONJUGATE, 180)

@@ -80,3 +80,17 @@ def test_every_layer_places_a_time_in_the_same_period(drawn):
         (f.integrate(s0, s1) for _, s0, s1 in chunks), 0.0)
     assert [k for k, _, _ in chunks] == list(range(split_period(lo, T)[0],
                                                    split_period(lo, T)[0] + len(chunks)))
+
+
+def test_cumulative_integral_reads_an_offset_within_the_knot_tolerance_as_the_knot():
+    # the float and the array path share one knot rule, also at exactly
+    # knot_eps past the period start or a breakpoint
+    f = PiecewiseFunction(1.0, (0.25,), (PolySegment((1.0,)), PolySegment((2.0, 1.0))))
+    cum = CumulativeIntegral(f)
+    eps = knot_eps(1.0)
+    for t, knot in ((eps, 0.0), (0.25 + eps, 0.25), (0.5 * eps, 0.0), (0.25 + 0.5 * eps, 0.25)):
+        expect = cum.value(knot)
+        assert cum.value(t) == expect
+        assert cum.values(np.array([t]))[0] == expect
+    for t in (2 * eps, 0.25 + 2 * eps):  # past the tolerance both paths integrate
+        assert cum.value(t) == cum.values(np.array([t]))[0] > cum.value(t - 2 * eps)

@@ -153,6 +153,27 @@ def test_selftest_workers_2_equals_workers_1(capsys):
     assert pooled == serial
 
 
+def test_selftest_n30_workers_2_equals_workers_1(capsys):
+    rc1, serial, _ = run(capsys, ["selftest", "--n", "30", "--seed", "0", "--workers", "1"])
+    rc2, pooled, _ = run(capsys, ["selftest", "--n", "30", "--seed", "0", "--workers", "2"])
+    assert rc1 == rc2 == 0
+    assert pooled == serial
+
+
+def test_lyapunov_sweep_spreads_its_chunks_over_the_workers(monkeypatch):
+    calls, real = [], harness.chunked_map
+
+    def spy(fn, items, workers, make_job):
+        calls.append((fn.__name__, len(items), workers))
+        return real(fn, items, workers, make_job)
+
+    monkeypatch.setattr(harness, "chunked_map", spy)
+    spec = GeneratorSpec(seed=4, mode=harness.FORCE_MAIN, margin=1e-3)
+    pooled = harness.lyapunov_sweep(spec, 6, workers=2)
+    assert calls == [("_lyapunov_chunk", 6, 2)]
+    assert pooled == harness.lyapunov_sweep(spec, 6, workers=1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_selftest_n30_matches_golden_output(capsys, seed):
     # written by the per-system selftest before the batched passes replaced it
