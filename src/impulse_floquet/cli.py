@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -37,6 +39,7 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
+_SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long-running processes
 
 
 def _tolerances(args):
@@ -53,15 +56,29 @@ def _open_output(args):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str, blocks=()) -> None:
+    """Write text, ended by a newline, then each of `blocks` as it is made."""
     out, close = _open_output(args)
     try:
         out.write(text)
         if not text.endswith("\n"):
             out.write("\n")
+        for block in blocks:
+            out.write(block)
     finally:
         if close:
             out.close()
+
+
+def _json(doc) -> str:
+    """Strict JSON: every non-finite number is printed as null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _load_valid_system(args):
@@ -129,7 +146,7 @@ def cmd_analyze(args) -> int:
                          *(conclusions[c] for c in crit.CRITERION_ORDER)])
         _emit(args, buf.getvalue())
     else:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, _json(doc))
     return 0
 
 
@@ -149,7 +166,7 @@ def cmd_criteria(args) -> int:
                 lines.append(f"  {mark} {cond['label']}{margin}")
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, _json(doc))
     return 0
 
 
@@ -232,7 +249,7 @@ def cmd_disconjugacy(args) -> int:
     disagreement = (check.status == DISCONJUGATE_CERTIFIED and oracle == NOT_DISCONJUGATE)
     doc = {"t1": args.t1, "t2": args.t2, "test": check.to_json(), "oracle": oracle,
            "disagreement": disagreement}
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit(args, _json(doc))
     if disagreement:
         print("soundness violation: certificate contradicted by the oracle",
               file=sys.stderr)
@@ -241,27 +258,28 @@ def cmd_disconjugacy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    periods, m = args.periods, args.samples_per_period
+    if periods < 0 or m < 1 or not math.isfinite(args.x0) or not math.isfinite(args.u0):
+        raise DescriptorError("simulate needs --periods >= 0, --samples-per-period >= 1 "
+                              "and finite --x0 and --u0")
     tol = _tolerances(args)
     system = _load_valid_system(args)
     T = system.period
-    periods = args.periods
-    m = args.samples_per_period
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SIMULATE_COLUMNS)
+    rows = np.empty((0, 5))
     if periods > 0:
         path = DensePath(system, 0.0, periods * T, tol)
         ts = np.concatenate([np.arange(periods * m) * (T / m), [periods * T]])
         mats, prods = path.sample_matrices(ts)
         y0 = np.array([args.x0, args.u0])
-        xs = mats[:, 0, :] @ y0
-        us = mats[:, 1, :] @ y0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            zs = xs / prods
-            vs = us / prods
-        for row in zip(ts, xs, us, zs, vs):
-            writer.writerow([float(v) for v in row])
-    _emit(args, buf.getvalue())
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf/nan in place
+            xs = mats[:, 0, :] @ y0
+            us = mats[:, 1, :] @ y0
+            rows = np.column_stack([ts, xs, us, xs / prods, us / prods])
+    # the bytes of csv.writer (the repr of each float, \r\n), formatted a block at a time
+    _emit(args, ",".join(SIMULATE_COLUMNS) + "\r\n",
+          ("".join([f"{t!r},{x!r},{u!r},{z!r},{v!r}\r\n"
+                    for t, x, u, z, v in rows[i:i + _SIMULATE_BLOCK].tolist()])
+           for i in range(0, len(rows), _SIMULATE_BLOCK)))
     return 0
 
 
@@ -281,7 +299,7 @@ def cmd_selftest(args) -> int:
                         max(1, n // 5), tol, workers=args.workers)
     results["lyapunov"] = ly.to_json()
     bad = bad or bool(ly.failures)
-    _emit(args, json.dumps(results, indent=2, sort_keys=True))
+    _emit(args, _json(results))
     if bad:
         print("soundness violation found; see summary", file=sys.stderr)
         return 4
@@ -307,6 +325,7 @@ def _default_workers() -> int:
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impulse-floquet",
@@ -329,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", action="append", required=True,
                    metavar="PATH=LO:HI:STEPS",
                    help="sweep axis; repeat for a second axis (row-major order)")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("disconjugacy", help="two-zero certificate plus brute-force oracle")
@@ -350,15 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_input=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) is None:  # read per call, not when the parser is built
+        args.workers = _default_workers()
     try:
         return args.func(args)
     except FileNotFoundError as exc:

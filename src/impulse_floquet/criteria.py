@@ -60,8 +60,12 @@ class Condition:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {"label": self.label, "status": self.status, "margin": self.margin,
-                **({"note": self.note} if self.note else {})}
+        """A non-finite margin is printed as null, with a note naming it."""
+        margin, note = self.margin, self.note
+        if margin is not None and not math.isfinite(margin):
+            margin, note = None, "; ".join(filter(None, (note, f"non-finite margin {margin}")))
+        return {"label": self.label, "status": self.status, "margin": margin,
+                **({"note": note} if note else {})}
 
 
 @dataclass(frozen=True)

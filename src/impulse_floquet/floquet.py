@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import MonodromyResult, _mat_pow
+from .propagation import MonodromyResult, _mat_pows
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -96,19 +96,15 @@ def classify(m: MonodromyResult, tol: float = 1e-7) -> StabilityVerdict:
 def growth_bound(m: MonodromyResult, k_max: int) -> list[float]:
     """Spectral norms of the period-map powers for k = 1..k_max.
 
-    Powers come from the binary expansion of k with cached repeated squares.
+    Powers come from one batched binary expansion (`_mat_pows`).
     Once a power overflows, the remaining entries are reported as +inf.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    X = np.asarray(m.matrix, dtype=float)
-    cache = [X]
     norms: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            P = _mat_pow(X, k, cache)
-            n = float(np.linalg.norm(P, 2)) if np.all(np.isfinite(P)) else math.inf
-            if not math.isfinite(n):
-                return norms + [math.inf] * (k_max - len(norms))
-            norms.append(n)
+    for P in _mat_pows(np.asarray(m.matrix, dtype=float), np.arange(1, k_max + 1)):
+        n = float(np.linalg.norm(P, 2)) if np.all(np.isfinite(P)) else math.inf
+        if not math.isfinite(n):
+            return norms + [math.inf] * (k_max - len(norms))
+        norms.append(n)
     return norms

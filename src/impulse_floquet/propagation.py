@@ -375,17 +375,22 @@ class _Window:
         return out, prods
 
 
-def _mat_pow(M: np.ndarray, k: int, cache: list[np.ndarray]) -> np.ndarray:
-    """M**k by binary expansion; cache holds M**(2**j)."""
-    out = None
-    j = 0
-    while (1 << j) <= k:
-        if len(cache) <= j:
-            cache.append(cache[j - 1] @ cache[j - 1])
-        if k & (1 << j):
-            out = cache[j] if out is None else cache[j] @ out
-        j += 1
-    return np.eye(2) if out is None else out
+def _mat_pows(M: np.ndarray, ks) -> np.ndarray:
+    """M**k for every k of `ks` (non-negative ints) as (len(ks), 2, 2), by binary
+    expansion with one batched product per bit j: P_j = P_{j-1} @ P_{j-1}, and
+    out = P_j @ out for each set bit in ascending order, the first taking P_j."""
+    ks = np.asarray(ks, dtype=np.int64)
+    out = np.tile(np.eye(2), (len(ks), 1, 1))
+    started = np.zeros(len(ks), dtype=bool)
+    P = M
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as inf/nan
+        for j in range(int(ks.max(initial=0)).bit_length()):
+            bit = (ks >> j) & 1 == 1
+            out[bit & started] = P @ out[bit & started]
+            out[bit & ~started] = P
+            started |= bit
+            P = P @ P
+    return out
 
 
 class DensePath:
@@ -412,7 +417,6 @@ class DensePath:
         windows = [_Window.from_steps(system, lo, hi, sp, steps)
                    for (lo, hi), sp in zip(bounds, spans)]
         self.head, self.cycle = windows[0], (windows[-1] if t_end > T + eps else None)
-        self._pow_cache = [] if self.cycle is None else [self.cycle.end]
 
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
         if t < self.t_start - self._eps or t > self.t_end + self._eps:
@@ -420,7 +424,7 @@ class DensePath:
         if t <= self.head.t_to + self._eps:
             return self.head.eval(min(t, self.head.t_to), side)
         k, s = split_period(t, self.system.period)
-        base = _mat_pow(self._pow_cache[0], k - 1, self._pow_cache) @ self.head.end
+        base = _mat_pows(self.cycle.end, [k - 1])[0] @ self.head.end
         if s == 0.0 and side in (None, LEFT):
             return base
         return self.cycle.eval(s, side) @ base
@@ -450,11 +454,12 @@ class DensePath:
         if np.any(rest):
             ks, ss = split_period(ts[rest], self.system.period)
             periods, which = np.unique(ks, return_inverse=True)
-            bases = np.array([_mat_pow(self._pow_cache[0], int(k) - 1, self._pow_cache)
-                              for k in periods]) @ self.head.end
             vals, pr = self.cycle.sample(ss)
-            out[rest] = vals @ bases[which]
-            prods[rest] = self.head.aprod_end * self.cycle.aprod_end ** (periods[which] - 1) * pr
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/nan
+                bases = _mat_pows(self.cycle.end, periods - 1) @ self.head.end
+                powers = self.cycle.aprod_end ** (periods - 1)
+                out[rest] = vals @ bases[which]
+                prods[rest] = self.head.aprod_end * powers[which] * pr
         return out, prods
 
 

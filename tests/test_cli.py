@@ -253,3 +253,46 @@ class TestSelftest:
         assert doc["force-main"]["violations"] == []
         assert doc["force-guseinov-zafer"]["violations"] == []
         assert doc["lyapunov"]["failures"] == []
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        path = write_descriptor(tmp_path, rotation_descriptor())
+        assert run(capsys, ["simulate", "--input", path, "--periods", "0"])[0] == 0
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("parser built again")
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", rebuilt)
+        rc, out, _ = run(capsys, ["simulate", "--input", path, "--periods", "1"])
+        assert rc == 0 and len(out.splitlines()) == 1 + 32 + 1
+
+    def test_workers_default_follows_the_environment_after_the_first_call(
+            self, tmp_path, capsys, monkeypatch):
+        path = write_descriptor(tmp_path, rotation_descriptor(impulses=[(0.5, 1.0, 0.0)]))
+        assert run(capsys, ["simulate", "--input", path, "--periods", "0"])[0] == 0
+        seen = []  # the workers each sweep is given; every sweep then runs with one
+        chunked = cli.chunked_map
+
+        def chunked_map(fn, items, workers, make_job):
+            seen.append(workers)
+            return chunked(fn, items, 1, make_job)
+
+        def spy(real):
+            def call(*args, workers):
+                seen.append(workers)
+                return real(*args, workers=1)
+            return call
+        monkeypatch.setattr(cli, "chunked_map", chunked_map)
+        monkeypatch.setattr(cli, "soundness_sweep", spy(cli.soundness_sweep))
+        monkeypatch.setattr(cli, "lyapunov_sweep", spy(cli.lyapunov_sweep))
+        sweep = ["sweep", "--input", path, "--axes", "impulses[0].beta=-1:1:3"]
+        selftest = ["selftest", "--n", "2"]
+        for env, argv, expected in (("3", sweep, [3]), ("2", selftest, [2, 2, 2]),
+                                    (None, sweep, [1]), ("4", [*sweep, "--workers", "0"], [0])):
+            if env is None:
+                monkeypatch.delenv("IMPULSE_FLOQUET_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("IMPULSE_FLOQUET_WORKERS", env)
+            seen.clear()
+            assert run(capsys, argv)[0] == 0
+            assert seen == expected, (env, argv)

@@ -15,6 +15,7 @@ import impulse_floquet
 from impulse_floquet import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
                              PiecewiseFunction, monodromy, validate_system)
 
+from perfbench.inputs import sweep_descriptor
 from test_cli import rotation_descriptor, run, write_descriptor
 
 
@@ -174,3 +175,40 @@ def test_importing_the_cli_loads_no_process_pool():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--samples-per-period", "0"],  # once a ZeroDivisionError traceback
+    ["--samples-per-period", "-2"],  # once only the final row
+    ["--periods", "-5"],  # once the header alone
+    ["--x0", "nan"],
+    ["--u0", "inf"],
+])
+def test_simulate_argument_out_of_range_exits_2(tmp_path, capsys, extra):
+    path = write_descriptor(tmp_path, rotation_descriptor())
+    rc, out, err = run(capsys, ["simulate", "--input", path, "--periods", "3", *extra])
+    assert rc == 2 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("field, value, commands", [
+    ("beta", 1e308, ("analyze",)),  # det_integrated and a multiplier overflow
+    ("alpha", 1e300, ("analyze", "criteria")),  # the det, det_integrated and margins overflow
+])
+def test_non_finite_json_numbers_print_as_null(tmp_path, capsys, field, value, commands):
+    doc = sweep_descriptor(0)
+    doc["impulses"][0][field] = value
+    path = write_descriptor(tmp_path, doc)
+    for command in commands:
+        rc, out, _ = run(capsys, [command, "--input", path])
+        parsed = json.loads(out, parse_constant=_reject)
+        assert rc == 0
+        nulls = [c for r in parsed["criteria"] for c in r["conditions"]
+                 if c["margin"] is None and "non-finite margin" in c.get("note", "")]
+        assert len(nulls) == (4 if field == "alpha" else 0)
+        if command == "analyze":
+            assert parsed["monodromy"]["det_integrated"] is None
