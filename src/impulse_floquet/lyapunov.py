@@ -1,17 +1,18 @@
 """Two-zero necessary condition and the disconjugacy certificate built on it.
 
-For a solution whose first component vanishes at two consecutive times, the
-product of two window integrals (a weighted b-integral and the positive mass
-of c plus positive impulse ratios) is at least 4. The contrapositive gives a
-certificate: when the product stays below 4 for every choice of the interior
-weight point, no solution can have two zeros in the window.
+For a solution whose first component vanishes at two consecutive times of a
+window where b >= 0, the product of two window integrals (a weighted b-integral
+and the positive mass of c plus positive impulse ratios) is at least 4. The
+contrapositive gives a certificate: when b >= 0 and the product stays below 4 for
+every choice of the interior weight point, no solution has two zeros in the window.
 
 The continuous object scanned for zeros is the rescaled first component z,
 obtained by dividing out the running product of impulse multipliers; z is
 continuous across impulses and has exactly the zero set of x in the
 one-sided sense, which makes sign-change bracketing on a dense grid sound.
-An impulse acts on z as a point mass in c, so by Sturm separation (Reid 1980; Atkinson
-1964) a window where b > 0 is disconjugate exactly when z with z(t1) = 0 has no later zero.
+The solution with z(t) = 0 is orthogonal to the row mapping initial states to z(t),
+so a window is disconjugate exactly when that row's angle, taken mod pi, is
+injective on it (the Pruefer angle; Reid 1980), whatever the sign of b.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ NOT_DISCONJUGATE = "not-disconjugate"
 
 _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
 _GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
-_ORACLE_DIRECTIONS = 180
 _ORACLE_SAMPLES = 1024
+_FLAT_TURN = 1e-9        # oracle angle steps (rad) this small are rounding of a saturated row
 
 
 @dataclass(eq=False)
@@ -178,22 +179,22 @@ class _LhsFactors:
         self.t2 = t2
         self.tol = tol
         self._cum_a = CumulativeIntegral(system.coeff_a, min(tol.quad_rel, 1e-12))
+        # pieces of b in the window, each with the a-integral of its whole periods
+        self.b_panels = [(p0, p1, seg, k * self._cum_a.total)
+                         for k, s0, s1 in period_chunks(t1, t2, system.period)
+                         for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
         self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos", tol.quad_rel)
                         + system.schedule.ratio_sum(t1, t2, positive=True))
         self.weighted_b = self._weighted_b_integral()
 
     def _weighted_b_integral(self) -> float:
         """Integral of b(t) * exp(-2 * A(t)) over [t1, t2], A the running a-integral."""
-        T = self.system.period
-        panels = [(p0, p1, seg, k * self._cum_a.total)
-                  for k, s0, s1 in period_chunks(self.t1, self.t2, T)
-                  for p0, p1, seg in self.system.coeff_b.pieces(s0, s1)]
         rough = sum(abs((p1 - p0)) * (1.0 + abs(float(seg(0.5 * (p0 + p1)))))
-                    for p0, p1, seg, _ in panels)
+                    for p0, p1, seg, _ in self.b_panels)
         budget = self.tol.quad_rel * max(rough, 1e-3)
-        span = max(self.t2 - self.t1, knot_eps(T))
+        span = max(self.t2 - self.t1, knot_eps(self.system.period))
         total = 0.0
-        for p0, p1, seg, shift in panels:
+        for p0, p1, seg, shift in self.b_panels:
 
             def fn(ts, _seg=seg, _shift=shift):
                 av = self._cum_a.values(ts) + _shift
@@ -272,22 +273,24 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
 def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
                       tolerances: Tolerances | None = None) -> DisconjugacyCheck:
     """Certify that no solution has two zeros in [t1, t2] when the supremum
-    of the product over interior weight points stays below 4."""
+    of the product over interior weight points stays below 4. The bound needs
+    b >= 0 on the window, decided exactly for polynomial b; a callable b, whose
+    minimum is only sampled, is never certified."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     factors = _LhsFactors(system, t1, t2, tol)
     sup, t0 = factors.sup_over_t0()
-    margin = tol.strict * 4.0
-    status = DISCONJUGATE_CERTIFIED if sup < 4.0 - margin else INCONCLUSIVE
-    return DisconjugacyCheck(status, sup, t0)
+    certified = (sup < 4.0 - tol.strict * 4.0 and system.coeff_b.is_polynomial
+                 and segments_min(panel[:3] for panel in factors.b_panels)[0] >= 0.0)
+    return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
 
 
-def _zero_sites(zs: np.ndarray, ztol: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero sites of sampled z along the last axis, as boolean masks: the first
     sample of each run with |z| <= ztol, and the left sample of each sign
     change between neighbours that both lie outside that band (one entry
-    shorter). `ztol` broadcasts against zs, so rows may have their own band."""
+    shorter)."""
     flagged = np.abs(zs) <= ztol
     starts = flagged.copy()
     starts[..., 1:] &= ~flagged[..., :-1]
@@ -299,28 +302,23 @@ def _zero_sites(zs: np.ndarray, ztol: float | np.ndarray) -> tuple[np.ndarray, n
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
-    """Count zeros of z on a dense grid: two for one solution mean the window is not
-    disconjugate. Scans the focal solution, (x, u) = (0, 1) at t1, when b > 0 on the
-    window (Sturm separation), else the one-parameter family of initial directions.
-    Sound up to grid resolution."""
+    """Follow the angle of row(t), the first row of the rescaled fundamental matrix, on
+    a dense grid: the window is disconjugate exactly when the angle never turns back and
+    sweeps less than pi. A sampled turn-back or sweep of pi is a witness, so
+    `not-disconjugate` holds up to the accuracy of the samples; `disconjugate` can miss a
+    turn-back narrower than one grid step."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
-    T = system.period
-    _, s1 = split_period(t1, T)
+    _, s1 = split_period(t1, system.period)
     s2 = s1 + (t2 - t1)
     path = DensePath(system, s1, s2, tol)
     ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
     mats, prods = path.sample_matrices(ts)
-    z_basis = mats[:, 0, :] / prods[:, None]
-    b = [p for _, lo, hi in period_chunks(s1, s2, T) for p in system.coeff_b.pieces(lo, hi)]
-    if system.coeff_b.is_polynomial and segments_min(b)[0] > 0.0:
-        zs = z_basis[None, :, 1]  # the focal solution
-    else:
-        thetas = [math.pi * j / _ORACLE_DIRECTIONS for j in range(_ORACLE_DIRECTIONS)]
-        zs = np.outer([math.cos(th) for th in thetas], z_basis[:, 0])
-        zs += np.outer([math.sin(th) for th in thetas], z_basis[:, 1])
-    scale = np.max(np.abs(zs), axis=1)
-    starts, changes = _zero_sites(zs, 1e-9 * scale[:, None])
-    sites = np.count_nonzero(starts, axis=1) + np.count_nonzero(changes, axis=1)
-    return NOT_DISCONJUGATE if np.any((sites >= 2) & (scale > 0.0)) else DISCONJUGATE
+    rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
+    r, w = rows[:-1], rows[1:]
+    steps = np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
+    steps = steps[np.abs(steps) > _FLAT_TURN]
+    turns_back = np.any(steps < 0.0) and np.any(steps > 0.0)
+    return (NOT_DISCONJUGATE if turns_back or abs(steps.sum()) >= math.pi - _FLAT_TURN
+            else DISCONJUGATE)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,17 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impulse_floquet import (DensePath, ImpulsiveSystem, PiecewiseFunction, RescaledSolution,
-                             State, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
-                             lyapunov, lyapunov_lhs, lyapunov_verify)
-from impulse_floquet.descriptors import system_from_descriptor
+                             State, cli, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
+                             lyapunov_lhs, lyapunov_verify)
+from impulse_floquet.descriptors import system_from_descriptor, system_to_descriptor
 from impulse_floquet.harness import UNCONSTRAINED, GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
                                       INCONCLUSIVE, NOT_DISCONJUGATE)
 from perfbench.inputs import windows_population
 
-from helpers import make_system, rotation_system
+from helpers import make_system, poly, rotation_system
 
 PI_SQ = math.pi ** 2
+
+
+def _sign_changing_systems(seeds):
+    """The `unconstrained` amplitude-2 systems of these seeds whose b changes sign."""
+    for seed in seeds:
+        sys_ = generate(GeneratorSpec(seed=seed, mode=UNCONSTRAINED, amplitude=2.0))
+        bs = sys_.coeff_b.eval_array(np.linspace(0.0, sys_.period, 257))
+        if bs.min() < 0.0 < bs.max():
+            yield sys_
 
 
 def sine_system(freq_sq=PI_SQ, T=1.0):
@@ -240,14 +250,58 @@ class TestDisconjugacy:
 
     def test_certificate_sound_against_oracle(self):
         rng = np.random.default_rng(2)
+        windows = []
         for i in range(12):
             sys_ = generate(GeneratorSpec(seed=500 + i, mode="positive-b",
                                           amplitude=1.5))
             t1 = float(rng.uniform(0.0, 1.0))
-            t2 = t1 + float(rng.uniform(0.2, 1.6))
+            windows.append((sys_, t1, t1 + float(rng.uniform(0.2, 1.6))))
+        # b changes sign over the period: the bound's hypothesis b >= 0 may fail
+        for sys_ in _sign_changing_systems(range(600, 640)):
+            t1 = float(rng.uniform(0.0, 1.0))
+            windows.append((sys_, t1, t1 + float(rng.uniform(0.1, 2.5))))
+        for sys_, t1, t2 in windows:
             chk = disconjugacy_test(sys_, t1, t2)
             if chk.status == DISCONJUGATE_CERTIFIED:
-                assert disconjugacy_oracle(sys_, t1, t2) == DISCONJUGATE
+                assert disconjugacy_oracle(sys_, t1, t2) == DISCONJUGATE, (t1, t2)
+
+    def test_seed_626_sign_changing_b_not_certified(self, capsys):
+        # b runs from -1.99 to 1.44 on the window, whose product sup is 0, and the
+        # solution from (0.166, 0.986) at t1 vanishes at about 0.5987 and 0.6071
+        doc = system_to_descriptor(generate(GeneratorSpec(seed=626, mode=UNCONSTRAINED,
+                                                          amplitude=2.0)))
+        sys_ = system_from_descriptor(doc)
+        t1 = 0.5120153820260779
+        t2 = t1 + 0.1
+        assert find_zero_pair(sys_, State(t1, 0.166, 0.986), (t1, t2)) is not None
+        chk = disconjugacy_test(sys_, t1, t2)
+        assert (chk.status, chk.sup_value) == (INCONCLUSIVE, 0.0)
+        assert disconjugacy_oracle(sys_, t1, t2) == NOT_DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc),
+                       "--t1", repr(t1), "--t2", repr(t2)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["test"]["status"] == INCONCLUSIVE
+        assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
+
+    @pytest.mark.parametrize("b_coeffs, status, verdict", [
+        # b = t^2 touches 0 at t1
+        ((0.0, 0.0, 1.0), DISCONJUGATE_CERTIFIED, DISCONJUGATE),
+        # b < 0 on [0, 0.1): the product stays below 1, yet a solution has two zeros
+        ((-0.01, 0.0, 1.0), INCONCLUSIVE, NOT_DISCONJUGATE),
+    ])
+    def test_certificate_needs_nonnegative_b(self, b_coeffs, status, verdict):
+        sys_ = make_system(0.0, poly(b_coeffs), 1.0)
+        chk = disconjugacy_test(sys_, 0.0, 1.0)
+        assert chk.sup_value < 1.0 and chk.status == status
+        assert disconjugacy_oracle(sys_, 0.0, 1.0) == verdict == _oracle_by_sample(sys_, 0.0, 1.0)
+
+    def test_callable_b_not_certified(self):
+        # b >= 0.5, but a callable b has only a sampled minimum
+        b = PiecewiseFunction.from_callable(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t), 1.0)
+        sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
+        chk = disconjugacy_test(sys_, 0.1, 0.3)
+        assert chk.sup_value == pytest.approx(1.73, abs=0.01) and chk.status == INCONCLUSIVE
 
 
 class TestSoundnessSmall:
@@ -293,17 +347,20 @@ def test_zero_site_scan_matches_the_loop():
         assert np.count_nonzero(runs) + np.count_nonzero(changes) == _zero_sites_by_loop(zs, ztol)
 
 
-def _oracle_by_direction(sys_, t1, t2):
-    """Reference oracle: one direction at a time, stopping at the first with two
-    zero sites."""
+def _oracle_by_sample(sys_, t1, t2):
+    """Reference oracle: for each grid sample t_k, scan the solution that vanishes
+    there, z_k(t) = row(t_k) x row(t) with row(t) the first row of the rescaled
+    fundamental matrix, and stop at the first with two zero sites. Rows are
+    normalised, which keeps every zero: once one growing solution dominates, the
+    raw cross product of two huge, nearly parallel rows is rounding noise."""
     from impulse_floquet.lyapunov import _zero_sites
     s1 = t1 - math.floor(t1 / sys_.period + 1e-15) * sys_.period
     ts = np.linspace(s1, s1 + (t2 - t1), 1025)
     mats, prods = DensePath(sys_, s1, s1 + (t2 - t1)).sample_matrices(ts)
-    z_basis = mats[:, 0, :] / prods[:, None]
-    for j in range(180):
-        theta = math.pi * j / 180
-        zs = z_basis[:, 0] * math.cos(theta) + z_basis[:, 1] * math.sin(theta)
+    rows = mats[:, 0, :] / prods[:, None]
+    rows /= np.hypot(rows[:, 0], rows[:, 1])[:, None]
+    for r in rows:
+        zs = r[0] * rows[:, 1] - r[1] * rows[:, 0]
         scale = float(np.max(np.abs(zs)))
         if scale == 0.0:
             continue
@@ -313,36 +370,26 @@ def _oracle_by_direction(sys_, t1, t2):
     return DISCONJUGATE
 
 
-def _oracle_and_scan_size(monkeypatch, sys_, t1, t2):
-    """Oracle verdict, checked against the reference, and how many solutions it
-    scanned: 1 for the focal solution, 180 for the direction scan."""
-    rows, real = [], lyapunov._zero_sites
-    monkeypatch.setattr(lyapunov, "_zero_sites",
-                        lambda zs, ztol: rows.append(len(zs)) or real(zs, ztol))
-    try:
-        verdict = disconjugacy_oracle(sys_, t1, t2)
-    finally:
-        monkeypatch.undo()
-    assert verdict == _oracle_by_direction(sys_, t1, t2), (t1, t2)
-    return verdict, rows[0]
+def _checked_oracle(sys_, t1, t2):
+    verdict = disconjugacy_oracle(sys_, t1, t2)
+    assert verdict == _oracle_by_sample(sys_, t1, t2), (t1, t2)
+    return verdict
 
 
-def test_oracle_matches_the_direction_loop(monkeypatch):
+def test_oracle_matches_the_direction_loop():
     rng = np.random.default_rng(11)
     verdicts = []
     for i in range(40):
         sys_ = generate(GeneratorSpec(seed=700 + i, mode="positive-b", amplitude=3.0))
         t1 = float(rng.uniform(0.0, 1.0))
         t2 = t1 + float(rng.uniform(0.15, 4.0))
-        verdicts.append(_oracle_and_scan_size(monkeypatch, sys_, t1, t2))
-    assert {DISCONJUGATE, NOT_DISCONJUGATE} <= {v for v, _ in verdicts}
-    assert {n for _, n in verdicts} == {1}
+        verdicts.append(_checked_oracle(sys_, t1, t2))
+    assert {DISCONJUGATE, NOT_DISCONJUGATE} <= set(verdicts)
 
     # the benchmark's windows, seeds 0-5: b >= 0.2 on every one
     for seed in range(6):
         for w in windows_population(seed):
-            sys_ = system_from_descriptor(w["system"])
-            assert _oracle_and_scan_size(monkeypatch, sys_, w["t1"], w["t2"])[1] == 1
+            _checked_oracle(system_from_descriptor(w["system"]), w["t1"], w["t2"])
 
     # positive b at three amplitudes, c shifted up by the amplitude, windows of
     # 0.2 to 3.5 periods: about a quarter are not disconjugate
@@ -354,25 +401,31 @@ def test_oracle_matches_the_direction_loop(monkeypatch):
                                    gen.schedule)
             t1 = float(rng.uniform(0.0, 1.0))
             t2 = t1 + float(rng.uniform(0.2, 3.5))
-            verdicts.append(_oracle_and_scan_size(monkeypatch, sys_, t1, t2)[0])
+            verdicts.append(_checked_oracle(sys_, t1, t2))
     assert verdicts.count(NOT_DISCONJUGATE) >= 0.2 * len(verdicts)
 
-    # b changes sign on windows of one period or more: the direction scan
+    # b changes sign on windows of one period or more: every one has a solution
+    # with two zeros, two of them only in a band narrower than one degree
     verdicts = []
-    for i in range(40):
-        sys_ = generate(GeneratorSpec(seed=600 + i, mode=UNCONSTRAINED, amplitude=2.0))
-        bs = sys_.coeff_b.eval_array(np.linspace(0.0, sys_.period, 257))
-        if not bs.min() < 0.0 < bs.max():
-            continue
+    for sys_ in _sign_changing_systems(range(600, 640)):
         t1 = float(rng.uniform(0.0, 1.0))
         t2 = t1 + float(rng.uniform(1.0, 2.5))
-        verdict, scanned = _oracle_and_scan_size(monkeypatch, sys_, t1, t2)
-        assert scanned == 180
-        verdicts.append(verdict)
-    assert len(verdicts) >= 15 and {DISCONJUGATE, NOT_DISCONJUGATE} <= set(verdicts)
+        verdicts.append(_checked_oracle(sys_, t1, t2))
+    assert len(verdicts) >= 15 and set(verdicts) == {NOT_DISCONJUGATE}
 
-    # a callable b is not decided exactly, so it takes the scan although b > 0
+    # b changes sign on windows of 0.1 and 0.5 periods from 0.512 T: here the
+    # solutions with two zeros can form a band of initial directions far
+    # narrower than one degree
+    verdicts = []
+    for sys_ in _sign_changing_systems(range(660, 800)):
+        t1 = 0.512 * sys_.period
+        for length in (0.1, 0.5):
+            verdicts.append(_checked_oracle(sys_, t1, t1 + length * sys_.period))
+    assert 100 <= len(verdicts) <= 150
+    assert min(verdicts.count(DISCONJUGATE), verdicts.count(NOT_DISCONJUGATE)) >= 20
+
+    # a callable b takes the same rule
     b = PiecewiseFunction.from_callable(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t), 1.0)
     sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
-    assert _oracle_and_scan_size(monkeypatch, sys_, 0.1, 1.4) == (NOT_DISCONJUGATE, 180)
-    assert _oracle_and_scan_size(monkeypatch, sys_, 0.1, 0.3) == (DISCONJUGATE, 180)
+    assert _checked_oracle(sys_, 0.1, 1.4) == NOT_DISCONJUGATE
+    assert _checked_oracle(sys_, 0.1, 0.3) == DISCONJUGATE
