@@ -26,8 +26,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes, _gauss,
-                        adaptive_integral, segments_min)
+# adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
+from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes,
+                        adaptive_integral, integrate_panels, segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -257,13 +258,9 @@ class _Quantities:
     def int_a2_over_b(self) -> float | None:
         if not self.b_safe:
             return None
-        panels = [(lo, hi, _a2_over_b(sa, sb))
-                  for lo, hi, sa, sb, _ in self.system.segment_triples()]
-        wholes = [_gauss(fn, lo, hi) for lo, hi, fn in panels]  # where each adaptive call starts
-        budget = self.tol.quad_rel * max(sum(map(abs, wholes)), 1e-3)
-        span = self.system.period
-        return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span, whole)
-                   for (lo, hi, fn), whole in zip(panels, wholes))
+        return integrate_panels(((_a2_over_b(sa, sb), lo, hi)
+                                 for lo, hi, sa, sb, _ in self.system.segment_triples()),
+                                self.tol.quad_rel)
 
     @cached_property
     def mean_condition_value(self) -> float | None:

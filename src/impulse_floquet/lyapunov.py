@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, golden_min,
-                        integrate_periodic, knot_eps, period_chunks, segments_min, split_period)
+# adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
+from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, grid_golden_min,
+                        integrate_panels, integrate_periodic, knot_eps, period_chunks,
+                        segments_min, split_period)
 from .propagation import DensePath, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -188,19 +190,15 @@ class _LhsFactors:
         self.weighted_b = self._weighted_b_integral()
 
     def _weighted_b_integral(self) -> float:
-        """Integral of b(t) * exp(-2 * A(t)) over [t1, t2], A the running a-integral."""
-        rough = sum(abs((p1 - p0)) * (1.0 + abs(float(seg(0.5 * (p0 + p1)))))
-                    for p0, p1, seg, _ in self.b_panels)
-        budget = self.tol.quad_rel * max(rough, 1e-3)
-        span = max(self.t2 - self.t1, knot_eps(self.system.period))
-        total = 0.0
-        for p0, p1, seg, shift in self.b_panels:
+        """Integral of b(t) * exp(-2 * A(t)) over [t1, t2], A the running a-integral.
 
-            def fn(ts, _seg=seg, _shift=shift):
-                av = self._cum_a.values(ts) + _shift
-                return np.asarray(_seg(ts), dtype=float) * np.exp(-2.0 * av)
-            total += adaptive_integral(fn, p0, p1, budget * (p1 - p0) / span)
-        return total
+        integrate_panels takes its tolerance from the weighted integrand's own
+        size, which a weight far from 1 cannot put out of reach."""
+        def weighted(seg, shift):
+            return lambda ts: (np.asarray(seg(ts), dtype=float)
+                               * np.exp(-2.0 * (self._cum_a.values(ts) + shift)))
+        return integrate_panels(((weighted(seg, shift), p0, p1)
+                                 for p0, p1, seg, shift in self.b_panels), self.tol.quad_rel)
 
     def lhs(self, t0: float) -> float:
         return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2
@@ -210,15 +208,9 @@ class _LhsFactors:
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
         ts = np.linspace(self.t1, self.t2, _WINDOW_GRID + 2)[1:-1]
-        vals = self._cum_a.values(ts)
-        i = int(np.argmax(vals))
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, ts.size - 1)]
-        t_best, a_neg = golden_min(lambda t: -self._cum_a.value(t), lo, hi)
-        a_best = -a_neg
-        if vals[i] > a_best:
-            t_best, a_best = float(ts[i]), float(vals[i])
-        return math.exp(2.0 * a_best) * self.weighted_b * self.factor2, t_best
+        t_best, a_neg = grid_golden_min(lambda t: -self._cum_a.value(t), ts,
+                                        -self._cum_a.values(ts))
+        return math.exp(-2.0 * a_neg) * self.weighted_b * self.factor2, t_best
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float,
@@ -255,13 +247,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     ts = np.linspace(s1, pair.t2 - offset, _WINDOW_GRID + 2)[1:-1]
     zs = sol.z_samples(ts)
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
-    i = int(np.argmax(sign * zs))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, ts.size - 1)]
-    t_best, z_neg = golden_min(lambda t: -sign * sol.z(t), float(lo), float(hi))
-    if sign * zs[i] > -z_neg:
-        t_best = float(ts[i])
-    t0 = t_best + offset
+    t0 = grid_golden_min(lambda t: -sign * sol.z(t), ts, -sign * zs)[0] + offset
 
     factors = _LhsFactors(system, pair.t1, pair.t2, tol)
     lhs = factors.lhs(t0)

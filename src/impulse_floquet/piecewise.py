@@ -10,11 +10,15 @@ are accepted, but they leave derivative-based downstream checks undecidable.
 Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
 absolute-value and positive-part transforms it is split at the real roots of
-the polynomial. Callable panels use adaptive Gauss-Legendre, with every
-interior sign change located first (a node scan plus Brent root refinement)
-for those transforms, so each panel integrates a smooth sign-definite
-integrand. One adaptive call has a budget of panel splits; past it the open
-panels keep their estimate and a warning is logged.
+the polynomial. Every integral without a closed form goes through one rule,
+integrate_panels: callable panels, the a^2/b of the criteria, the weighted
+b * exp(-2A) of the Lyapunov layer and the in-segment values of a callable's
+cumulative integral. It runs adaptive Gauss-Legendre on each panel with an
+absolute tolerance relative to the panels' own 15-node estimates. For the
+abs and pos transforms every interior sign change of a callable is located
+first (a node scan plus Brent root refinement), so each panel integrates a
+smooth sign-definite integrand. One adaptive call has a budget of panel
+splits; past it the open panels keep their estimate and a warning is logged.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ from numpy.polynomial import polynomial as npoly
 
 LEFT = "left"
 RIGHT = "right"
-
-POLYNOMIAL = "polynomial"
-CALLABLE_SMOOTH = "callable-smooth"
-CALLABLE_UNKNOWN = "callable-unknown"
 
 _IDENTITY = "identity"
 _ABS = "abs"
@@ -130,10 +130,6 @@ class PolySegment:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs) or (0.0,))
 
-    @property
-    def smoothness(self) -> str:
-        return POLYNOMIAL
-
     def __call__(self, t):
         if not isinstance(t, float):
             t = np.asarray(t, dtype=float)
@@ -162,14 +158,9 @@ class PolySegment:
 
 @dataclass(frozen=True, eq=False)  # equal only to itself, so hashable whatever its callable
 class FuncSegment:
-    """Opaque callable segment; `smooth` declares continuous differentiability."""
+    """Opaque callable segment."""
 
     fn: Callable[[float], float]
-    smooth: bool = True
-
-    @property
-    def smoothness(self) -> str:
-        return CALLABLE_SMOOTH if self.smooth else CALLABLE_UNKNOWN
 
     def __call__(self, t):
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
@@ -185,15 +176,15 @@ class FuncSegment:
 
     def scaled(self, factor: float) -> "FuncSegment":
         fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _s=factor: _s * _f(t), self.smooth)
+        return FuncSegment(lambda t, _f=fn, _s=factor: _s * _f(t))
 
     def plus_constant(self, offset: float) -> "FuncSegment":
         fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _d=offset: _f(t) + _d, self.smooth)
+        return FuncSegment(lambda t, _f=fn, _d=offset: _f(t) + _d)
 
     def time_shifted(self, delta: float) -> "FuncSegment":
         fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _d=delta: _f(t + _d), self.smooth)
+        return FuncSegment(lambda t, _f=fn, _d=delta: _f(t + _d))
 
 
 Segment = Union[PolySegment, FuncSegment]
@@ -241,6 +232,23 @@ def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list
     budget[0] -= 1
     return (_adaptive(fn, lo, mid, 0.5 * tol_abs, depth - 1, budget)
             + _adaptive(fn, mid, hi, 0.5 * tol_abs, depth - 1, budget))
+
+
+def integrate_panels(panels, rel_tol: float) -> float:
+    """Sum of the integrals of fn over [lo, hi] for (fn, lo, hi) panels.
+
+    The absolute tolerance is rel_tol times the summed size of the panels'
+    15-node estimates (at least 1e-3), so it follows the integrand's own scale,
+    as in QUADPACK. Panels share it in proportion to their length, and each
+    adaptive_integral call starts from its panel's estimate."""
+    panels = list(panels)
+    wholes = [_gauss(fn, lo, hi) for fn, lo, hi in panels]
+    span = sum(hi - lo for _, lo, hi in panels)
+    if span <= 0.0:
+        return 0.0
+    budget = rel_tol * max(sum(map(abs, wholes)), 1e-3)
+    return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span, whole)
+               for (fn, lo, hi), whole in zip(panels, wholes))
 
 
 def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -293,6 +301,16 @@ def golden_min(fn, a: float, b: float) -> tuple[float, float]:
     return t, fn(t)
 
 
+def grid_golden_min(fn, xs, vals) -> tuple[float, float]:
+    """Minimum of fn near its sampled minimum; vals are fn at the sorted grid xs.
+
+    Golden-section search between the neighbours of the best sample; the sample
+    itself is kept when it is strictly lower. Returns (t, fn(t))."""
+    i = int(np.argmin(vals))
+    t, ft = golden_min(fn, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)]))
+    return (float(xs[i]), float(vals[i])) if vals[i] < ft else (t, ft)
+
+
 def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
     """Zero of fn in [a, b], where fn(a) and fn(b) differ in sign or one vanishes.
 
@@ -340,10 +358,8 @@ def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
 def sampled_min(fn, lo: float, hi: float, n: int = 129) -> tuple[float, float]:
     """Approximate minimum of a black-box function on [lo, hi]."""
     xs = _chebyshev_nodes(lo, hi, n)
-    vals = np.asarray(fn(xs), dtype=float)
-    i = int(np.argmin(vals))
-    t, ft = golden_min(lambda x: float(fn(x)), xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
-    return min(float(vals[i]), ft), t
+    t, ft = grid_golden_min(lambda x: float(fn(x)), xs, np.asarray(fn(xs), dtype=float))
+    return ft, t
 
 
 def segments_min(pieces) -> tuple[float, float]:
@@ -391,9 +407,9 @@ class PiecewiseFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], domain_end: float,
-                      breakpoints: Sequence[float] = (), smooth: bool = True) -> "PiecewiseFunction":
+                      breakpoints: Sequence[float] = ()) -> "PiecewiseFunction":
         bps = tuple(sorted(float(b) for b in breakpoints))
-        segs = tuple(FuncSegment(fn, smooth) for _ in range(len(bps) + 1))
+        segs = tuple(FuncSegment(fn) for _ in range(len(bps) + 1))
         return cls(domain_end, bps, segs)
 
     # -- structure ---------------------------------------------------------
@@ -521,21 +537,22 @@ class PiecewiseFunction:
         if hi - lo <= eps:
             return 0.0
 
-        pieces = self.pieces(lo, hi)
-        budget = None
-        total = 0.0
-        for a, b, seg in pieces:
+        total, panels, eps_root = 0.0, [], 1e-13 * max(1.0, self.domain_end)
+        for a, b, seg in self.pieces(lo, hi):
             val = _poly_integral(seg, a, b, transform) if isinstance(seg, PolySegment) else math.nan
             if math.isfinite(val):
                 total += val
-                continue
-            # callables, and the error report for non-finite polynomials
-            if budget is None:
-                budget = rel_tol * max(sum(abs(_gauss(g, p0, p1)) for p0, p1, g in pieces), 1e-3)
-            for val in _adaptive_panels(seg, a, b, transform, budget, hi - lo,
-                                        1e-13 * max(1.0, self.domain_end)):
-                total += val
-        return total
+            elif transform == _IDENTITY:  # callables, or the error report of a non-finite polynomial
+                panels.append((seg, a, b))
+            else:
+                if isinstance(seg, PolySegment):  # its error report comes from the 15 nodes
+                    _gauss(seg, a, b)
+                for p0, p1, sgn in _sign_definite_panels(seg, a, b, eps_root):
+                    if transform == _ABS:
+                        panels.append((lambda ts, _seg=seg: np.abs(_seg(ts)), p0, p1))
+                    elif sgn > 0:
+                        panels.append((seg, p0, p1))
+        return total + integrate_panels(panels, rel_tol)
 
 
 def _poly_integral(seg: PolySegment, lo: float, hi: float, transform: str) -> float:
@@ -570,24 +587,6 @@ def _roots_within(q: list[float], length: float) -> list[float]:
     else:
         return []
     return sorted(r for r in roots if 0.0 < r < length)
-
-
-def _adaptive_panels(seg, lo: float, hi: float, transform: str, budget: float, span: float,
-                     eps_root: float):
-    """Adaptive quadrature of transform(seg) over [lo, hi], split into
-    sign-definite panels for abs and pos; yields each panel's contribution.
-    A panel's share of the tolerance `budget` is its part of `span`."""
-    if transform == _IDENTITY:
-        yield adaptive_integral(seg, lo, hi, budget * (hi - lo) / span)
-        return
-    for a, b, sgn in _sign_definite_panels(seg, lo, hi, eps_root):
-        if b - a <= 0.0:
-            continue
-        val = adaptive_integral(seg, a, b, budget * (b - a) / span)
-        if transform == _ABS:
-            yield abs(val) if sgn == 0 else sgn * val
-        elif sgn > 0:
-            yield val
 
 
 def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 33):
@@ -635,6 +634,7 @@ class CumulativeIntegral:
 
     def __init__(self, f: PiecewiseFunction, rel_tol: float = 1e-12):
         self.f = f
+        self.rel_tol = rel_tol
         self._knots = knots = f.knots
         base = [0.0]
         anti = []
@@ -670,8 +670,8 @@ class CumulativeIntegral:
         anti = self._anti[i]
         if anti is not None:
             return self._base[i] + _horner(anti, local)
-        return self._base[i] + adaptive_integral(self.f.segments[i], self._knots[i], s,
-                                                 1e-13 * (1.0 + abs(self._base[i])))
+        return self._base[i] + integrate_panels([(self.f.segments[i], self._knots[i], s)],
+                                                self.rel_tol)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -115,12 +116,19 @@ class TestLyapunovLhs:
         sys_ = make_system(0.0, 1.0, 1.0, impulses=[(0.5, 1.0, 1.0)])
         assert lyapunov_lhs(sys_, 0.0, 1.0, 0.25) == pytest.approx(2.0, abs=1e-9)
 
-    def test_constant_a_closed_form(self):
-        # b = 1, c = 1, a = 0.5: first factor integrates exp(-2*a*(t-t0))
-        a0, t0 = 0.5, 0.3
+    @pytest.mark.parametrize("a0, t1, t2, t0", [(0.5, 0.0, 1.0, 0.3), (-5.0, 0.3, 3.3, 1.8)],
+                             ids=["a0=0.5", "a0=-5"])
+    def test_constant_a_closed_form(self, a0, t1, t2, t0, caplog):
+        # b = 1, c = 1: the first factor integrates exp(-2*a*(t-t0)), the second is t2 - t1.
+        # At a = -5 the weight exp(-2A) runs from e^3 to e^33 over the three periods:
+        # the quadrature tolerance must follow it, with no split budget hit.
         sys_ = make_system(a0, 1.0, 1.0)
-        expect = (math.exp(-2 * a0 * (0.0 - t0)) - math.exp(-2 * a0 * (1.0 - t0))) / (2 * a0)
-        assert lyapunov_lhs(sys_, 0.0, 1.0, t0) == pytest.approx(expect, abs=1e-9)
+        weighted = (math.exp(-2 * a0 * (t1 - t0)) - math.exp(-2 * a0 * (t2 - t0))) / (2 * a0)
+        with caplog.at_level(logging.WARNING, logger="impulse_floquet"):
+            val = lyapunov_lhs(sys_, t1, t2, t0)
+            disconjugacy_test(sys_, t1, t2)
+        assert val == pytest.approx(weighted * (t2 - t1), rel=1e-9, abs=1e-9)
+        assert not [r for r in caplog.records if r.name.startswith("impulse_floquet")]
 
     def test_window_beyond_one_period(self):
         # b-integral over two periods is 2, positive mass is 2*pi^2

@@ -145,6 +145,10 @@ class TestHelpers:
         seg = PolySegment((0.19, -0.6, 1.0))
         val, at = sampled_min(seg, 0.0, 1.0)
         assert val == pytest.approx(0.1, abs=1e-9)
+        # the value and its location come from one point, also where a grid sample wins
+        for fn in (seg, lambda t: t, lambda t: (t - 0.5) ** 2):
+            val, at = sampled_min(fn, 0.0, 1.0)
+            assert fn(at) == val
 
     def test_derivative_polynomial_only(self):
         f = PiecewiseFunction(1.0, (), (PolySegment((0.0, 0.0, 3.0)),))
