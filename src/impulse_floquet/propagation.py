@@ -5,9 +5,11 @@ piece takes fourth-order Magnus steps (A at two Gauss nodes plus a commutator
 term) whose exponential has the closed form cosh(s) I + sinh(s)/s W, s^2 = -det W
 (cos and sin when s^2 < 0): every step map has determinant one, and constant
 pieces are exact. A piece starts at one step and doubles the count until two
-successive piece products agree within abs_tol + rel_tol * max|X|. The pieces
-of a window double together: each level evaluates the coefficients of every
-piece still doubling (one Horner pass over their stacked polynomial
+successive piece products agree within abs_tol + rel_tol * max|X|. One
+builder, `_windows`, makes every window inside one period [0, T] (period maps,
+dense paths, `propagate_state`, `fundamental_matrix`), and the pieces of all
+the windows it is given double together: each level evaluates the coefficients
+of every piece still doubling (one Horner pass over their stacked polynomial
 coefficients) and makes their step maps and products in one kernel call.
 Matrices at the step nodes are kept; a value between nodes is a partial step
 from the nearest node. Jumps are exact 2x2 matrix applications. Beyond one
@@ -253,23 +255,6 @@ def _spans(system: ImpulsiveSystem, t_from: float, t_to: float) -> list:
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _smooth(spans, T: float) -> list:
-    """The pieces the propagator steps through; shorter ones map as the identity."""
-    return [p for p in spans if p[1] - p[0] > knot_eps(T)]
-
-
-def _grouped_steps(system: ImpulsiveSystem, bounds, tol: Tolerances):
-    """Spans of windows [(t_from, t_to)] in one period and an iterator over the steps of
-    their smooth pieces, doubled together; raises the earliest window's failure."""
-    spans = [_spans(system, lo, hi) for lo, hi in bounds]
-    smooth = [_smooth(s, system.period) for s in spans]
-    results, failures = _magnus_steps([p for s in smooth for p in s], tol,
-                                      [g for g, s in enumerate(smooth) for _ in s])
-    if failures:
-        raise failures[min(failures)]
-    return spans, iter(results)
-
-
 @dataclass(eq=False)
 class _Piece:
     """Step maps of one smooth piece, its starting matrix and its alpha product."""
@@ -305,23 +290,13 @@ class _Piece:
 
 class _Window:
     """Fundamental solution over [t_from, t_to] inside one period, starting
-    from the identity, or from the jump matrix at t_from when `jump_at_start`."""
+    from the identity, or from the jump matrix at t_from when `jump_at_start`.
+
+    Built only by `_windows`, from the window's `spans` and the `_magnus_steps`
+    results of its smooth pieces in time order."""
 
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
-                 tol: Tolerances, jump_at_start: bool = False):
-        (spans,), steps = _grouped_steps(system, [(t_from, t_to)], tol)
-        self._assemble(system, t_from, t_to, spans, steps, jump_at_start)
-
-    @classmethod
-    def from_steps(cls, system: ImpulsiveSystem, t_from: float, t_to: float, spans,
-                   results, jump_at_start: bool = False) -> "_Window":
-        """Window over `spans` (from `_spans`) from the `_magnus_steps` results of its
-        smooth pieces in time order; from an iterator it takes only its own."""
-        window = cls.__new__(cls)
-        window._assemble(system, t_from, t_to, spans, results, jump_at_start)
-        return window
-
-    def _assemble(self, system, t_from, t_to, spans, results, jump_at_start) -> None:
+                 jump_at_start: bool, spans, results):
         self.system, self.t_from, self.t_to = system, float(t_from), float(t_to)
         self._eps = eps = knot_eps(system.period)
         smooth = iter(results)
@@ -375,6 +350,26 @@ class _Window:
         return out, prods
 
 
+def _windows(requests, tol: Tolerances) -> list:
+    """The _Window of each request (system, t_from, t_to, jump_at_start), or the
+    exception of its earliest failing piece; the smooth pieces of all requests
+    double together in one `_magnus_steps` call. Raises unless every window
+    lies in [0, T]."""
+    spans, smooth = [], []
+    for system, t_from, t_to, _ in requests:
+        T, eps = system.period, knot_eps(system.period)
+        if t_to > T + eps or t_from < -eps:
+            raise ValueError(f"window [{t_from}, {t_to}] outside [0, {T}]")
+        spans.append(_spans(system, t_from, t_to))
+        smooth.append([p for p in spans[-1] if p[1] - p[0] > eps])  # shorter: the identity
+    results, failures = _magnus_steps([p for s in smooth for p in s], tol,
+                                      [g for g, s in enumerate(smooth) for _ in s])
+    steps = iter(results)
+    own = [[next(steps) for _ in s] for s in smooth]
+    return [failures[g] if g in failures else _Window(*request, sp, res)
+            for g, (request, sp, res) in enumerate(zip(requests, spans, own))]
+
+
 def _mat_pows(M: np.ndarray, ks) -> np.ndarray:
     """M**k for every k of `ks` (non-negative ints) as (len(ks), 2, 2), by binary
     expansion with one batched product per bit j: P_j = P_{j-1} @ P_{j-1}, and
@@ -397,7 +392,8 @@ class DensePath:
     """Dense fundamental solution over [t_start, t_end], any number of periods.
 
     The first (partial) period is integrated directly; later times compose the
-    in-period dense basis with powers of the period map.
+    in-period dense basis with powers of the period map. A time outside
+    [t_start, t_end] raises ValueError.
     """
 
     def __init__(self, system: ImpulsiveSystem, t_start: float, t_end: float,
@@ -410,17 +406,22 @@ class DensePath:
         if t_end < t_start - eps:
             raise ValueError("t_end before t_start")
         self.system, self.t_start, self.t_end, self._eps = system, float(t_start), float(t_end), eps
-        bounds = [(t_start, min(t_end, T))]
+        requests = [(system, t_start, min(t_end, T), False)]
         if t_end > T + eps and abs(t_start) > eps:  # past T, a cycle [0, T] unless the head is one
-            bounds.append((0.0, T))
-        spans, steps = _grouped_steps(system, bounds, tol)
-        windows = [_Window.from_steps(system, lo, hi, sp, steps)
-                   for (lo, hi), sp in zip(bounds, spans)]
+            requests.append((system, 0.0, T, False))
+        windows = _windows(requests, tol)
+        for window in windows:
+            if isinstance(window, Exception):
+                raise window
         self.head, self.cycle = windows[0], (windows[-1] if t_end > T + eps else None)
 
+    def _check(self, *ts: float) -> None:
+        for t in ts:
+            if t < self.t_start - self._eps or t > self.t_end + self._eps:
+                raise ValueError(f"t={t} outside path window")
+
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
-        if t < self.t_start - self._eps or t > self.t_end + self._eps:
-            raise ValueError(f"t={t} outside path window")
+        self._check(t)
         if t <= self.head.t_to + self._eps:
             return self.head.eval(min(t, self.head.t_to), side)
         k, s = split_period(t, self.system.period)
@@ -430,6 +431,7 @@ class DensePath:
         return self.cycle.eval(s, side) @ base
 
     def alpha_product(self, t: float, side: str | None = None) -> float:
+        self._check(t)
         if t <= self.head.t_to + self._eps:
             return self.head.alpha_product(min(t, self.head.t_to), side)
         k, s = split_period(t, self.system.period)
@@ -444,6 +446,8 @@ class DensePath:
     def sample_matrices(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrices (n,2,2) and alpha products (n,) on a sorted grid."""
         ts = np.asarray(ts, dtype=float)
+        if ts.size:
+            self._check(ts.min(), ts.max())
         out = np.empty((ts.size, 2, 2))
         prods = np.empty(ts.size)
         head_mask = ts <= self.head.t_to + self._eps
@@ -472,15 +476,15 @@ def propagate_state(system: ImpulsiveSystem, state: State, t_to: float,
     left-side value there).
     """
     tol = tolerances or DEFAULT_TOLERANCES
-    T = system.period
-    eps = knot_eps(T)
+    eps = knot_eps(system.period)
     if t_to < state.t - eps:
         raise ValueError("t_to must not precede the state time")
-    if t_to > T + eps or state.t < -eps:
-        raise ValueError(f"window [{state.t}, {t_to}] outside [0, {T}]")
+    (window,) = _windows([(system, state.t, t_to, state.side == LEFT)], tol)
+    if isinstance(window, Exception):
+        raise window
     if abs(t_to - state.t) <= eps:
         return state
-    y = _Window(system, state.t, t_to, tol, jump_at_start=(state.side == LEFT)).end @ state.vector
+    y = window.end @ state.vector
     side = LEFT if system.impulse_at(t_to) is not None else RIGHT
     return State(t_to, float(y[0]), float(y[1]), side)
 
@@ -491,7 +495,10 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
     tol = tolerances or DEFAULT_TOLERANCES
     if t_to < t_from:
         raise ValueError("t_to must not precede t_from")
-    return FundamentalMatrix(_Window(system, t_from, t_to, tol).end, t_from, t_to)
+    (window,) = _windows([(system, t_from, t_to, False)], tol)
+    if isinstance(window, Exception):
+        raise window
+    return FundamentalMatrix(window.end, t_from, t_to)
 
 
 def _period_map(system: ImpulsiveSystem, X: np.ndarray, tol: Tolerances) -> MonodromyResult:
@@ -515,30 +522,17 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
     `monodromy(systems[i])` raises.
     """
     tol = tolerances or DEFAULT_TOLERANCES
-    out: list = [None] * len(systems)
-    plans, pieces, groups = [], [], []
-    for i, system in enumerate(systems):
-        violations = validate_system(system)
-        if violations:
-            out[i] = InvalidSystemError(violations)
-            continue
-        spans = _spans(system, 0.0, system.period)
-        smooth = _smooth(spans, system.period)
-        plans.append((i, spans, len(pieces), len(pieces) + len(smooth)))
-        pieces += smooth
-        groups += [i] * len(smooth)
-    results, failures = _magnus_steps(pieces, tol, groups)
-    for i, spans, start, stop in plans:
-        if i in failures:
-            out[i] = failures[i]
-            continue
-        system = systems[i]
-        window = _Window.from_steps(system, 0.0, system.period, spans, results[start:stop])
-        if not np.isfinite(window.end).all():  # finite pieces, overflowing product
+    out: list = [InvalidSystemError(v) if v else None for v in map(validate_system, systems)]
+    valid = [i for i, entry in enumerate(out) if entry is None]
+    windows = _windows([(systems[i], 0.0, systems[i].period, False) for i in valid], tol)
+    for i, window in zip(valid, windows):
+        if isinstance(window, Exception):
+            out[i] = window
+        elif not np.isfinite(window.end).all():  # finite pieces, overflowing product
             out[i] = IntegrationFailureError("non-finite period map", max(
                 p.lo for p in window.pieces if np.isfinite(p.start).all()))
-            continue
-        out[i] = _period_map(system, window.end, tol)
+        else:
+            out[i] = _period_map(systems[i], window.end, tol)
     return out
 
 

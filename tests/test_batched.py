@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DEFAULT_TOLERANCES, FuncSegment, IntegrationFailureError,
-                             InvalidSystemError, PiecewiseFunction, PolySegment, classify, cli,
-                             criteria, evaluate_all, evaluate_many, monodromies, monodromy,
-                             propagation, validate_system)
+from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, FuncSegment,
+                             IntegrationFailureError, InvalidSystemError, PiecewiseFunction,
+                             PolySegment, classify, cli, criteria, evaluate_all, evaluate_many,
+                             monodromies, monodromy, propagation, validate_system)
 from impulse_floquet.criteria import CRITERION_ORDER
 from impulse_floquet.descriptors import (set_descriptor_value, system_from_descriptor,
                                          system_to_descriptor)
@@ -114,6 +114,18 @@ def test_a_batch_makes_as_many_kernel_calls_as_its_deepest_system(monkeypatch, b
     assert _count_maps(monkeypatch, lambda: monodromies(systems_)) == max(singles)
     if batch == "sweep_row":
         assert max(singles) == 6
+
+
+@pytest.mark.parametrize("system, calls", [
+    (system_from_descriptor(sweep_descriptor(0)), 6), (generate(GeneratorSpec(seed=12)), 7),
+    (generate(GeneratorSpec(seed=5, amplitude=4.0)), 8)],
+    ids=["sweep_0", "seed_12", "seed_5_amp_4"])
+def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls):
+    T = system.period
+    cycle = _count_maps(monkeypatch, lambda: monodromy(system))
+    head = _count_maps(monkeypatch, lambda: propagation.fundamental_matrix(system, 0.3 * T, T))
+    assert _count_maps(monkeypatch, lambda: DensePath(system, 0.3 * T, 3 * T)) == \
+        max(cycle, head) == calls
 
 
 def _reference_rows(doc, axes, tol=DEFAULT_TOLERANCES):

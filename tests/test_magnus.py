@@ -103,7 +103,7 @@ def _reference_period_map(sys_, tol=DEFAULT_TOLERANCES):
 @given(systems())
 def test_level_loop_matches_the_per_piece_loop(sys_):
     ref_steps, ref_map = _reference_period_map(sys_)
-    window = propagation._Window(sys_, 0.0, sys_.period, DEFAULT_TOLERANCES)
+    (window,) = propagation._windows([(sys_, 0.0, sys_.period, False)], DEFAULT_TOLERANCES)
     steps = [p.steps for p in window.pieces if len(p.steps)]
     assert [len(s) for s in steps] == [len(s) for s in ref_steps]
     assert all(np.array_equal(s, r) for s, r in zip(steps, ref_steps))

@@ -82,6 +82,24 @@ class TestFundamentalMatrix:
             err = np.linalg.norm(whole - right @ left)
             assert err <= 1e-8 * np.linalg.norm(whole)
 
+    @pytest.mark.parametrize("t_from, t_to", [(0.0, 2.0), (-0.5, 0.5), (1.2, 1.4)])
+    def test_window_outside_one_period_raises(self, t_from, t_to):
+        # past T the last piece's polynomial would be read beyond its segment and
+        # the impulses of later periods skipped; DensePath composes such windows
+        sys_ = generate(GeneratorSpec(seed=3))
+        with pytest.raises(ValueError, match=rf"window \[{t_from}, {t_to}\] outside \[0, 1.0\]"):
+            fundamental_matrix(sys_, t_from, t_to)
+        if t_from == 0.0:
+            square = np.linalg.matrix_power(monodromy(sys_).matrix, 2)
+            assert np.allclose(DensePath(sys_, 0.0, 2.0).matrix(2.0), square, atol=1e-9)
+
+    def test_propagate_state_checks_order_then_range(self):
+        sys_ = rotation_system(1.0)
+        with pytest.raises(ValueError, match="must not precede"):
+            propagate_state(sys_, State(1.5, 1.0, 0.0), 1.2)
+        with pytest.raises(ValueError, match=r"window \[1.5, 1.5\] outside"):
+            propagate_state(sys_, State(1.5, 1.0, 0.0), 1.5)
+
 
 class TestMonodromy:
     def test_rotation_quarter_period(self):
@@ -169,3 +187,12 @@ class TestDensePath:
         assert path.alpha_product(1.25) == -2.0
         assert path.alpha_product(1.75) == 4.0
         assert path.alpha_product(2.25) == 4.0
+
+    @pytest.mark.parametrize("t_end, method, t", [
+        (0.5, "alpha_product", 0.9), (2.5, "alpha_product", 7.3), (0.5, "alpha_product", 0.05),
+        (0.5, "sample_matrices", [0.05, 0.2]), (2.5, "sample_matrices", [0.2, 2.6]),
+        (2.5, "matrix", 7.3)])
+    def test_times_outside_the_path_raise(self, t_end, method, t):
+        path = DensePath(generate(GeneratorSpec(seed=3)), 0.1, t_end)
+        with pytest.raises(ValueError, match="outside path window"):
+            getattr(path, method)(t)
