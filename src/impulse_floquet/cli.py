@@ -24,7 +24,7 @@ from . import criteria as crit
 from .criteria import evaluate_all, evaluate_many
 from .descriptors import (DescriptorError, load_system, read_descriptor_source,
                           set_descriptor_value, system_from_descriptor)
-from .floquet import classify
+from .floquet import BOUNDARY_TOL, classify
 from .harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, GeneratorSpec, chunked_map,
                       lyapunov_sweep, soundness_sweep)
 from .lyapunov import (DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE,
@@ -43,10 +43,12 @@ _SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long
 
 
 def _tolerances(args):
-    return DEFAULT_TOLERANCES.with_overrides(
-        abs_tol=getattr(args, "tol_abs", None),
-        rel_tol=getattr(args, "tol_rel", None),
-        strict=getattr(args, "tol_strict", None))
+    flags = {"abs": args.tol_abs, "rel": args.tol_rel, "strict": args.tol_strict}
+    for name, value in flags.items():
+        if value is not None and not 0.0 <= value < math.inf:
+            raise DescriptorError(f"--tol-{name} must be finite and >= 0, got {value}")
+    return DEFAULT_TOLERANCES.with_overrides(abs_tol=args.tol_abs, rel_tol=args.tol_rel,
+                                             strict=args.tol_strict)
 
 
 def _open_output(args):
@@ -91,11 +93,11 @@ def _load_valid_system(args):
 
 def _analysis_document(system, tol) -> dict:
     m = monodromy(system, tol)
-    verdict = classify(m, tol.boundary)
+    verdict = classify(m)
     reports = evaluate_all(system, tol)
     return {
         "tolerances": {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol,
-                       "strict": tol.strict, "boundary": tol.boundary},
+                       "strict": tol.strict, "boundary": BOUNDARY_TOL},
         "monodromy": {
             "matrix": [list(map(float, row)) for row in m.matrix],
             "trace": m.trace,
@@ -212,7 +214,7 @@ def _sweep_chunk(job) -> list[list]:
                          f"error: {outcome}"])
             continue
         conclusions = {r.criterion: r.conclusion for r in outcome}
-        rows.append([*values, m.trace, m.det, classify(m, tol.boundary).category,
+        rows.append([*values, m.trace, m.det, classify(m).category,
                      *(conclusions[c] for c in crit.CRITERION_ORDER), "ok"])
     return rows
 
@@ -242,6 +244,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_disconjugacy(args) -> int:
+    if not -math.inf < args.t1 < args.t2 < math.inf:
+        raise DescriptorError("disconjugacy needs finite --t1 and --t2 with --t1 < --t2")
     tol = _tolerances(args)
     system = _load_valid_system(args)
     check = disconjugacy_test(system, args.t1, args.t2, tol)

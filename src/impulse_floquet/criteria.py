@@ -135,8 +135,11 @@ def _cond_pointwise_nonneg(label: str, minval: float, at: float, tol: Tolerances
     return Condition(label, status, minval, note=f"minimum at t={at:.6g}")
 
 
-def _cond_equality(label: str, value: float, scale: float, tol: Tolerances) -> Condition:
-    tol_eff = tol.equality * max(1.0, scale)
+EQUALITY_TOL = 1e-9  # of the equality-type conditions, scaled by the size of their integrals
+
+
+def _cond_equality(label: str, value: float, scale: float) -> Condition:
+    tol_eff = EQUALITY_TOL * max(1.0, scale)
     if abs(value) <= tol_eff:
         status = SATISFIED
     elif abs(value) <= 10.0 * tol_eff:
@@ -181,7 +184,7 @@ class _Quantities:
         self.shared = {} if shared is None else shared
 
     def _integral(self, f: PiecewiseFunction, transform: str = "identity") -> float:
-        return f.integrate(0.0, f.domain_end, transform, self.tol.quad_rel)
+        return f.integrate(0.0, f.domain_end, transform)
 
     @_shared_property
     def int_abs_a(self) -> float:
@@ -259,8 +262,7 @@ class _Quantities:
         if not self.b_safe:
             return None
         return integrate_panels(((_a2_over_b(sa, sb), lo, hi)
-                                 for lo, hi, sa, sb, _ in self.system.segment_triples()),
-                                self.tol.quad_rel)
+                                 for lo, hi, sa, sb, _ in self.system.segment_triples()))
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -415,7 +417,7 @@ def _mean_condition(q: _Quantities, label: str, equality: bool) -> Condition:
     if value is None:
         return _cond_undecidable(label, "a^2/b integral undecidable: b not bounded away from zero")
     if equality:
-        return _cond_equality(label, value, q.equality_scale, q.tol)
+        return _cond_equality(label, value, q.equality_scale)
     return _cond_positive(label, value, q.tol)
 
 
@@ -455,7 +457,7 @@ _CONDITIONS = {
     LBL_ROOT_SUM_PLAIN: lambda q: _cond_upper(
         LBL_ROOT_SUM_PLAIN, q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, q.tol),
     LBL_BCA2_NONZERO: _nonzero_condition,
-    LBL_PROD_ALPHA: lambda q: _cond_equality(LBL_PROD_ALPHA, q.prod_alpha2 - 1.0, 1.0, q.tol),
+    LBL_PROD_ALPHA: lambda q: _cond_equality(LBL_PROD_ALPHA, q.prod_alpha2 - 1.0, 1.0),
     LBL_MEAN_POS: lambda q: _mean_condition(q, LBL_MEAN_POS, equality=False),
     LBL_MEAN_ZERO: lambda q: _mean_condition(q, LBL_MEAN_ZERO, equality=True),
     LBL_ROOT_SUM_POS: lambda q: _cond_upper(

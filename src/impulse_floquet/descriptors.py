@@ -7,8 +7,8 @@ Schema:
 
 Each segment is {"end": breakpoint, "poly": [c0, c1, ...]} with polynomial
 coefficients in the global time variable, ascending degree; the segment ends
-must be strictly increasing and the last one must equal the period, so the
-segments partition [0, T].
+must be strictly increasing, below the period but for the last one, which must
+equal it, so the segments partition [0, T].
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def _coefficient(segments, period: float, path: str) -> PiecewiseFunction:
         end = _number(seg["end"], f"{spath}.end")
         if end <= prev:
             raise DescriptorError(f"{spath}.end: {end} not greater than previous end {prev}")
+        if end >= period and i < len(segments) - 1:
+            raise DescriptorError(f"{spath}.end: {end} not below the period {period}")
         if not isinstance(seg["poly"], list) or not seg["poly"]:
             raise DescriptorError(f"{spath}.poly: expected a non-empty coefficient list")
         coeffs = tuple(_number(c, f"{spath}.poly[{j}]") for j, c in enumerate(seg["poly"]))

@@ -23,6 +23,8 @@ CONDITIONALLY_STABLE = "conditionally-stable-not-stable"
 BOUNDARY_UNDECIDED = "boundary-undecided"
 NOT_STABLE_DET = "not-stable-det-neq-1"
 
+BOUNDARY_TOL = 1e-7  # half-width of the band around |trace| = 2 and det = 1
+
 CATEGORIES = (STABLE, UNSTABLE, CONDITIONALLY_STABLE, BOUNDARY_UNDECIDED, NOT_STABLE_DET)
 
 
@@ -56,7 +58,7 @@ def _bounded_direction(X: np.ndarray, rho: float) -> tuple[float, float]:
     return (float(v[0] / n), float(v[1] / n))
 
 
-def classify(m: MonodromyResult, tol: float = 1e-7) -> StabilityVerdict:
+def classify(m: MonodromyResult, tol: float = BOUNDARY_TOL) -> StabilityVerdict:
     """Verdict as a pure function of trace, determinant and off-diagonals.
 
     `tol` is the classification band half-width; it should sit well above the

@@ -124,27 +124,26 @@ def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
 def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, taus, alphas, betas):
     """Adjust (a, c, beta) so the selected criterion holds with the margin."""
     T = spec.period
-    quad = DEFAULT_TOLERANCES.quad_rel
 
     min_b = _min_value(coeff_b)
     if min_b < 0.2:
         coeff_b = coeff_b.plus_constant(0.2 - min_b)
-    int_b = coeff_b.integrate(0.0, T, "identity", quad)
+    int_b = coeff_b.integrate(0.0, T, "identity")
 
     sum_ratio = sum(be / al for al, be in zip(alphas, betas))
-    int_c = coeff_c.integrate(0.0, T, "identity", quad)
+    int_c = coeff_c.integrate(0.0, T, "identity")
     gap = 0.3 - (int_c + sum_ratio)
     if gap > 0.0:
         coeff_c = coeff_c.plus_constant(gap / T)
         int_c += gap
     g_val = int_c + sum_ratio
 
-    h_val = (coeff_c.integrate(0.0, T, "pos", quad)
+    h_val = (coeff_c.integrate(0.0, T, "pos")
              + sum(max(be / al, 0.0) for al, be in zip(alphas, betas)))
     margin = max(spec.margin, 1e-9)
 
     def s_bound(a_fn: PiecewiseFunction) -> float:
-        int_abs_a = a_fn.integrate(0.0, T, "abs", quad)
+        int_abs_a = a_fn.integrate(0.0, T, "abs")
         if spec.mode == FORCE_MAIN:
             return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * int_b * h_val)
         room = 2.0 - margin - int_abs_a
@@ -287,7 +286,7 @@ def _soundness_chunk(job) -> list[SystemRecord]:
         for outcome in (reports, m):
             if isinstance(outcome, Exception):
                 raise outcome
-        verdict = classify(m, tol.boundary)
+        verdict = classify(m)
         conclusions = {r.criterion: r.conclusion for r in reports}
         records.append(SystemRecord(
             index=index, seed=spec.seed + index, trace=verdict.trace, det=verdict.det,

@@ -39,6 +39,7 @@ _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and 
 _GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
 _ORACLE_SAMPLES = 1024
 _FLAT_TURN = 1e-9        # oracle angle steps (rad) this small are rounding of a saturated row
+ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 
 
 @dataclass(eq=False)
@@ -52,8 +53,8 @@ class RescaledSolution:
         self.y0 = np.asarray(self.y0, dtype=float)
 
     def zv(self, t: float, side: str | None = None) -> tuple[float, float]:
-        y = self.path.eval_state(t, self.y0, side)
-        p = self.path.alpha_product(t, side)
+        M, p = self.path.at(t, side)
+        y = M @ self.y0
         return float(y[0] / p), float(y[1] / p)
 
     def z(self, t: float, side: str | None = None) -> float:
@@ -141,7 +142,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
     ts = np.linspace(w0, w1, n + 1)
     mats, prods = path.sample_matrices(ts)
-    xtol = tol.root * max(1.0, T)
+    xtol = ROOT_TOL * max(1.0, T)
     for i, state in enumerate(initials):
         if not (state.x or state.u):
             continue
@@ -175,17 +176,16 @@ def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float,
 class _LhsFactors:
     """Shared machinery for the two-factor product over a window."""
 
-    def __init__(self, system: ImpulsiveSystem, t1: float, t2: float, tol: Tolerances):
+    def __init__(self, system: ImpulsiveSystem, t1: float, t2: float):
         self.system = system
         self.t1 = t1
         self.t2 = t2
-        self.tol = tol
-        self._cum_a = CumulativeIntegral(system.coeff_a, min(tol.quad_rel, 1e-12))
+        self._cum_a = CumulativeIntegral(system.coeff_a)
         # pieces of b in the window, each with the a-integral of its whole periods
         self.b_panels = [(p0, p1, seg, k * self._cum_a.total)
                          for k, s0, s1 in period_chunks(t1, t2, system.period)
                          for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
-        self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos", tol.quad_rel)
+        self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos")
                         + system.schedule.ratio_sum(t1, t2, positive=True))
         self.weighted_b = self._weighted_b_integral()
 
@@ -198,7 +198,7 @@ class _LhsFactors:
             return lambda ts: (np.asarray(seg(ts), dtype=float)
                                * np.exp(-2.0 * (self._cum_a.values(ts) + shift)))
         return integrate_panels(((weighted(seg, shift), p0, p1)
-                                 for p0, p1, seg, shift in self.b_panels), self.tol.quad_rel)
+                                 for p0, p1, seg, shift in self.b_panels))
 
     def lhs(self, t0: float) -> float:
         return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2
@@ -213,8 +213,7 @@ class _LhsFactors:
         return math.exp(-2.0 * a_neg) * self.weighted_b * self.factor2, t_best
 
 
-def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float,
-                 tolerances: Tolerances | None = None) -> float:
+def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> float:
     """Product of the weighted b-integral and the positive-mass factor.
 
     The weight is exp(-2 * integral of a from t0 to t), handled with the
@@ -223,8 +222,7 @@ def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float,
     """
     if not t1 < t0 < t2:
         raise ValueError("need t1 < t0 < t2")
-    tol = tolerances or DEFAULT_TOLERANCES
-    return _LhsFactors(system, t1, t2, tol).lhs(t0)
+    return _LhsFactors(system, t1, t2).lhs(t0)
 
 
 def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
@@ -249,7 +247,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
     t0 = grid_golden_min(lambda t: -sign * sol.z(t), ts, -sign * zs)[0] + offset
 
-    factors = _LhsFactors(system, pair.t1, pair.t2, tol)
+    factors = _LhsFactors(system, pair.t1, pair.t2)
     lhs = factors.lhs(t0)
     lhs_sup, t0_sup = factors.sup_over_t0()
     return LyapunovWitness(t0=t0, lhs=lhs, holds=lhs >= 4.0 - slack,
@@ -265,7 +263,7 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
-    factors = _LhsFactors(system, t1, t2, tol)
+    factors = _LhsFactors(system, t1, t2)
     sup, t0 = factors.sup_over_t0()
     certified = (sup < 4.0 - tol.strict * 4.0 and system.coeff_b.is_polynomial
                  and segments_min(panel[:3] for panel in factors.b_panels)[0] >= 0.0)

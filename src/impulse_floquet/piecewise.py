@@ -45,6 +45,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # suite and the benchmark workloads converges without a split, and a kink
 # inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
+QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _LOG = logging.getLogger("impulse_floquet")
@@ -234,7 +235,7 @@ def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list
             + _adaptive(fn, mid, hi, 0.5 * tol_abs, depth - 1, budget))
 
 
-def integrate_panels(panels, rel_tol: float) -> float:
+def integrate_panels(panels, rel_tol: float = QUAD_REL_TOL) -> float:
     """Sum of the integrals of fn over [lo, hi] for (fn, lo, hi) panels.
 
     The absolute tolerance is rel_tol times the summed size of the panels'
@@ -520,7 +521,7 @@ class PiecewiseFunction:
     # -- quadrature --------------------------------------------------------
 
     def integrate(self, lo: float, hi: float, transform: str = _IDENTITY,
-                  rel_tol: float = 1e-10) -> float:
+                  rel_tol: float = QUAD_REL_TOL) -> float:
         """Integral of transform(f) over [lo, hi] within [0, domain_end].
 
         transform is one of "identity", "abs" (absolute value) or "pos"
@@ -687,7 +688,7 @@ class CumulativeIntegral:
 
 
 def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,
-                       transform: str = _IDENTITY, rel_tol: float = 1e-10) -> float:
+                       transform: str = _IDENTITY) -> float:
     """Integral of transform(f) over an arbitrary window, extending f by periodicity."""
-    return sum((f.integrate(s0, s1, transform, rel_tol)
+    return sum((f.integrate(s0, s1, transform)
                 for _, s0, s1 in period_chunks(lo, hi, f.domain_end)), 0.0)

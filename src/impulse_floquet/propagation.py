@@ -11,9 +11,11 @@ dense paths, `propagate_state`, `fundamental_matrix`), and the pieces of all
 the windows it is given double together: each level evaluates the coefficients
 of every piece still doubling (one Horner pass over their stacked polynomial
 coefficients) and makes their step maps and products in one kernel call.
-Matrices at the step nodes are kept; a value between nodes is a partial step
-from the nearest node. Jumps are exact 2x2 matrix applications. Beyond one
-period, solutions are composed from the period map rather than integrated.
+Every piece doubles to its own end; a window with failing pieces raises the
+failure of the earliest. Matrices at the step nodes are kept; a value between
+nodes is a partial step from the nearest node (`DensePath.at`). Jumps are exact
+2x2 matrix applications. Beyond one period, solutions are composed from the
+period map rather than integrated.
 
 Side conventions: an impulse strictly inside the propagation window is always
 applied; an impulse at the start is applied only when the starting state
@@ -177,15 +179,12 @@ def _poly_table(pieces) -> np.ndarray:
     return table
 
 
-def _magnus_steps(pieces, tol: Tolerances, groups):
-    """Step maps and products of smooth pieces [(lo, hi, segs)], one group id per
-    piece; the pieces of a group are in time order.
+def _magnus_steps(pieces, tol: Tolerances) -> list:
+    """Step maps and products of smooth pieces [(lo, hi, segs)].
 
     Every piece starts at one step and doubles its count until two successive
     products agree; all pieces still doubling share one kernel call per level.
-    Returns (results, failures): results[i] is (steps, product) of piece i, and
-    failures maps a group to the exception of its earliest failing piece. Once
-    a group has failed, its later pieces stop doubling; other groups go on.
+    Entry i is (steps, product) of piece i, or the exception that stopped it.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
@@ -194,13 +193,6 @@ def _magnus_steps(pieces, tol: Tolerances, groups):
     callable_rows = np.array([not all(isinstance(s, PolySegment) for s in segs)
                               for _, _, segs in pieces], dtype=bool)
     results: list = [None] * len(pieces)
-    failures: dict[int, Exception] = {}  # by piece
-    first_failure: dict = {}  # group -> index of its earliest failing piece
-
-    def fail(i: int, exc: Exception) -> None:
-        failures.setdefault(i, exc)
-        first_failure[groups[i]] = min(first_failure.get(groups[i], i), i)
-
     active = np.arange(len(pieces))
     prev = None
     n = 1
@@ -218,8 +210,8 @@ def _magnus_steps(pieces, tol: Tolerances, groups):
                 for j, s in enumerate(pieces[i][2]):
                     if not isinstance(s, PolySegment):
                         vals[j, row] = s(ts[row])
-            except Exception as exc:  # raised in time order with the other failures
-                fail(i, exc)
+            except Exception as exc:  # the piece's entry; its NaN row stops it below
+                results[i] = exc
                 vals[:, row] = np.nan
         (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
         steps = _maps(a1, a2, b1, b2, c1, c2, h)
@@ -233,19 +225,17 @@ def _magnus_steps(pieces, tol: Tolerances, groups):
                 done = np.max(np.abs(X - prev), axis=(1, 2)) <= \
                     tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
         finite = np.isfinite(X).all(axis=(1, 2))
-        if not finite.all():
-            for i in active[~finite]:
-                fail(int(i), IntegrationFailureError("non-finite step map", pieces[i][0]))
+        for i in active[~finite]:
+            if results[i] is None:  # not a callable's own exception
+                results[i] = IntegrationFailureError("non-finite step map", pieces[i][0])
         for row in np.flatnonzero(done & finite):
             results[active[row]] = steps[row], X[row]
         keep = finite & ~done
-        if failures:  # later pieces cannot change which failure their group raises
-            keep &= [i < first_failure.get(groups[i], i + 1) for i in active]
         active, prev, n = active[keep], X[keep], 2 * n
     for i in active:
-        fail(int(i), IntegrationFailureError(
-            f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0]))
-    return results, {g: failures[i] for g, i in first_failure.items()}
+        results[i] = IntegrationFailureError(
+            f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0])
+    return results
 
 
 def _spans(system: ImpulsiveSystem, t_from: float, t_to: float) -> list:
@@ -314,10 +304,10 @@ class _Window:
         self.end, self.aprod_end = Y, aprod
         self._starts = [p.lo for p in self.pieces]
 
-    def _locate(self, t: float, side: str | None) -> _Piece:
+    def at(self, t: float, side: str | None = None) -> tuple[np.ndarray, float]:
+        """Fundamental matrix and alpha product at t, clamped into the window; side
+        None takes the left value at an impulse or the window's end, else the right."""
         eps = self._eps
-        if t < self.t_from - eps or t > self.t_to + eps:
-            raise ValueError(f"t={t} outside trajectory window [{self.t_from}, {self.t_to}]")
         t = min(max(t, self.t_from), self.t_to)
         i = max(bisect.bisect_right(self._starts, t) - 1, 0)
         if side is None:
@@ -326,14 +316,8 @@ class _Window:
             i -= 1
         if side == RIGHT and i < len(self.pieces) - 1 and self.pieces[i].hi - t <= eps:
             i += 1
-        return self.pieces[i]
-
-    def eval(self, t: float, side: str | None = None) -> np.ndarray:
-        p = self._locate(t, side)
-        return p.at(min(max(t, p.lo), p.hi))
-
-    def alpha_product(self, t: float, side: str | None = None) -> float:
-        return self._locate(t, side).aprod
+        p = self.pieces[i]
+        return p.at(min(max(t, p.lo), p.hi)), p.aprod
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrices and alpha products on a grid (right-limit convention)."""
@@ -353,8 +337,8 @@ class _Window:
 def _windows(requests, tol: Tolerances) -> list:
     """The _Window of each request (system, t_from, t_to, jump_at_start), or the
     exception of its earliest failing piece; the smooth pieces of all requests
-    double together in one `_magnus_steps` call. Raises unless every window
-    lies in [0, T]."""
+    double together in one `_magnus_steps` call, each to its own end. Raises
+    unless every window lies in [0, T]."""
     spans, smooth = [], []
     for system, t_from, t_to, _ in requests:
         T, eps = system.period, knot_eps(system.period)
@@ -362,12 +346,18 @@ def _windows(requests, tol: Tolerances) -> list:
             raise ValueError(f"window [{t_from}, {t_to}] outside [0, {T}]")
         spans.append(_spans(system, t_from, t_to))
         smooth.append([p for p in spans[-1] if p[1] - p[0] > eps])  # shorter: the identity
-    results, failures = _magnus_steps([p for s in smooth for p in s], tol,
-                                      [g for g, s in enumerate(smooth) for _ in s])
-    steps = iter(results)
-    own = [[next(steps) for _ in s] for s in smooth]
-    return [failures[g] if g in failures else _Window(*request, sp, res)
-            for g, (request, sp, res) in enumerate(zip(requests, spans, own))]
+    results = iter(_magnus_steps([p for s in smooth for p in s], tol))
+    own = [[next(results) for _ in s] for s in smooth]
+    return [next((r for r in res if isinstance(r, Exception)), None)
+            or _Window(*request, sp, res) for request, sp, res in zip(requests, spans, own)]
+
+
+def _raising(entries: list) -> list:
+    """`entries`, unless one is an exception: then the first of those is raised."""
+    for entry in entries:
+        if isinstance(entry, Exception):
+            raise entry
+    return entries
 
 
 def _mat_pows(M: np.ndarray, ks) -> np.ndarray:
@@ -409,10 +399,7 @@ class DensePath:
         requests = [(system, t_start, min(t_end, T), False)]
         if t_end > T + eps and abs(t_start) > eps:  # past T, a cycle [0, T] unless the head is one
             requests.append((system, 0.0, T, False))
-        windows = _windows(requests, tol)
-        for window in windows:
-            if isinstance(window, Exception):
-                raise window
+        windows = _raising(_windows(requests, tol))
         self.head, self.cycle = windows[0], (windows[-1] if t_end > T + eps else None)
 
     def _check(self, *ts: float) -> None:
@@ -420,28 +407,27 @@ class DensePath:
             if t < self.t_start - self._eps or t > self.t_end + self._eps:
                 raise ValueError(f"t={t} outside path window")
 
-    def matrix(self, t: float, side: str | None = None) -> np.ndarray:
+    def at(self, t: float, side: str | None = None) -> tuple[np.ndarray, float]:
+        """Fundamental matrix and alpha product at t (side as in `_Window.at`)."""
         self._check(t)
         if t <= self.head.t_to + self._eps:
-            return self.head.eval(min(t, self.head.t_to), side)
+            return self.head.at(t, side)
         k, s = split_period(t, self.system.period)
         base = _mat_pows(self.cycle.end, [k - 1])[0] @ self.head.end
-        if s == 0.0 and side in (None, LEFT):
-            return base
-        return self.cycle.eval(s, side) @ base
-
-    def alpha_product(self, t: float, side: str | None = None) -> float:
-        self._check(t)
-        if t <= self.head.t_to + self._eps:
-            return self.head.alpha_product(min(t, self.head.t_to), side)
-        k, s = split_period(t, self.system.period)
         prod = self.head.aprod_end * self.cycle.aprod_end ** (k - 1)
         if s == 0.0 and side in (None, LEFT):
-            return prod
-        return prod * self.cycle.alpha_product(s, side)
+            return base, prod
+        M, p = self.cycle.at(s, side)
+        return M @ base, prod * p
+
+    def matrix(self, t: float, side: str | None = None) -> np.ndarray:
+        return self.at(t, side)[0]
+
+    def alpha_product(self, t: float, side: str | None = None) -> float:
+        return self.at(t, side)[1]
 
     def eval_state(self, t: float, y0: np.ndarray, side: str | None = None) -> np.ndarray:
-        return self.matrix(t, side) @ np.asarray(y0, dtype=float)
+        return self.at(t, side)[0] @ np.asarray(y0, dtype=float)
 
     def sample_matrices(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrices (n,2,2) and alpha products (n,) on a sorted grid."""
@@ -479,9 +465,7 @@ def propagate_state(system: ImpulsiveSystem, state: State, t_to: float,
     eps = knot_eps(system.period)
     if t_to < state.t - eps:
         raise ValueError("t_to must not precede the state time")
-    (window,) = _windows([(system, state.t, t_to, state.side == LEFT)], tol)
-    if isinstance(window, Exception):
-        raise window
+    (window,) = _raising(_windows([(system, state.t, t_to, state.side == LEFT)], tol))
     if abs(t_to - state.t) <= eps:
         return state
     y = window.end @ state.vector
@@ -495,9 +479,7 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
     tol = tolerances or DEFAULT_TOLERANCES
     if t_to < t_from:
         raise ValueError("t_to must not precede t_from")
-    (window,) = _windows([(system, t_from, t_to, False)], tol)
-    if isinstance(window, Exception):
-        raise window
+    (window,) = _raising(_windows([(system, t_from, t_to, False)], tol))
     return FundamentalMatrix(window.end, t_from, t_to)
 
 
@@ -542,7 +524,4 @@ def monodromy(system: ImpulsiveSystem, tolerances: Tolerances | None = None) -> 
     The determinant used in the characteristic polynomial is the exact
     impulse product; the integrated determinant is retained as a cross-check.
     """
-    result = monodromies([system], tolerances)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _raising(monodromies([system], tolerances))[0]

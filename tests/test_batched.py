@@ -144,7 +144,7 @@ def _reference_rows(doc, axes, tol=DEFAULT_TOLERANCES):
                 if violations:
                     raise InvalidSystemError(violations)
                 m = monodromy(system, tol)
-                verdict = classify(m, tol.boundary)
+                verdict = classify(m)
                 conclusions = {r.criterion: r.conclusion for r in evaluate_all(system, tol)}
                 rows.append([*(v for _, v in assignments), m.trace, m.det, verdict.category,
                              *(conclusions[c] for c in CRITERION_ORDER), "ok"])

@@ -1,9 +1,11 @@
 """Inputs that once ended in a wrong verdict, a traceback or a hang, and the
 tightest relative tolerance: each must end in a documented exit code."""
 
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -212,3 +214,63 @@ def test_non_finite_json_numbers_print_as_null(tmp_path, capsys, field, value, c
         assert len(nulls) == (4 if field == "alpha" else 0)
         if command == "analyze":
             assert parsed["monodromy"]["det_integrated"] is None
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, a hang included."""
+    def expire(*_):
+        raise TimeoutError(f"not done within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["--tol-rel", "nan"]),  # once 65,536 steps per piece, then exit 3
+    ("analyze", ["--tol-abs", "-1"]),  # the same
+    ("criteria", ["--tol-strict", "nan"]),  # once exit 0, every strict condition violated
+    ("disconjugacy", ["--t1", "nan", "--t2", "0.5"]),  # once a traceback from split_period
+    ("disconjugacy", ["--t1", "0", "--t2", "inf"]),  # once an endless walk over periods
+    ("disconjugacy", ["--t1", "0.5", "--t2", "0.2"]),  # once a traceback from disconjugacy_test
+])
+def test_invalid_flag_value_exits_2_at_once(tmp_path, capsys, command, flags):
+    path = write_descriptor(tmp_path, rotation_descriptor())
+    with _within(2.0):
+        rc, out, err = run(capsys, [command, "--input", path, *flags])
+    assert rc == 2 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert flags[0] in err
+
+
+def _end_at_the_period(second_end):
+    doc = rotation_descriptor(T=1.0)
+    doc["coefficients"]["a"] = [{"end": 1.0, "poly": [0.0]}, {"end": second_end, "poly": [0.5]}]
+    return doc
+
+
+def test_segment_end_at_the_period_before_the_last_exits_2(tmp_path, capsys):
+    # the last end lies within 1e-9 of the period; the first end at the period
+    # was once a ValueError traceback from PiecewiseFunction
+    path = write_descriptor(tmp_path, _end_at_the_period(1.0000000005))
+    with _within(2.0):
+        rc, out, err = run(capsys, ["analyze", "--input", path])
+    assert rc == 2 and out == ""
+    assert err == "invalid input: coefficients.a[0].end: 1.0 not below the period 1.0\n"
+
+
+def test_sweep_moving_an_end_onto_the_period_gives_an_error_row(tmp_path, capsys):
+    doc = _end_at_the_period(1.0000000005)
+    doc["coefficients"]["a"][0]["end"] = 0.5
+    path = write_descriptor(tmp_path, doc)
+    with _within(2.0):
+        rc, out, _ = run(capsys, ["sweep", "--input", path,
+                                  "--axes", "coefficients.a[0].end=0.9:1.0:3"])
+    rows = out.splitlines()[1:]
+    assert rc == 0 and len(rows) == 3
+    assert all(row.endswith(",ok") for row in rows[:2])
+    assert rows[2].endswith("error: coefficients.a[0].end: 1.0 not below the period 1.0")

@@ -16,6 +16,7 @@ from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
 from perfbench.inputs import windows_population
 
 from helpers import make_system, poly, rotation_system
+from test_propagation import dense_read_times, two_lookup_reference
 
 PI_SQ = math.pi ** 2
 
@@ -34,6 +35,17 @@ def sine_system(freq_sq=PI_SQ, T=1.0):
 
 
 class TestRescale:
+    @pytest.mark.parametrize("seed, start", [(4, 0.3), (12, 0.0)])
+    def test_zv_matches_the_two_lookup_reference_bit_for_bit(self, seed, start):
+        sys_ = generate(GeneratorSpec(seed=seed))
+        T = sys_.period
+        sol = RescaledSolution(DensePath(sys_, start * T, 2.6 * T), (0.4, -1.1))
+        for t in dense_read_times(sys_, start * T, 2.6 * T):
+            for side in (None, "left", "right"):
+                M, p = two_lookup_reference(sol.path, float(t), side)
+                y = M @ sol.y0
+                assert repr(sol.zv(float(t), side)) == repr((float(y[0] / p), float(y[1] / p)))
+
     def test_no_impulses_identity(self):
         sys_ = rotation_system(1.0)
         path = DensePath(sys_, 0.0, 1.0)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from impulse_floquet import DEFAULT_TOLERANCES, FuncSegment, PiecewiseFunction, PolySegment
+from impulse_floquet import FuncSegment, PiecewiseFunction, PolySegment
 from impulse_floquet import piecewise
-from impulse_floquet.piecewise import CumulativeIntegral, adaptive_integral
+from impulse_floquet.piecewise import QUAD_REL_TOL, CumulativeIntegral, adaptive_integral
 
 PROBE_START = 993.6280168780241
 PROBE_CUBIC = (431335316.0, -1301805.72, 1309.65279, -0.439182484)  # -1.7 to -98 on its panel
@@ -53,7 +53,7 @@ def test_closed_form_matches_the_adaptive_path(panel, transform):
     seg = PolySegment(coeffs)
     exact = PiecewiseFunction(T, (), (seg,))
     adaptive = PiecewiseFunction(T, (), (FuncSegment(seg),))
-    rel = DEFAULT_TOLERANCES.quad_rel
+    rel = QUAD_REL_TOL
     scale = max(exact.integrate(lo, hi, "abs", rel), 1e-3)
     assert abs(exact.integrate(lo, hi, transform, rel)
                - adaptive.integrate(lo, hi, transform, rel)) <= rel * scale

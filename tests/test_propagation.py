@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from impulse_floquet import (DensePath, IntegrationFailureError, State, Toleranc
                              floquet_multipliers, fundamental_matrix, monodromy,
                              propagate_state)
 from impulse_floquet.harness import GeneratorSpec, generate
+from impulse_floquet.piecewise import LEFT, RIGHT, knot_eps, split_period
+from impulse_floquet.propagation import _mat_pows
 
 from helpers import make_system, rotation_system
 
@@ -158,7 +161,66 @@ class TestMonodromy:
         assert abs(coarse.trace - fine.trace) <= coarse.error_estimate
 
 
+def _located_piece(window, t, side):
+    """The piece of a window that a read at t used when the matrix and the alpha
+    product each located it on their own."""
+    eps = knot_eps(window.system.period)
+    t = min(max(t, window.t_from), window.t_to)
+    starts = [p.lo for p in window.pieces]
+    i = max(bisect.bisect_right(starts, t) - 1, 0)
+    if side is None:
+        side = LEFT if window.system.impulse_at(t) is not None or t >= window.t_to - eps else RIGHT
+    if side == LEFT and i > 0 and t - starts[i] <= eps:
+        i -= 1
+    if side == RIGHT and i < len(window.pieces) - 1 and window.pieces[i].hi - t <= eps:
+        i += 1
+    return window.pieces[i]
+
+
+def two_lookup_reference(path, t, side=None):
+    """(matrix, alpha product) at t as `DensePath.matrix` and `alpha_product` made
+    them before `DensePath.at`: two lookups, each with its own head/cycle split."""
+    eps, T = knot_eps(path.system.period), path.system.period
+    if t <= path.head.t_to + eps:
+        t = min(t, path.head.t_to)
+        matrix_piece, alpha_piece = _located_piece(path.head, t, side), _located_piece(path.head, t, side)
+        return matrix_piece.at(min(max(t, matrix_piece.lo), matrix_piece.hi)), alpha_piece.aprod
+    k, s = split_period(t, T)
+    base = _mat_pows(path.cycle.end, [k - 1])[0] @ path.head.end
+    prod = path.head.aprod_end * path.cycle.aprod_end ** (k - 1)
+    if s == 0.0 and side in (None, LEFT):
+        return base, prod
+    matrix_piece, alpha_piece = _located_piece(path.cycle, s, side), _located_piece(path.cycle, s, side)
+    return (matrix_piece.at(min(max(s, matrix_piece.lo), matrix_piece.hi)) @ base,
+            prod * alpha_piece.aprod)
+
+
+def dense_read_times(system, t_start, t_end):
+    """A grid over [t_start, t_end], every impulse time and period end in it."""
+    T = system.period
+    marks = [tau + k * T for tau in [0.0, *(imp.tau for imp in system.schedule.impulses)]
+             for k in range(int(t_end / T) + 2)]
+    return [*np.linspace(t_start, t_end, 41), *(t for t in marks if t_start <= t <= t_end)]
+
+
 class TestDensePath:
+    @pytest.mark.parametrize("seed, start", [(4, 0.0), (4, 0.3), (12, 0.45), (5, 1.0)])
+    def test_at_matches_the_two_lookup_reference_bit_for_bit(self, seed, start):
+        sys_ = generate(GeneratorSpec(seed=seed))
+        T = sys_.period
+        assert sys_.schedule.impulses
+        path = DensePath(sys_, start * T, 3.5 * T)
+        for t in dense_read_times(sys_, start * T, 3.5 * T):
+            for side in (None, LEFT, RIGHT):
+                M, p = path.at(float(t), side)
+                ref_M, ref_p = two_lookup_reference(path, float(t), side)
+                assert np.array([p, *M.ravel()]).tobytes() == \
+                    np.array([ref_p, *ref_M.ravel()]).tobytes(), (t, side)
+                assert path.matrix(float(t), side).tobytes() == M.tobytes()
+                assert path.alpha_product(float(t), side) == p
+                y0 = np.array([1.0, -2.0])
+                assert path.eval_state(float(t), y0, side).tobytes() == (M @ y0).tobytes()
+
     def test_multi_period_closed_form(self):
         sys_ = rotation_system(1.0)
         path = DensePath(sys_, 0.0, 5.0)

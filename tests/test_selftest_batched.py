@@ -16,8 +16,8 @@ from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, RescaledSolution, St
 from impulse_floquet.criteria import evaluate_all
 from impulse_floquet.floquet import classify
 from impulse_floquet.harness import MODES, GeneratorSpec, generate, soundness_sweep
-from impulse_floquet.lyapunov import (_GRID_PER_PERIOD, _impulse_time_flags, _zero_sites,
-                                      bracketed_root)
+from impulse_floquet.lyapunov import (_GRID_PER_PERIOD, ROOT_TOL, _impulse_time_flags,
+                                      _zero_sites, bracketed_root)
 from impulse_floquet.propagation import monodromy
 
 from helpers import make_system
@@ -31,7 +31,7 @@ DATA = Path(__file__).parent / "data"
 def _analyze_one(spec, index, tol):
     system = generate(replace(spec, seed=spec.seed + index))
     reports = evaluate_all(system, tol)
-    verdict = classify(monodromy(system, tol), tol.boundary)
+    verdict = classify(monodromy(system, tol))
     conclusions = {r.criterion: r.conclusion for r in reports}
     target = harness._TARGETS.get(spec.mode)
     return harness.SystemRecord(
@@ -69,7 +69,7 @@ def _zero_pair_reference(system, initial, window, tol=DEFAULT_TOLERANCES):
         return None
     runs, changes = _zero_sites(zs, 1e-9 * scale)
     zeros = [float(ts[i]) for i in np.flatnonzero(runs)]
-    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], tol.root * max(1.0, T))
+    zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], ROOT_TOL * max(1.0, T))
               for i in np.flatnonzero(changes)]
     zeros.sort()
     distinct = []
