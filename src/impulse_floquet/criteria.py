@@ -233,11 +233,11 @@ class _Quantities:
 
     @_shared_property
     def min_b(self) -> tuple[float, float]:
-        return segments_min((lo, hi, sb) for lo, hi, _, sb, _ in self.system.segment_triples())
+        return segments_min((lo, hi, sb) for lo, hi, _, sb, _ in self.system.pieces())
 
     @_shared_property
     def min_c(self) -> tuple[float, float]:
-        return segments_min((lo, hi, sc) for lo, hi, _, _, sc in self.system.segment_triples())
+        return segments_min((lo, hi, sc) for lo, hi, _, _, sc in self.system.pieces())
 
     @_shared_property
     def min_bc_a2(self) -> tuple[float, float]:
@@ -262,7 +262,7 @@ class _Quantities:
         if not self.b_safe:
             return None
         return integrate_panels(((_a2_over_b(sa, sb), lo, hi)
-                                 for lo, hi, sa, sb, _ in self.system.segment_triples()))
+                                 for lo, hi, sa, sb, _ in self.system.pieces()))
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -310,7 +310,7 @@ def _a2_over_b(sa, sb):
 
 def _bc_minus_a2_pieces(system: ImpulsiveSystem, sign: float):
     """(lo, hi, segment) pieces of sign * (b*c - a^2), polynomial where a, b, c are."""
-    for lo, hi, sa, sb, sc in system.segment_triples():
+    for lo, hi, sa, sb, sc in system.pieces():
         if all(isinstance(s, PolySegment) for s in (sa, sb, sc)):
             coeffs = npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
                                    npoly.polymul(sa.coeffs, sa.coeffs))
@@ -373,7 +373,7 @@ def _condition_c_branch(q: _Quantities) -> ConditionCStatus:
 
     max_expr = 0.0
     max_inputs = 0.0
-    for lo, hi, sa, sb, sc in system.segment_triples():
+    for lo, hi, sa, sb, sc in system.pieces():
         ts = _chebyshev_nodes(lo, hi, 65)
         av = np.asarray(sa(ts), dtype=float)
         bv = np.asarray(sb(ts), dtype=float)

@@ -2,10 +2,13 @@
 
 A function on [0, domain_end] is stored as evaluators for the open segments
 between sorted interior breakpoints. Values at a breakpoint are one-sided
-limits, selected with a side flag. Polynomial segments (coefficients in the
-global time variable, ascending degree) are the canonical representation:
-they admit exact derivatives, extrema and antiderivatives. Opaque callables
-are accepted, but they leave derivative-based downstream checks undecidable.
+limits, selected with a side flag. One knot rule holds everywhere: times
+closer than knot_eps are one time; `locate` finds the piece that owns a time
+or a grid of times, and `merge_knots` keeps one knot of each close group.
+Polynomial segments (coefficients in the global time variable, ascending
+degree) are the canonical representation: they admit exact derivatives,
+extrema and antiderivatives. Opaque callables are accepted, but they leave
+derivative-based downstream checks undecidable.
 
 Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
@@ -26,7 +29,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -81,6 +84,41 @@ def split_period(t, T: float):
     k[roll] += 1
     s[roll | (s < eps)] = 0.0
     return k, s
+
+
+def locate(starts, t, side: str, eps: float):
+    """Index of the piece owning the one-sided value at t, for sorted piece
+    starts; t is a float (an int back) or an ndarray (an int array back).
+
+    A t within eps of a start reads as that start: side "left" takes the piece
+    ending there, "right" the piece beginning there. A t before the first start
+    reads in the first piece."""
+    if not isinstance(t, np.ndarray):
+        i = max(bisect.bisect_right(starts, t) - 1, 0)
+        if side == LEFT:
+            return i - 1 if i > 0 and t - starts[i] <= eps else i
+        return i + 1 if i + 1 < len(starts) and starts[i + 1] - t <= eps else i
+    starts = np.asarray(starts, dtype=float)
+    i = np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
+    if side == LEFT:
+        return i - ((i > 0) & (t - starts[i] <= eps))
+    last = len(starts) - 1
+    return i + ((i < last) & (starts[np.minimum(i + 1, last)] - t <= eps))
+
+
+def merge_knots(knots, eps: float, kept=()) -> list[float]:
+    """The knots, in the order seen, that lie more than eps from every earlier
+    one and from every knot of `kept`: of each group of knots closer than eps,
+    the first one seen."""
+    seen, out = list(kept), []
+    for k in knots:
+        for m in seen:  # a loop, not all() over a generator: 4x faster on a dozen knots
+            if abs(k - m) <= eps:
+                break
+        else:
+            seen.append(k)
+            out.append(k)
+    return out
 
 
 def period_chunks(lo: float, hi: float, T: float):
@@ -382,6 +420,7 @@ class PiecewiseFunction:
     domain_end: float
     breakpoints: tuple[float, ...]
     segments: tuple[Segment, ...]
+    _starts: tuple[float, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         end = float(self.domain_end)
@@ -399,6 +438,7 @@ class PiecewiseFunction:
             if not (prev < b < end):
                 raise ValueError(f"breakpoint {b} not strictly inside (0, {end}) in increasing order")
             prev = b
+        object.__setattr__(self, "_starts", (0.0, *bps))  # segment starts, for locate
 
     # -- constructors ------------------------------------------------------
 
@@ -428,22 +468,13 @@ class PiecewiseFunction:
         eps = knot_eps(self.domain_end)
         if t < -eps or t > self.domain_end + eps:
             raise ValueError(f"t={t} outside [0, {self.domain_end}]")
-        t = min(max(t, 0.0), self.domain_end)
         if side not in (LEFT, RIGHT):
             raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
         if side == LEFT and t <= eps:
             raise ValueError("left limit undefined at t=0")
         if side == RIGHT and t >= self.domain_end - eps:
             raise ValueError(f"right limit undefined at t={self.domain_end}")
-        bps = self.breakpoints
-        i = bisect.bisect_right(bps, t)
-        if side == LEFT:
-            if i > 0 and t - bps[i - 1] <= eps:
-                return i - 1
-            return i
-        if i < len(bps) and bps[i] - t <= eps:
-            return i + 1
-        return i
+        return locate(self._starts, min(max(t, 0.0), self.domain_end), side, eps)
 
     def eval(self, t: float, side: str | None = None) -> float:
         """One-sided value at t; side defaults to right (left at domain_end)."""
@@ -458,35 +489,31 @@ class PiecewiseFunction:
     __call__ = eval
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation with right-limit convention at breakpoints."""
+        """Vectorized evaluation with eval's side convention: right at a
+        breakpoint, left at domain_end."""
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.domain_end)
         out = np.empty_like(ts)
-        knots = self.knots
-        for i, seg in enumerate(self.segments):
-            lo, hi = knots[i], knots[i + 1]
-            mask = (ts >= lo) & (ts < hi) if i < len(self.segments) - 1 else (ts >= lo) & (ts <= hi)
-            if np.any(mask):
-                out[mask] = seg(ts[mask])
+        idx = locate(self._starts, ts, RIGHT, knot_eps(self.domain_end))
+        for i in set(np.ravel(idx).tolist()):
+            mask = idx == i
+            out[mask] = self.segments[i](ts[mask])
         return out
 
     def with_breakpoints(self, points: Sequence[float]) -> "PiecewiseFunction":
-        """Refined copy whose breakpoints include `points` (interior ones only)."""
-        eps = knot_eps(self.domain_end)
-        extra = [float(p) for p in points
-                 if eps < p < self.domain_end - eps
-                 and all(abs(p - b) > eps for b in self.breakpoints)]
+        """Refined copy whose breakpoints include `points` (interior ones only),
+        merged with merge_knots: a point within the knot tolerance of a knot or
+        of an earlier point adds no breakpoint."""
+        extra = merge_knots([float(p) for p in points if 0.0 < p < self.domain_end],
+                            knot_eps(self.domain_end), self.knots)
         if not extra:
             return self
-        merged = sorted((*self.breakpoints, *extra))
-        segs = []
-        prev = 0.0
-        for b in (*merged, self.domain_end):
-            mid = 0.5 * (prev + b)
-            segs.append(self.segments[self._interior_index(mid)])
-            prev = b
-        return PiecewiseFunction(self.domain_end, tuple(merged), tuple(segs))
+        cuts = (0.0, *sorted((*self.breakpoints, *extra)), self.domain_end)
+        segs = [self.segments[self._interior_index(0.5 * (a + b))]
+                for a, b in zip(cuts[:-1], cuts[1:])]
+        return PiecewiseFunction(self.domain_end, cuts[1:-1], tuple(segs))
 
     def _interior_index(self, t: float) -> int:
+        """Index of the segment holding t, a time away from every breakpoint."""
         return bisect.bisect_right(self.breakpoints, t)
 
     def pieces(self, lo: float, hi: float) -> list:

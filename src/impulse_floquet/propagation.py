@@ -25,14 +25,13 @@ result carries the left-side value there.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .piecewise import LEFT, RIGHT, PolySegment, knot_eps, split_period
+from .piecewise import LEFT, RIGHT, PolySegment, knot_eps, locate, split_period
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -169,8 +168,7 @@ def _step_maps(segs, t0, h):
 def _poly_table(pieces) -> np.ndarray:
     """Coefficients of every PolySegment of the pieces as a (3, pieces, degree + 1)
     array, zero-padded at the top degree (Horner then gives the same bits)."""
-    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in segs]
-             for _, _, segs in pieces]
+    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in p[2:]] for p in pieces]
     width = max([1] + [len(c) for row in polys for c in row])
     table = np.zeros((3, len(pieces), width))
     for i, row in enumerate(polys):
@@ -180,7 +178,7 @@ def _poly_table(pieces) -> np.ndarray:
 
 
 def _magnus_steps(pieces, tol: Tolerances) -> list:
-    """Step maps and products of smooth pieces [(lo, hi, segs)].
+    """Step maps and products of smooth pieces [(lo, hi, seg_a, seg_b, seg_c)].
 
     Every piece starts at one step and doubles its count until two successive
     products agree; all pieces still doubling share one kernel call per level.
@@ -190,8 +188,8 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     lo = np.array([p[0] for p in pieces])
     span = np.array([p[1] for p in pieces]) - lo
     table = _poly_table(pieces)
-    callable_rows = np.array([not all(isinstance(s, PolySegment) for s in segs)
-                              for _, _, segs in pieces], dtype=bool)
+    callable_rows = np.array([not all(isinstance(s, PolySegment) for s in p[2:])
+                              for p in pieces], dtype=bool)
     results: list = [None] * len(pieces)
     active = np.arange(len(pieces))
     prev = None
@@ -207,7 +205,7 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
         for row in np.flatnonzero(callable_rows[active]):
             i = int(active[row])
             try:
-                for j, s in enumerate(pieces[i][2]):
+                for j, s in enumerate(pieces[i][2:]):
                     if not isinstance(s, PolySegment):
                         vals[j, row] = s(ts[row])
             except Exception as exc:  # the piece's entry; its NaN row stops it below
@@ -236,13 +234,6 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
         results[i] = IntegrationFailureError(
             f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0])
     return results
-
-
-def _spans(system: ImpulsiveSystem, t_from: float, t_to: float) -> list:
-    """Pieces (lo, hi, segment evaluators) between the knots inside [t_from, t_to]."""
-    bounds = [t_from, *system.interior_knots(t_from, t_to), t_to]
-    return [(lo, hi, system.segment_evaluators(0.5 * (lo + hi)))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(eq=False)
@@ -282,8 +273,8 @@ class _Window:
     """Fundamental solution over [t_from, t_to] inside one period, starting
     from the identity, or from the jump matrix at t_from when `jump_at_start`.
 
-    Built only by `_windows`, from the window's `spans` and the `_magnus_steps`
-    results of its smooth pieces in time order."""
+    Built only by `_windows`, from the window's `ImpulsiveSystem.pieces` and the
+    `_magnus_steps` results of its smooth pieces in time order."""
 
     def __init__(self, system: ImpulsiveSystem, t_from: float, t_to: float,
                  jump_at_start: bool, spans, results):
@@ -293,44 +284,37 @@ class _Window:
         Y, aprod = np.eye(2), 1.0
         self.pieces: list[_Piece] = []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves Y non-finite
-            for lo, hi, segs in spans:
+            for lo, hi, *segs in spans:
                 imp = system.impulse_at(lo) if lo > t_from or jump_at_start else None
                 if imp is not None:
                     Y = imp.matrix @ Y
                     aprod *= imp.alpha
                 steps, X = next(smooth) if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
-                self.pieces.append(_Piece(lo, hi, segs, steps, Y, aprod))
+                self.pieces.append(_Piece(lo, hi, tuple(segs), steps, Y, aprod))
                 Y = X @ Y
         self.end, self.aprod_end = Y, aprod
-        self._starts = [p.lo for p in self.pieces]
+        self._starts = tuple(p.lo for p in self.pieces)
 
     def at(self, t: float, side: str | None = None) -> tuple[np.ndarray, float]:
         """Fundamental matrix and alpha product at t, clamped into the window; side
         None takes the left value at an impulse or the window's end, else the right."""
         eps = self._eps
         t = min(max(t, self.t_from), self.t_to)
-        i = max(bisect.bisect_right(self._starts, t) - 1, 0)
         if side is None:
             side = LEFT if self.system.impulse_at(t) is not None or t >= self.t_to - eps else RIGHT
-        if side == LEFT and i > 0 and t - self._starts[i] <= eps:
-            i -= 1
-        if side == RIGHT and i < len(self.pieces) - 1 and self.pieces[i].hi - t <= eps:
-            i += 1
-        p = self.pieces[i]
+        p = self.pieces[locate(self._starts, t, side, eps)]
         return p.at(min(max(t, p.lo), p.hi)), p.aprod
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Matrices and alpha products on a grid (right-limit convention)."""
+        """Matrices and alpha products on a grid, each read as `at(t, "right")`."""
         ts = np.asarray(ts, dtype=float)
         out = np.empty((ts.size, 2, 2))
         prods = np.empty(ts.size)
-        eps = self._eps
-        for j, p in enumerate(self.pieces):
-            mask = (ts >= p.lo - (eps if j == 0 else 0.0)) & \
-                   ((ts <= p.hi + eps) if j == len(self.pieces) - 1 else (ts < p.hi))
-            if np.any(mask):
-                out[mask] = p.at(np.clip(ts[mask], p.lo, p.hi))
-                prods[mask] = p.aprod
+        idx = locate(self._starts, ts, RIGHT, self._eps)
+        for i in set(idx.tolist()):
+            mask, p = idx == i, self.pieces[i]
+            out[mask] = p.at(np.clip(ts[mask], p.lo, p.hi))
+            prods[mask] = p.aprod
         return out, prods
 
 
@@ -344,7 +328,7 @@ def _windows(requests, tol: Tolerances) -> list:
         T, eps = system.period, knot_eps(system.period)
         if t_to > T + eps or t_from < -eps:
             raise ValueError(f"window [{t_from}, {t_to}] outside [0, {T}]")
-        spans.append(_spans(system, t_from, t_to))
+        spans.append(system.pieces(t_from, t_to))
         smooth.append([p for p in spans[-1] if p[1] - p[0] > eps])  # shorter: the identity
     results = iter(_magnus_steps([p for s in smooth for p in s], tol))
     own = [[next(results) for _ in s] for s in smooth]

@@ -4,7 +4,8 @@ The state (x, u) evolves by x' = a(t)x + b(t)u, u' = -c(t)x - a(t)u between
 impulse times, and jumps by x -> alpha*x, u -> alpha*u - beta*x at each
 impulse. Coefficients are piecewise functions over one period; impulse times
 are merged into every coefficient's breakpoint set at construction so that
-integrators and quadrature never step across a discontinuity.
+integrators and quadrature never step across a discontinuity;
+`ImpulsiveSystem.pieces` is the one cut of a window into smooth pieces.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction, knot_eps
+from .piecewise import PiecewiseFunction, knot_eps, merge_knots
 
 
 class InvalidSystemError(ValueError):
@@ -70,21 +71,13 @@ class ImpulseSchedule:
             out *= imp.alpha * imp.alpha
         return out
 
-    def ratio_sum(self, lo: float | None = None, hi: float | None = None,
+    def ratio_sum(self, lo: float = 0.0, hi: float | None = None,
                   positive: bool = False) -> float:
-        """Sum of beta/alpha (optionally positive parts) over [lo, hi).
-
-        With no window, sums over the one-period schedule. Windows may span
-        multiple periods; the schedule extends periodically.
+        """Sum of beta/alpha (optionally positive parts) over [lo, hi), by
+        default the one period [0, T). Windows may span multiple periods; the
+        schedule extends periodically.
         """
-        if lo is None and hi is None:
-            total = 0.0
-            for imp in self.impulses:
-                q = imp.ratio
-                total += max(q, 0.0) if positive else q
-            return total
-        if lo is None or hi is None:
-            raise ValueError("give both window ends or neither")
+        hi = self.period if hi is None else hi
         if hi <= lo:
             return 0.0
         T = self.period
@@ -132,12 +125,8 @@ class ImpulsiveSystem:
         object.__setattr__(self, "coeff_a", self.coeff_a.with_breakpoints(taus))
         object.__setattr__(self, "coeff_b", self.coeff_b.with_breakpoints(taus))
         object.__setattr__(self, "coeff_c", self.coeff_c.with_breakpoints(taus))
-        eps = knot_eps(self.period)
-        merged: list[float] = []
-        for f in (self.coeff_a, self.coeff_b, self.coeff_c):
-            for k in f.knots:
-                if all(abs(k - m) > eps for m in merged):
-                    merged.append(k)
+        merged = merge_knots((*self.coeff_a.knots, *self.coeff_b.knots, *self.coeff_c.knots),
+                             knot_eps(self.period))
         object.__setattr__(self, "_knots", tuple(sorted(merged)))
 
     @property
@@ -151,25 +140,23 @@ class ImpulsiveSystem:
     def coefficients(self) -> tuple[PiecewiseFunction, PiecewiseFunction, PiecewiseFunction]:
         return self.coeff_a, self.coeff_b, self.coeff_c
 
-    def interior_knots(self, lo: float, hi: float) -> list[float]:
-        eps = knot_eps(self.period)
-        return [k for k in self._knots if lo + eps < k < hi - eps]
-
-    def segment_evaluators(self, t_mid: float):
-        """Active (a, b, c) segment evaluators at an interior point."""
-        return (self.coeff_a.segments[self.coeff_a._interior_index(t_mid)],
-                self.coeff_b.segments[self.coeff_b._interior_index(t_mid)],
-                self.coeff_c.segments[self.coeff_c._interior_index(t_mid)])
-
     def impulse_at(self, t: float) -> Impulse | None:
         return self.schedule.find(t)
 
-    def segment_triples(self):
-        """Iterate (lo, hi, seg_a, seg_b, seg_c) over the merged smooth pieces."""
-        knots = self._knots
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            mid = 0.5 * (lo + hi)
-            yield (lo, hi, *self.segment_evaluators(mid))
+    def pieces(self, lo: float = 0.0, hi: float | None = None) -> list:
+        """(lo, hi, seg_a, seg_b, seg_c) for the window [lo, hi] (by default the
+        period) cut at the knots more than the knot tolerance inside it; lo and
+        hi are taken as given."""
+        hi = self.period if hi is None else hi
+        eps = knot_eps(self.period)
+        cuts = [lo, *(k for k in self._knots if lo + eps < k < hi - eps), hi]
+        a, b, c = self.coefficients()
+        out = []
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (p0 + p1)
+            out.append((p0, p1, a.segments[a._interior_index(mid)],
+                        b.segments[b._interior_index(mid)], c.segments[c._interior_index(mid)]))
+        return out
 
 
 def validate_system(system: ImpulsiveSystem) -> list[str]:

@@ -274,3 +274,50 @@ def test_sweep_moving_an_end_onto_the_period_gives_an_error_row(tmp_path, capsys
     assert rc == 0 and len(rows) == 3
     assert all(row.endswith(",ok") for row in rows[:2])
     assert rows[2].endswith("error: coefficients.a[0].end: 1.0 not below the period 1.0")
+
+
+def test_simulate_rows_at_an_impulse_time_carry_the_jump(tmp_path, capsys):
+    # x flips sign at t = k + 0.1; on 28 of those rows the grid time k * 10 * 0.1
+    # + 0.1 rounds to within the knot tolerance below the impulse, where a grid
+    # read once took the piece before the jump (the first at t = 8.1)
+    doc = rotation_descriptor(T=1.0, c=0.0, impulses=[(0.1, -1.0, 0.0)])
+    doc["coefficients"]["b"][0]["poly"] = [0.0]
+    path = write_descriptor(tmp_path, doc)
+    with _within(2.0):
+        rc, out, _ = run(capsys, ["simulate", "--input", path, "--periods", "1000",
+                                  "--samples-per-period", "10"])
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    at_impulse = rows[1::10]
+    assert rc == 0 and len(at_impulse) == 1000
+    assert [round(t - 0.1) for t, *_ in at_impulse] == list(range(1000))
+    assert [x for _, x, *_ in at_impulse] == [(-1.0) ** (k + 1) for k in range(1000)]
+
+
+def _twice_at(tau):
+    return rotation_descriptor(T=1.0, impulses=[(tau, 2.0, 0.5), (tau, 2.0, 0.5)])
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", []), ("criteria", []), ("simulate", ["--periods", "3"]),
+    ("disconjugacy", ["--t1", "0", "--t2", "1"]),
+])
+def test_duplicate_impulse_times_exit_2(tmp_path, capsys, command, flags):
+    # once a ValueError traceback from PiecewiseFunction, reached through
+    # with_breakpoints before validate_system could reject the schedule
+    path = write_descriptor(tmp_path, _twice_at(0.5))
+    with _within(2.0):
+        rc, out, err = run(capsys, [command, "--input", path, *flags])
+    assert rc == 2 and out == ""
+    assert err == "invalid input: impulse 2: tau=0.5 not greater than previous impulse time\n"
+
+
+def test_sweep_moving_an_impulse_onto_another_gives_an_error_row(tmp_path, capsys):
+    doc = rotation_descriptor(T=1.0, impulses=[(0.5, 2.0, 0.5), (0.7, 0.5, -0.5)])
+    path = write_descriptor(tmp_path, doc)
+    with _within(2.0):
+        rc, out, _ = run(capsys, ["sweep", "--input", path,
+                                  "--axes", "impulses[1].tau=0.3:0.7:5"])
+    rows = {float(row.split(",")[0]): row for row in out.splitlines()[1:]}
+    assert rc == 0 and len(rows) == 5
+    assert rows[0.5].endswith(",error: impulse 2: tau=0.5 not greater than previous impulse time")
+    assert rows[0.6].endswith(",ok") and rows[0.7].endswith(",ok")

@@ -1,6 +1,7 @@
 """Properties of the Magnus propagator: the determinant identity, closed forms
 for constant coefficients, and the ways it must fail cleanly."""
 
+import bisect
 import math
 import os
 import subprocess
@@ -86,14 +87,16 @@ def _reference_period_map(sys_, tol=DEFAULT_TOLERANCES):
     """Pieces' step maps and the period map, built piece by piece."""
     T = sys_.period
     eps = 1e-12 * max(1.0, T)
-    bounds = [0.0, *sys_.interior_knots(0.0, T), T]
+    bounds = [0.0, *(k for k in sys_.knots if eps < k < T - eps), T]
     Y, out = np.eye(2), []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         imp = sys_.impulse_at(lo) if lo > 0.0 else None
         if imp is not None:
             Y = imp.matrix @ Y
         if hi - lo > eps:
-            steps, X = _reference_steps(sys_.segment_evaluators(0.5 * (lo + hi)), lo, hi, tol)
+            segs = [f.segments[bisect.bisect_right(f.breakpoints, 0.5 * (lo + hi))]
+                    for f in sys_.coefficients()]
+            steps, X = _reference_steps(segs, lo, hi, tol)
             out.append(steps)
             Y = X @ Y
     return out, Y

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
 from impulse_floquet import EvaluationError, PiecewiseFunction, PolySegment
 from impulse_floquet.piecewise import (CumulativeIntegral, bracketed_root, golden_min,
-                                       integrate_periodic, poly_min_on, sampled_min)
+                                       integrate_periodic, knot_eps, poly_min_on, sampled_min)
 
 INV_PI = 0.3183098861837907  # closed form: integral of sin(2*pi*t) over [0, 1/2]
 
@@ -233,3 +234,26 @@ class TestPeriodic:
         f = PiecewiseFunction.from_callable(lambda t: np.sin(2 * np.pi * t), 1.0)
         val = integrate_periodic(f, 0.5, 2.5, "pos")
         assert val == pytest.approx(2 * INV_PI, abs=1e-10)
+
+
+@st.composite
+def near_knot_reads(draw):
+    """A polynomial piecewise function and times within the knot tolerance of
+    its knots, and anywhere in its domain."""
+    T = draw(st.floats(0.2, 50.0))
+    cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=1, max_size=4)))
+    segs = [PolySegment(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)))
+            for _ in range(len(cuts) + 1)]
+    f = PiecewiseFunction(T, tuple(T * k / 100 for k in cuts), tuple(segs))
+    shift = st.floats(-1.0, 1.0).map(lambda u: u * knot_eps(T))
+    near = [k + draw(shift) for k in f.knots for _ in range(3)]
+    return f, near + draw(st.lists(st.floats(0.0, T), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_knot_reads())
+def test_eval_array_matches_eval_bit_for_bit(case):
+    # the grid once took the piece before a breakpoint for a time rounding
+    # within the knot tolerance below it, while eval took the one after
+    f, ts = case
+    assert f.eval_array(np.array(ts)).tobytes() == np.array([f.eval(t) for t in ts]).tobytes()

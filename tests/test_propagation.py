@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulse_floquet import (DensePath, IntegrationFailureError, State, Tolerances,
                              floquet_multipliers, fundamental_matrix, monodromy,
@@ -12,6 +13,7 @@ from impulse_floquet.piecewise import LEFT, RIGHT, knot_eps, split_period
 from impulse_floquet.propagation import _mat_pows
 
 from helpers import make_system, rotation_system
+from test_magnus import systems
 
 SQRT5 = math.sqrt(5.0)
 
@@ -201,6 +203,25 @@ def dense_read_times(system, t_start, t_end):
     marks = [tau + k * T for tau in [0.0, *(imp.tau for imp in system.schedule.impulses)]
              for k in range(int(t_end / T) + 2)]
     return [*np.linspace(t_start, t_end, 41), *(t for t in marks if t_start <= t <= t_end)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems().filter(lambda s: s.schedule.r), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+def test_sample_matrices_reads_impulse_times_as_at_right(sys_, shifts):
+    # times within the knot tolerance of an impulse read the piece after the
+    # jump on the grid as in the scalar read; the grid once took the piece
+    # before it when the time rounded below the impulse
+    T, eps = sys_.period, knot_eps(sys_.period)
+    path = DensePath(sys_, 0.0, 3.0 * T)
+    ts = sorted(imp.tau + k * T + u * eps for imp in sys_.schedule.impulses
+                for k in range(3) for u in shifts)
+    _, prods = path.sample_matrices(np.array(ts))
+    for t, p in zip(ts, prods.tolist()):
+        ref = path.alpha_product(t, RIGHT)
+        if t <= T:
+            assert p == ref, t
+        else:  # the period's alpha product is raised to k - 1 by an array and a scalar power
+            assert abs(p - ref) <= 1e-12 * abs(ref), t
 
 
 class TestDensePath:
