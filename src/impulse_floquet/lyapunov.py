@@ -12,13 +12,14 @@ continuous across impulses and has exactly the zero set of x in the
 one-sided sense, which makes sign-change bracketing on a dense grid sound.
 The solution with z(t) = 0 is orthogonal to the row mapping initial states to z(t),
 so a window is disconjugate exactly when that row's angle, taken mod pi, is
-injective on it (the Pruefer angle; Reid 1980), whatever the sign of b.
+injective on it (the Pruefer angle; Reid 1980). Its rate b * det X / |row|^2 has
+det X > 0, so it turns back exactly where b takes both signs (Coppel 1971).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +39,6 @@ NOT_DISCONJUGATE = "not-disconjugate"
 _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
 _GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
 _ORACLE_SAMPLES = 1024
-_FLAT_TURN = 1e-9        # oracle angle steps (rad) this small are rounding of a saturated row
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 
 
@@ -93,8 +93,7 @@ class LyapunovWitness:
     lhs_sup: float
 
     def to_json(self) -> dict:
-        return {"t0": self.t0, "lhs": self.lhs, "holds": self.holds,
-                "t0_sup": self.t0_sup, "lhs_sup": self.lhs_sup}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,18 +103,13 @@ class DisconjugacyCheck:
     t0_at_sup: float
 
     def to_json(self) -> dict:
-        return {"status": self.status, "sup_value": self.sup_value,
-                "t0_at_sup": self.t0_at_sup}
+        return asdict(self)
 
 
 def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
     T = system.period
-    eps = 1e-9 * max(1.0, T)
-    for imp in system.schedule.impulses:
-        k = round((t - imp.tau) / T)
-        if abs(imp.tau + k * T - t) <= eps:
-            return True
-    return False
+    return any(abs(imp.tau + round((t - imp.tau) / T) * T - t) <= 1e-9 * max(1.0, T)
+               for imp in system.schedule.impulses)
 
 
 def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, float],
@@ -126,7 +120,6 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     sample; sign changes are refined by bracketing on the continuous z. Zeros closer
     together than the grid resolution cannot be separated.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     w0, w1 = window
     T = system.period
     t_start = initials[0].t if initials else w0
@@ -137,7 +130,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     pairs: list[ZeroPair | None] = [None] * len(initials)
     if not any(s.x or s.u for s in initials):
         return pairs
-    path = DensePath(system, t_start, w1, tol)
+    path = DensePath(system, t_start, w1, tolerances)
     imp = system.impulse_at(t_start)
     n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
     ts = np.linspace(w0, w1, n + 1)
@@ -233,7 +226,6 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     Also reports the supremum over all interior weight points; `holds` refers
     to the witness value against the bound 4 minus `slack`.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
     if pair.t2 - pair.t1 <= 1e-9 * max(1.0, T):
         raise ValueError("zero pair too narrow to evaluate")
@@ -241,7 +233,8 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     k, s1 = split_period(pair.t1, T) if sol is None else (0, pair.t1)
     offset = k * T
     if sol is None:  # a path from the period of t1
-        sol = RescaledSolution(DensePath(system, s1, pair.t2 - offset, tol), np.array([0.0, 1.0]))
+        sol = RescaledSolution(DensePath(system, s1, pair.t2 - offset, tolerances),
+                               np.array([0.0, 1.0]))
     ts = np.linspace(s1, pair.t2 - offset, _WINDOW_GRID + 2)[1:-1]
     zs = sol.z_samples(ts)
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
@@ -266,7 +259,7 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
     factors = _LhsFactors(system, t1, t2)
     sup, t0 = factors.sup_over_t0()
     certified = (sup < 4.0 - tol.strict * 4.0 and system.coeff_b.is_polynomial
-                 and segments_min(panel[:3] for panel in factors.b_panels)[0] >= 0.0)
+                 and _b_sign(system, t1, t2) in (0, 1))
     return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
 
 
@@ -284,25 +277,37 @@ def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
     return starts, changes
 
 
+def _b_sign(system: ImpulsiveSystem, t1: float, t2: float) -> int | None:
+    """1 where b >= 0 on [t1, t2], -1 where b <= 0, 0 where b = 0, None where b takes both
+    signs; from the minima of b and -b, exact for polynomial pieces, sampled for callables."""
+    pieces = [(p0, p1, seg) for _, s0, s1 in period_chunks(t1, t2, system.period)
+              for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
+    lo = segments_min(pieces)[0]
+    if lo > 0.0:
+        return 1
+    hi = -segments_min((p0, p1, seg.scaled(-1.0)) for p0, p1, seg in pieces)[0]
+    return None if lo < 0.0 < hi else 1 if hi > 0.0 else -1 if lo < 0.0 else 0
+
+
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
-    """Follow the angle of row(t), the first row of the rescaled fundamental matrix, on
-    a dense grid: the window is disconjugate exactly when the angle never turns back and
-    sweeps less than pi. A sampled turn-back or sweep of pi is a witness, so
-    `not-disconjugate` holds up to the accuracy of the samples; `disconjugate` can miss a
-    turn-back narrower than one grid step."""
+    """Not disconjugate where b takes both signs on the window, disconjugate where b is
+    0 on all of it; otherwise the angle of row(t), the first row of the rescaled
+    fundamental matrix, sweeps pi or more exactly when it is not. The sweep sums grid
+    steps read in b's direction: one below -pi/2 is a step of pi or more folded back by
+    arctan2, a smaller one against b is rounding that the telescoping sum keeps."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
-    tol = tolerances or DEFAULT_TOLERANCES
+    sign = _b_sign(system, t1, t2)
+    if sign is None:
+        return NOT_DISCONJUGATE
     _, s1 = split_period(t1, system.period)
     s2 = s1 + (t2 - t1)
-    path = DensePath(system, s1, s2, tol)
+    path = DensePath(system, s1, s2, tolerances)
     ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
     mats, prods = path.sample_matrices(ts)
     rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
     r, w = rows[:-1], rows[1:]
-    steps = np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
-    steps = steps[np.abs(steps) > _FLAT_TURN]
-    turns_back = np.any(steps < 0.0) and np.any(steps > 0.0)
-    return (NOT_DISCONJUGATE if turns_back or abs(steps.sum()) >= math.pi - _FLAT_TURN
+    reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
+    return (NOT_DISCONJUGATE if np.any(reads < -0.5 * math.pi) or reads.sum() >= math.pi
             else DISCONJUGATE)

@@ -392,17 +392,18 @@ class DensePath:
                 raise ValueError(f"t={t} outside path window")
 
     def at(self, t: float, side: str | None = None) -> tuple[np.ndarray, float]:
-        """Fundamental matrix and alpha product at t (side as in `_Window.at`)."""
+        """Matrix and alpha product at t (side as in `_Window.at`), bit for bit as on a grid."""
         self._check(t)
         if t <= self.head.t_to + self._eps:
             return self.head.at(t, side)
         k, s = split_period(t, self.system.period)
-        base = _mat_pows(self.cycle.end, [k - 1])[0] @ self.head.end
-        prod = self.head.aprod_end * self.cycle.aprod_end ** (k - 1)
-        if s == 0.0 and side in (None, LEFT):
-            return base, prod
-        M, p = self.cycle.at(s, side)
-        return M @ base, prod * p
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = _mat_pows(self.cycle.end, [k - 1])[0] @ self.head.end
+            prod = self.head.aprod_end * (self.cycle.aprod_end ** np.array([k - 1]))[0]
+            if s == 0.0 and side in (None, LEFT):
+                return base, prod
+            M, p = self.cycle.at(s, side)
+            return M @ base, prod * p
 
     def matrix(self, t: float, side: str | None = None) -> np.ndarray:
         return self.at(t, side)[0]

@@ -181,12 +181,6 @@ def validate_system(system: ImpulsiveSystem) -> list[str]:
         if imp.alpha == 0.0:
             out.append(f"impulse {i}: zero impulse multiplier")
         prev = imp.tau
-    for name, f in zip("abc", system.coefficients()):
-        if abs(f.domain_end - T) > eps:
-            continue
-        for i, imp in enumerate(system.schedule.impulses, start=1):
-            if eps < imp.tau < T - eps and all(abs(imp.tau - b) > eps for b in f.breakpoints):
-                out.append(f"coefficient {name}: impulse {i} time {imp.tau} missing from breakpoints")
     return out
 
 

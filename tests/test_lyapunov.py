@@ -304,6 +304,34 @@ class TestDisconjugacy:
         assert out["test"]["status"] == INCONCLUSIVE
         assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
 
+    def test_narrow_dip_of_b_not_disconjugate(self, capsys):
+        # b = (t - 0.5)^2 - 1e-6 is negative on (0.499, 0.501) only; there the row's
+        # angle turns back by 1.3e-9 rad over about 5 grid steps, and the solution that
+        # vanishes between the turns changes sign at 0.49827, 0.5 and 0.50173
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [0.25 - 1e-6, -1.0, 1.0]}],
+                                "c": [{"end": 1.0, "poly": [1.0]}]},
+               "impulses": []}
+        sys_ = system_from_descriptor(doc)
+        assert disconjugacy_test(sys_, 0.3, 0.7).status == INCONCLUSIVE
+        assert disconjugacy_oracle(sys_, 0.3, 0.7) == NOT_DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0.3", "--t2", "0.7"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["test"]["status"] == INCONCLUSIVE
+        assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
+
+    @pytest.mark.parametrize("t2", [0.4, 0.9])
+    def test_zero_b_stretch_counts_as_one_zero(self, t2):
+        # b = 0 on [0, 0.5]: the row's angle stands still there, and the solution that
+        # vanishes at one time of the stretch has x = 0 on all of it, one zero in all
+        b = poly(None, breaks=[0.5], per_segment=[(0.0,), (1.0,)])
+        sys_ = make_system(0.0, b, 1.0)
+        chk = disconjugacy_test(sys_, 0.1, t2)
+        assert chk.status == DISCONJUGATE_CERTIFIED
+        assert disconjugacy_oracle(sys_, 0.1, t2) == DISCONJUGATE
+
     @pytest.mark.parametrize("b_coeffs, status, verdict", [
         # b = t^2 touches 0 at t1
         ((0.0, 0.0, 1.0), DISCONJUGATE_CERTIFIED, DISCONJUGATE),
@@ -394,6 +422,15 @@ def _checked_oracle(sys_, t1, t2):
     verdict = disconjugacy_oracle(sys_, t1, t2)
     assert verdict == _oracle_by_sample(sys_, t1, t2), (t1, t2)
     return verdict
+
+
+@pytest.mark.parametrize("impulses", [(), ((1.0, -2.0, 0.0),)], ids=["no-impulse", "alpha=-2"])
+@pytest.mark.parametrize("t2, verdict", [(3.0, DISCONJUGATE), (3.3, NOT_DISCONJUGATE)])
+def test_oracle_matches_the_direction_loop_on_negative_b(impulses, t2, verdict):
+    # b = c = -1: x'' = -x, zeros pi apart, and the row's angle falls; an impulse
+    # that only scales the state leaves the rescaled row as it is
+    sys_ = make_system(0.0, -1.0, -1.0, T=4.0, impulses=impulses)
+    assert _checked_oracle(sys_, 0.0, t2) == verdict
 
 
 def test_oracle_matches_the_direction_loop():

@@ -17,6 +17,7 @@ from impulse_floquet import (DEFAULT_TOLERANCES, FuncSegment, IntegrationFailure
                              PiecewiseFunction, PolySegment, State, monodromy, propagate_state,
                              propagation)
 from impulse_floquet.descriptors import system_from_descriptor
+from impulse_floquet.piecewise import knot_eps
 from perfbench.inputs import sweep_descriptor
 
 from helpers import make_system, poly
@@ -105,6 +106,11 @@ def _reference_period_map(sys_, tol=DEFAULT_TOLERANCES):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_level_loop_matches_the_per_piece_loop(sys_):
+    # construction merges every impulse time inside the period into each coefficient
+    T, eps = sys_.period, knot_eps(sys_.period)
+    for f in sys_.coefficients():
+        assert all(any(abs(imp.tau - k) <= eps for k in f.breakpoints)
+                   for imp in sys_.schedule.impulses if eps < imp.tau < T - eps)
     ref_steps, ref_map = _reference_period_map(sys_)
     (window,) = propagation._windows([(sys_, 0.0, sys_.period, False)], DEFAULT_TOLERANCES)
     steps = [p.steps for p in window.pieces if len(p.steps)]

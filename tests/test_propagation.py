@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from impulse_floquet import (DensePath, IntegrationFailureError, State, Tolerances,
                              floquet_multipliers, fundamental_matrix, monodromy,
                              propagate_state)
+from impulse_floquet.descriptors import system_from_descriptor
 from impulse_floquet.harness import GeneratorSpec, generate
 from impulse_floquet.piecewise import LEFT, RIGHT, knot_eps, split_period
 from impulse_floquet.propagation import _mat_pows
@@ -189,7 +190,7 @@ def two_lookup_reference(path, t, side=None):
         return matrix_piece.at(min(max(t, matrix_piece.lo), matrix_piece.hi)), alpha_piece.aprod
     k, s = split_period(t, T)
     base = _mat_pows(path.cycle.end, [k - 1])[0] @ path.head.end
-    prod = path.head.aprod_end * path.cycle.aprod_end ** (k - 1)
+    prod = path.head.aprod_end * (path.cycle.aprod_end ** np.array([k - 1]))[0]  # grid power
     if s == 0.0 and side in (None, LEFT):
         return base, prod
     matrix_piece, alpha_piece = _located_piece(path.cycle, s, side), _located_piece(path.cycle, s, side)
@@ -217,11 +218,7 @@ def test_sample_matrices_reads_impulse_times_as_at_right(sys_, shifts):
                 for k in range(3) for u in shifts)
     _, prods = path.sample_matrices(np.array(ts))
     for t, p in zip(ts, prods.tolist()):
-        ref = path.alpha_product(t, RIGHT)
-        if t <= T:
-            assert p == ref, t
-        else:  # the period's alpha product is raised to k - 1 by an array and a scalar power
-            assert abs(p - ref) <= 1e-12 * abs(ref), t
+        assert p == path.alpha_product(t, RIGHT), t
 
 
 class TestDensePath:
@@ -241,6 +238,20 @@ class TestDensePath:
                 assert path.alpha_product(float(t), side) == p
                 y0 = np.array([1.0, -2.0])
                 assert path.eval_state(float(t), y0, side).tobytes() == (M @ y0).tobytes()
+
+    def test_scalar_read_has_the_grid_bits_up_to_and_past_the_float_range(self):
+        # alpha = 1.9 once a period, from a descriptor (Python floats): the alpha
+        # product leaves the float range after about 1,106 periods
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [1.0]}],
+                                "c": [{"end": 1.0, "poly": [1.0]}]},
+               "impulses": [{"tau": 0.5, "alpha": 1.9, "beta": 0.0}]}
+        path = DensePath(system_from_descriptor(doc), 0.0, 1200.0)
+        ts = [*np.linspace(1.25, 1100.25, 400), 1199.25, 1199.5]
+        _, prods = path.sample_matrices(np.array(ts))
+        assert [path.alpha_product(float(t), RIGHT) for t in ts] == prods.tolist()
+        assert math.isfinite(prods[-3]) and prods[-2] == prods[-1] == math.inf
 
     def test_multi_period_closed_form(self):
         sys_ = rotation_system(1.0)
