@@ -19,14 +19,14 @@ det X > 0, so it turns back exactly where b takes both signs (Coppel 1971).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
-from .piecewise import (CumulativeIntegral, adaptive_integral, bracketed_root, grid_golden_min,
-                        integrate_panels, integrate_periodic, knot_eps, period_chunks,
-                        segments_min, split_period)
+from .piecewise import (CumulativeIntegral, PolySegment, adaptive_integral, bracketed_root,
+                        grid_golden_min, integrate_panels, integrate_periodic, knot_eps,
+                        period_chunks, segments_min, split_period)
 from .propagation import DensePath, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -93,7 +93,8 @@ class LyapunovWitness:
     lhs_sup: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"t0": self.t0, "lhs": self.lhs, "holds": self.holds,
+                "t0_sup": self.t0_sup, "lhs_sup": self.lhs_sup}
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,18 @@ class DisconjugacyCheck:
     t0_at_sup: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"status": self.status, "sup_value": self.sup_value,
+                "t0_at_sup": self.t0_at_sup}
 
 
 def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
     T = system.period
-    return any(abs(imp.tau + round((t - imp.tau) / T) * T - t) <= 1e-9 * max(1.0, T)
-               for imp in system.schedule.impulses)
+    eps = 1e-9 * max(1.0, T)
+    for imp in system.schedule.impulses:
+        k = round((t - imp.tau) / T)
+        if abs(imp.tau + k * T - t) <= eps:
+            return True
+    return False
 
 
 def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, float],
@@ -120,6 +126,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     sample; sign changes are refined by bracketing on the continuous z. Zeros closer
     together than the grid resolution cannot be separated.
     """
+    tol = tolerances or DEFAULT_TOLERANCES
     w0, w1 = window
     T = system.period
     t_start = initials[0].t if initials else w0
@@ -130,7 +137,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     pairs: list[ZeroPair | None] = [None] * len(initials)
     if not any(s.x or s.u for s in initials):
         return pairs
-    path = DensePath(system, t_start, w1, tolerances)
+    path = DensePath(system, t_start, w1, tol)
     imp = system.impulse_at(t_start)
     n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
     ts = np.linspace(w0, w1, n + 1)
@@ -176,8 +183,7 @@ class _LhsFactors:
         self._cum_a = CumulativeIntegral(system.coeff_a)
         # pieces of b in the window, each with the a-integral of its whole periods
         self.b_panels = [(p0, p1, seg, k * self._cum_a.total)
-                         for k, s0, s1 in period_chunks(t1, t2, system.period)
-                         for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
+                         for p0, p1, seg, k in _b_pieces(system, t1, t2)]
         self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos")
                         + system.schedule.ratio_sum(t1, t2, positive=True))
         self.weighted_b = self._weighted_b_integral()
@@ -226,6 +232,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     Also reports the supremum over all interior weight points; `holds` refers
     to the witness value against the bound 4 minus `slack`.
     """
+    tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
     if pair.t2 - pair.t1 <= 1e-9 * max(1.0, T):
         raise ValueError("zero pair too narrow to evaluate")
@@ -233,8 +240,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     k, s1 = split_period(pair.t1, T) if sol is None else (0, pair.t1)
     offset = k * T
     if sol is None:  # a path from the period of t1
-        sol = RescaledSolution(DensePath(system, s1, pair.t2 - offset, tolerances),
-                               np.array([0.0, 1.0]))
+        sol = RescaledSolution(DensePath(system, s1, pair.t2 - offset, tol), np.array([0.0, 1.0]))
     ts = np.linspace(s1, pair.t2 - offset, _WINDOW_GRID + 2)[1:-1]
     zs = sol.z_samples(ts)
     sign = 1.0 if float(np.max(zs)) >= -float(np.min(zs)) else -1.0
@@ -259,7 +265,7 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
     factors = _LhsFactors(system, t1, t2)
     sup, t0 = factors.sup_over_t0()
     certified = (sup < 4.0 - tol.strict * 4.0 and system.coeff_b.is_polynomial
-                 and _b_sign(system, t1, t2) in (0, 1))
+                 and _b_sign(factors.b_panels) in (0, 1))
     return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
 
 
@@ -277,37 +283,48 @@ def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
     return starts, changes
 
 
-def _b_sign(system: ImpulsiveSystem, t1: float, t2: float) -> int | None:
-    """1 where b >= 0 on [t1, t2], -1 where b <= 0, 0 where b = 0, None where b takes both
-    signs; from the minima of b and -b, exact for polynomial pieces, sampled for callables."""
-    pieces = [(p0, p1, seg) for _, s0, s1 in period_chunks(t1, t2, system.period)
-              for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
-    lo = segments_min(pieces)[0]
+def _b_pieces(system: ImpulsiveSystem, t1: float, t2: float) -> list:
+    """(lo, hi, segment, k): the pieces of b in [t1, t2], each in its period k."""
+    return [(p0, p1, seg, k) for k, s0, s1 in period_chunks(t1, t2, system.period)
+            for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
+
+
+def _b_sign(pieces, samples=()) -> int | None:
+    """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0,
+    None where b takes both signs; from the minima of b and -b over the pieces (exact
+    for polynomial pieces, sampled for callables) and from the given samples of b."""
+    lo = float(np.min(samples, initial=segments_min(p[:3] for p in pieces)[0]))
     if lo > 0.0:
         return 1
-    hi = -segments_min((p0, p1, seg.scaled(-1.0)) for p0, p1, seg in pieces)[0]
-    return None if lo < 0.0 < hi else 1 if hi > 0.0 else -1 if lo < 0.0 else 0
+    hi = float(np.max(samples, initial=-segments_min((p0, p1, seg.scaled(-1.0))
+                                                     for p0, p1, seg, *_ in pieces)[0]))
+    return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
-    """Not disconjugate where b takes both signs on the window, disconjugate where b is
-    0 on all of it; otherwise the angle of row(t), the first row of the rescaled
-    fundamental matrix, sweeps pi or more exactly when it is not. The sweep sums grid
-    steps read in b's direction: one below -pi/2 is a step of pi or more folded back by
-    arctan2, a smaller one against b is rounding that the telescoping sum keeps."""
+    """Not disconjugate where b takes both signs on the window, disconjugate where b is 0
+    on all of it; otherwise row(t)'s angle is monotone in b's direction and the window is
+    not disconjugate exactly when it sweeps pi. No true grid step goes against b, so a read
+    below -pi/2, or reads summing to -pi or less, are steps folded back by arctan2; a miss
+    needs one step of over 3pi/2. A callable b is also read at the grid times."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
-    sign = _b_sign(system, t1, t2)
-    if sign is None:
-        return NOT_DISCONJUGATE
-    _, s1 = split_period(t1, system.period)
+    tol = tolerances or DEFAULT_TOLERANCES
+    T = system.period
+    _, s1 = split_period(t1, T)
     s2 = s1 + (t2 - t1)
-    path = DensePath(system, s1, s2, tolerances)
     ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
+    pieces = _b_pieces(system, s1, s2)
+    samples = [seg(ts[(ts >= k * T + p0) & (ts <= k * T + p1)] - k * T)
+               for p0, p1, seg, k in pieces if not isinstance(seg, PolySegment)]
+    sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
+    if sign in (None, 0):
+        return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
+    path = DensePath(system, s1, s2, tol)
     mats, prods = path.sample_matrices(ts)
     rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
     r, w = rows[:-1], rows[1:]
     reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
-    return (NOT_DISCONJUGATE if np.any(reads < -0.5 * math.pi) or reads.sum() >= math.pi
+    return (NOT_DISCONJUGATE if np.any(reads < -0.5 * math.pi) or abs(reads.sum()) >= math.pi
             else DISCONJUGATE)

@@ -322,6 +322,34 @@ class TestDisconjugacy:
         assert out["test"]["status"] == INCONCLUSIVE
         assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
 
+    @pytest.mark.parametrize("bc, t2", [(5630.0, 1.0), (40.0, 140.0)])
+    def test_folded_grid_steps_not_disconjugate(self, bc, t2, capsys):
+        # b = c: row(t) turns at the rate b, so zeros are pi / b apart. Here each of the
+        # 1,024 grid steps turns row(t) by about 7pi/4, which arctan2 reads as about
+        # -pi/4: reads summing far below -pi against b, which rounding cannot make
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [bc]}],
+                                "c": [{"end": 1.0, "poly": [bc]}]},
+               "impulses": []}
+        sys_ = system_from_descriptor(doc)
+        assert _checked_oracle(sys_, 0.0, t2) == NOT_DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0", "--t2", str(t2)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["test"]["status"] == INCONCLUSIVE
+        assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
+
+    def test_narrow_dip_of_a_callable_b_not_disconjugate(self):
+        # b < 0 only on (0.3042, 0.3058), between the sampled minimum's Chebyshev nodes
+        # (its golden-section search refines the sine's minimum at 0.75); the oracle
+        # also reads a callable b at its grid times, and 312/1024 lies in the dip
+        b = PiecewiseFunction.from_callable(
+            lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t)
+            - 3.0 * np.exp(-(((t - 0.305) / 1e-3) ** 2)), 1.0)
+        sys_ = make_system(0.0, b, 1.0)
+        assert _checked_oracle(sys_, 0.0, 1.0) == NOT_DISCONJUGATE
+
     @pytest.mark.parametrize("t2", [0.4, 0.9])
     def test_zero_b_stretch_counts_as_one_zero(self, t2):
         # b = 0 on [0, 0.5]: the row's angle stands still there, and the solution that
