@@ -290,6 +290,8 @@ def cmd_simulate(args) -> int:
 def cmd_selftest(args) -> int:
     tol = _tolerances(args)
     n = args.n
+    if n < 0:
+        raise DescriptorError("selftest needs --n >= 0")
     results = {}
     bad = False
     for mode in (FORCE_MAIN, FORCE_GUSEINOV_ZAFER):

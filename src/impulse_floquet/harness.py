@@ -8,8 +8,10 @@ either the integrator or the criteria arithmetic.
 
 Constraint modes rescale rather than reject: the coefficient c and all
 impulse strengths are scaled by a common closed-form factor until the
-product-type hypothesis meets the target margin, after first shrinking a
-until the feasible window for that factor is nonempty.
+product-type hypothesis meets the target margin, after first shrinking a by
+rounds of 0.7 until the mean condition has room and the feasible window for
+that factor is nonempty. The rounds are counted from one integral of |a| and
+one of a^2/b (the criteria's own), which scale as lam and lam^2 under a <- lam*a.
 """
 
 from __future__ import annotations
@@ -103,80 +105,53 @@ def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
 
     force = spec.mode in (FORCE_MAIN, FORCE_GUSEINOV_ZAFER)
     if r > 0 and (force or spec.mode == FORCE_ALPHA_PRODUCT_ONE):
-        head = 1.0
-        for al in alphas[:-1]:
-            head *= al
-        alphas[-1] = float(rng.choice([-1.0, 1.0])) / head
+        alphas[-1] = float(rng.choice([-1.0, 1.0])) / math.prod(alphas[:-1])
 
-    if spec.mode == POSITIVE_B:
+    if force or spec.mode == POSITIVE_B:
         min_b = _min_value(coeff_b)
         if min_b < 0.2:
             coeff_b = coeff_b.plus_constant(0.2 - min_b)
-    if force:
-        coeff_a, coeff_b, coeff_c, betas = _force_hypotheses(
-            spec, coeff_a, coeff_b, coeff_c, taus, alphas, betas)
-
     schedule = ImpulseSchedule(T, tuple(Impulse(t, al, be)
                                         for t, al, be in zip(taus, alphas, betas)))
+    if force:
+        return _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule)
     return ImpulsiveSystem(coeff_a, coeff_b, coeff_c, schedule)
 
 
-def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, taus, alphas, betas):
+def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule) -> ImpulsiveSystem:
     """Adjust (a, c, beta) so the selected criterion holds with the margin."""
     T = spec.period
-
-    min_b = _min_value(coeff_b)
-    if min_b < 0.2:
-        coeff_b = coeff_b.plus_constant(0.2 - min_b)
-    int_b = coeff_b.integrate(0.0, T, "identity")
-
-    sum_ratio = sum(be / al for al, be in zip(alphas, betas))
-    int_c = coeff_c.integrate(0.0, T, "identity")
-    gap = 0.3 - (int_c + sum_ratio)
+    int_c = coeff_c.integrate(0.0, T)
+    gap = 0.3 - (int_c + schedule.ratio_sum())
     if gap > 0.0:
         coeff_c = coeff_c.plus_constant(gap / T)
         int_c += gap
-    g_val = int_c + sum_ratio
-
-    h_val = (coeff_c.integrate(0.0, T, "pos")
-             + sum(max(be / al, 0.0) for al, be in zip(alphas, betas)))
+    q = crit._Quantities(ImpulsiveSystem(coeff_a, coeff_b, coeff_c, ImpulseSchedule(T)),
+                         DEFAULT_TOLERANCES)
+    g_val = int_c + schedule.ratio_sum()
+    h_val = q.int_c_plus + schedule.ratio_sum(positive=True)
     margin = max(spec.margin, 1e-9)
 
-    def s_bound(a_fn: PiecewiseFunction) -> float:
-        int_abs_a = a_fn.integrate(0.0, T, "abs")
+    def s_bound(int_abs_a: float) -> float:
         if spec.mode == FORCE_MAIN:
-            return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * int_b * h_val)
+            return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * q.int_b * h_val)
         room = 2.0 - margin - int_abs_a
-        if room <= 0.0:
-            return -1.0
-        return room * room / (int_b * h_val)
+        return room * room / (q.int_b * h_val) if room > 0.0 else -1.0
 
-    def k_val(a_fn: PiecewiseFunction) -> float:
-        total = 0.0
-        knots_union = sorted(set(a_fn.knots) | set(coeff_b.knots))
-        for lo, hi in zip(knots_union[:-1], knots_union[1:]):
-            sa = a_fn.segments[a_fn._interior_index(0.5 * (lo + hi))]
-            sb = coeff_b.segments[coeff_b._interior_index(0.5 * (lo + hi))]
-            ts = np.linspace(lo, hi, 33)
-            av = np.asarray(sa(ts), dtype=float)
-            bv = np.asarray(sb(ts), dtype=float)
-            vals = av * av / bv
-            total += float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)))
-        return total
-
+    lam = 1.0
     for _ in range(200):
-        sb = s_bound(coeff_a)
-        if sb > 0.0 and k_val(coeff_a) <= 0.45 * g_val * min(sb, 1.0):
+        sb = s_bound(lam * q.int_abs_a)
+        if sb > 0.0 and lam * lam * q.int_a2_over_b <= 0.45 * g_val * min(sb, 1.0):
             break
-        coeff_a = coeff_a.scaled(0.7)
+        lam *= 0.7
+        coeff_a = coeff_a.scaled(0.7)  # not scaled(0.7**j), which moves the last bits
     else:
         raise GenerationError("could not satisfy the criterion hypotheses "
                               "within the iteration budget")
 
-    s = min(1.0, s_bound(coeff_a))
-    coeff_c = coeff_c.scaled(s)
-    betas = [s * be for be in betas]
-    return coeff_a, coeff_b, coeff_c, betas
+    s = min(1.0, s_bound(coeff_a.integrate(0.0, T, "abs")))
+    return ImpulsiveSystem(coeff_a, coeff_b, coeff_c.scaled(s), ImpulseSchedule(
+        T, tuple(replace(imp, beta=s * imp.beta) for imp in schedule.impulses)))
 
 
 # -- sweeps ------------------------------------------------------------------

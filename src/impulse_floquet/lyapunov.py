@@ -27,7 +27,7 @@ import numpy as np
 from .piecewise import (CumulativeIntegral, PolySegment, adaptive_integral, bracketed_root,
                         grid_golden_min, integrate_panels, integrate_periodic, knot_eps,
                         period_chunks, segments_min, split_period)
-from .propagation import DensePath, State
+from .propagation import DensePath, IntegrationFailureError, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -307,7 +307,8 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     on all of it; otherwise row(t)'s angle is monotone in b's direction and the window is
     not disconjugate exactly when it sweeps pi. No true grid step goes against b, so a read
     below -pi/2, or reads summing to -pi or less, are steps folded back by arctan2; a miss
-    needs one step of over 3pi/2. A callable b is also read at the grid times."""
+    needs one step of over 3pi/2. A callable b is also read at the grid times. A
+    non-finite reading raises IntegrationFailureError at the last finite grid time."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
@@ -326,5 +327,8 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
     r, w = rows[:-1], rows[1:]
     reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
+    bad = np.flatnonzero(~np.isfinite(reads))
+    if bad.size:
+        raise IntegrationFailureError("non-finite angle reading", float(ts[bad[0]]))
     return (NOT_DISCONJUGATE if np.any(reads < -0.5 * math.pi) or abs(reads.sum()) >= math.pi
             else DISCONJUGATE)

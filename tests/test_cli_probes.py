@@ -247,6 +247,15 @@ def test_invalid_flag_value_exits_2_at_once(tmp_path, capsys, command, flags):
     assert flags[0] in err
 
 
+def test_negative_selftest_count_exits_2(capsys):
+    # once exit 0 with "n": -3 in the summary; --n 0 stays valid (test_empty_sweep)
+    with _within(2.0):
+        rc, out, err = run(capsys, ["selftest", "--n", "-3"])
+    assert rc == 2 and out == ""
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert "--n" in err
+
+
 def _end_at_the_period(second_end):
     doc = rotation_descriptor(T=1.0)
     doc["coefficients"]["a"] = [{"end": 1.0, "poly": [0.0]}, {"end": second_end, "poly": [0.5]}]

@@ -1,14 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from impulse_floquet import system_to_descriptor
+from impulse_floquet import criteria, harness, piecewise, system_to_descriptor
 from impulse_floquet.criteria import CERTIFIED
 from impulse_floquet.harness import (FORCE_ALPHA_PRODUCT_ONE, FORCE_GUSEINOV_ZAFER,
                                      FORCE_MAIN, IMPULSE_FREE, POSITIVE_B,
                                      GeneratorSpec, generate, lyapunov_sweep,
                                      soundness_sweep)
+from impulse_floquet.system import Impulse, ImpulseSchedule, ImpulsiveSystem
+from impulse_floquet.tolerances import DEFAULT_TOLERANCES
 
 
 class TestGenerate:
@@ -57,6 +60,88 @@ class TestGenerate:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec(mode="bogus")
+
+
+def _force_round_by_round(spec, coeff_a, coeff_b, coeff_c, schedule):
+    """Reference for harness._force_hypotheses: each round shrinks a by 0.7 and
+    integrates |a| and a^2/b of the shrunk a again."""
+    T = spec.period
+    alphas = [imp.alpha for imp in schedule.impulses]
+    betas = [imp.beta for imp in schedule.impulses]
+    int_b = coeff_b.integrate(0.0, T, "identity")
+    sum_ratio = sum(be / al for al, be in zip(alphas, betas))
+    int_c = coeff_c.integrate(0.0, T, "identity")
+    gap = 0.3 - (int_c + sum_ratio)
+    if gap > 0.0:
+        coeff_c = coeff_c.plus_constant(gap / T)
+        int_c += gap
+    g_val = int_c + sum_ratio
+    h_val = (coeff_c.integrate(0.0, T, "pos")
+             + sum(max(be / al, 0.0) for al, be in zip(alphas, betas)))
+    margin = max(spec.margin, 1e-9)
+
+    def s_bound(a_fn):
+        int_abs_a = a_fn.integrate(0.0, T, "abs")
+        if spec.mode == FORCE_MAIN:
+            return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * int_b * h_val)
+        room = 2.0 - margin - int_abs_a
+        if room <= 0.0:
+            return -1.0
+        return room * room / (int_b * h_val)
+
+    def k_val(a_fn):
+        probe = ImpulsiveSystem(a_fn, coeff_b, coeff_c, ImpulseSchedule(T))
+        return criteria._Quantities(probe, DEFAULT_TOLERANCES).int_a2_over_b
+
+    for _ in range(200):
+        sb = s_bound(coeff_a)
+        if sb > 0.0 and k_val(coeff_a) <= 0.45 * g_val * min(sb, 1.0):
+            break
+        coeff_a = coeff_a.scaled(0.7)
+    else:
+        raise harness.GenerationError("iteration budget")
+    s = min(1.0, s_bound(coeff_a))
+    return ImpulsiveSystem(coeff_a, coeff_b, coeff_c.scaled(s), ImpulseSchedule(
+        T, tuple(Impulse(imp.tau, imp.alpha, s * imp.beta) for imp in schedule.impulses)))
+
+
+class TestForceHypotheses:
+    @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
+    def test_scaled_integrals_match_the_round_by_round_loop(self, monkeypatch, mode):
+        specs = [GeneratorSpec(seed=seed, mode=mode, margin=1e-3) for seed in range(200)]
+        fast = [system_to_descriptor(generate(spec)) for spec in specs]
+        monkeypatch.setattr(harness, "_force_hypotheses", _force_round_by_round)
+        assert fast == [system_to_descriptor(generate(spec)) for spec in specs]
+
+    @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
+    def test_integrals_do_not_grow_with_the_rounds(self, monkeypatch, mode):
+        calls = {"integrate": 0, "integrate_panels": 0, "rounds": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_scaled = piecewise.PiecewiseFunction.scaled
+
+        def scaled(self, factor):
+            calls["rounds"] += factor == 0.7
+            return real_scaled(self, factor)
+
+        monkeypatch.setattr(piecewise.PiecewiseFunction, "integrate",
+                            counted("integrate", piecewise.PiecewiseFunction.integrate))
+        for module in (piecewise, criteria):
+            monkeypatch.setattr(module, "integrate_panels",
+                                counted("integrate_panels", piecewise.integrate_panels))
+        monkeypatch.setattr(piecewise.PiecewiseFunction, "scaled", scaled)
+        counts = []
+        for seed, rounds in ((4, 0), (9, 5)):
+            calls.update(integrate=0, integrate_panels=0, rounds=0)
+            generate(GeneratorSpec(seed=seed, mode=mode, margin=1e-3))
+            assert calls["rounds"] == rounds
+            counts.append((calls["integrate"], calls["integrate_panels"]))
+        assert counts[0] == counts[1]
 
 
 class TestSoundnessSweep:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DensePath, ImpulsiveSystem, PiecewiseFunction, RescaledSolution,
+from impulse_floquet import (DensePath, EvaluationError, ImpulsiveSystem,
+                             IntegrationFailureError, PiecewiseFunction, RescaledSolution,
                              State, cli, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
                              lyapunov_lhs, lyapunov_verify)
 from impulse_floquet.descriptors import system_from_descriptor, system_to_descriptor
@@ -349,6 +350,18 @@ class TestDisconjugacy:
             - 3.0 * np.exp(-(((t - 0.305) / 1e-3) ** 2)), 1.0)
         sys_ = make_system(0.0, b, 1.0)
         assert _checked_oracle(sys_, 0.0, 1.0) == NOT_DISCONJUGATE
+
+    def test_non_finite_angle_reading_raises(self):
+        # b is NaN on (0.49, 0.51): no Magnus node lands there, but the dense path reads
+        # NaN rows from 0.453125 on, and a NaN reading once passed both verdict tests
+        b = PiecewiseFunction.from_callable(
+            lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 0.0), 1.0)
+        sys_ = make_system(0.0, b, 1.0)
+        with pytest.raises(EvaluationError):
+            disconjugacy_test(sys_, 0.0, 1.0)
+        with pytest.raises(IntegrationFailureError) as info:
+            disconjugacy_oracle(sys_, 0.0, 1.0)
+        assert info.value.t_last == 463 / 1024  # the last grid time with a finite row
 
     @pytest.mark.parametrize("t2", [0.4, 0.9])
     def test_zero_b_stretch_counts_as_one_zero(self, t2):
