@@ -148,29 +148,12 @@ def _taylor_shift(coeffs, lo: float) -> list[float]:
     Integrating in the shifted variable keeps the rounding at the size of a
     panel's own values: a global-time antiderivative differences two values of
     size |c_k| * t^(k+1), which on a short panel far from t = 0 loses most
-    digits. The shift itself sums terms of that size. Where they cancel (a
-    shifted coefficient below a quarter of the shift of |c| at |lo|, which
-    bounds them) it is redone exactly in integers, each coefficient rounded
-    once. A non-finite input, or a coefficient past the float range, keeps the
-    floating-point shift, which carries it to the caller's check of the values."""
-    q, bound, mag = list(coeffs), [abs(c) for c in coeffs], abs(lo)
+    digits."""
+    q = list(coeffs)
     for i in range(len(q) - 1):
         for j in range(len(q) - 2, i - 1, -1):
             q[j] += lo * q[j + 1]
-            bound[j] += mag * bound[j + 1]
-    if all(b <= 4.0 * abs(c) for b, c in zip(bound, q)):
-        return q
-    try:
-        (m, e), *ratios = (x.as_integer_ratio() for x in (lo, *coeffs))
-        deg = len(ratios) - 1
-        den = max(d for _, d in ratios)
-        exact = [n * (den // d) * e ** (deg - k) for k, (n, d) in enumerate(ratios)]  # c_k den e^(deg-k)
-        for i in range(deg):
-            for j in range(deg - 1, i - 1, -1):
-                exact[j] += m * exact[j + 1]
-        return [c / (den * e ** (deg - k)) for k, c in enumerate(exact)]
-    except (OverflowError, ValueError):
-        return q
+    return q
 
 
 def _antiderivative(coeffs) -> tuple[float, ...]:

@@ -17,13 +17,13 @@ from test_cli import run
 # The two forced modes coincide: on seeds 0-9 they generate the same systems.
 ANALYZE = {
     "unconstrained": "5cf6b507be5bebd633f77184d682cfd4f20aaf67777e44d64a9900a99c6119d7",
-    "impulse-free": "f11a65ed606e4d8838917c93bfec2ab3eeb2c6c19fe28c2903beb6dc1f88a9ea",
+    "impulse-free": "168f7b658adb8a8f17097a3b9de1dbe432357d3e3488b492c35dac82cf303aaa",
     "positive-b": "165d8e609e7fbba2b14423f87b78f2809b46d8def1db04c57e8ac9604d0b2540",
-    "force-alpha-product-one": "198531e76a66645091f97d5bf7141289a7e2c325eba3ce22708f6717f3e5940d",
+    "force-alpha-product-one": "367c9945ff350e9be1531bf500f4bacd90dcd95824d3318acff4de92df1e822d",
     "force-main": "37106ed19ce693dac7a98a91ccb613b6f31c3536e7b9f497baf35636e39b95e9",
     "force-guseinov-zafer": "37106ed19ce693dac7a98a91ccb613b6f31c3536e7b9f497baf35636e39b95e9",
 }
-DISCONJUGACY = "df6c3402c17d41f59f117975ec8c71303591a70cff0c10dcba7685e8cd1181d7"
+DISCONJUGACY = "8d0f7d5d789c13c0f691674f2b9ac8fab6c19639b14aa5c5b1a10a820d62347c"
 
 
 def _digest(capsys, argvs) -> str:

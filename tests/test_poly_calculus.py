@@ -87,21 +87,6 @@ def test_short_panel_far_from_zero_keeps_its_digits():
     assert cum.values(np.array([998.0]))[0] == cum.value(998.0)
 
 
-def test_cancelling_shift_keeps_the_panel_digits():
-    # three roots in [4.804, 5] and terms of size 1e4 that cancel to values
-    # below 1e-2: a floating-point shift to t - lo lost 3.7e-10 of the integral
-    coeffs = (-1613.570394341913, 1339.6810397516506, -417.2212641929574, 57.76551719319693, -3.0)
-    lo, hi = 4.803992736245344, 5.0
-    f = PiecewiseFunction(5.0, (), (PolySegment(coeffs),))
-    exact = _exact_integral(coeffs, lo, hi)
-    assert abs(Fraction(f.integrate(lo, hi)) - exact) <= 1e-14 * abs(exact)
-    shifted = [Fraction(c) for c in coeffs]
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] += Fraction(lo) * shifted[j + 1]
-    assert piecewise._taylor_shift(coeffs, lo) == [float(c) for c in shifted]
-
-
 def test_antiderivative_is_polyint():
     rng = np.random.default_rng(7)
     for _ in range(50):
