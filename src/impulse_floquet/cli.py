@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,15 +39,18 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
 _SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long-running processes
+_TOL_FLAGS = {"abs": "ODE absolute tolerance", "rel": "ODE relative tolerance",
+              "strict": "strictness tolerance for criteria margins"}
 
 
 def _tolerances(args):
-    flags = {"abs": args.tol_abs, "rel": args.tol_rel, "strict": args.tol_strict}
+    # a command has the --tol-* flags of the tolerances it reads, and only those
+    flags = {name: getattr(args, f"tol_{name}", None) for name in _TOL_FLAGS}
     for name, value in flags.items():
         if value is not None and not 0.0 <= value < math.inf:
             raise DescriptorError(f"--tol-{name} must be finite and >= 0, got {value}")
-    return DEFAULT_TOLERANCES.with_overrides(abs_tol=args.tol_abs, rel_tol=args.tol_rel,
-                                             strict=args.tol_strict)
+    return DEFAULT_TOLERANCES.with_overrides(abs_tol=flags["abs"], rel_tol=flags["rel"],
+                                             strict=flags["strict"])
 
 
 def _open_output(args):
@@ -197,7 +199,7 @@ def _sweep_chunk(job) -> list[list]:
         point = doc
         try:
             for path, value in assignments:
-                point = set_descriptor_value(point, path, float(value), copy=True)
+                point = set_descriptor_value(point, path, float(value))
             systems.append(system_from_descriptor(point))
         except (DescriptorError, InvalidSystemError) as exc:
             systems.append(exc)
@@ -226,7 +228,7 @@ def cmd_sweep(args) -> int:
     if not 1 <= len(axes) <= 2:
         raise DescriptorError("sweep needs one or two --axes")
     for path, vals in axes:
-        set_descriptor_value(doc, path, float(vals[0]), copy=True)
+        set_descriptor_value(doc, path, float(vals[0]))
 
     paths = [p for p, _ in axes]
     points = [[]]
@@ -312,23 +314,13 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, tols=tuple(_TOL_FLAGS), with_input=True) -> None:
     if with_input:
         p.add_argument("--input", required=True,
                        help="system descriptor path, or - for stdin")
-    p.add_argument("--tol-abs", type=float, default=None, help="ODE absolute tolerance")
-    p.add_argument("--tol-rel", type=float, default=None, help="ODE relative tolerance")
-    p.add_argument("--tol-strict", type=float, default=None,
-                   help="strictness tolerance for criteria margins")
+    for name in tols:
+        p.add_argument(f"--tol-{name}", type=float, default=None, help=_TOL_FLAGS[name])
     p.add_argument("--output", default="-", help="output path, or - for stdout")
-
-
-def _default_workers() -> int:
-    env = os.environ.get("IMPULSE_FLOQUET_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @functools.cache
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("criteria", help="criteria reports only")
-    _add_common(p)
+    _add_common(p, ("strict",))
     p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_criteria)
 
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", action="append", required=True,
                    metavar="PATH=LO:HI:STEPS",
                    help="sweep axis; repeat for a second axis (row-major order)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("disconjugacy", help="two-zero certificate plus brute-force oracle")
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disconjugacy)
 
     p = sub.add_parser("simulate", help="multi-period trajectory CSV (t, x, u, z, v)")
-    _add_common(p)
+    _add_common(p, ("abs", "rel"))
     p.add_argument("--periods", type=int, required=True)
     p.add_argument("--samples-per-period", type=int, default=32)
     p.add_argument("--x0", type=float, default=1.0)
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_input=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -383,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) is None:  # read per call, not when the parser is built
-        args.workers = _default_workers()
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -153,16 +153,16 @@ def load_system(source: str) -> ImpulsiveSystem:
     return system_from_descriptor(read_descriptor_source(source))
 
 
-def set_descriptor_value(doc: dict, path: str, value: float, copy: bool = False) -> dict:
-    """Assign into a descriptor by path, e.g. 'impulses[0].beta' or
-    'coefficients.c[0].poly[1]', and return it. With `copy`, the assignment
-    goes into copies of the containers along the path, and `doc` is unchanged."""
+def set_descriptor_value(doc: dict, path: str, value: float) -> dict:
+    """A new descriptor: `doc` with the value at a path such as 'impulses[0].beta' or
+    'coefficients.c[0].poly[1]' replaced. The containers along the path are copied;
+    `doc` and everything off the path are shared, unchanged."""
     def step(container, key):
-        if copy and isinstance(container[key], (dict, list)):
+        if isinstance(container[key], (dict, list)):
             container[key] = type(container[key])(container[key])
         return container[key]
 
-    target = root = dict(doc) if copy and isinstance(doc, dict) else doc
+    target = root = dict(doc) if isinstance(doc, dict) else doc
     parts = path.split(".")
     trail = []
     for n, part in enumerate(parts):

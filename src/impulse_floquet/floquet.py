@@ -58,13 +58,13 @@ def _bounded_direction(X: np.ndarray, rho: float) -> tuple[float, float]:
     return (float(v[0] / n), float(v[1] / n))
 
 
-def classify(m: MonodromyResult, tol: float = BOUNDARY_TOL) -> StabilityVerdict:
+def classify(m: MonodromyResult) -> StabilityVerdict:
     """Verdict as a pure function of trace, determinant and off-diagonals.
 
-    `tol` is the classification band half-width; it should sit well above the
-    integration error estimate carried by the monodromy result. When the
-    boundary off-diagonal test falls below that error estimate but above
-    `tol`, the verdict is reported as undecided rather than guessed.
+    BOUNDARY_TOL is the classification band half-width; it should sit well
+    above the integration error estimate carried by the monodromy result. When
+    the boundary off-diagonal test falls below that error estimate but above
+    the band, the verdict is reported as undecided rather than guessed.
     """
     A = m.trace
     B = m.det
@@ -78,15 +78,15 @@ def classify(m: MonodromyResult, tol: float = BOUNDARY_TOL) -> StabilityVerdict:
         "error_estimate": m.error_estimate,
         "det_integrated": m.det_integrated,
     }
-    if abs(B - 1.0) > tol:
+    if abs(B - 1.0) > BOUNDARY_TOL:
         return StabilityVerdict(NOT_STABLE_DET, A, B, m.multipliers, diagnostics)
-    if abs(A) < 2.0 - tol:
+    if abs(A) < 2.0 - BOUNDARY_TOL:
         return StabilityVerdict(STABLE, A, B, m.multipliers, diagnostics)
-    if abs(A) > 2.0 + tol:
+    if abs(A) > 2.0 + BOUNDARY_TOL:
         return StabilityVerdict(UNSTABLE, A, B, m.multipliers, diagnostics)
     off = max(abs(u1), abs(x2))
     diagnostics["boundary_case"] = True
-    if off <= tol:
+    if off <= BOUNDARY_TOL:
         return StabilityVerdict(STABLE, A, B, m.multipliers, diagnostics)
     if off <= m.error_estimate:
         return StabilityVerdict(BOUNDARY_UNDECIDED, A, B, m.multipliers, diagnostics)

@@ -134,7 +134,10 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule) -> ImpulsiveSys
 
     def s_bound(int_abs_a: float) -> float:
         if spec.mode == FORCE_MAIN:
-            return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * q.int_b * h_val)
+            try:
+                return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * q.int_b * h_val)
+            except OverflowError:  # no room, as below: the rounds shrink a
+                return -1.0
         room = 2.0 - margin - int_abs_a
         return room * room / (q.int_b * h_val) if room > 0.0 else -1.0
 
@@ -342,7 +345,7 @@ class LyapunovSummary:
 def _lyapunov_chunk(job) -> list:
     """Per system of consecutive seeds: None when b is not positive (skipped), else
     (lhs, failure record or None) for each initial direction with a zero pair."""
-    spec, indices, tol, directions, periods, slack = job
+    spec, indices, tol, directions, periods = job
     initials = [State(0.0, math.cos(math.pi * j / directions),
                       math.sin(math.pi * j / directions)) for j in range(directions)]
     out = []
@@ -356,7 +359,7 @@ def _lyapunov_chunk(job) -> list:
                                                  (0.0, periods * system.period), tol)):
             if pair is None:
                 continue
-            witness = lyapunov_verify(system, pair, tol, slack=slack)
+            witness = lyapunov_verify(system, pair, tol)
             out[-1].append((witness.lhs, None if witness.holds else {"seed": spec.seed + i,
                             "direction": j, "t1": pair.t1, "t2": pair.t2, "lhs": witness.lhs}))
     return out
@@ -364,12 +367,12 @@ def _lyapunov_chunk(job) -> list:
 
 def lyapunov_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
                    directions: int = 8, periods: float = 4.0,
-                   slack: float = 1e-6, workers: int = 1) -> LyapunovSummary:
+                   workers: int = 1) -> LyapunovSummary:
     """Scan initial directions of generated systems for zero pairs and check the two-zero
     product bound at each witness, in chunks; `workers` does not change the result."""
     tol = tolerances or DEFAULT_TOLERANCES
     chunks = chunked_map(_lyapunov_chunk, range(n), workers,
-                         lambda idx: (spec, idx, tol, directions, periods, slack))
+                         lambda idx: (spec, idx, tol, directions, periods))
     systems = [entry for chunk in chunks for entry in chunk]
     found = [w for entry in systems if entry is not None for w in entry]
     skipped = systems.count(None)

@@ -40,6 +40,7 @@ _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and 
 _GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
 _ORACLE_SAMPLES = 1024
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
+SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
 
 
 @dataclass(eq=False)
@@ -225,12 +226,11 @@ def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> fl
 
 
 def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
-                    tolerances: Tolerances | None = None,
-                    slack: float = 1e-6) -> LyapunovWitness:
+                    tolerances: Tolerances | None = None) -> LyapunovWitness:
     """Evaluate the product at the witness point (the argmax of z).
 
     Also reports the supremum over all interior weight points; `holds` refers
-    to the witness value against the bound 4 minus `slack`.
+    to the witness value against the bound 4 minus SLACK.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
@@ -249,7 +249,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     factors = _LhsFactors(system, pair.t1, pair.t2)
     lhs = factors.lhs(t0)
     lhs_sup, t0_sup = factors.sup_over_t0()
-    return LyapunovWitness(t0=t0, lhs=lhs, holds=lhs >= 4.0 - slack,
+    return LyapunovWitness(t0=t0, lhs=lhs, holds=lhs >= 4.0 - SLACK,
                            t0_sup=t0_sup, lhs_sup=lhs_sup)
 
 

@@ -49,6 +49,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
+_SAMPLED_MIN_NODES = 129  # Chebyshev nodes of sampled_min
+_SIGN_SCAN_NODES = 33     # Chebyshev nodes of the sign-change scan of a callable
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _LOG = logging.getLogger("impulse_floquet")
@@ -273,10 +275,10 @@ def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list
             + _adaptive(fn, mid, hi, 0.5 * tol_abs, depth - 1, budget))
 
 
-def integrate_panels(panels, rel_tol: float = QUAD_REL_TOL) -> float:
+def integrate_panels(panels) -> float:
     """Sum of the integrals of fn over [lo, hi] for (fn, lo, hi) panels.
 
-    The absolute tolerance is rel_tol times the summed size of the panels'
+    The absolute tolerance is QUAD_REL_TOL times the summed size of the panels'
     15-node estimates (at least 1e-3), so it follows the integrand's own scale,
     as in QUADPACK. Panels share it in proportion to their length, and each
     adaptive_integral call starts from its panel's estimate."""
@@ -285,7 +287,7 @@ def integrate_panels(panels, rel_tol: float = QUAD_REL_TOL) -> float:
     span = sum(hi - lo for _, lo, hi in panels)
     if span <= 0.0:
         return 0.0
-    budget = rel_tol * max(sum(map(abs, wholes)), 1e-3)
+    budget = QUAD_REL_TOL * max(sum(map(abs, wholes)), 1e-3)
     return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span, whole)
                for (fn, lo, hi), whole in zip(panels, wholes))
 
@@ -394,9 +396,9 @@ def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
     return x_cur
 
 
-def sampled_min(fn, lo: float, hi: float, n: int = 129) -> tuple[float, float]:
+def sampled_min(fn, lo: float, hi: float) -> tuple[float, float]:
     """Approximate minimum of a black-box function on [lo, hi]."""
-    xs = _chebyshev_nodes(lo, hi, n)
+    xs = _chebyshev_nodes(lo, hi, _SAMPLED_MIN_NODES)
     t, ft = grid_golden_min(lambda x: float(fn(x)), xs, np.asarray(fn(xs), dtype=float))
     return ft, t
 
@@ -547,8 +549,7 @@ class PiecewiseFunction:
 
     # -- quadrature --------------------------------------------------------
 
-    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY,
-                  rel_tol: float = QUAD_REL_TOL) -> float:
+    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY) -> float:
         """Integral of transform(f) over [lo, hi] within [0, domain_end].
 
         transform is one of "identity", "abs" (absolute value) or "pos"
@@ -580,7 +581,7 @@ class PiecewiseFunction:
                         panels.append((lambda ts, _seg=seg: np.abs(_seg(ts)), p0, p1))
                     elif sgn > 0:
                         panels.append((seg, p0, p1))
-        return total + integrate_panels(panels, rel_tol)
+        return total + integrate_panels(panels)
 
 
 def _poly_integral(seg: PolySegment, lo: float, hi: float, transform: str) -> float:
@@ -617,15 +618,15 @@ def _roots_within(q: list[float], length: float) -> list[float]:
     return sorted(r for r in roots if 0.0 < r < length)
 
 
-def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float, n: int = 33):
+def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float):
     """Split [lo, hi] at the sign changes of seg; yields (a, b, sign)."""
-    xs = _chebyshev_nodes(lo, hi, n)
+    xs = _chebyshev_nodes(lo, hi, _SIGN_SCAN_NODES)
     vals = np.asarray(seg(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = float(xs[~np.isfinite(vals)][0])
         raise EvaluationError(f"non-finite segment value at t={bad}", t=bad)
     roots = []
-    for i in range(n - 1):
+    for i in range(len(xs) - 1):
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
             roots.append(float(xs[i]))
@@ -660,9 +661,8 @@ class CumulativeIntegral:
     t - lo, which gives both its contribution to the knot bases and its
     in-segment values."""
 
-    def __init__(self, f: PiecewiseFunction, rel_tol: float = 1e-12):
+    def __init__(self, f: PiecewiseFunction):
         self.f = f
-        self.rel_tol = rel_tol
         self._knots = knots = f.knots
         base = [0.0]
         anti = []
@@ -671,7 +671,7 @@ class CumulativeIntegral:
             F = _antiderivative(_taylor_shift(seg.coeffs, lo)) if isinstance(seg, PolySegment) else None
             step = _horner(F, hi - lo) if F is not None else math.nan
             if not math.isfinite(step):  # callables, or the error report
-                step = f.integrate(lo, hi, _IDENTITY, rel_tol)
+                step = f.integrate(lo, hi)
             base.append(base[-1] + step)
             anti.append(F)
         self._base = base
@@ -698,8 +698,7 @@ class CumulativeIntegral:
         anti = self._anti[i]
         if anti is not None:
             return self._base[i] + _horner(anti, local)
-        return self._base[i] + integrate_panels([(self.f.segments[i], self._knots[i], s)],
-                                                self.rel_tol)
+        return self._base[i] + integrate_panels([(self.f.segments[i], self._knots[i], s)])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)

@@ -5,8 +5,9 @@ The defaults keep integration error two orders of magnitude below the
 classification band and the strictness margins, so that inequality decisions
 near the critical values 2 and 4 are dominated by the actual margin, not by
 solver noise. The fixed tolerances sit next to the rules that use them:
-`piecewise.QUAD_REL_TOL`, `floquet.BOUNDARY_TOL`, `criteria.EQUALITY_TOL` and
-`lyapunov.ROOT_TOL`.
+`piecewise.QUAD_REL_TOL` (every quadrature without a closed form),
+`floquet.BOUNDARY_TOL`, `criteria.EQUALITY_TOL`, `lyapunov.ROOT_TOL` and
+`lyapunov.SLACK`.
 """
 
 from __future__ import annotations

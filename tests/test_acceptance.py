@@ -126,7 +126,7 @@ def test_criterion_5_impulse_free_soundness():
 def test_criterion_6_lyapunov_inequality():
     start = time.monotonic()
     spec = GeneratorSpec(seed=6000, mode=POSITIVE_B, amplitude=1.8)
-    summary = lyapunov_sweep(spec, 100, directions=6, slack=1e-6)
+    summary = lyapunov_sweep(spec, 100, directions=6)
     sine = make_system(0.0, 1.0, PI_SQ)
     pair = find_zero_pair(sine, State(0.0, 0.0, 1.0), (0.0, 1.5))
     witness = lyapunov_verify(sine, pair)

@@ -2,7 +2,6 @@
 evaluates its grid in chunks through them: every answer must equal the
 one-system path."""
 
-import copy
 import csv
 import io
 import json
@@ -105,9 +104,9 @@ def test_a_batch_makes_as_many_kernel_calls_as_its_deepest_system(monkeypatch, b
         doc = sweep_rows(sweep_descriptor(0))[0]
         systems_ = []
         for beta in np.linspace(-2.0, 2.0, 21):
-            point = copy.deepcopy(doc)
-            set_descriptor_value(point, "impulses[0].beta", float(beta))
+            point = set_descriptor_value(doc, "impulses[0].beta", float(beta))
             systems_.append(system_from_descriptor(point))
+        assert doc == sweep_rows(sweep_descriptor(0))[0]
     else:
         systems_ = [generate(GeneratorSpec(seed=s)) for s in range(12)]
     singles = [_count_maps(monkeypatch, lambda s=s: monodromy(s)) for s in systems_]
@@ -134,11 +133,11 @@ def _reference_rows(doc, axes, tol=DEFAULT_TOLERANCES):
     rows = []
     for v0 in v0s:
         for v1 in v1s:
-            point = copy.deepcopy(doc)
+            point = doc
             assignments = [(p0, float(v0)), (p1, float(v1))]
             try:
                 for path, value in assignments:
-                    set_descriptor_value(point, path, value)
+                    point = set_descriptor_value(point, path, value)
                 system = system_from_descriptor(point)
                 violations = validate_system(system)
                 if violations:
@@ -178,7 +177,9 @@ def test_mixed_grid_rows_equal_the_per_point_reference(tmp_path):
     assert sum(s.startswith("error: impulse 1") for s in statuses) == 7
     assert sum(s.startswith("error: non-finite step map") for s in statuses) == 24
     grid = [(p, np.linspace(lo, hi, n)) for p, lo, hi, n in axes]
-    assert text == _reference_rows(sweep_descriptor(0), grid)
+    doc = sweep_descriptor(0)
+    assert text == _reference_rows(doc, grid)
+    assert doc == sweep_descriptor(0)
 
 
 def test_two_workers_equal_the_serial_sweep(tmp_path):
@@ -251,8 +252,8 @@ def _integrate_calls(monkeypatch, fn):
 
 
 def _beta_row(doc, betas=np.linspace(-2.0, 2.0, 21)):
-    return [system_from_descriptor(set_descriptor_value(doc, "impulses[0].beta", float(b),
-                                                        copy=True)) for b in betas]
+    return [system_from_descriptor(set_descriptor_value(doc, "impulses[0].beta", float(b)))
+            for b in betas]
 
 
 def test_signed_zero_coefficients_do_not_share(monkeypatch):

@@ -266,8 +266,7 @@ class TestParser:
         rc, out, _ = run(capsys, ["simulate", "--input", path, "--periods", "1"])
         assert rc == 0 and len(out.splitlines()) == 1 + 32 + 1
 
-    def test_workers_default_follows_the_environment_after_the_first_call(
-            self, tmp_path, capsys, monkeypatch):
+    def test_workers_flag_and_default_after_the_first_call(self, tmp_path, capsys, monkeypatch):
         path = write_descriptor(tmp_path, rotation_descriptor(impulses=[(0.5, 1.0, 0.0)]))
         assert run(capsys, ["simulate", "--input", path, "--periods", "0"])[0] == 0
         seen = []  # the workers each sweep is given; every sweep then runs with one
@@ -287,12 +286,28 @@ class TestParser:
         monkeypatch.setattr(cli, "lyapunov_sweep", spy(cli.lyapunov_sweep))
         sweep = ["sweep", "--input", path, "--axes", "impulses[0].beta=-1:1:3"]
         selftest = ["selftest", "--n", "2"]
-        for env, argv, expected in (("3", sweep, [3]), ("2", selftest, [2, 2, 2]),
-                                    (None, sweep, [1]), ("4", [*sweep, "--workers", "0"], [0])):
-            if env is None:
-                monkeypatch.delenv("IMPULSE_FLOQUET_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("IMPULSE_FLOQUET_WORKERS", env)
+        for argv, expected in (([*sweep, "--workers", "3"], [3]), (selftest, [1, 1, 1]),
+                               (sweep, [1]), ([*selftest, "--workers", "2"], [2, 2, 2]),
+                               ([*sweep, "--workers", "0"], [0])):
             seen.clear()
             assert run(capsys, argv)[0] == 0
-            assert seen == expected, (env, argv)
+            assert seen == expected, argv
+
+    def test_each_command_takes_only_the_tolerance_flags_it_reads(self, tmp_path, capsys):
+        path = write_descriptor(tmp_path, rotation_descriptor())
+        for argv in (["criteria", "--input", path, "--tol-rel", "1e-12"],
+                     ["simulate", "--input", path, "--periods", "1", "--tol-strict", "1e-9"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        flags = ["--tol-abs", "1e-11", "--tol-rel", "1e-9", "--tol-strict", "1e-8"]
+        for argv in (["analyze", "--input", path], ["sweep", "--input", path, "--axes", "x=0:1:2"],
+                     ["disconjugacy", "--input", path, "--t1", "0", "--t2", "1"], ["selftest"]):
+            args = cli.build_parser().parse_args([*argv, *flags])
+            assert (args.tol_abs, args.tol_rel, args.tol_strict) == (1e-11, 1e-9, 1e-8)
+        args = cli.build_parser().parse_args(["simulate", "--input", path, "--periods", "1",
+                                              *flags[:4]])
+        assert (args.tol_abs, args.tol_rel) == (1e-11, 1e-9)
+        assert cli.build_parser().parse_args(
+            ["criteria", "--input", path, *flags[4:]]).tol_strict == 1e-8

@@ -81,18 +81,20 @@ class TestPathSetter:
     def test_impulse_field(self):
         doc = rotation_descriptor()
         doc["impulses"] = [{"tau": 0.5, "alpha": 2.0, "beta": 0.0}]
-        set_descriptor_value(doc, "impulses[0].beta", 1.5)
-        assert doc["impulses"][0]["beta"] == 1.5
+        new = set_descriptor_value(doc, "impulses[0].beta", 1.5)
+        assert new["impulses"][0]["beta"] == 1.5
+        assert doc["impulses"][0]["beta"] == 0.0
 
     def test_poly_coefficient(self):
         doc = rotation_descriptor()
-        set_descriptor_value(doc, "coefficients.c[0].poly[0]", 9.0)
-        assert doc["coefficients"]["c"][0]["poly"][0] == 9.0
+        new = set_descriptor_value(doc, "coefficients.c[0].poly[0]", 9.0)
+        assert new["coefficients"]["c"][0]["poly"][0] == 9.0
+        assert doc == rotation_descriptor()
 
     def test_top_level(self):
         doc = rotation_descriptor()
-        set_descriptor_value(doc, "period", 2.0)
-        assert doc["period"] == 2.0
+        assert set_descriptor_value(doc, "period", 2.0)["period"] == 2.0
+        assert doc == rotation_descriptor()
 
     def test_bad_path(self):
         doc = rotation_descriptor()
@@ -102,6 +104,7 @@ class TestPathSetter:
     def test_does_not_clobber_other_fields(self):
         doc = rotation_descriptor()
         ref = copy.deepcopy(doc)
-        set_descriptor_value(doc, "coefficients.b[0].poly[0]", 4.0)
-        ref["coefficients"]["b"][0]["poly"][0] = 4.0
+        new = set_descriptor_value(doc, "coefficients.b[0].poly[0]", 4.0)
         assert doc == ref
+        ref["coefficients"]["b"][0]["poly"][0] = 4.0
+        assert new == ref

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from impulse_floquet import criteria, harness, piecewise, system_to_descriptor
+from impulse_floquet import (STABLE, classify, criteria, harness, monodromy, piecewise,
+                             system_to_descriptor)
 from impulse_floquet.criteria import CERTIFIED
 from impulse_floquet.harness import (FORCE_ALPHA_PRODUCT_ONE, FORCE_GUSEINOV_ZAFER,
                                      FORCE_MAIN, IMPULSE_FREE, POSITIVE_B,
@@ -142,6 +143,17 @@ class TestForceHypotheses:
             assert calls["rounds"] == rounds
             counts.append((calls["integrate"], calls["integrate_panels"]))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
+    def test_a_main_bound_past_float_range_shrinks_a(self, mode):
+        # exp(2 * int|a|) overflows once int|a| passes about 354.9; force-main then
+        # raised OverflowError, where force-guseinov-zafer read the bound as no room
+        system = generate(GeneratorSpec(seed=0, mode=mode, a_amplitude=1000.0))
+        conclusions = {r.criterion: r.conclusion for r in criteria.evaluate_all(system)}
+        assert conclusions[criteria.MAIN] == CERTIFIED
+        assert classify(monodromy(system)).category == STABLE
+        with pytest.raises(harness.GenerationError):
+            generate(GeneratorSpec(seed=0, mode=mode, a_amplitude=1e150))
 
 
 class TestSoundnessSweep:
