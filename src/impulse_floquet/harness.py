@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,16 +47,17 @@ MODES = (UNCONSTRAINED, IMPULSE_FREE, POSITIVE_B, FORCE_ALPHA_PRODUCT_ONE,
 @dataclass(frozen=True)
 class GeneratorSpec:
     seed: int = 0
-    period: float = 1.0
-    segment_range: tuple[int, int] = (1, 3)
     amplitude: float = 1.0
     a_amplitude: float | None = None  # None: use amplitude
     poly_degree: int = 2
     impulse_range: tuple[int, int] = (0, 3)
-    alpha_range: tuple[float, float] = (0.3, 1.7)  # magnitudes; signs are random
-    beta_range: tuple[float, float] = (-1.0, 1.0)
     mode: str = UNCONSTRAINED
     margin: float = 1e-3
+    # the same for every generated system: constants, not fields
+    period: ClassVar[float] = 1.0
+    segment_range: ClassVar[tuple[int, int]] = (1, 3)
+    alpha_range: ClassVar[tuple[float, float]] = (0.3, 1.7)  # magnitudes; signs are random
+    beta_range: ClassVar[tuple[float, float]] = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -230,6 +232,7 @@ def _coverage_flags(system: ImpulsiveSystem) -> dict:
 
 
 CHUNK = 64  # systems, or sweep grid points, per batched period-map and criteria call
+LYAPUNOV_PERIODS = 4.0  # lyapunov_sweep scans the window [0, LYAPUNOV_PERIODS * T]
 _TARGETS = {FORCE_MAIN: crit.MAIN, FORCE_GUSEINOV_ZAFER: crit.GUSEINOV_ZAFER}
 
 
@@ -345,7 +348,7 @@ class LyapunovSummary:
 def _lyapunov_chunk(job) -> list:
     """Per system of consecutive seeds: None when b is not positive (skipped), else
     (lhs, failure record or None) for each initial direction with a zero pair."""
-    spec, indices, tol, directions, periods = job
+    spec, indices, tol, directions = job
     initials = [State(0.0, math.cos(math.pi * j / directions),
                       math.sin(math.pi * j / directions)) for j in range(directions)]
     out = []
@@ -355,8 +358,8 @@ def _lyapunov_chunk(job) -> list:
             out.append(None)
             continue
         out.append([])
-        for j, pair in enumerate(find_zero_pairs(system, initials,
-                                                 (0.0, periods * system.period), tol)):
+        pairs = find_zero_pairs(system, initials, (0.0, LYAPUNOV_PERIODS * system.period), tol)
+        for j, pair in enumerate(pairs):
             if pair is None:
                 continue
             witness = lyapunov_verify(system, pair, tol)
@@ -366,13 +369,13 @@ def _lyapunov_chunk(job) -> list:
 
 
 def lyapunov_sweep(spec: GeneratorSpec, n: int, tolerances: Tolerances | None = None,
-                   directions: int = 8, periods: float = 4.0,
-                   workers: int = 1) -> LyapunovSummary:
-    """Scan initial directions of generated systems for zero pairs and check the two-zero
-    product bound at each witness, in chunks; `workers` does not change the result."""
+                   directions: int = 8, workers: int = 1) -> LyapunovSummary:
+    """Scan initial directions of generated systems for zero pairs over their first
+    LYAPUNOV_PERIODS periods and check the two-zero product bound at each witness, in
+    chunks; `workers` does not change the result."""
     tol = tolerances or DEFAULT_TOLERANCES
     chunks = chunked_map(_lyapunov_chunk, range(n), workers,
-                         lambda idx: (spec, idx, tol, directions, periods))
+                         lambda idx: (spec, idx, tol, directions))
     systems = [entry for chunk in chunks for entry in chunk]
     found = [w for entry in systems if entry is not None for w in entry]
     skipped = systems.count(None)

@@ -25,8 +25,8 @@ import numpy as np
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
 from .piecewise import (CumulativeIntegral, PolySegment, adaptive_integral, bracketed_root,
-                        grid_golden_min, integrate_panels, integrate_periodic, knot_eps,
-                        period_chunks, segments_min, split_period)
+                        finite_values, grid_golden_min, integrate_panels, integrate_periodic,
+                        knot_eps, merge_knots, period_chunks, segments_min, split_period)
 from .propagation import DensePath, IntegrationFailureError, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -41,6 +41,7 @@ _GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
 _ORACLE_SAMPLES = 1024
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
+ZERO_BAND = 1e-9         # zeros this close are one, and at an impulse; scaled by max(1, T)
 
 
 @dataclass(eq=False)
@@ -111,12 +112,9 @@ class DisconjugacyCheck:
 
 def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
     T = system.period
-    eps = 1e-9 * max(1.0, T)
-    for imp in system.schedule.impulses:
-        k = round((t - imp.tau) / T)
-        if abs(imp.tau + k * T - t) <= eps:
-            return True
-    return False
+    s = split_period(t, T)[1]
+    return any(min(d, T - d) <= ZERO_BAND * max(1.0, T)
+               for d in (abs(imp.tau - s) for imp in system.schedule.impulses))
 
 
 def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, float],
@@ -156,11 +154,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
         runs, changes = _zero_sites(zs, 1e-9 * scale)
         zeros = [float(ts[k]) for k in np.flatnonzero(runs)]
         zeros += [bracketed_root(sol.z, ts[k], ts[k + 1], xtol) for k in np.flatnonzero(changes)]
-        zeros.sort()
-        distinct: list[float] = []
-        for z in zeros:
-            if not distinct or z - distinct[-1] > 1e-9 * max(1.0, T):
-                distinct.append(z)
+        distinct = merge_knots(sorted(zeros), ZERO_BAND * max(1.0, T))
         if len(distinct) >= 2:
             t1, t2 = distinct[0], distinct[1]
             pairs[i] = ZeroPair(t1, t2, _impulse_time_flags(system, t1),
@@ -234,7 +228,7 @@ def lyapunov_verify(system: ImpulsiveSystem, pair: ZeroPair,
     """
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
-    if pair.t2 - pair.t1 <= 1e-9 * max(1.0, T):
+    if pair.t2 - pair.t1 <= ZERO_BAND * max(1.0, T):
         raise ValueError("zero pair too narrow to evaluate")
     sol = pair.solution
     k, s1 = split_period(pair.t1, T) if sol is None else (0, pair.t1)
@@ -307,8 +301,9 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     on all of it; otherwise row(t)'s angle is monotone in b's direction and the window is
     not disconjugate exactly when it sweeps pi. No true grid step goes against b, so a read
     below -pi/2, or reads summing to -pi or less, are steps folded back by arctan2; a miss
-    needs one step of over 3pi/2. A callable b is also read at the grid times. A
-    non-finite reading raises IntegrationFailureError at the last finite grid time."""
+    needs one step of over 3pi/2. A callable b is also read at the grid times; a
+    non-finite value of b raises EvaluationError, a non-finite angle reading
+    IntegrationFailureError at the last finite grid time."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
@@ -317,7 +312,7 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     s2 = s1 + (t2 - t1)
     ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
     pieces = _b_pieces(system, s1, s2)
-    samples = [seg(ts[(ts >= k * T + p0) & (ts <= k * T + p1)] - k * T)
+    samples = [finite_values(seg, ts[(ts >= k * T + p0) & (ts <= k * T + p1)] - k * T)
                for p0, p1, seg, k in pieces if not isinstance(seg, PolySegment)]
     sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
     if sign in (None, 0):

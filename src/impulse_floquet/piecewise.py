@@ -231,15 +231,22 @@ class FuncSegment:
 Segment = Union[PolySegment, FuncSegment]
 
 
+def finite_values(fn, xs) -> np.ndarray:
+    """fn at xs (a float or an ndarray) as floats; EvaluationError at the first
+    x whose value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the EvaluationError below
+        vals = np.asarray(fn(xs), dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        t = float(np.asarray(xs)[bad][0])
+        raise EvaluationError(f"non-finite segment value at t={t}", t=t)
+    return vals
+
+
 def _gauss(fn, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     xs = 0.5 * (hi + lo) + half * _GL_X
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the EvaluationError below
-        ys = np.asarray(fn(xs), dtype=float)
-    if not np.all(np.isfinite(ys)):
-        bad = float(xs[~np.isfinite(ys)][0])
-        raise EvaluationError(f"non-finite segment value at t={bad}", t=bad)
-    return half * float(_GL_W @ ys)
+    return half * float(_GL_W @ finite_values(fn, xs))
 
 
 def adaptive_integral(fn, lo: float, hi: float, tol_abs: float,
@@ -397,9 +404,10 @@ def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
 
 
 def sampled_min(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Approximate minimum of a black-box function on [lo, hi]."""
+    """Approximate minimum of a black-box function on [lo, hi]; EvaluationError at
+    the first non-finite value read, on the grid or in the golden-section search."""
     xs = _chebyshev_nodes(lo, hi, _SAMPLED_MIN_NODES)
-    t, ft = grid_golden_min(lambda x: float(fn(x)), xs, np.asarray(fn(xs), dtype=float))
+    t, ft = grid_golden_min(lambda x: float(finite_values(fn, x)), xs, finite_values(fn, xs))
     return ft, t
 
 
@@ -621,10 +629,7 @@ def _roots_within(q: list[float], length: float) -> list[float]:
 def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float):
     """Split [lo, hi] at the sign changes of seg; yields (a, b, sign)."""
     xs = _chebyshev_nodes(lo, hi, _SIGN_SCAN_NODES)
-    vals = np.asarray(seg(xs), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = float(xs[~np.isfinite(vals)][0])
-        raise EvaluationError(f"non-finite segment value at t={bad}", t=bad)
+    vals = finite_values(seg, xs)
     roots = []
     for i in range(len(xs) - 1):
         v0, v1 = vals[i], vals[i + 1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .piecewise import PiecewiseFunction, knot_eps, merge_knots
+from .piecewise import PiecewiseFunction, knot_eps, merge_knots, period_chunks, split_period
 
 
 class InvalidSystemError(ValueError):
@@ -74,24 +74,16 @@ class ImpulseSchedule:
     def ratio_sum(self, lo: float = 0.0, hi: float | None = None,
                   positive: bool = False) -> float:
         """Sum of beta/alpha (optionally positive parts) over [lo, hi), by
-        default the one period [0, T). Windows may span multiple periods; the
-        schedule extends periodically.
+        default the one period [0, T): each impulse counts once in each part
+        [s0, s1) of the window that period_chunks gives, so windows may span
+        multiple periods and the schedule extends periodically.
         """
-        hi = self.period if hi is None else hi
-        if hi <= lo:
-            return 0.0
-        T = self.period
+        chunks = list(period_chunks(lo, self.period if hi is None else hi, self.period))
         total = 0.0
         for imp in self.impulses:
-            q = imp.ratio
-            val = max(q, 0.0) if positive else q
-            if val == 0.0:
-                continue
-            k0 = math.floor((lo - imp.tau) / T) - 1
-            k1 = math.ceil((hi - imp.tau) / T) + 1
-            for k in range(k0, k1 + 1):
-                t = imp.tau + k * T
-                if lo <= t < hi:
+            val = max(imp.ratio, 0.0) if positive else imp.ratio
+            for _, s0, s1 in chunks:
+                if s0 <= imp.tau < s1:
                     total += val
         return total
 
@@ -193,17 +185,13 @@ def time_shift(system: ImpulsiveSystem, delta: float) -> ImpulsiveSystem:
         return system
 
     def shift_fn(f: PiecewiseFunction) -> PiecewiseFunction:
-        eps = knot_eps(f.domain_end)
-        new_bps = sorted({round_mod: None for round_mod in
-                          [(k - delta) % T for k in f.knots]}.keys())
-        new_bps = [b for b in new_bps if eps < b < T - eps]
+        new_bps = sorted(merge_knots([(k - delta) % T for k in f.knots], knot_eps(T),
+                                     kept=(0.0, T)))
         cuts = [0.0, *new_bps, T]
         segs = []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid_old = (0.5 * (lo + hi) + delta) % T
-            seg = f.segments[f._interior_index(mid_old)]
-            wrap = T if 0.5 * (lo + hi) + delta >= T else 0.0
-            segs.append(seg.time_shifted(delta - wrap))
+            k, mid_old = split_period(0.5 * (lo + hi) + delta, T)
+            segs.append(f.segments[f._interior_index(mid_old)].time_shifted(delta - k * T))
         return PiecewiseFunction(T, tuple(new_bps), tuple(segs))
 
     new_imps = sorted(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -253,6 +254,96 @@ class TestSelftest:
         assert doc["force-main"]["violations"] == []
         assert doc["force-guseinov-zafer"]["violations"] == []
         assert doc["lyapunov"]["failures"] == []
+
+
+# The system descriptor of README.md's CLI section.
+README_DESCRIPTOR = {
+    "period": 1.0,
+    "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                     "b": [{"end": 1.0, "poly": [1.0]}],
+                     "c": [{"end": 0.5, "poly": [1.0]}, {"end": 1.0, "poly": [2.0]}]},
+    "impulses": [{"tau": 0.5, "alpha": -1.0, "beta": 0.5}],
+}
+
+ANALYZE_CSV = (
+    "trace,det,verdict,krein,guseinov-kaymakcalan,guseinov-zafer,guseinov-zafer-boundary,"
+    "wang,main,main-boundary\r\n"
+    "-1.0574688730662087,1.0,stable,not-applicable,not-applicable,certified-stable,"
+    "inconclusive,not-applicable,certified-stable,inconclusive\r\n")
+
+_MAIN_BOUND = "exp(2*int|a|) * int(b) * (int(c+) + sum((beta/alpha)+)) < 4  margin=2.5"
+_GZ_BOUND = "int|a| + sqrt(int(b)) * sqrt(int(c+) + sum((beta/alpha)+)) < 2  margin=0.775255"
+CRITERIA_HUMAN = "".join(line + "\n" for line in [
+    "krein: not-applicable", "  ✗ impulse-free",
+    "guseinov-kaymakcalan: not-applicable", "  ✗ impulse-free",
+    "guseinov-zafer: certified-stable",
+    "  ✓ prod(alpha_i^2) = 1  margin=0", "  ✓ b(t) > 0  margin=1",
+    "  ✓ int(c - a^2/b) + sum(beta/alpha) > 0  margin=1", f"  ✓ {_GZ_BOUND}",
+    "guseinov-zafer-boundary: inconclusive",
+    "  ✓ prod(alpha_i^2) = 1  margin=0", f"  ✓ {_GZ_BOUND}", "  ✓ a/b continuous on [0, T]",
+    "  ✓ b(t) > 0  margin=1", "  ✗ int(c - a^2/b) + sum(beta/alpha) = 0  margin=1",
+    "  ✓ condition C (C1/C2/C3)",
+    "wang: not-applicable", "  ✗ impulse-free",
+    "main: certified-stable",
+    "  ✓ prod(alpha_i^2) = 1  margin=0", "  ✓ b(t) > 0  margin=1",
+    "  ✓ int(c - a^2/b) + sum(beta/alpha) > 0  margin=1", f"  ✓ {_MAIN_BOUND}",
+    "main-boundary: inconclusive",
+    "  ✓ prod(alpha_i^2) = 1  margin=0", f"  ✓ {_MAIN_BOUND}", "  ✓ a/b continuous on [0, T]",
+    "  ✓ b(t) > 0  margin=1", "  ✗ int(c - a^2/b) + sum(beta/alpha) = 0  margin=1",
+    "  ✓ condition C (C1/C2/C3)",
+])
+
+
+class TestOutputBytes:
+    """Exact stdout of the output formats and exact stderr of the input errors
+    and soundness violations that no other test runs."""
+
+    def test_analyze_csv(self, capsys):
+        rc, out, err = run(capsys, ["analyze", "--input", json.dumps(README_DESCRIPTOR),
+                                    "--format", "csv"])
+        assert (rc, out, err) == (0, ANALYZE_CSV, "")
+
+    def test_criteria_human(self, capsys):
+        rc, out, err = run(capsys, ["criteria", "--input", json.dumps(README_DESCRIPTOR),
+                                    "--format", "human"])
+        assert (rc, out, err) == (0, CRITERIA_HUMAN, "")
+
+    @pytest.mark.parametrize("axes, message", [
+        (["nope"], "sweep axis 'nope': expected path=lo:hi:steps"),
+        (["impulses[0].beta=1:2"], "sweep axis 'impulses[0].beta=1:2': expected path=lo:hi:steps"),
+        (["impulses[0].beta=x:2:3"],
+         "sweep axis 'impulses[0].beta=x:2:3': non-numeric bounds or steps"),
+        (["impulses[0].beta=0:2:1"], "sweep axis 'impulses[0].beta=0:2:1': steps must be >= 2"),
+        (["impulses[0].beta=0:2:2"] * 3, "sweep needs one or two --axes"),
+    ])
+    def test_sweep_axis_errors(self, capsys, axes, message):
+        argv = ["sweep", "--input", json.dumps(README_DESCRIPTOR)]
+        for axis in axes:
+            argv += ["--axes", axis]
+        assert run(capsys, argv) == (2, "", f"invalid input: {message}\n")
+
+    def test_disconjugacy_contradicted_certificate_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "disconjugacy_oracle", lambda *args: "not-disconjugate")
+        rc, out, err = run(capsys, ["disconjugacy", "--input", json.dumps(rotation_descriptor()),
+                                    "--t1", "0", "--t2", "1"])
+        assert (rc, err) == (4, "soundness violation: certificate contradicted by the oracle\n")
+        doc = json.loads(out)
+        assert doc["test"]["status"] == "disconjugate-certified"
+        assert doc["oracle"] == "not-disconjugate" and doc["disagreement"] is True
+
+    @pytest.mark.parametrize("sweep, field, record", [
+        ("soundness_sweep", "violations", {"seed": 0, "note": "stub"}),
+        ("lyapunov_sweep", "failures", {"seed": 0, "lhs": 3.0}),
+    ])
+    def test_selftest_violation_exits_4(self, capsys, monkeypatch, sweep, field, record):
+        real = getattr(cli, sweep)
+        monkeypatch.setattr(cli, sweep, lambda *args, **kwargs: dataclasses.replace(
+            real(*args, **kwargs), **{field: (record,)}))
+        rc, out, err = run(capsys, ["selftest", "--n", "2", "--seed", "0"])
+        assert (rc, err) == (4, "soundness violation found; see summary\n")
+        doc = json.loads(out)
+        part = doc["lyapunov"] if sweep == "lyapunov_sweep" else doc["force-main"]
+        assert part[field] == [record]
 
 
 class TestParser:

@@ -351,14 +351,34 @@ class TestDisconjugacy:
         sys_ = make_system(0.0, b, 1.0)
         assert _checked_oracle(sys_, 0.0, 1.0) == NOT_DISCONJUGATE
 
-    def test_non_finite_angle_reading_raises(self):
-        # b is NaN on (0.49, 0.51): no Magnus node lands there, but the dense path reads
-        # NaN rows from 0.453125 on, and a NaN reading once passed both verdict tests
+    def test_non_finite_b_sample_raises_before_any_dense_path(self, monkeypatch):
+        # b is NaN on (0.49, 0.51): its sampled minimum and the oracle's grid read the
+        # NaN, which once passed the sign check as b >= 0
         b = PiecewiseFunction.from_callable(
             lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 0.0), 1.0)
         sys_ = make_system(0.0, b, 1.0)
         with pytest.raises(EvaluationError):
             disconjugacy_test(sys_, 0.0, 1.0)
+        builds = []
+        real_init = DensePath.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DensePath, "__init__", counting)
+        with pytest.raises(EvaluationError) as info:
+            disconjugacy_oracle(sys_, 0.0, 1.0)
+        assert 0.49 < info.value.t < 0.51
+        assert builds == []
+
+    def test_non_finite_angle_reading_raises(self):
+        # c is NaN on (0.49, 0.51) and b = 1: no Magnus node lands there, but the dense
+        # path reads NaN rows from 0.453125 on, and a NaN reading once passed both
+        # verdict tests
+        c = PiecewiseFunction.from_callable(
+            lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 1.0), 1.0)
+        sys_ = make_system(0.0, 1.0, c)
         with pytest.raises(IntegrationFailureError) as info:
             disconjugacy_oracle(sys_, 0.0, 1.0)
         assert info.value.t_last == 463 / 1024  # the last grid time with a finite row

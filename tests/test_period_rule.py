@@ -1,14 +1,16 @@
 """The period rule: every layer places a time on the period grid by
-`split_period`, so dense paths, cumulative integrals and periodic quadrature
-agree on the period k and the offset s of a time, also for times within the
-knot tolerance of a period multiple."""
+`split_period`, so dense paths, cumulative integrals, periodic quadrature,
+the impulse schedule's ratio sums and the zero-at-impulse flags agree on the
+period k and the offset s of a time, also for times within the knot tolerance
+of a period multiple or of an impulse time."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from impulse_floquet import DensePath, PiecewiseFunction, PolySegment
+from impulse_floquet.lyapunov import ZERO_BAND, _impulse_time_flags
 from impulse_floquet.piecewise import (CumulativeIntegral, integrate_periodic, knot_eps,
                                        period_chunks, split_period)
 
@@ -94,3 +96,62 @@ def test_cumulative_integral_reads_an_offset_within_the_knot_tolerance_as_the_kn
         assert cum.values(np.array([t]))[0] == expect
     for t in (2 * eps, 0.25 + 2 * eps):  # past the tolerance both paths integrate
         assert cum.value(t) == cum.values(np.array([t]))[0] > cum.value(t - 2 * eps)
+
+
+def _schedule_system(T: float):
+    """Impulses with a positive, a negative and a positive ratio, the last within
+    the zero band below T, so that a zero just after a period multiple is at it."""
+    band = ZERO_BAND * max(1.0, T)
+    return make_system(0.0, 1.0, 2.0, T=T, impulses=[(0.3 * T, 2.0, 0.5), (0.5 * T, -1.0, 0.3),
+                                                     (T - 0.5 * band, 0.5, 0.25)])
+
+
+@st.composite
+def schedule_windows(draw):
+    """T and a window [lo, hi] whose ends lie on, or within the knot tolerance
+    of, a period multiple or an impulse time."""
+    T = draw(st.sampled_from(PERIODS))
+    eps = knot_eps(T)
+    bases = (0.0, *_schedule_system(T).schedule.taus)
+    offsets = st.sampled_from((0.0, 1e-16, -1e-16, 0.5 * eps, -0.5 * eps, 2 * eps, -2 * eps))
+    end = st.builds(lambda k, base, d: max(k * T + base + d, 0.0),
+                    st.integers(0, 40), st.sampled_from(bases), offsets)
+    lo, hi = sorted((draw(end), draw(end)))
+    assume(hi - lo > 2 * eps)  # period_chunks reads a shorter window as empty
+    return T, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule_windows())
+def test_impulse_sums_and_flags_place_a_time_by_the_period_rule(drawn):
+    T, lo, hi = drawn
+    system = _schedule_system(T)
+    schedule = system.schedule
+    chunks = list(period_chunks(lo, hi, T))
+    (k_lo, s_lo), (k_hi, s_hi) = split_period(lo, T), split_period(hi, T)
+    for positive in (False, True):
+        in_period = by_split = 0.0
+        for imp in schedule.impulses:
+            val = max(imp.ratio, 0.0) if positive else imp.ratio
+            for _, s0, s1 in chunks:
+                if s0 <= imp.tau < s1:
+                    in_period += val
+            # tau of period k is in [lo, hi) when (k_lo, s_lo) <= (k, tau) < (k_hi, s_hi)
+            for _ in range(k_hi - k_lo - (s_lo > imp.tau) + (s_hi > imp.tau)):
+                by_split += val
+        assert schedule.ratio_sum(lo, hi, positive=positive) == in_period == by_split
+
+    band = ZERO_BAND * max(1.0, T)
+
+    def near_an_impulse(t):
+        k = split_period(t, T)[0]
+        return any(abs(t - (j * T + tau)) <= band for j in (k - 1, k, k + 1)
+                   for tau in schedule.taus)
+
+    # every drawn end is near an impulse time: the last impulse lies within the
+    # band below each period multiple
+    assert _impulse_time_flags(system, lo) and _impulse_time_flags(system, hi)
+    for t in (lo, hi, lo + 3 * band, hi - 0.9 * band):
+        s = split_period(t, T)[1]
+        assert _impulse_time_flags(system, t) == near_an_impulse(t) == any(
+            min(abs(tau - s), T - abs(tau - s)) <= band for tau in schedule.taus), t
