@@ -21,7 +21,7 @@ import numpy as np
 
 from . import criteria as crit
 from .criteria import evaluate_all, evaluate_many
-from .descriptors import (DescriptorError, load_system, read_descriptor_source,
+from .descriptors import (DescriptorError, load_system, path_keys, read_descriptor_source,
                           set_descriptor_value, system_from_descriptor)
 from .floquet import BOUNDARY_TOL, classify
 from .harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, GeneratorSpec, chunked_map,
@@ -186,21 +186,25 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
         steps = int(parts[2])
     except ValueError:
         raise DescriptorError(f"sweep axis {text!r}: non-numeric bounds or steps")
+    if not math.isfinite(hi - lo):  # also a NaN or infinite bound
+        raise DescriptorError(f"sweep axis {text!r}: lo, hi and hi - lo must be finite")
     if steps < 2:
         raise DescriptorError(f"sweep axis {text!r}: steps must be >= 2")
     return path.strip(), np.linspace(lo, hi, steps)
 
 
 def _sweep_chunk(job) -> list[list]:
-    """CSV rows of consecutive grid points, their period maps and criteria in one call each."""
+    """CSV rows of consecutive grid points, their period maps and criteria in one call
+    each; the points share one parse memo (see `system_from_descriptor`)."""
     doc, points, tol = job
     systems: list = []
+    memo: dict = {}
     for assignments in points:
         point = doc
         try:
             for path, value in assignments:
                 point = set_descriptor_value(point, path, float(value))
-            systems.append(system_from_descriptor(point))
+            systems.append(system_from_descriptor(point, memo))
         except (DescriptorError, InvalidSystemError) as exc:
             systems.append(exc)
     made = iter(monodromies([s for s in systems if not isinstance(s, Exception)], tol))
@@ -229,8 +233,10 @@ def cmd_sweep(args) -> int:
         raise DescriptorError("sweep needs one or two --axes")
     for path, vals in axes:
         set_descriptor_value(doc, path, float(vals[0]))
-
     paths = [p for p, _ in axes]
+    if len({tuple(k for _, k in path_keys(p)) for p in paths}) < len(paths):
+        raise DescriptorError(f"sweep axis path {paths[-1]!r} given twice")
+
     points = [[]]
     for path, vals in axes:  # row-major: the first axis varies slowest
         points = [[*point, (path, float(v))] for point in points for v in vals]

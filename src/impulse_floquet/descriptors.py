@@ -74,7 +74,12 @@ def _coefficient(segments, period: float, path: str) -> PiecewiseFunction:
     return PiecewiseFunction(period, tuple(ends[:-1]), tuple(polys))
 
 
-def system_from_descriptor(doc: dict) -> ImpulsiveSystem:
+def system_from_descriptor(doc: dict, memo: dict | None = None) -> ImpulsiveSystem:
+    """The system of a descriptor. Points of one sweep chunk pass one `memo`: a
+    coefficient list that is the same object, under the same period, is parsed
+    once, and the same parsed coefficients and impulse times reuse the merged
+    coefficients of the earlier system. Only what parsed is kept."""
+    memo = {} if memo is None else memo
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor: expected a JSON object")
     unknown = set(doc) - {"period", "coefficients", "impulses"}
@@ -88,8 +93,12 @@ def system_from_descriptor(doc: dict) -> ImpulsiveSystem:
     coeffs = doc.get("coefficients")
     if not isinstance(coeffs, dict) or set(coeffs) != set(_COEFF_NAMES):
         raise DescriptorError("coefficients: expected an object with exactly 'a', 'b', 'c'")
-    fa, fb, fc = (_coefficient(coeffs[name], period, f"coefficients.{name}")
-                  for name in _COEFF_NAMES)
+    parsed = []
+    for name in _COEFF_NAMES:
+        key = (id(coeffs[name]), period, name)  # the list is kept, so its id stays its own
+        if key not in memo:
+            memo[key] = coeffs[name], _coefficient(coeffs[name], period, f"coefficients.{name}")
+        parsed.append(memo[key][1])
     impulses = doc.get("impulses", [])
     if not isinstance(impulses, list):
         raise DescriptorError("impulses: expected a list")
@@ -107,7 +116,11 @@ def system_from_descriptor(doc: dict) -> ImpulsiveSystem:
         triples.append((_number(imp["tau"], f"{path}.tau"),
                         _number(imp["alpha"], f"{path}.alpha"),
                         _number(imp["beta"], f"{path}.beta")))
-    return ImpulsiveSystem(fa, fb, fc, ImpulseSchedule.from_triples(period, triples))
+    schedule = ImpulseSchedule.from_triples(period, triples)
+    key = (*map(id, parsed), schedule.taus)
+    merged = memo[key].coefficients() if key in memo else parsed
+    memo[key] = system = ImpulsiveSystem(*merged, schedule)
+    return system
 
 
 def system_to_descriptor(system: ImpulsiveSystem) -> dict:
@@ -153,40 +166,34 @@ def load_system(source: str) -> ImpulsiveSystem:
     return system_from_descriptor(read_descriptor_source(source))
 
 
-def set_descriptor_value(doc: dict, path: str, value: float) -> dict:
-    """A new descriptor: `doc` with the value at a path such as 'impulses[0].beta' or
-    'coefficients.c[0].poly[1]' replaced. The containers along the path are copied;
-    `doc` and everything off the path are shared, unchanged."""
-    def step(container, key):
-        if isinstance(container[key], (dict, list)):
-            container[key] = type(container[key])(container[key])
-        return container[key]
-
-    target = root = dict(doc) if isinstance(doc, dict) else doc
-    parts = path.split(".")
-    trail = []
+def path_keys(path: str) -> list[tuple[str, str | int]]:
+    """The keys of a path such as 'coefficients.c[0].poly[1]', in order, each with
+    the text of the path up to its dotted part: ('coefficients', 'coefficients'),
+    ('coefficients.c[0]', 'c'), ('coefficients.c[0]', 0), ..."""
+    parts, out = path.split("."), []
     for n, part in enumerate(parts):
         m = _PATH_TOKEN.match(part)
         if not m:
             raise DescriptorError(f"sweep axis path: bad component {part!r}")
-        key, idx_text = m.group(1), m.group(2)
-        indices = [int(x) for x in re.findall(r"\[(\d+)\]", idx_text)]
-        last = n == len(parts) - 1
-        try:
-            if not isinstance(target, dict) or key not in target:
-                raise KeyError(key)
-            if last and not indices:
-                target[key] = value
-                return root
-            target = step(target, key)
-            for j, ix in enumerate(indices):
-                if not isinstance(target, list) or ix >= len(target):
-                    raise IndexError(ix)
-                if last and j == len(indices) - 1:
-                    target[ix] = value
-                    return root
-                target = step(target, ix)
-        except (KeyError, IndexError) as exc:
-            raise DescriptorError(f"sweep axis path {path!r}: no field at "
-                                  f"{'.'.join(trail + [part])}") from exc
-        trail.append(part)
+        trail = ".".join(parts[:n + 1])
+        out += [(trail, key) for key in
+                (m.group(1), *(int(x) for x in re.findall(r"\[(\d+)\]", m.group(2))))]
+    return out
+
+
+def set_descriptor_value(doc: dict, path: str, value: float) -> dict:
+    """A new descriptor: `doc` with the value at a path such as 'impulses[0].beta' or
+    'coefficients.c[0].poly[1]' replaced. The containers along the path are copied;
+    `doc` and everything off the path are shared, unchanged."""
+    keys = path_keys(path)
+    target = root = dict(doc) if isinstance(doc, dict) else doc
+    for n, (trail, key) in enumerate(keys):
+        if not (isinstance(target, dict) and key in target if isinstance(key, str)
+                else isinstance(target, list) and key < len(target)):
+            raise DescriptorError(f"sweep axis path {path!r}: no field at {trail}")
+        if n == len(keys) - 1:
+            target[key] = value
+        elif isinstance(target[key], (dict, list)):
+            target[key] = type(target[key])(target[key])
+        target = target[key]
+    return root

@@ -11,6 +11,8 @@ dense paths, `propagate_state`, `fundamental_matrix`), and the pieces of all
 the windows it is given double together: each level evaluates the coefficients
 of every piece still doubling (one Horner pass over their stacked polynomial
 coefficients) and makes their step maps and products in one kernel call.
+`_windows` steps each distinct piece once (the same lo, hi and segment
+objects), whichever windows hold it, such as the points of one sweep chunk.
 Every piece doubles to its own end; a window with failing pieces raises the
 failure of the earliest. Matrices at the step nodes are kept; a value between
 nodes is a partial step from the nearest node (`DensePath.at`). Jumps are exact
@@ -320,9 +322,10 @@ class _Window:
 
 def _windows(requests, tol: Tolerances) -> list:
     """The _Window of each request (system, t_from, t_to, jump_at_start), or the
-    exception of its earliest failing piece; the smooth pieces of all requests
-    double together in one `_magnus_steps` call, each to its own end. Raises
-    unless every window lies in [0, T]."""
+    exception of its earliest failing piece; the distinct smooth pieces of all
+    requests double together in one `_magnus_steps` call, each to its own end,
+    and a piece in several windows (the same lo, hi and segment objects) steps
+    once. Raises unless every window lies in [0, T]."""
     spans, smooth = [], []
     for system, t_from, t_to, _ in requests:
         T, eps = system.period, knot_eps(system.period)
@@ -330,8 +333,10 @@ def _windows(requests, tol: Tolerances) -> list:
             raise ValueError(f"window [{t_from}, {t_to}] outside [0, {T}]")
         spans.append(system.pieces(t_from, t_to))
         smooth.append([p for p in spans[-1] if p[1] - p[0] > eps])  # shorter: the identity
-    results = iter(_magnus_steps([p for s in smooth for p in s], tol))
-    own = [[next(results) for _ in s] for s in smooth]
+    keys = [[(lo, hi, *map(id, segs)) for lo, hi, *segs in s] for s in smooth]  # spans keep ids
+    distinct = dict(zip((k for ks in keys for k in ks), (p for s in smooth for p in s)))
+    done = dict(zip(distinct, _magnus_steps(list(distinct.values()), tol)))
+    own = [[done[k] for k in ks] for ks in keys]
     return [next((r for r in res if isinstance(r, Exception)), None)
             or _Window(*request, sp, res) for request, sp, res in zip(requests, spans, own)]
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, FuncSegment,
                              IntegrationFailureError, InvalidSystemError, PiecewiseFunction,
-                             PolySegment, classify, cli, criteria, evaluate_all, evaluate_many,
-                             monodromies, monodromy, propagation, validate_system)
+                             PolySegment, classify, cli, criteria, descriptors, evaluate_all,
+                             evaluate_many, monodromies, monodromy, propagation, validate_system)
 from impulse_floquet.criteria import CRITERION_ORDER
-from impulse_floquet.descriptors import (set_descriptor_value, system_from_descriptor,
-                                         system_to_descriptor)
+from impulse_floquet.descriptors import (DescriptorError, set_descriptor_value,
+                                         system_from_descriptor, system_to_descriptor)
 from impulse_floquet.harness import CHUNK, GeneratorSpec, generate
 from perfbench.inputs import SWEEP_ROW_VALUES, sweep_descriptor, sweep_rows
 
@@ -127,6 +127,35 @@ def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls
         max(cycle, head) == calls
 
 
+def _stepped_pieces(monkeypatch, fn):
+    """fn(), and the number of smooth pieces of each `_magnus_steps` call it makes."""
+    counts, steps = [], propagation._magnus_steps
+
+    def counted(pieces, tol):
+        counts.append(len(pieces))
+        return steps(pieces, tol)
+
+    monkeypatch.setattr(propagation, "_magnus_steps", counted)
+    out = fn()
+    monkeypatch.setattr(propagation, "_magnus_steps", steps)
+    return out, counts
+
+
+@pytest.mark.parametrize("system", [
+    system_from_descriptor(sweep_descriptor(0)), generate(GeneratorSpec(seed=12)),
+    generate(GeneratorSpec(seed=5, amplitude=4.0))], ids=["sweep_0", "seed_12", "seed_5_amp_4"])
+def test_a_dense_paths_head_steps_only_its_first_piece_apart_from_the_cycle(monkeypatch, system):
+    T, eps = system.period, propagation.knot_eps(system.period)
+    cycle = [p for p in system.pieces() if p[1] - p[0] > eps]
+    head = [p for p in system.pieces(0.3 * T, T) if p[1] - p[0] > eps]
+    path, counts = _stepped_pieces(monkeypatch, lambda: DensePath(system, 0.3 * T, 3 * T))
+    assert len(head) > 1 and counts == [len(cycle) + 1]
+    for window, lo in ((path.head, 0.3 * T), (path.cycle, 0.0)):  # the same as stepped alone
+        (alone,) = propagation._windows([(system, lo, T, False)], DEFAULT_TOLERANCES)
+        assert np.array_equal(window.end, alone.end)
+        assert all(np.array_equal(p.steps, q.steps) for p, q in zip(window.pieces, alone.pieces))
+
+
 def _reference_rows(doc, axes, tol=DEFAULT_TOLERANCES):
     """One point at a time, as the sweep evaluated its grid before chunking."""
     (p0, v0s), (p1, v1s) = axes
@@ -147,7 +176,7 @@ def _reference_rows(doc, axes, tol=DEFAULT_TOLERANCES):
                 conclusions = {r.criterion: r.conclusion for r in evaluate_all(system, tol)}
                 rows.append([*(v for _, v in assignments), m.trace, m.det, verdict.category,
                              *(conclusions[c] for c in CRITERION_ORDER), "ok"])
-            except (InvalidSystemError, IntegrationFailureError) as exc:
+            except (DescriptorError, InvalidSystemError, IntegrationFailureError) as exc:
                 rows.append([*(v for _, v in assignments), "", "", "",
                              *([""] * len(CRITERION_ORDER)), f"error: {exc}"])
     buf = io.StringIO()
@@ -291,6 +320,59 @@ def test_one_integrate_pass_per_distinct_coefficient_set(monkeypatch):
     job = (rows[0], [[("impulses[0].beta", b)] for b in np.linspace(-2.0, 2.0, 21)],
            DEFAULT_TOLERANCES)
     assert _integrate_calls(monkeypatch, lambda: cli._sweep_chunk(job)) == one
+
+
+def test_a_beta_row_parses_each_coefficient_and_steps_each_piece_once(monkeypatch):
+    doc = sweep_rows(sweep_descriptor(0))[0]
+    job = (doc, [[("impulses[0].beta", float(b))] for b in np.linspace(-2.0, 2.0, 21)],
+           DEFAULT_TOLERANCES)
+    parses, coefficient = [], descriptors._coefficient
+
+    def counted(segments, period, path):
+        parses.append(path)
+        return coefficient(segments, period, path)
+
+    monkeypatch.setattr(descriptors, "_coefficient", counted)
+    rows, counts = _stepped_pieces(monkeypatch, lambda: cli._sweep_chunk(job))
+    assert [row[-1] for row in rows] == ["ok"] * 21
+    assert counts == [5] and len(parses) == 3
+
+
+_MOVES = {  # the seed-0 sweep descriptor: T = 1, knots 0.3353 and 0.7417, taus 0.4410, 0.7048
+    "period": st.sampled_from([1.0, 1.0 + 4e-10, 1.0 - 4e-10, 0.9]),
+    "coefficients.c[0].end": st.one_of(st.sampled_from([0.44097762396483986, 0.8, 1.0]),
+                                       st.floats(0.05, 0.74)),
+    "coefficients.a[2].end": st.sampled_from([1.0, 1.0 + 4e-10, 0.99]),
+    "impulses[0].tau": st.one_of(st.sampled_from([0.0, 0.33530360411670945, 0.7048205756643636]),
+                                 st.floats(0.0, 1.0)),
+    "impulses[1].tau": st.sampled_from([0.44097762396483986, 0.7048205756643636, 0.9]),
+    "impulses[0].alpha": st.one_of(st.sampled_from([0.0, -1.0, 2.0]), st.floats(-2.0, 2.0)),
+    "coefficients.b[1].poly[1]": st.floats(-2.0, 2.0),
+    "impulses[1].beta": st.floats(-2.0, 2.0),
+}
+
+
+@st.composite
+def sweep_grids(draw):
+    """Two axes of one to three values each, repeats allowed, error points included:
+    fields whose moves end a chunk's reuse (the period, a segment end, an impulse
+    time), give one coefficient a new list (a polynomial coefficient) or keep it
+    (alpha, beta)."""
+    paths = draw(st.lists(st.sampled_from(sorted(_MOVES)), min_size=2, max_size=2, unique=True))
+    return [(p, draw(st.lists(_MOVES[p], min_size=1, max_size=3))) for p in paths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_grids())
+def test_a_chunk_equals_the_per_point_reference(axes):
+    doc = sweep_descriptor(0)
+    (p0, v0s), (p1, v1s) = axes
+    points = [[(p0, float(v0)), (p1, float(v1))] for v0 in v0s for v1 in v1s]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([p0, p1, *cli.SWEEP_BASE_COLUMNS])
+    writer.writerows(cli._sweep_chunk((doc, points, DEFAULT_TOLERANCES)))
+    assert buf.getvalue() == _reference_rows(doc, axes)
 
 
 def test_sweep_points_leave_the_descriptor_unchanged():

@@ -315,6 +315,10 @@ class TestOutputBytes:
          "sweep axis 'impulses[0].beta=x:2:3': non-numeric bounds or steps"),
         (["impulses[0].beta=0:2:1"], "sweep axis 'impulses[0].beta=0:2:1': steps must be >= 2"),
         (["impulses[0].beta=0:2:2"] * 3, "sweep needs one or two --axes"),
+        (["impulses[0].beta=0:1:2", "impulses[00].beta=5:6:2"],
+         "sweep axis path 'impulses[00].beta' given twice"),
+        (["impulses[0].beta=nan:1:3"],
+         "sweep axis 'impulses[0].beta=nan:1:3': lo, hi and hi - lo must be finite"),
     ])
     def test_sweep_axis_errors(self, capsys, axes, message):
         argv = ["sweep", "--input", json.dumps(README_DESCRIPTOR)]
