@@ -38,6 +38,7 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
+_MAX_SWEEP_POINTS = 1_000_000  # cmd_sweep holds every point and the whole CSV in memory
 _SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long-running processes
 _TOL_FLAGS = {"abs": "ODE absolute tolerance", "rel": "ODE relative tolerance",
               "strict": "strictness tolerance for criteria margins"}
@@ -174,7 +175,7 @@ def cmd_criteria(args) -> int:
     return 0
 
 
-def _parse_axis(text: str) -> tuple[str, np.ndarray]:
+def _parse_axis(text: str) -> tuple[str, float, float, int]:
     if "=" not in text:
         raise DescriptorError(f"sweep axis {text!r}: expected path=lo:hi:steps")
     path, spec = text.split("=", 1)
@@ -190,7 +191,7 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
         raise DescriptorError(f"sweep axis {text!r}: lo, hi and hi - lo must be finite")
     if steps < 2:
         raise DescriptorError(f"sweep axis {text!r}: steps must be >= 2")
-    return path.strip(), np.linspace(lo, hi, steps)
+    return path.strip(), lo, hi, steps
 
 
 def _sweep_chunk(job) -> list[list]:
@@ -231,15 +232,17 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(a) for a in args.axes]
     if not 1 <= len(axes) <= 2:
         raise DescriptorError("sweep needs one or two --axes")
-    for path, vals in axes:
-        set_descriptor_value(doc, path, float(vals[0]))
-    paths = [p for p, _ in axes]
+    if math.prod(steps for *_, steps in axes) > _MAX_SWEEP_POINTS:
+        raise DescriptorError(f"sweep grid of more than {_MAX_SWEEP_POINTS} points")
+    for path, lo, _, _ in axes:
+        set_descriptor_value(doc, path, lo)
+    paths = [p for p, *_ in axes]
     if len({tuple(k for _, k in path_keys(p)) for p in paths}) < len(paths):
         raise DescriptorError(f"sweep axis path {paths[-1]!r} given twice")
 
     points = [[]]
-    for path, vals in axes:  # row-major: the first axis varies slowest
-        points = [[*point, (path, float(v))] for point in points for v in vals]
+    for path, *spec in axes:  # row-major: the first axis varies slowest
+        points = [[*point, (path, float(v))] for point in points for v in np.linspace(*spec)]
     chunks = chunked_map(_sweep_chunk, points, args.workers, lambda c: (doc, c, tol))
 
     buf = io.StringIO()

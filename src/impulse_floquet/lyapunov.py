@@ -9,7 +9,7 @@ every choice of the interior weight point, no solution has two zeros in the wind
 The continuous object scanned for zeros is the rescaled first component z,
 obtained by dividing out the running product of impulse multipliers; z is
 continuous across impulses and has exactly the zero set of x in the
-one-sided sense, which makes sign-change bracketing on a dense grid sound.
+one-sided sense, at most one zero on each step of `_step_grid`.
 The solution with z(t) = 0 is orthogonal to the row mapping initial states to z(t),
 so a window is disconjugate exactly when that row's angle, taken mod pi, is
 injective on it (the Pruefer angle; Reid 1980). Its rate b * det X / |row|^2 has
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
-from .piecewise import (CumulativeIntegral, PolySegment, adaptive_integral, bracketed_root,
-                        finite_values, grid_golden_min, integrate_panels, integrate_periodic,
-                        knot_eps, merge_knots, period_chunks, segments_min, split_period)
-from .propagation import DensePath, IntegrationFailureError, State
+from .piecewise import (CumulativeIntegral, PolySegment, _roots_within, _taylor_shift,
+                        adaptive_integral, bracketed_root, finite_values, grid_golden_min,
+                        integrate_panels, integrate_periodic, knot_eps, merge_knots,
+                        period_chunks, segments_min, split_period)
+from .propagation import _MAX_STEPS, DensePath, IntegrationFailureError, State
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -37,8 +38,7 @@ DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
 _WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
-_GRID_PER_PERIOD = 512   # zero-scan samples per period in find_zero_pairs
-_ORACLE_SAMPLES = 1024
+_B_SIGN_SAMPLES = 1024   # even reads of a callable b's sign in disconjugacy_oracle
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
 ZERO_BAND = 1e-9         # zeros this close are one, and at an impulse; scaled by max(1, T)
@@ -121,9 +121,9 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
                     tolerances: Tolerances | None = None) -> list[ZeroPair | None]:
     """First two consecutive zeros of z in the window for each initial state, or None.
 
-    The states share a start time, not after the window, and one dense path and grid
-    sample; sign changes are refined by bracketing on the continuous z. Zeros closer
-    together than the grid resolution cannot be separated.
+    The states share a start time, not after the window, and one dense path and
+    `_step_grid` sample, whose steps hold at most one zero each (but see there for
+    callables); sign changes are refined by bracketing on the continuous z.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     w0, w1 = window
@@ -136,10 +136,9 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
     pairs: list[ZeroPair | None] = [None] * len(initials)
     if not any(s.x or s.u for s in initials):
         return pairs
+    ts = _step_grid(system, w0, w1)
     path = DensePath(system, t_start, w1, tol)
     imp = system.impulse_at(t_start)
-    n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
-    ts = np.linspace(w0, w1, n + 1)
     mats, prods = path.sample_matrices(ts)
     xtol = ROOT_TOL * max(1.0, T)
     for i, state in enumerate(initials):
@@ -148,10 +147,7 @@ def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, floa
         y0 = np.array([state.x, state.u])
         sol = RescaledSolution(path, imp.matrix @ y0 if state.side == "left" and imp else y0)
         zs = (mats[:, 0, :] @ sol.y0) / prods  # sol.z_samples(ts) from the shared sample
-        scale = float(np.max(np.abs(zs)))
-        if scale == 0.0:
-            continue
-        runs, changes = _zero_sites(zs, 1e-9 * scale)
+        runs, changes = _zero_sites(zs, 1e-9 * float(np.max(np.abs(zs))))  # all 0: one run
         zeros = [float(ts[k]) for k in np.flatnonzero(runs)]
         zeros += [bracketed_root(sol.z, ts[k], ts[k + 1], xtol) for k in np.flatnonzero(changes)]
         distinct = merge_knots(sorted(zeros), ZERO_BAND * max(1.0, T))
@@ -295,35 +291,56 @@ def _b_sign(pieces, samples=()) -> int | None:
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
+def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
+    """Times from t1 to t2 cut at every knot and at the sign changes of a polynomial b,
+    a part of length L in max(1, ceil(L * (max|a| + sqrt(max|b| * max|c|)) / (pi/2)))
+    steps. On each, the angle of (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by
+    less than pi/2 and, b keeping one sign, passes the zeros of x one way only (the
+    modified Pruefer angle; Coppel 1971): no solution has two zeros on a step, and row(t)
+    turns by less than pi. Over a callable piece the maxima are only sampled, so this is
+    not rigorous there. IntegrationFailureError where a part needs over _MAX_STEPS steps."""
+    T = system.period
+    parts = [[t1]]
+    for k, s0, s1 in period_chunks(t1, t2, T):
+        for p0, p1, *segs in system.pieces(s0, s1):
+            q = _taylor_shift(segs[1].coeffs, p0) if isinstance(segs[1], PolySegment) else []
+            cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
+            for q0, q1 in zip(cuts[:-1], cuts[1:]):
+                a, b, c = (-segments_min([(q0, q1, f), (q0, q1, f.scaled(-1.0))])[0] for f in segs)
+                n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
+                if not n <= _MAX_STEPS:
+                    raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)
+                parts.append(k * T + np.linspace(q0, q1, max(int(n), 1) + 1)[1:])
+    return np.append(np.concatenate(parts)[:-1], t2)
+
+
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
     """Not disconjugate where b takes both signs on the window, disconjugate where b is 0
     on all of it; otherwise row(t)'s angle is monotone in b's direction and the window is
-    not disconjugate exactly when it sweeps pi. No true grid step goes against b, so a read
-    below -pi/2, or reads summing to -pi or less, are steps folded back by arctan2; a miss
-    needs one step of over 3pi/2. A callable b is also read at the grid times; a
-    non-finite value of b raises EvaluationError, a non-finite angle reading
-    IntegrationFailureError at the last finite grid time."""
+    not disconjugate exactly when it sweeps pi, read exactly on the steps of `_step_grid`.
+    A callable b is also read at _B_SIGN_SAMPLES + 1 even times. EvaluationError at a
+    non-finite b, IntegrationFailureError at the last finite grid time of a non-finite angle."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
     _, s1 = split_period(t1, T)
     s2 = s1 + (t2 - t1)
-    ts = np.linspace(s1, s2, _ORACLE_SAMPLES + 1)
+    even = np.linspace(s1, s2, _B_SIGN_SAMPLES + 1)
     pieces = _b_pieces(system, s1, s2)
-    samples = [finite_values(seg, ts[(ts >= k * T + p0) & (ts <= k * T + p1)] - k * T)
+    samples = [finite_values(seg, even[(even >= k * T + p0) & (even <= k * T + p1)] - k * T)
                for p0, p1, seg, k in pieces if not isinstance(seg, PolySegment)]
     sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
     if sign in (None, 0):
         return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
-    path = DensePath(system, s1, s2, tol)
-    mats, prods = path.sample_matrices(ts)
+    ts = _step_grid(system, s1, s2)
+    mats, prods = DensePath(system, s1, s2, tol).sample_matrices(ts)
     rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
     r, w = rows[:-1], rows[1:]
-    reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as nan, raised below
+        reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
     bad = np.flatnonzero(~np.isfinite(reads))
     if bad.size:
         raise IntegrationFailureError("non-finite angle reading", float(ts[bad[0]]))
-    return (NOT_DISCONJUGATE if np.any(reads < -0.5 * math.pi) or abs(reads.sum()) >= math.pi
-            else DISCONJUGATE)
+    return NOT_DISCONJUGATE if reads.sum() >= math.pi else DISCONJUGATE

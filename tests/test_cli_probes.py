@@ -320,6 +320,19 @@ def test_duplicate_impulse_times_exit_2(tmp_path, capsys, command, flags):
     assert err == "invalid input: impulse 2: tau=0.5 not greater than previous impulse time\n"
 
 
+@pytest.mark.parametrize("axes", [
+    ["impulses[0].beta=0:1:1000000000000000"],  # once a numpy _ArrayMemoryError traceback
+    ["impulses[0].beta=0:1:1001", "impulses[0].alpha=0.5:1.5:1000"],
+])
+def test_sweep_of_over_a_million_points_exits_2_at_once(tmp_path, capsys, axes):
+    path = write_descriptor(tmp_path, rotation_descriptor(T=1.0, impulses=[(0.5, 2.0, 0.5)]))
+    with _within(2.0):
+        rc, out, err = run(capsys, ["sweep", "--input", path,
+                                    *(flag for axis in axes for flag in ("--axes", axis))])
+    assert rc == 2 and out == ""
+    assert err == "invalid input: sweep grid of more than 1000000 points\n"
+
+
 def test_sweep_moving_an_impulse_onto_another_gives_an_error_row(tmp_path, capsys):
     doc = rotation_descriptor(T=1.0, impulses=[(0.5, 2.0, 0.5), (0.7, 0.5, -0.5)])
     path = write_descriptor(tmp_path, doc)

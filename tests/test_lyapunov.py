@@ -325,9 +325,9 @@ class TestDisconjugacy:
 
     @pytest.mark.parametrize("bc, t2", [(5630.0, 1.0), (40.0, 140.0)])
     def test_folded_grid_steps_not_disconjugate(self, bc, t2, capsys):
-        # b = c: row(t) turns at the rate b, so zeros are pi / b apart. Here each of the
-        # 1,024 grid steps turns row(t) by about 7pi/4, which arctan2 reads as about
-        # -pi/4: reads summing far below -pi against b, which rounding cannot make
+        # b = c: row(t) turns at the rate b, so zeros are pi / b apart. On an even grid
+        # of 1,024 steps each step would turn row(t) by about 7pi/4, which arctan2 reads
+        # as about -pi/4; the step grid turns it by at most pi/2 a step (3,585 steps at 5630)
         doc = {"period": 1.0,
                "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
                                 "b": [{"end": 1.0, "poly": [bc]}],
@@ -372,16 +372,57 @@ class TestDisconjugacy:
         assert 0.49 < info.value.t < 0.51
         assert builds == []
 
-    def test_non_finite_angle_reading_raises(self):
+    def test_non_finite_angle_reading_raises(self, monkeypatch):
         # c is NaN on (0.49, 0.51) and b = 1: no Magnus node lands there, but the dense
         # path reads NaN rows from 0.453125 on, and a NaN reading once passed both
-        # verdict tests
+        # verdict tests. The sampled maximum of c for the step grid now reads the NaN
+        # first, before any dense path
         c = PiecewiseFunction.from_callable(
             lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 1.0), 1.0)
         sys_ = make_system(0.0, 1.0, c)
-        with pytest.raises(IntegrationFailureError) as info:
+        builds = []
+        real_init = DensePath.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DensePath, "__init__", counting)
+        with pytest.raises(EvaluationError) as info:
             disconjugacy_oracle(sys_, 0.0, 1.0)
-        assert info.value.t_last == 463 / 1024  # the last grid time with a finite row
+        assert 0.49 < info.value.t < 0.51
+        assert builds == []
+        # x'' = x: the rows grow as e^t, and the products of two rows overflow past
+        # t = 355, where the reading check still raises at the last finite grid time
+        with pytest.raises(IntegrationFailureError) as info:
+            disconjugacy_oracle(make_system(0.0, 1.0, -1.0), 0.0, 800.0)
+        assert info.value.t_last == 356.0
+
+    @pytest.mark.parametrize("K", [1.5e8, 4e8])
+    def test_spike_of_c_inside_one_even_step_not_disconjugate(self, K, capsys):
+        # c = K on [0.5002, 0.5007] turns row(t) by over 2pi inside one step of an even
+        # 1,024-step grid, which read the turn less 2pi and answered disconjugate
+        doc = _spike_descriptor(K)
+        sys_ = system_from_descriptor(doc)
+        assert disconjugacy_oracle(sys_, 0.0, 1.0) == NOT_DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0", "--t2", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
+
+    def test_grid_beyond_the_step_limit_exits_3(self, capsys):
+        # c = 1e14 on [0, 1] needs ceil(1e7 / (pi/2)) = 6,366,198 steps, over the
+        # propagator's 65,536 per piece: an exit 3 before any grid is allocated
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [1.0]}],
+                                "c": [{"end": 1.0, "poly": [1e14]}]},
+               "impulses": []}
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0", "--t2", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("integration failure: ") and "6366198 steps" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("t2", [0.4, 0.9])
     def test_zero_b_stretch_counts_as_one_zero(self, t2):
@@ -413,6 +454,24 @@ class TestDisconjugacy:
         assert chk.sup_value == pytest.approx(1.73, abs=0.01) and chk.status == INCONCLUSIVE
 
 
+class TestZeroScan:
+    def test_spike_zeros_inside_one_even_step_are_found(self):
+        # the solution from (0, 1) vanishes at 0, 0.50033 and 0.50058: the last two
+        # once fell in one step of the 512-per-period scan and showed no sign change
+        sys_ = system_from_descriptor(_spike_descriptor(1.5e8))
+        pair = find_zero_pair(sys_, State(0.0, 0.0, 1.0), (0.0, 1.0))
+        assert pair is not None and pair.t1 == 0.0
+        assert pair.t2 == pytest.approx(0.5003282683110314, abs=1e-9)
+
+    def test_zeros_at_a_narrow_dip_of_b_are_found(self):
+        # b = (t - 0.5)^2 - 1e-6 < 0 on (0.499, 0.501): the step grid is cut at b's
+        # roots, and the solution from (0, 1) at 0.5 vanishes again at 0.5 + sqrt(3)e-3
+        sys_ = make_system(0.0, poly((0.25 - 1e-6, -1.0, 1.0)), 1.0)
+        pair = find_zero_pair(sys_, State(0.5, 0.0, 1.0), (0.5, 0.7))
+        assert pair is not None and pair.t1 == 0.5
+        assert pair.t2 == pytest.approx(0.5 + math.sqrt(3.0) * 1e-3, abs=1e-9)
+
+
 class TestSoundnessSmall:
     def test_every_found_pair_holds(self):
         for seed in range(6):
@@ -425,6 +484,16 @@ class TestSoundnessSmall:
                 if pair is not None:
                     w = lyapunov_verify(sys_, pair)
                     assert w.holds, (seed, k, w.lhs)
+
+
+def _spike_descriptor(K):
+    """a = 0, b = 1 and c = K on [0.5002, 0.5007], 0 elsewhere, T = 1."""
+    return {"period": 1.0,
+            "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                             "b": [{"end": 1.0, "poly": [1.0]}],
+                             "c": [{"end": 0.5002, "poly": [0.0]}, {"end": 0.5007, "poly": [K]},
+                                   {"end": 1.0, "poly": [0.0]}]},
+            "impulses": []}
 
 
 def _zero_sites_by_loop(zs, ztol):

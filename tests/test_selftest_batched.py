@@ -16,8 +16,8 @@ from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, RescaledSolution, St
 from impulse_floquet.criteria import evaluate_all
 from impulse_floquet.floquet import classify
 from impulse_floquet.harness import MODES, GeneratorSpec, generate, soundness_sweep
-from impulse_floquet.lyapunov import (_GRID_PER_PERIOD, ROOT_TOL, _impulse_time_flags,
-                                      _zero_sites, bracketed_root)
+from impulse_floquet.lyapunov import (ROOT_TOL, _impulse_time_flags, _step_grid, _zero_sites,
+                                      bracketed_root)
 from impulse_floquet.propagation import monodromy
 
 from helpers import make_system
@@ -49,7 +49,7 @@ def _per_system_chunk(job):
 
 
 def _zero_pair_reference(system, initial, window, tol=DEFAULT_TOLERANCES):
-    """One state, its own dense path and grid sample."""
+    """One state, its own dense path and sample of the step grid."""
     w0, w1 = window
     T = system.period
     y0 = np.array([initial.x, initial.u])
@@ -61,8 +61,7 @@ def _zero_pair_reference(system, initial, window, tol=DEFAULT_TOLERANCES):
         if imp is not None:
             y0 = imp.matrix @ y0
     sol = RescaledSolution(path, y0)
-    n = max(64, int(math.ceil(_GRID_PER_PERIOD * (w1 - w0) / T)))
-    ts = np.linspace(w0, w1, n + 1)
+    ts = _step_grid(system, w0, w1)
     zs = sol.z_samples(ts)
     scale = float(np.max(np.abs(zs)))
     if scale == 0.0:
