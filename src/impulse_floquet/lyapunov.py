@@ -9,11 +9,10 @@ every choice of the interior weight point, no solution has two zeros in the wind
 The continuous object scanned for zeros is the rescaled first component z,
 obtained by dividing out the running product of impulse multipliers; z is
 continuous across impulses and has exactly the zero set of x in the
-one-sided sense, at most one zero on each step of `_step_grid`.
-The solution with z(t) = 0 is orthogonal to the row mapping initial states to z(t),
-so a window is disconjugate exactly when that row's angle, taken mod pi, is
-injective on it (the Pruefer angle; Reid 1980). Its rate b * det X / |row|^2 has
-det X > 0, so it turns back exactly where b takes both signs (Coppel 1971).
+one-sided sense, at most one zero on each step of `_step_grid`. Where b takes
+one sign on a window, Sturm separation (Reid 1980; Coppel 1971) makes it
+disconjugate exactly when the focal solution, zero at its start, has no other
+zero in it; where b takes both signs, some solution has two zeros.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from .piecewise import (CumulativeIntegral, PolySegment, _roots_within, _taylor_
                         adaptive_integral, bracketed_root, finite_values, grid_golden_min,
                         integrate_panels, integrate_periodic, knot_eps, merge_knots,
                         period_chunks, segments_min, split_period)
-from .propagation import _MAX_STEPS, DensePath, IntegrationFailureError, State
+from .propagation import (_MAX_STEPS, DensePath, IntegrationFailureError, State,
+                          _magnus_steps, _raising, _step_maps)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -291,17 +291,20 @@ def _b_sign(pieces, samples=()) -> int | None:
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
-def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
-    """Times from t1 to t2 cut at every knot and at the sign changes of a polynomial b,
-    a part of length L in max(1, ceil(L * (max|a| + sqrt(max|b| * max|c|)) / (pi/2)))
-    steps. On each, the angle of (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by
-    less than pi/2 and, b keeping one sign, passes the zeros of x one way only (the
-    modified Pruefer angle; Coppel 1971): no solution has two zeros on a step, and row(t)
-    turns by less than pi. Over a callable piece the maxima are only sampled, so this is
-    not rigorous there. IntegrationFailureError where a part needs over _MAX_STEPS steps."""
-    T = system.period
-    parts = [[t1]]
+def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
+    """(k, parts) for each period chunk of [t1, t2], a distinct chunk cut once: parts (q0, q1,
+    seg_a, seg_b, seg_c, n, jump), cut at every knot and at the sign changes of a polynomial b,
+    n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part of length L,
+    jump the impulse where a smooth piece starts at q0. On a step the angle of (w x, u / w),
+    w^2 = sqrt(max|c| / max|b|), turns by less than pi/2 and, b keeping one sign, passes the
+    zeros of x one way only (modified Pruefer angle; Coppel 1971): a step holds at most one
+    (not rigorously on callables: sampled maxima). IntegrationFailureError past _MAX_STEPS."""
+    T, cut, out = system.period, {}, []
     for k, s0, s1 in period_chunks(t1, t2, T):
+        parts = cut.setdefault((s0, s1), [])
+        out.append((k, parts))
+        if parts:  # cut at an earlier period
+            continue
         for p0, p1, *segs in system.pieces(s0, s1):
             q = _taylor_shift(segs[1].coeffs, p0) if isinstance(segs[1], PolySegment) else []
             cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
@@ -310,17 +313,37 @@ def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
                 n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
                 if not n <= _MAX_STEPS:
                     raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)
-                parts.append(k * T + np.linspace(q0, q1, max(int(n), 1) + 1)[1:])
+                jump = system.impulse_at(q0) if q0 == p0 else None
+                parts.append((q0, q1, *segs, max(int(n), 1), jump))
+    return out
+
+
+def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
+    """Times from t1 to t2: the steps of `_grid_parts`, at most one zero of x on each."""
+    parts = [[t1], *(k * system.period + np.linspace(q0, q1, n + 1)[1:]
+                     for k, chunk in _grid_parts(system, t1, t2) for q0, q1, *_, n, _ in chunk)]
     return np.append(np.concatenate(parts)[:-1], t2)
+
+
+def _running_products(maps: np.ndarray) -> np.ndarray:
+    """maps[i] @ ... @ maps[0] for every i of (n, 2, 2) maps, in about 2n products: the
+    running products of the pairs, and each even entry from the odd one before it."""
+    out = maps.copy()
+    if len(maps) > 1:
+        out[1::2] = _running_products(maps[1::2] @ maps[:-1:2])
+        out[2::2] = maps[2::2] @ out[1:-1:2]
+    return out
 
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
     """Not disconjugate where b takes both signs on the window, disconjugate where b is 0
-    on all of it; otherwise row(t)'s angle is monotone in b's direction and the window is
-    not disconjugate exactly when it sweeps pi, read exactly on the steps of `_step_grid`.
-    A callable b is also read at _B_SIGN_SAMPLES + 1 even times. EvaluationError at a
-    non-finite b, IntegrationFailureError at the last finite grid time of a non-finite angle."""
+    on all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) =
+    (0, 1), has a second zero site on the grid of `_grid_parts` (t1 the first; a run of times
+    with |z| <= 1e-9 |(z, v)| is one, as where b = x = 0), normalised at each period chunk.
+    No row of the fundamental matrix is read: aligned with a growing solution, its angle near
+    pi takes the sign of rounding. A callable b is also read at _B_SIGN_SAMPLES + 1 even times.
+    EvaluationError at a non-finite b, IntegrationFailureError where the state overflows."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
@@ -334,13 +357,26 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
     if sign in (None, 0):
         return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
-    ts = _step_grid(system, s1, s2)
-    mats, prods = DensePath(system, s1, s2, tol).sample_matrices(ts)
-    rows = mats[:, 0, :] / prods[:, None]  # continuous across impulses, as z is
-    r, w = rows[:-1], rows[1:]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as nan, raised below
-        reads = sign * np.arctan2(r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0], np.sum(r * w, axis=1))
-    bad = np.flatnonzero(~np.isfinite(reads))
-    if bad.size:
-        raise IntegrationFailureError("non-finite angle reading", float(ts[bad[0]]))
-    return NOT_DISCONJUGATE if reads.sum() >= math.pi else DISCONJUGATE
+    chunks = _grid_parts(system, s1, s2)
+    parts = {p[:2]: p for _, chunk in chunks for p in chunk}
+    counts = [1 << (p[5] - 1).bit_length() for p in parts.values()]  # still one zero a step
+    stepped = _raising(_magnus_steps([p[:5] for p in parts.values()], tol, counts))
+    grids = {}
+    for (q0, q1, *segs, _, jump), count, (_, _, grid) in zip(parts.values(), counts, stepped):
+        if grid is None:  # converged at fewer steps
+            grid = _step_maps(segs, q0 + (q1 - q0) / count * np.arange(count), (q1 - q0) / count)
+        if jump is not None:  # on (z, v) = (x, u) / (product of alphas), z is continuous
+            grid = np.concatenate([grid[:1] @ [[1.0, 0.0], [-jump.ratio, 1.0]], grid[1:]])
+        grids[q0, q1] = grid
+    nodes, y, states = {}, np.array([0.0, 1.0]), [np.array([[0.0, 1.0]])]  # (z, v) at t1
+    for k, chunk in chunks:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            if id(chunk) not in nodes:
+                nodes[id(chunk)] = _running_products(np.concatenate([grids[p[:2]] for p in chunk]))
+            states.append(nodes[id(chunk)] @ y)
+        if not np.isfinite(states[-1]).all():
+            raise IntegrationFailureError("non-finite focal state", k * T + chunk[0][0])
+        y = np.ldexp(states[-1][-1], -np.frexp(np.max(np.abs(states[-1][-1])))[1])
+    zv = np.concatenate(states)
+    sites = map(np.count_nonzero, _zero_sites(zv[:, 0] / np.hypot(zv[:, 0], zv[:, 1]), 1e-9))
+    return NOT_DISCONJUGATE if sum(sites) >= 2 else DISCONJUGATE

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from impulse_floquet import (DensePath, EvaluationError, ImpulsiveSystem,
                              IntegrationFailureError, PiecewiseFunction, RescaledSolution,
                              State, cli, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
-                             lyapunov_lhs, lyapunov_verify)
+                             lyapunov, lyapunov_lhs, lyapunov_verify)
 from impulse_floquet.descriptors import system_from_descriptor, system_to_descriptor
 from impulse_floquet.harness import UNCONSTRAINED, GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
@@ -225,6 +225,14 @@ class TestDisconjugacy:
         assert chk.status == INCONCLUSIVE
         assert disconjugacy_oracle(sys_, 0.0, 1.01) == NOT_DISCONJUGATE
 
+    @pytest.mark.parametrize("t1", [0.0, 0.5, 1.1])
+    def test_zero_at_the_window_end_not_disconjugate(self, t1):
+        # x'' = -pi^2 x: the focal solution vanishes again exactly at t2 = t1 + 1, where
+        # its rescaled z is rounding noise; the band |z| <= 1e-9 |(z, v)| reads it as a zero
+        sys_ = sine_system(T=2.0)
+        assert disconjugacy_oracle(sys_, t1, t1 + 1.0) == NOT_DISCONJUGATE
+        assert disconjugacy_oracle(sys_, t1, t1 + 0.999) == DISCONJUGATE
+
     def test_sine_half_window_certified(self):
         sys_ = sine_system()
         chk = disconjugacy_test(sys_, 0.0, 0.5)
@@ -392,11 +400,62 @@ class TestDisconjugacy:
             disconjugacy_oracle(sys_, 0.0, 1.0)
         assert 0.49 < info.value.t < 0.51
         assert builds == []
-        # x'' = x: the rows grow as e^t, and the products of two rows overflow past
-        # t = 355, where the reading check still raises at the last finite grid time
+        # a = 800 on both halves of the period: each half's map is finite, but x grows
+        # by e^800 inside the first period chunk, and the state check raises at its start
+        a = poly(None, breaks=[0.5], per_segment=[(800.0,), (800.0 + 1e-9,)])
         with pytest.raises(IntegrationFailureError) as info:
-            disconjugacy_oracle(make_system(0.0, 1.0, -1.0), 0.0, 800.0)
-        assert info.value.t_last == 356.0
+            disconjugacy_oracle(make_system(a, 1.0, 0.0), 0.0, 1.0)
+        assert info.value.t_last == 0.0
+
+    def test_growing_solution_past_the_float_range_disconjugate(self, capsys):
+        # x'' = x: no solution has two zeros. The solutions grow as e^t, and the
+        # products of two rows of the fundamental matrix once overflowed past t = 355
+        # (exit 3); the focal state is normalised at every period
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [1.0]}],
+                                "c": [{"end": 1.0, "poly": [-1.0]}]},
+               "impulses": []}
+        assert disconjugacy_oracle(system_from_descriptor(doc), 0.0, 800.0) == DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0", "--t2", "800"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["oracle"] == DISCONJUGATE
+
+    def test_focal_zeros_past_an_angle_near_pi_not_disconjugate(self, capsys):
+        # The focal solution from (0, 1) at 0.7 vanishes at 1.6755 + k (an RK4 run at
+        # 4,000 steps per unit time). The rows of the fundamental matrix align with
+        # the growing solution, and angle reads near +-pi took the sign of rounding:
+        # their sum, 0.62 rad, once answered disconjugate
+        doc = system_to_descriptor(generate(GeneratorSpec(seed=170, mode="positive-b",
+                                                          amplitude=8.0)))
+        assert _checked_oracle(system_from_descriptor(doc), 0.7, 7.0) == NOT_DISCONJUGATE
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0.7", "--t2", "7.0"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["test"]["status"] == INCONCLUSIVE
+        assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
+
+    def test_oracle_steps_one_periods_parts_without_a_dense_path(self, monkeypatch):
+        # four whole periods share their parts: one _magnus_steps call steps them once
+        sys_ = system_from_descriptor(windows_population(0)[0]["system"])
+        builds, calls = [], []
+        real_init, real_steps = DensePath.__init__, lyapunov._magnus_steps
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        def stepping(pieces, tol, counts=None):
+            calls.append(len(pieces))
+            return real_steps(pieces, tol, counts)
+
+        monkeypatch.setattr(DensePath, "__init__", counting)
+        monkeypatch.setattr(lyapunov, "_magnus_steps", stepping)
+        (_, parts), = lyapunov._grid_parts(sys_, 0.0, 1.0)
+        assert disconjugacy_oracle(sys_, 0.0, 4.0) == DISCONJUGATE
+        assert calls == [len(parts)] and len(parts) > 1
+        assert disconjugacy_oracle(sys_, 0.3, 1.9) == DISCONJUGATE  # head and tail differ
+        assert len(calls) == 2 and builds == []
 
     @pytest.mark.parametrize("K", [1.5e8, 4e8])
     def test_spike_of_c_inside_one_even_step_not_disconjugate(self, K, capsys):
@@ -455,6 +514,25 @@ class TestDisconjugacy:
 
 
 class TestZeroScan:
+    def test_step_grid_cuts_each_distinct_period_chunk_once(self, monkeypatch):
+        # six exact extrema per part, of one period only, for a window of four
+        sys_ = generate(GeneratorSpec(seed=12, amplitude=3.0))
+        per_period = [lyapunov._step_grid(sys_, float(k), k + 1.0) for k in range(4)]
+        calls = []
+        real_min = lyapunov.segments_min
+
+        def counting(pieces):
+            calls.append(1)
+            return real_min(pieces)
+
+        monkeypatch.setattr(lyapunov, "segments_min", counting)
+        (_, parts), = lyapunov._grid_parts(sys_, 0.0, 1.0)
+        calls.clear()
+        grid = lyapunov._step_grid(sys_, 0.0, 4.0)
+        assert len(calls) == 3 * len(parts) and len(parts) > 1
+        whole = np.concatenate([per_period[0]] + [g[1:] for g in per_period[1:]])
+        assert grid.tobytes() == whole.tobytes()
+
     def test_spike_zeros_inside_one_even_step_are_found(self):
         # the solution from (0, 1) vanishes at 0, 0.50033 and 0.50058: the last two
         # once fell in one step of the 512-per-period scan and showed no sign change
@@ -590,6 +668,12 @@ def test_oracle_matches_the_direction_loop():
             t2 = t1 + float(rng.uniform(0.2, 3.5))
             verdicts.append(_checked_oracle(sys_, t1, t2))
     assert verdicts.count(NOT_DISCONJUGATE) >= 0.2 * len(verdicts)
+
+    # positive b at amplitude 8, long windows where no solution has two zeros (seed
+    # 170 on [0.7, 7], where one has, is test_focal_zeros_past_an_angle_near_pi_...)
+    for seed in (9, 117):
+        sys_ = generate(GeneratorSpec(seed=seed, mode="positive-b", amplitude=8.0))
+        assert _checked_oracle(sys_, 0.45, 9.55) == DISCONJUGATE
 
     # b changes sign on windows of one period or more: every one has a solution
     # with two zeros, two of them only in a band narrower than one degree
