@@ -293,11 +293,11 @@ def _b_sign(pieces, samples=()) -> int | None:
 
 def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
     """(k, parts) for each period chunk of [t1, t2], a distinct chunk cut once: parts (q0, q1,
-    seg_a, seg_b, seg_c, n, jump), cut at every knot and at the sign changes of a polynomial b,
-    n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part of length L,
-    jump the impulse where a smooth piece starts at q0. On a step the angle of (w x, u / w),
-    w^2 = sqrt(max|c| / max|b|), turns by less than pi/2 and, b keeping one sign, passes the
-    zeros of x one way only (modified Pruefer angle; Coppel 1971): a step holds at most one
+    seg_a, seg_b, seg_c, n, jump, (max|b|, max|c|)) cut at every knot and sign change of a
+    polynomial b, n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part
+    of length L, jump the impulse where a smooth piece starts at q0. On a step the angle of
+    (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by less than pi/2 and, b of one sign, passes
+    the zeros of x one way only (modified Pruefer angle; Coppel 1971): a step holds at most one
     (not rigorously on callables: sampled maxima). IntegrationFailureError past _MAX_STEPS."""
     T, cut, out = system.period, {}, []
     for k, s0, s1 in period_chunks(t1, t2, T):
@@ -314,20 +314,19 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
                 if not n <= _MAX_STEPS:
                     raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)
                 jump = system.impulse_at(q0) if q0 == p0 else None
-                parts.append((q0, q1, *segs, max(int(n), 1), jump))
+                parts.append((q0, q1, *segs, max(int(n), 1), jump, (b, c)))
     return out
 
 
 def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
     """Times from t1 to t2: the steps of `_grid_parts`, at most one zero of x on each."""
     parts = [[t1], *(k * system.period + np.linspace(q0, q1, n + 1)[1:]
-                     for k, chunk in _grid_parts(system, t1, t2) for q0, q1, *_, n, _ in chunk)]
+                     for k, chunk in _grid_parts(system, t1, t2) for q0, q1, *_, n, _, _ in chunk)]
     return np.append(np.concatenate(parts)[:-1], t2)
 
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
-    """maps[i] @ ... @ maps[0] for every i of (n, 2, 2) maps, in about 2n products: the
-    running products of the pairs, and each even entry from the odd one before it."""
+    """maps[i] @ ... @ maps[0] for each i of (n, 2, 2) maps, pairwise in about 2n products."""
     out = maps.copy()
     if len(maps) > 1:
         out[1::2] = _running_products(maps[1::2] @ maps[:-1:2])
@@ -337,13 +336,14 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
 
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
-    """Not disconjugate where b takes both signs on the window, disconjugate where b is 0
-    on all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) =
-    (0, 1), has a second zero site on the grid of `_grid_parts` (t1 the first; a run of times
-    with |z| <= 1e-9 |(z, v)| is one, as where b = x = 0), normalised at each period chunk.
-    No row of the fundamental matrix is read: aligned with a growing solution, its angle near
-    pi takes the sign of rounding. A callable b is also read at _B_SIGN_SAMPLES + 1 even times.
-    EvaluationError at a non-finite b, IntegrationFailureError where the state overflows."""
+    """Not disconjugate where b takes both signs on the window, disconjugate where b is 0 on
+    all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) = (0, 1)
+    normalised at each period chunk, has a second zero site on the grid of `_grid_parts` (t1
+    the first; a run of times with |w^2 z| <= 1e-9 |(w^2 z, v)| is one, as where b = x = 0;
+    w^2 of the part, else of the window, else 1 / (max|b| (t2 - t1)) where c = 0). No row angle
+    is read: once rows align with a growing solution, a read near pi has the sign of rounding.
+    A callable b is also read at _B_SIGN_SAMPLES + 1 even times. EvaluationError at a
+    non-finite b, IntegrationFailureError where the state overflows."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
@@ -358,25 +358,29 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     if sign in (None, 0):
         return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
     chunks = _grid_parts(system, s1, s2)
-    parts = {p[:2]: p for _, chunk in chunks for p in chunk}
-    counts = [1 << (p[5] - 1).bit_length() for p in parts.values()]  # still one zero a step
-    stepped = _raising(_magnus_steps([p[:5] for p in parts.values()], tol, counts))
-    grids = {}
-    for (q0, q1, *segs, _, jump), count, (_, _, grid) in zip(parts.values(), counts, stepped):
-        if grid is None:  # converged at fewer steps
-            grid = _step_maps(segs, q0 + (q1 - q0) / count * np.arange(count), (q1 - q0) / count)
-        if jump is not None:  # on (z, v) = (x, u) / (product of alphas), z is continuous
-            grid = np.concatenate([grid[:1] @ [[1.0, 0.0], [-jump.ratio, 1.0]], grid[1:]])
-        grids[q0, q1] = grid
-    nodes, y, states = {}, np.array([0.0, 1.0]), [np.array([[0.0, 1.0]])]  # (z, v) at t1
-    for k, chunk in chunks:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+    parts, grids, nodes = {p[:2]: p for _, chunk in chunks for p in chunk}, {}, {}
+    b_max, c_max = map(max, zip(*(p[-1] for p in parts.values())))  # the window's, for w^2
+    wide = math.sqrt(c_max / b_max) if b_max > 0.0 < c_max else 1.0 / (b_max * (s2 - s1) or 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        for (q0, q1, *segs, n, jump, (b, c)), (steps, _) in zip(
+                parts.values(), _raising(_magnus_steps([p[:5] for p in parts.values()], tol))):
+            count = 1 << (n - 1).bit_length()  # at most one zero on each of these steps too
+            if len(steps) < count:  # converged at fewer steps
+                steps = _step_maps(segs, np.linspace(q0, q1, count + 1)[:-1], (q1 - q0) / count)
+            while len(steps) > count:  # pairwise, as _magnus_steps reduces them
+                steps = steps[1::2] @ steps[::2]
+            if jump is not None:  # on (z, v) = (x, u) / (product of alphas), z is continuous
+                steps = np.concatenate([steps[:1] @ [[1.0, 0.0], [-jump.ratio, 1.0]], steps[1:]])
+            grids[q0, q1] = steps, np.full(count, math.sqrt(c / b) if b > 0.0 < c else wide)
+        y, states = np.array([0.0, 1.0]), [np.array([[0.0, 1.0]])]  # (z, v) at t1
+        for k, chunk in chunks:
             if id(chunk) not in nodes:
-                nodes[id(chunk)] = _running_products(np.concatenate([grids[p[:2]] for p in chunk]))
-            states.append(nodes[id(chunk)] @ y)
-        if not np.isfinite(states[-1]).all():
-            raise IntegrationFailureError("non-finite focal state", k * T + chunk[0][0])
-        y = np.ldexp(states[-1][-1], -np.frexp(np.max(np.abs(states[-1][-1])))[1])
-    zv = np.concatenate(states)
-    sites = map(np.count_nonzero, _zero_sites(zv[:, 0] / np.hypot(zv[:, 0], zv[:, 1]), 1e-9))
-    return NOT_DISCONJUGATE if sum(sites) >= 2 else DISCONJUGATE
+                maps, w2 = (np.concatenate(g) for g in zip(*(grids[p[:2]] for p in chunk)))
+                nodes[id(chunk)] = _running_products(maps), w2
+            states.append(nodes[id(chunk)][0] @ y)
+            if not np.isfinite(states[-1]).all():
+                raise IntegrationFailureError("non-finite focal state", k * T + chunk[0][0])
+            y = np.ldexp(states[-1][-1], -np.frexp(np.max(np.abs(states[-1][-1])))[1])
+    zv, w2 = np.concatenate(states), np.hstack([0.0, *(nodes[id(c)][1] for _, c in chunks)])
+    sites = _zero_sites(w2 * zv[:, 0] / np.hypot(w2 * zv[:, 0], zv[:, 1]), 1e-9)
+    return NOT_DISCONJUGATE if sum(map(np.count_nonzero, sites)) >= 2 else DISCONJUGATE

@@ -179,18 +179,16 @@ def _poly_table(pieces) -> np.ndarray:
     return table
 
 
-def _magnus_steps(pieces, tol: Tolerances, counts=None) -> list:
+def _magnus_steps(pieces, tol: Tolerances) -> list:
     """Step maps and products of smooth pieces [(lo, hi, seg_a, seg_b, seg_c)].
 
     Every piece starts at one step and doubles its count until two successive
     products agree; all pieces still doubling share one kernel call per level.
-    Entry i is (steps, product, grid) of piece i, or the exception that stopped it; grid: the
-    reduction's counts[i] maps (a power of two, default 1), None if it converged at fewer steps.
+    Entry i is (steps, product) of piece i, or the exception that stopped it.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
     span = np.array([p[1] for p in pieces]) - lo
-    least = np.ones(len(pieces), dtype=int) if counts is None else np.asarray(counts)
     table = _poly_table(pieces)
     callable_rows = np.array([not all(isinstance(s, PolySegment) for s in p[2:])
                               for p in pieces], dtype=bool)
@@ -217,11 +215,10 @@ def _magnus_steps(pieces, tol: Tolerances, counts=None) -> list:
                 vals[:, row] = np.nan
         (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
         steps = _maps(a1, a2, b1, b2, c1, c2, h)
-        X, levels = steps, {n: steps}
+        X = steps
         with np.errstate(over="ignore", invalid="ignore"):  # as in _maps
             while X.shape[1] > 1:
                 X = X[:, 1::2] @ X[:, ::2]
-                levels[X.shape[1]] = X
             X = X[:, 0]
             done = np.zeros(len(active), dtype=bool)
             if prev is not None:
@@ -232,8 +229,7 @@ def _magnus_steps(pieces, tol: Tolerances, counts=None) -> list:
             if results[i] is None:  # not a callable's own exception
                 results[i] = IntegrationFailureError("non-finite step map", pieces[i][0])
         for row in np.flatnonzero(done & finite):
-            grid = levels.get(least[active[row]])
-            results[active[row]] = steps[row], X[row], None if grid is None else grid[row]
+            results[active[row]] = steps[row], X[row]
         keep = finite & ~done
         active, prev, n = active[keep], X[keep], 2 * n
     for i in active:
@@ -295,7 +291,7 @@ class _Window:
                 if imp is not None:
                     Y = imp.matrix @ Y
                     aprod *= imp.alpha
-                steps, X = next(smooth)[:2] if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
+                steps, X = next(smooth) if hi - lo > eps else (np.empty((0, 2, 2)), np.eye(2))
                 self.pieces.append(_Piece(lo, hi, tuple(segs), steps, Y, aprod))
                 Y = X @ Y
         self.end, self.aprod_end = Y, aprod

@@ -228,10 +228,33 @@ class TestDisconjugacy:
     @pytest.mark.parametrize("t1", [0.0, 0.5, 1.1])
     def test_zero_at_the_window_end_not_disconjugate(self, t1):
         # x'' = -pi^2 x: the focal solution vanishes again exactly at t2 = t1 + 1, where
-        # its rescaled z is rounding noise; the band |z| <= 1e-9 |(z, v)| reads it as a zero
+        # its rescaled z is rounding noise; the band |w^2 z| <= 1e-9 |(w^2 z, v)| of the
+        # Pruefer angle reads it as a zero
         sys_ = sine_system(T=2.0)
         assert disconjugacy_oracle(sys_, t1, t1 + 1.0) == NOT_DISCONJUGATE
         assert disconjugacy_oracle(sys_, t1, t1 + 0.999) == DISCONJUGATE
+
+    @pytest.mark.parametrize("b", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("t2, verdict", [(3.1411, DISCONJUGATE), (10.0, NOT_DISCONJUGATE)])
+    def test_zero_band_is_read_in_pruefer_units(self, b, t2, verdict):
+        # c = 1 / b: the focal solution is x = b sin t, u = cos t, zero at k pi for every b.
+        # A band of 1e-9 |(z, v)| once read b = 1e-6 at t2 = 3.1411 as a second zero site,
+        # and for b = 1e-12 made all of [0, 10] one run that held pi, 2 pi and 3 pi
+        assert disconjugacy_oracle(make_system(0.0, b, 1.0 / b), 0.0, t2) == verdict
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e8])
+    def test_verdict_is_free_of_the_scale_of_x(self, lam):
+        # x -> lam x takes b to b / lam, and c and each beta to lam c and lam beta; the
+        # zeros stay. A band of 1e-9 |(z, v)| answered not-disconjugate here at lam = 1e8
+        doc = system_to_descriptor(generate(GeneratorSpec(seed=1, mode="positive-b",
+                                                          amplitude=8.0)))
+        assert disconjugacy_oracle(system_from_descriptor(doc), 0.1, 2.8) == DISCONJUGATE
+        for key, factor in (("b", 1.0 / lam), ("c", lam)):
+            for seg in doc["coefficients"][key]:
+                seg["poly"] = [v * factor for v in seg["poly"]]
+        for imp in doc["impulses"]:
+            imp["beta"] *= lam
+        assert disconjugacy_oracle(system_from_descriptor(doc), 0.1, 2.8) == DISCONJUGATE
 
     def test_sine_half_window_certified(self):
         sys_ = sine_system()
@@ -445,9 +468,9 @@ class TestDisconjugacy:
             builds.append(args)
             real_init(self, *args, **kwargs)
 
-        def stepping(pieces, tol, counts=None):
+        def stepping(pieces, tol):
             calls.append(len(pieces))
-            return real_steps(pieces, tol, counts)
+            return real_steps(pieces, tol)
 
         monkeypatch.setattr(DensePath, "__init__", counting)
         monkeypatch.setattr(lyapunov, "_magnus_steps", stepping)
