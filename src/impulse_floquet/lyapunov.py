@@ -6,19 +6,19 @@ and the positive mass of c plus positive impulse ratios) is at least 4. The
 contrapositive gives a certificate: when b >= 0 and the product stays below 4 for
 every choice of the interior weight point, no solution has two zeros in the window.
 
-The continuous object scanned for zeros is the rescaled first component z,
-obtained by dividing out the running product of impulse multipliers; z is
-continuous across impulses and has exactly the zero set of x in the
-one-sided sense, at most one zero on each step of `_step_grid`. Where b takes
-one sign on a window, Sturm separation (Reid 1980; Coppel 1971) makes it
-disconjugate exactly when the focal solution, zero at its start, has no other
-zero in it; where b takes both signs, some solution has two zeros.
+Zeros are those of the rescaled first component z, x divided by the running
+product of impulse multipliers: continuous across impulses, with the zero set of
+x. One `_zero_scan` reads them for `find_zero_pairs` and `disconjugacy_oracle`.
+Where b takes one sign on a window, Sturm separation (Reid 1980; Coppel 1971)
+makes it disconjugate exactly when the focal solution, zero at its start, has no
+other zero in it; where b takes both signs, some solution has two zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -119,42 +119,37 @@ def _impulse_time_flags(system: ImpulsiveSystem, t: float) -> bool:
 
 def find_zero_pairs(system: ImpulsiveSystem, initials, window: tuple[float, float],
                     tolerances: Tolerances | None = None) -> list[ZeroPair | None]:
-    """First two consecutive zeros of z in the window for each initial state, or None.
-
-    The states share a start time, not after the window, and one dense path and
-    `_step_grid` sample, whose steps hold at most one zero each (but see there for
-    callables); sign changes are refined by bracketing on the continuous z.
-    """
+    """First two consecutive zeros of z in the window for each initial state, or None. The
+    states share a start time, not after the window, and one `_zero_scan`: a run of sites is
+    a zero at its first grid time, a sign change is bracketed on z over its grid step on the
+    one dense path, built only where some state has two sites."""
     tol = tolerances or DEFAULT_TOLERANCES
-    w0, w1 = window
-    T = system.period
+    (w0, w1), T = window, system.period
     t_start = initials[0].t if initials else w0
     if any(s.t != t_start for s in initials):
         raise ValueError("initial states must share a start time")
     if not (t_start <= w0 + knot_eps(T) and w0 < w1):
         raise ValueError("window must start at or after the initial state and be nonempty")
-    pairs: list[ZeroPair | None] = [None] * len(initials)
-    if not any(s.x or s.u for s in initials):
-        return pairs
-    ts = _step_grid(system, w0, w1)
-    path = DensePath(system, t_start, w1, tol)
     imp = system.impulse_at(t_start)
-    mats, prods = path.sample_matrices(ts)
-    xtol = ROOT_TOL * max(1.0, T)
-    for i, state in enumerate(initials):
-        if not (state.x or state.u):
+    y0s = {i: imp.matrix @ s.vector if s.side == "left" and imp else s.vector
+           for i, s in enumerate(initials) if s.x or s.u}
+    pairs: list[ZeroPair | None] = [None] * len(initials)
+    if not y0s:
+        return pairs
+    ts, (runs, changes) = _zero_scan(system, t_start, w1, np.column_stack([*y0s.values()]), tol)
+    path, xtol = None, ROOT_TOL * max(1.0, T)
+    for i, run, change in zip(y0s, runs, changes):
+        if np.count_nonzero(run) + np.count_nonzero(change) < 2:
             continue
-        y0 = np.array([state.x, state.u])
-        sol = RescaledSolution(path, imp.matrix @ y0 if state.side == "left" and imp else y0)
-        zs = (mats[:, 0, :] @ sol.y0) / prods  # sol.z_samples(ts) from the shared sample
-        runs, changes = _zero_sites(zs, 1e-9 * float(np.max(np.abs(zs))))  # all 0: one run
-        zeros = [float(ts[k]) for k in np.flatnonzero(runs)]
-        zeros += [bracketed_root(sol.z, ts[k], ts[k + 1], xtol) for k in np.flatnonzero(changes)]
-        distinct = merge_knots(sorted(zeros), ZERO_BAND * max(1.0, T))
+        path = path or DensePath(system, t_start, w1, tol)
+        sol = RescaledSolution(path, y0s[i])
+        zeros = [float(ts[k]) for k in np.flatnonzero(run)]
+        zeros += [bracketed_root(sol.z, ts[k], ts[k + 1], xtol) for k in np.flatnonzero(change)]
+        distinct = merge_knots(sorted(z for z in zeros if z >= w0 - knot_eps(T)),
+                               ZERO_BAND * max(1.0, T))
         if len(distinct) >= 2:
-            t1, t2 = distinct[0], distinct[1]
-            pairs[i] = ZeroPair(t1, t2, _impulse_time_flags(system, t1),
-                                _impulse_time_flags(system, t2), solution=sol)
+            pairs[i] = ZeroPair(*distinct[:2], *(_impulse_time_flags(system, t)
+                                                 for t in distinct[:2]), solution=sol)
     return pairs
 
 
@@ -168,9 +163,7 @@ class _LhsFactors:
     """Shared machinery for the two-factor product over a window."""
 
     def __init__(self, system: ImpulsiveSystem, t1: float, t2: float):
-        self.system = system
-        self.t1 = t1
-        self.t2 = t2
+        self.system, self.t1, self.t2 = system, t1, t2
         self._cum_a = CumulativeIntegral(system.coeff_a)
         # pieces of b in the window, each with the a-integral of its whole periods
         self.b_panels = [(p0, p1, seg, k * self._cum_a.total)
@@ -274,20 +267,22 @@ def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _b_pieces(system: ImpulsiveSystem, t1: float, t2: float) -> list:
-    """(lo, hi, segment, k): the pieces of b in [t1, t2], each in its period k."""
+    """(lo, hi, segment, k): the pieces of b in [t1, t2], each in its period k (cut once)."""
+    cut = cache(system.coeff_b.pieces)
     return [(p0, p1, seg, k) for k, s0, s1 in period_chunks(t1, t2, system.period)
-            for p0, p1, seg in system.coeff_b.pieces(s0, s1)]
+            for p0, p1, seg in cut(s0, s1)]
 
 
 def _b_sign(pieces, samples=()) -> int | None:
     """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0,
-    None where b takes both signs; from the minima of b and -b over the pieces (exact
-    for polynomial pieces, sampled for callables) and from the given samples of b."""
-    lo = float(np.min(samples, initial=segments_min(p[:3] for p in pieces)[0]))
+    None where b takes both signs; from the minima of b and -b over the distinct pieces
+    (exact for polynomial pieces, sampled for callables) and from the given samples of b."""
+    pieces = {(p0, p1, id(seg)): (p0, p1, seg) for p0, p1, seg, *_ in pieces}.values()
+    lo = float(np.min(samples, initial=segments_min(pieces)[0]))
     if lo > 0.0:
         return 1
     hi = float(np.max(samples, initial=-segments_min((p0, p1, seg.scaled(-1.0))
-                                                     for p0, p1, seg, *_ in pieces)[0]))
+                                                     for p0, p1, seg in pieces)[0]))
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
@@ -295,10 +290,11 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
     """(k, parts) for each period chunk of [t1, t2], a distinct chunk cut once: parts (q0, q1,
     seg_a, seg_b, seg_c, n, jump, (max|b|, max|c|)) cut at every knot and sign change of a
     polynomial b, n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part
-    of length L, jump the impulse where a smooth piece starts at q0. On a step the angle of
-    (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by less than pi/2 and, b of one sign, passes
-    the zeros of x one way only (modified Pruefer angle; Coppel 1971): a step holds at most one
-    (not rigorously on callables: sampled maxima). IntegrationFailureError past _MAX_STEPS."""
+    of length L, jump the impulse where a smooth piece starts at q0 after the chunk's start.
+    On a step the angle of (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by less than pi/2
+    and, b of one sign, passes the zeros of x one way only (modified Pruefer angle; Coppel
+    1971): a `_zero_scan` step holds at most one (not rigorously on callables: sampled
+    maxima). IntegrationFailureError past _MAX_STEPS."""
     T, cut, out = system.period, {}, []
     for k, s0, s1 in period_chunks(t1, t2, T):
         parts = cut.setdefault((s0, s1), [])
@@ -313,16 +309,9 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
                 n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
                 if not n <= _MAX_STEPS:
                     raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)
-                jump = system.impulse_at(q0) if q0 == p0 else None
+                jump = system.impulse_at(q0) if q0 == p0 > s0 else None
                 parts.append((q0, q1, *segs, max(int(n), 1), jump, (b, c)))
     return out
-
-
-def _step_grid(system: ImpulsiveSystem, t1: float, t2: float) -> np.ndarray:
-    """Times from t1 to t2: the steps of `_grid_parts`, at most one zero of x on each."""
-    parts = [[t1], *(k * system.period + np.linspace(q0, q1, n + 1)[1:]
-                     for k, chunk in _grid_parts(system, t1, t2) for q0, q1, *_, n, _, _ in chunk)]
-    return np.append(np.concatenate(parts)[:-1], t2)
 
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
@@ -334,16 +323,52 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zero_scan(system: ImpulsiveSystem, t1: float, t2: float, states: np.ndarray,
+               tol: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Grid times from t1 to t2 and, per column of the 2 x m (z, v) states at t1, the
+    `_zero_sites` masks (m rows) of |w^2 z| <= 1e-9 |(w^2 z, v)|, a band free of the scale
+    of x: w^2 of the step's part (t1: of its first step), else of the window, else
+    1 / (max|b| (t2 - t1)) where c = 0. The states go through each distinct part's grid-step
+    maps, normalised by a power of two at each period chunk; IntegrationFailureError where a
+    state overflows."""
+    T, chunks = system.period, _grid_parts(system, t1, t2)
+    parts, grids, nodes = {(*p[:2], p[-2]): p for _, chunk in chunks for p in chunk}, {}, {}
+    b_max, c_max = map(max, zip((0.0, 0.0), *(p[-1] for p in parts.values())))  # the window's
+    wide = math.sqrt(c_max / b_max) if b_max > 0.0 < c_max else 1.0 / (b_max * (t2 - t1) or 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        done = _raising(_magnus_steps([p[:5] for p in parts.values()], tol))
+        for key, (q0, q1, *segs, n, jump, (b, c)), (steps, _) in zip(parts, parts.values(), done):
+            count = 1 << (n - 1).bit_length()  # at most one zero on each of these steps too
+            if len(steps) < count:  # converged at fewer steps
+                steps = _step_maps(segs, np.linspace(q0, q1, count + 1)[:-1], (q1 - q0) / count)
+            while len(steps) > count:  # pairwise, as _magnus_steps reduces them
+                steps = steps[1::2] @ steps[::2]
+            if jump is not None:  # on (z, v) = (x, u) / (product of alphas), z is continuous
+                steps = np.concatenate([steps[:1] @ [[1.0, 0.0], [-jump.ratio, 1.0]], steps[1:]])
+            grids[key] = (steps, np.full(count, math.sqrt(c / b) if b > 0.0 < c else wide),
+                          q0 + (q1 - q0) / count * np.arange(1, count + 1))
+        y, zv = states, [states[None]]
+        for k, chunk in chunks:
+            if id(chunk) not in nodes:
+                maps, w2, ts = map(np.concatenate, zip(*(grids[(*p[:2], p[-2])] for p in chunk)))
+                nodes[id(chunk)] = _running_products(maps), w2, ts
+            zv.append(nodes[id(chunk)][0] @ y)
+            if not np.isfinite(zv[-1]).all():
+                raise IntegrationFailureError("non-finite zero-scan state", k * T + chunk[0][0])
+            y = np.ldexp(zv[-1][-1], -np.frexp(np.abs(zv[-1][-1]).max(axis=0))[1])
+    ts = np.append(np.concatenate([[t1], *(k * T + nodes[id(c)][2] for k, c in chunks)])[:-1], t2)
+    w2, zv = np.concatenate([*(nodes[id(c)][1] for _, c in chunks), [wide]]), np.concatenate(zv)
+    wz = np.concatenate([w2[:1], w2[:-1]])[:, None] * zv[:, 0]  # t1: its first step's w^2
+    return ts, _zero_sites((wz / np.hypot(wz, zv[:, 1])).T, 1e-9)
+
+
 def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
     """Not disconjugate where b takes both signs on the window, disconjugate where b is 0 on
-    all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) = (0, 1)
-    normalised at each period chunk, has a second zero site on the grid of `_grid_parts` (t1
-    the first; a run of times with |w^2 z| <= 1e-9 |(w^2 z, v)| is one, as where b = x = 0;
-    w^2 of the part, else of the window, else 1 / (max|b| (t2 - t1)) where c = 0). No row angle
-    is read: once rows align with a growing solution, a read near pi has the sign of rounding.
-    A callable b is also read at _B_SIGN_SAMPLES + 1 even times. EvaluationError at a
-    non-finite b, IntegrationFailureError where the state overflows."""
+    all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) = (0, 1),
+    has a second zero site in `_zero_scan` (t1 the first). A callable b is also read at
+    _B_SIGN_SAMPLES + 1 even times. EvaluationError at a non-finite b, IntegrationFailureError
+    where the state overflows."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
@@ -357,30 +382,5 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
     sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
     if sign in (None, 0):
         return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
-    chunks = _grid_parts(system, s1, s2)
-    parts, grids, nodes = {p[:2]: p for _, chunk in chunks for p in chunk}, {}, {}
-    b_max, c_max = map(max, zip(*(p[-1] for p in parts.values())))  # the window's, for w^2
-    wide = math.sqrt(c_max / b_max) if b_max > 0.0 < c_max else 1.0 / (b_max * (s2 - s1) or 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        for (q0, q1, *segs, n, jump, (b, c)), (steps, _) in zip(
-                parts.values(), _raising(_magnus_steps([p[:5] for p in parts.values()], tol))):
-            count = 1 << (n - 1).bit_length()  # at most one zero on each of these steps too
-            if len(steps) < count:  # converged at fewer steps
-                steps = _step_maps(segs, np.linspace(q0, q1, count + 1)[:-1], (q1 - q0) / count)
-            while len(steps) > count:  # pairwise, as _magnus_steps reduces them
-                steps = steps[1::2] @ steps[::2]
-            if jump is not None:  # on (z, v) = (x, u) / (product of alphas), z is continuous
-                steps = np.concatenate([steps[:1] @ [[1.0, 0.0], [-jump.ratio, 1.0]], steps[1:]])
-            grids[q0, q1] = steps, np.full(count, math.sqrt(c / b) if b > 0.0 < c else wide)
-        y, states = np.array([0.0, 1.0]), [np.array([[0.0, 1.0]])]  # (z, v) at t1
-        for k, chunk in chunks:
-            if id(chunk) not in nodes:
-                maps, w2 = (np.concatenate(g) for g in zip(*(grids[p[:2]] for p in chunk)))
-                nodes[id(chunk)] = _running_products(maps), w2
-            states.append(nodes[id(chunk)][0] @ y)
-            if not np.isfinite(states[-1]).all():
-                raise IntegrationFailureError("non-finite focal state", k * T + chunk[0][0])
-            y = np.ldexp(states[-1][-1], -np.frexp(np.max(np.abs(states[-1][-1])))[1])
-    zv, w2 = np.concatenate(states), np.hstack([0.0, *(nodes[id(c)][1] for _, c in chunks)])
-    sites = _zero_sites(w2 * zv[:, 0] / np.hypot(w2 * zv[:, 0], zv[:, 1]), 1e-9)
+    _, sites = _zero_scan(system, s1, s2, np.array([[0.0], [1.0]]), tol)
     return NOT_DISCONJUGATE if sum(map(np.count_nonzero, sites)) >= 2 else DISCONJUGATE

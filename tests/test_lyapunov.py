@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DensePath, EvaluationError, ImpulsiveSystem,
+from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, EvaluationError, ImpulsiveSystem,
                              IntegrationFailureError, PiecewiseFunction, RescaledSolution,
                              State, cli, disconjugacy_oracle, disconjugacy_test, find_zero_pair,
-                             lyapunov, lyapunov_lhs, lyapunov_verify)
+                             lyapunov, lyapunov_lhs, lyapunov_verify, piecewise)
 from impulse_floquet.descriptors import system_from_descriptor, system_to_descriptor
 from impulse_floquet.harness import UNCONSTRAINED, GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
-                                      INCONCLUSIVE, NOT_DISCONJUGATE)
+                                      INCONCLUSIVE, NOT_DISCONJUGATE, ROOT_TOL)
 from perfbench.inputs import windows_population
 
 from helpers import make_system, poly, rotation_system
@@ -106,6 +106,12 @@ class TestFindZeroPair:
         assert pair.t1 == pytest.approx(0.0, abs=1e-10)
         assert pair.t2 == pytest.approx(math.pi, abs=1e-9)
 
+    def test_window_after_the_start_counts_its_own_zeros(self):
+        # sin(pi t) from (0, 1) at 0 vanishes at 0, 1 and 2; the window starts at 0.5
+        pair = find_zero_pair(sine_system(), State(0.0, 0.0, 1.0), (0.5, 2.5))
+        assert pair.t1 == pytest.approx(1.0, abs=1e-10)
+        assert pair.t2 == pytest.approx(2.0, abs=1e-10)
+
     def test_sign_flip_without_zero_not_counted(self):
         # alpha < 0 flips x across the impulse; z has no zero there
         sys_ = make_system(0.0, 0.0, 0.0, impulses=[(0.5, -1.0, 0.0)])
@@ -114,6 +120,32 @@ class TestFindZeroPair:
     def test_trivial_initial_state(self):
         assert find_zero_pair(rotation_system(1.0), State(0.0, 0.0, 0.0),
                               (0.0, 1.0)) is None
+
+    @pytest.mark.parametrize("W", [1.0, 3.0, 6.0, 12.0, 20.0])
+    def test_early_zeros_of_a_growing_solution_are_found(self, W):
+        # x'' = -400 x, then x'' = 60 x: x grows by about 11.7 a period. A band of
+        # 1e-9 max|z| over the window merged the first zeros, giving t2 = 4.097 at W = 12
+        pair = find_zero_pair(_growing_system(), State(0.0, 0.0, 1.0), (0.0, W))
+        assert pair.t1 == 0.0 and abs(pair.t2 - math.pi / 20.0) <= ROOT_TOL
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e8])
+    def test_pair_is_free_of_the_scale_of_x(self, lam):
+        # x -> lam x takes b to b / lam and c to lam c; the zeros stay. From (0.6, 0.8),
+        # x = 0.6 cos 20t + 0.04 sin 20t vanishes first where tan 20t = -15, not at 0
+        for x0, u0 in ((0.0, 1.0), (0.6, 0.8)):
+            pair = find_zero_pair(_growing_system(), State(0.0, x0, u0), (0.0, 20.0))
+            scaled = find_zero_pair(_growing_system(lam), State(0.0, x0 / lam, u0), (0.0, 20.0))
+            assert abs(scaled.t1 - pair.t1) <= ROOT_TOL and abs(scaled.t2 - pair.t2) <= ROOT_TOL
+        assert abs(pair.t1 - (math.pi - math.atan(15.0)) / 20.0) <= ROOT_TOL
+
+    def test_a_state_off_zero_never_starts_a_pair(self):
+        # x(t1) != 0: t1 is no zero, whatever the band reads there
+        for seed in range(8):
+            sys_ = generate(GeneratorSpec(seed=seed, mode="positive-b", amplitude=5.0))
+            for theta in np.linspace(-1.4, 1.4, 7):
+                pair = find_zero_pair(sys_, State(0.0, math.cos(theta), math.sin(theta)),
+                                      (0.0, 4.0 * sys_.period))
+                assert pair is None or pair.t1 > 0.0
 
 
 class TestLyapunovLhs:
@@ -255,6 +287,21 @@ class TestDisconjugacy:
         for imp in doc["impulses"]:
             imp["beta"] *= lam
         assert disconjugacy_oracle(system_from_descriptor(doc), 0.1, 2.8) == DISCONJUGATE
+
+    def test_window_inside_the_knot_tolerance_disconjugate(self, capsys):
+        # [0.3, 0.3 + 1e-14] holds no period chunk of the zero scan, whose maxima of b and
+        # c were then empty: the oracle raised ValueError and the CLI printed a traceback
+        doc = {"period": 1.0,
+               "coefficients": {"a": [{"end": 1.0, "poly": [0.0]}],
+                                "b": [{"end": 1.0, "poly": [1.0]}],
+                                "c": [{"end": 1.0, "poly": [1.0]}]},
+               "impulses": []}
+        t2 = 0.3 + 1e-14
+        assert find_zero_pair(system_from_descriptor(doc), State(0.3, 0.0, 1.0), (0.3, t2)) is None
+        rc = cli.main(["disconjugacy", "--input", json.dumps(doc), "--t1", "0.3", "--t2", repr(t2)])
+        captured = capsys.readouterr()
+        assert rc == 0 and "Traceback" not in captured.err
+        assert json.loads(captured.out)["oracle"] == DISCONJUGATE
 
     def test_sine_half_window_certified(self):
         sys_ = sine_system()
@@ -540,7 +587,8 @@ class TestZeroScan:
     def test_step_grid_cuts_each_distinct_period_chunk_once(self, monkeypatch):
         # six exact extrema per part, of one period only, for a window of four
         sys_ = generate(GeneratorSpec(seed=12, amplitude=3.0))
-        per_period = [lyapunov._step_grid(sys_, float(k), k + 1.0) for k in range(4)]
+        tol, focal = DEFAULT_TOLERANCES, np.array([[0.0], [1.0]])
+        per_period = [lyapunov._zero_scan(sys_, float(k), k + 1.0, focal, tol)[0] for k in range(4)]
         calls = []
         real_min = lyapunov.segments_min
 
@@ -551,10 +599,36 @@ class TestZeroScan:
         monkeypatch.setattr(lyapunov, "segments_min", counting)
         (_, parts), = lyapunov._grid_parts(sys_, 0.0, 1.0)
         calls.clear()
-        grid = lyapunov._step_grid(sys_, 0.0, 4.0)
+        grid = lyapunov._zero_scan(sys_, 0.0, 4.0, focal, tol)[0]
         assert len(calls) == 3 * len(parts) and len(parts) > 1
         whole = np.concatenate([per_period[0]] + [g[1:] for g in per_period[1:]])
         assert grid.tobytes() == whole.tobytes()
+
+    def test_b_is_cut_once_for_each_distinct_period_chunk(self, monkeypatch):
+        # a window of 300 periods once cut b and took its extrema in every one of them
+        sys_ = make_system(0.0, 1e-6, 1e-6, impulses=[(0.5, 1.5, 0.1)])
+        calls = {"pieces": 0, "poly_min_on": 0}
+        real_pieces, real_min = PiecewiseFunction.pieces, piecewise.poly_min_on
+
+        def counting_pieces(self, lo, hi):
+            calls["pieces"] += 1
+            return real_pieces(self, lo, hi)
+
+        def counting_min(coeffs, lo, hi):
+            calls["poly_min_on"] += 1
+            return real_min(coeffs, lo, hi)
+
+        monkeypatch.setattr(PiecewiseFunction, "pieces", counting_pieces)
+        monkeypatch.setattr(piecewise, "poly_min_on", counting_min)
+        counts = []
+        for t2 in (3.3, 30.3, 300.3):
+            calls.update(pieces=0, poly_min_on=0)
+            assert disconjugacy_oracle(sys_, 0.25, t2) == DISCONJUGATE
+            oracle = dict(calls)
+            calls.update(poly_min_on=0)  # the test's c integral still cuts every period
+            assert disconjugacy_test(sys_, 0.25, t2).status == DISCONJUGATE_CERTIFIED
+            counts.append((oracle, calls["poly_min_on"]))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_spike_zeros_inside_one_even_step_are_found(self):
         # the solution from (0, 1) vanishes at 0, 0.50033 and 0.50058: the last two
@@ -585,6 +659,12 @@ class TestSoundnessSmall:
                 if pair is not None:
                     w = lyapunov_verify(sys_, pair)
                     assert w.holds, (seed, k, w.lhs)
+
+
+def _growing_system(lam=1.0):
+    """a = 0, b = 1 / lam, and c = 400 lam on [0, 0.5), -60 lam on [0.5, 1), T = 1."""
+    return make_system(0.0, 1.0 / lam, poly(None, breaks=[0.5],
+                                            per_segment=[(400.0 * lam,), (-60.0 * lam,)]))
 
 
 def _spike_descriptor(K):

@@ -1,6 +1,6 @@
 """Selftest in batched passes: the soundness sweep's chunks of generated systems
 (one `monodromies` and one `evaluate_many` call each) and the Lyapunov scan's
-one dense path per system must answer as the per-system loops kept here as
+one zero scan per system must answer as the per-system loops kept here as
 references do."""
 
 import math
@@ -16,8 +16,8 @@ from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, RescaledSolution, St
 from impulse_floquet.criteria import evaluate_all
 from impulse_floquet.floquet import classify
 from impulse_floquet.harness import MODES, GeneratorSpec, generate, soundness_sweep
-from impulse_floquet.lyapunov import (ROOT_TOL, _impulse_time_flags, _step_grid, _zero_sites,
-                                      bracketed_root)
+from impulse_floquet.lyapunov import (ROOT_TOL, _grid_parts, _impulse_time_flags, _zero_scan,
+                                      _zero_sites, bracketed_root)
 from impulse_floquet.propagation import monodromy
 
 from helpers import make_system
@@ -48,8 +48,27 @@ def _per_system_chunk(job):
     return [_analyze_one(spec, i, tol) for i in indices]
 
 
+def _pruefer_grid(system, w0, w1):
+    """The zero scan's grid times from `_grid_parts` (a part of n steps takes the next power
+    of two, evenly spaced), each with the w^2 of its step's part: sqrt(max|c| / max|b|) of the
+    part, else of the window, else 1 / (max|b| (w1 - w0)); w0 takes its first step's."""
+    T = system.period
+    parts = [(k, p) for k, chunk in _grid_parts(system, w0, w1) for p in chunk]
+    b_max, c_max = (max(p[-1][i] for _, p in parts) for i in (0, 1))
+    wide = math.sqrt(c_max / b_max) if b_max > 0.0 < c_max else 1.0 / (b_max * (w1 - w0) or 1.0)
+    ts, w2 = [np.array([w0])], []
+    for k, (q0, q1, *_, n, _, (b, c)) in parts:
+        count = 1 << (n - 1).bit_length()
+        ts.append(k * T + (q0 + (q1 - q0) / count * np.arange(1, count + 1)))
+        w2.append(np.full(count, math.sqrt(c / b) if b > 0.0 < c else wide))
+    ts, w2 = np.concatenate(ts), np.concatenate(w2)
+    ts[-1] = w1
+    return ts, np.concatenate([w2[:1], w2])
+
+
 def _zero_pair_reference(system, initial, window, tol=DEFAULT_TOLERANCES):
-    """One state, its own dense path and sample of the step grid."""
+    """One state, its own dense path sampled on the zero scan's grid, and zero sites read
+    with the band |w^2 z| <= 1e-9 |(w^2 z, v)| of the modified Pruefer angle."""
     w0, w1 = window
     T = system.period
     y0 = np.array([initial.x, initial.u])
@@ -61,12 +80,10 @@ def _zero_pair_reference(system, initial, window, tol=DEFAULT_TOLERANCES):
         if imp is not None:
             y0 = imp.matrix @ y0
     sol = RescaledSolution(path, y0)
-    ts = _step_grid(system, w0, w1)
-    zs = sol.z_samples(ts)
-    scale = float(np.max(np.abs(zs)))
-    if scale == 0.0:
-        return None
-    runs, changes = _zero_sites(zs, 1e-9 * scale)
+    ts, w2 = _pruefer_grid(system, w0, w1)
+    mats, prods = path.sample_matrices(ts)
+    zs, vs = (mats @ y0).T / prods
+    runs, changes = _zero_sites(w2 * zs / np.hypot(w2 * zs, vs), 1e-9)
     zeros = [float(ts[i]) for i in np.flatnonzero(runs)]
     zeros += [bracketed_root(sol.z, ts[i], ts[i + 1], ROOT_TOL * max(1.0, T))
               for i in np.flatnonzero(changes)]
@@ -222,17 +239,32 @@ def test_find_zero_pairs_rejects_states_with_different_start_times():
 
 
 def test_lyapunov_sweep_builds_one_dense_path_per_system(monkeypatch):
-    builds = []
-    real_init = DensePath.__init__
+    # at most one per system, and none where no initial direction has two zero sites
+    builds, systems = [], []
+    real_init, real_generate = DensePath.__init__, harness.generate
 
     def counting(self, *args, **kwargs):
         builds.append(args[0])
         real_init(self, *args, **kwargs)
 
+    def recording(spec):
+        systems.append(real_generate(spec))
+        return systems[-1]
+
     monkeypatch.setattr(DensePath, "__init__", counting)
-    summary = harness.lyapunov_sweep(GeneratorSpec(seed=0, mode=harness.FORCE_MAIN), 6)
-    assert summary.systems_scanned == 6 and summary.pairs_found > 0
-    assert len(builds) == 6
+    monkeypatch.setattr(harness, "generate", recording)
+    summary = harness.lyapunov_sweep(GeneratorSpec(seed=0, mode=harness.FORCE_MAIN), 12)
+    assert summary.systems_scanned == 12 and summary.pairs_found > 0
+    angles = np.pi * np.arange(8) / 8
+    two_sites = []
+    for system in systems:
+        _, (runs, changes) = _zero_scan(system, 0.0, harness.LYAPUNOV_PERIODS * system.period,
+                                        np.array([np.cos(angles), np.sin(angles)]),
+                                        DEFAULT_TOLERANCES)
+        two_sites.append(int(max(np.count_nonzero(runs, axis=1)
+                                 + np.count_nonzero(changes, axis=1)) >= 2))
+    assert [sum(b is s for b in builds) for s in systems] == two_sites
+    assert 0 < sum(two_sites) < len(systems)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
