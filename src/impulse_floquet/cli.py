@@ -39,6 +39,7 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
 _MAX_SWEEP_POINTS = 1_000_000  # cmd_sweep holds every point and the whole CSV in memory
+_MAX_SIMULATE_ROWS = 4_000_000  # cmd_simulate peaks at 180-230 B a row (tracemalloc, 10**6 rows)
 _SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long-running processes
 _TOL_FLAGS = {"abs": "ODE absolute tolerance", "rel": "ODE relative tolerance",
               "strict": "strictness tolerance for criteria margins"}
@@ -277,10 +278,12 @@ def cmd_simulate(args) -> int:
     if periods < 0 or m < 1 or not math.isfinite(args.x0) or not math.isfinite(args.u0):
         raise DescriptorError("simulate needs --periods >= 0, --samples-per-period >= 1 "
                               "and finite --x0 and --u0")
+    if periods * m + 1 > _MAX_SIMULATE_ROWS:
+        raise DescriptorError(f"simulate of more than {_MAX_SIMULATE_ROWS} rows")
     tol = _tolerances(args)
     system = _load_valid_system(args)
     T = system.period
-    rows = np.empty((0, 5))
+    rows, prods = np.empty((0, 5)), np.empty(0)
     if periods > 0:
         path = DensePath(system, 0.0, periods * T, tol)
         ts = np.concatenate([np.arange(periods * m) * (T / m), [periods * T]])
@@ -290,12 +293,23 @@ def cmd_simulate(args) -> int:
             xs = mats[:, 0, :] @ y0
             us = mats[:, 1, :] @ y0
             rows = np.column_stack([ts, xs, us, xs / prods, us / prods])
-    # the bytes of csv.writer (the repr of each float, \r\n), formatted a block at a time
     _emit(args, ",".join(SIMULATE_COLUMNS) + "\r\n",
-          ("".join([f"{t!r},{x!r},{u!r},{z!r},{v!r}\r\n"
-                    for t, x, u, z, v in rows[i:i + _SIMULATE_BLOCK].tolist()])
+          (_simulate_block(rows[i:i + _SIMULATE_BLOCK], prods[i:i + _SIMULATE_BLOCK])
            for i in range(0, len(rows), _SIMULATE_BLOCK)))
     return 0
+
+
+def _simulate_block(rows, prods) -> str:
+    """csv.writer's bytes (each float's repr, \r\n) of rows (t, x, u, z, v): where the alpha
+    product p is +-1, z = x / p and v = u / p are exact, x's and u's text negated for -1."""
+    lines = []
+    for (t, x, u, z, v), p in zip(rows.tolist(), prods.tolist()):
+        x, u = repr(x), repr(u)
+        z, v = ((x, u) if p == 1.0 else (repr(z), repr(v)) if p != -1.0 else
+                (x[1:] if x[0] == "-" else x if x == "nan" else "-" + x,
+                 u[1:] if u[0] == "-" else u if u == "nan" else "-" + u))
+        lines.append(f"{t!r},{x},{u},{z},{v}\r\n")
+    return "".join(lines)
 
 
 def cmd_selftest(args) -> int:

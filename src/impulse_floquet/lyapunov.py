@@ -26,7 +26,7 @@ import numpy as np
 from .piecewise import (CumulativeIntegral, PolySegment, _roots_within, _taylor_shift,
                         adaptive_integral, bracketed_root, finite_values, grid_golden_min,
                         integrate_panels, integrate_periodic, knot_eps, merge_knots,
-                        period_chunks, segments_min, split_period)
+                        period_chunks, segments_extrema, split_period)
 from .propagation import (_MAX_STEPS, DensePath, IntegrationFailureError, State,
                           _magnus_steps, _raising, _step_maps)
 from .system import ImpulsiveSystem
@@ -274,15 +274,10 @@ def _b_pieces(system: ImpulsiveSystem, t1: float, t2: float) -> list:
 
 
 def _b_sign(pieces, samples=()) -> int | None:
-    """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0,
-    None where b takes both signs; from the minima of b and -b over the distinct pieces
-    (exact for polynomial pieces, sampled for callables) and from the given samples of b."""
-    pieces = {(p0, p1, id(seg)): (p0, p1, seg) for p0, p1, seg, *_ in pieces}.values()
-    lo = float(np.min(samples, initial=segments_min(pieces)[0]))
-    if lo > 0.0:
-        return 1
-    hi = float(np.max(samples, initial=-segments_min((p0, p1, seg.scaled(-1.0))
-                                                     for p0, p1, seg in pieces)[0]))
+    """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0, None
+    where b takes both signs; from `segments_extrema` of the distinct pieces and the samples."""
+    lo, hi = segments_extrema({(p0, p1, id(s)): (p0, p1, s) for p0, p1, s, *_ in pieces}.values())
+    lo, hi = float(np.min(samples, initial=lo)), float(np.max(samples, initial=hi))
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
@@ -305,7 +300,8 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
             q = _taylor_shift(segs[1].coeffs, p0) if isinstance(segs[1], PolySegment) else []
             cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
             for q0, q1 in zip(cuts[:-1], cuts[1:]):
-                a, b, c = (-segments_min([(q0, q1, f), (q0, q1, f.scaled(-1.0))])[0] for f in segs)
+                a, b, c = (max(-lo, hi)  # max|f|
+                           for lo, hi in (segments_extrema([(q0, q1, f)]) for f in segs))
                 n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
                 if not n <= _MAX_STEPS:
                     raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)

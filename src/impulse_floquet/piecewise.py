@@ -313,9 +313,9 @@ def _polyroots(q) -> np.ndarray:
     return npoly.polyroots(q)
 
 
-def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, float]:
-    """Exact minimum of a polynomial on [lo, hi] via derivative roots; a linear
-    derivative's root is taken in closed form, as npoly.polyroots returns it."""
+def _extremum_candidates(coeffs: Sequence[float], lo: float, hi: float) -> list:
+    """lo, hi and the real derivative roots between them, where a polynomial takes its
+    extrema on [lo, hi]; a linear derivative's root in closed form, as npoly.polyroots."""
     der = [k * c for k, c in enumerate(coeffs)][1:]  # npoly.polyder's products
     roots = []
     if len(der) == 2:
@@ -323,7 +323,12 @@ def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, f
     elif any(d != 0.0 for d in der):
         roots = _polyroots(der)
         roots = roots[np.abs(roots.imag) < 1e-9].real
-    cands = [lo, hi, *(float(r) for r in roots if lo < r < hi)]
+    return [lo, hi, *(float(r) for r in roots if lo < r < hi)]
+
+
+def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, float]:
+    """Exact minimum of a polynomial on [lo, hi] via derivative roots."""
+    cands = _extremum_candidates(coeffs, lo, hi)
     vals = [_horner(coeffs, t) for t in cands]
     i = min(range(len(vals)), key=vals.__getitem__)
     return float(vals[i]), float(cands[i])
@@ -421,6 +426,20 @@ def segments_min(pieces) -> tuple[float, float]:
         if val < best:
             best, best_at = val, at
     return best, best_at
+
+
+def segments_extrema(pieces) -> tuple[float, float]:
+    """(minimum, maximum) over (lo, hi, segment) pieces, as `segments_min` of the pieces and
+    of their negations; a PolySegment's both from one candidate set (-p(t) is exact)."""
+    lo = neg = math.inf
+    for p0, p1, seg in pieces:
+        if isinstance(seg, PolySegment):
+            vals = [_horner(seg.coeffs, t) for t in _extremum_candidates(seg.coeffs, p0, p1)]
+            val, neg_val = min(vals), min([-v for v in vals])
+        else:
+            val, neg_val = sampled_min(seg, p0, p1)[0], sampled_min(seg.scaled(-1.0), p0, p1)[0]
+        lo, neg = min(lo, val), min(neg, neg_val)  # segments_min's rule
+    return lo, -neg
 
 
 @dataclass(frozen=True)

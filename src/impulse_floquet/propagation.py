@@ -434,12 +434,13 @@ class DensePath:
         if np.any(rest):
             ks, ss = split_period(ts[rest], self.system.period)
             periods, which = np.unique(ks, return_inverse=True)
-            vals, pr = self.cycle.sample(ss)
+            times, at = np.unique(ss, return_inverse=True)  # each in-period time stepped once
+            vals, pr = self.cycle.sample(times)
             with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/nan
                 bases = _mat_pows(self.cycle.end, periods - 1) @ self.head.end
                 powers = self.cycle.aprod_end ** (periods - 1)
-                out[rest] = vals @ bases[which]
-                prods[rest] = self.head.aprod_end * powers[which] * pr
+                out[rest] = vals[at] @ bases[which]
+                prods[rest] = self.head.aprod_end * powers[which] * pr[at]
         return out, prods
 
 

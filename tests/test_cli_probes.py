@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -331,6 +332,26 @@ def test_sweep_of_over_a_million_points_exits_2_at_once(tmp_path, capsys, axes):
                                     *(flag for axis in axes for flag in ("--axes", axis))])
     assert rc == 2 and out == ""
     assert err == "invalid input: sweep grid of more than 1000000 points\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--periods", str(10 ** 15)],  # once a numpy _ArrayMemoryError traceback
+    ["--periods", "125000", "--samples-per-period", "32"],  # one row past the limit
+])
+def test_simulate_of_over_four_million_rows_exits_2_at_once(tmp_path, capsys, extra):
+    path = write_descriptor(tmp_path, rotation_descriptor())
+    out_path = tmp_path / "o.csv"
+    tracemalloc.start()
+    try:
+        with _within(2.0):
+            rc, out, err = run(capsys, ["simulate", "--input", path, *extra,
+                                        "--output", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == "" and not out_path.exists()
+    assert err == "invalid input: simulate of more than 4000000 rows\n"
+    assert peak < 1e6, peak  # rejected before any array is made
 
 
 def test_sweep_moving_an_impulse_onto_another_gives_an_error_row(tmp_path, capsys):

@@ -14,6 +14,7 @@ from impulse_floquet.descriptors import system_from_descriptor, system_to_descri
 from impulse_floquet.harness import UNCONSTRAINED, GeneratorSpec, generate
 from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
                                       INCONCLUSIVE, NOT_DISCONJUGATE, ROOT_TOL)
+from impulse_floquet.piecewise import PolySegment, split_period
 from perfbench.inputs import windows_population
 
 from helpers import make_system, poly, rotation_system
@@ -585,18 +586,18 @@ class TestDisconjugacy:
 
 class TestZeroScan:
     def test_step_grid_cuts_each_distinct_period_chunk_once(self, monkeypatch):
-        # six exact extrema per part, of one period only, for a window of four
+        # the extrema of a, b and c on each part, of one period only, for a window of four
         sys_ = generate(GeneratorSpec(seed=12, amplitude=3.0))
         tol, focal = DEFAULT_TOLERANCES, np.array([[0.0], [1.0]])
         per_period = [lyapunov._zero_scan(sys_, float(k), k + 1.0, focal, tol)[0] for k in range(4)]
         calls = []
-        real_min = lyapunov.segments_min
+        real_extrema = lyapunov.segments_extrema
 
         def counting(pieces):
             calls.append(1)
-            return real_min(pieces)
+            return real_extrema(pieces)
 
-        monkeypatch.setattr(lyapunov, "segments_min", counting)
+        monkeypatch.setattr(lyapunov, "segments_extrema", counting)
         (_, parts), = lyapunov._grid_parts(sys_, 0.0, 1.0)
         calls.clear()
         grid = lyapunov._zero_scan(sys_, 0.0, 4.0, focal, tol)[0]
@@ -607,28 +608,56 @@ class TestZeroScan:
     def test_b_is_cut_once_for_each_distinct_period_chunk(self, monkeypatch):
         # a window of 300 periods once cut b and took its extrema in every one of them
         sys_ = make_system(0.0, 1e-6, 1e-6, impulses=[(0.5, 1.5, 0.1)])
-        calls = {"pieces": 0, "poly_min_on": 0}
-        real_pieces, real_min = PiecewiseFunction.pieces, piecewise.poly_min_on
+        calls = {"pieces": 0, "candidates": 0}
+        real_pieces, real_candidates = PiecewiseFunction.pieces, piecewise._extremum_candidates
 
         def counting_pieces(self, lo, hi):
             calls["pieces"] += 1
             return real_pieces(self, lo, hi)
 
-        def counting_min(coeffs, lo, hi):
-            calls["poly_min_on"] += 1
-            return real_min(coeffs, lo, hi)
+        def counting_candidates(coeffs, lo, hi):  # behind poly_min_on and segments_extrema
+            calls["candidates"] += 1
+            return real_candidates(coeffs, lo, hi)
 
         monkeypatch.setattr(PiecewiseFunction, "pieces", counting_pieces)
-        monkeypatch.setattr(piecewise, "poly_min_on", counting_min)
+        monkeypatch.setattr(piecewise, "_extremum_candidates", counting_candidates)
         counts = []
         for t2 in (3.3, 30.3, 300.3):
-            calls.update(pieces=0, poly_min_on=0)
+            calls.update(pieces=0, candidates=0)
             assert disconjugacy_oracle(sys_, 0.25, t2) == DISCONJUGATE
             oracle = dict(calls)
-            calls.update(poly_min_on=0)  # the test's c integral still cuts every period
+            calls.update(candidates=0)  # the test's c integral still cuts every period
             assert disconjugacy_test(sys_, 0.25, t2).status == DISCONJUGATE_CERTIFIED
-            counts.append((oracle, calls["poly_min_on"]))
-        assert counts[0] == counts[1] == counts[2]
+            counts.append((oracle, calls["candidates"]))
+        assert counts[0] == counts[1] == counts[2] and counts[0][0]["candidates"] > 0
+
+    def test_one_candidate_set_gives_each_minimum_and_maximum(self, monkeypatch):
+        # the oracle once negated every segment (`scaled`) to take max|f| and max b as a
+        # second minimum; now each distinct b piece and each part's a, b and c give one
+        # candidate set and no poly_min_on call
+        calls = {"poly_min_on": 0, "scaled": 0, "candidates": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapped
+
+        for owner, name, key in ((piecewise, "poly_min_on", "poly_min_on"),
+                                 (piecewise, "_extremum_candidates", "candidates"),
+                                 (PolySegment, "scaled", "scaled"),
+                                 (piecewise.FuncSegment, "scaled", "scaled")):
+            monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+        for w in windows_population(0)[:10]:
+            sys_ = system_from_descriptor(w["system"])
+            _, s1 = split_period(w["t1"], sys_.period)
+            s2 = s1 + (w["t2"] - w["t1"])
+            b_pieces = {(p0, p1, id(seg)) for p0, p1, seg, _ in lyapunov._b_pieces(sys_, s1, s2)}
+            parts = {id(chunk): chunk for _, chunk in lyapunov._grid_parts(sys_, s1, s2)}
+            calls.update(poly_min_on=0, scaled=0, candidates=0)
+            assert disconjugacy_oracle(sys_, w["t1"], w["t2"]) == DISCONJUGATE
+            assert calls == {"poly_min_on": 0, "scaled": 0,
+                             "candidates": len(b_pieces) + 3 * sum(map(len, parts.values()))}, w
 
     def test_spike_zeros_inside_one_even_step_are_found(self):
         # the solution from (0, 1) vanishes at 0, 0.50033 and 0.50058: the last two

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from impulse_floquet import (DensePath, IntegrationFailureError, State, Tolerances,
                              floquet_multipliers, fundamental_matrix, monodromy,
-                             propagate_state)
+                             propagate_state, propagation)
 from impulse_floquet.descriptors import system_from_descriptor
 from impulse_floquet.harness import GeneratorSpec, generate
 from impulse_floquet.piecewise import LEFT, RIGHT, knot_eps, split_period
 from impulse_floquet.propagation import _mat_pows
 
-from helpers import make_system, rotation_system
+from helpers import make_system, poly, rotation_system
 from test_magnus import systems
 
 SQRT5 = math.sqrt(5.0)
@@ -252,6 +252,31 @@ class TestDensePath:
         _, prods = path.sample_matrices(np.array(ts))
         assert [path.alpha_product(float(t), RIGHT) for t in ts] == prods.tolist()
         assert math.isfinite(prods[-3]) and prods[-2] == prods[-1] == math.inf
+
+    @pytest.mark.parametrize("T", [1.0, 0.7])
+    def test_sample_matrices_steps_each_in_period_time_once(self, monkeypatch, T):
+        # simulate's grid of 100 periods and 8 samples: past the head window the cycle
+        # is stepped at the 8 distinct in-period times; at T = 0.7 the offsets round
+        # differently from period to period, so fewer of them repeat
+        sys_ = make_system(poly((0.1, -0.05), T), poly((1.0, 0.2), T), poly((1.1, 0.3, -0.2), T),
+                           T=T, impulses=[(0.3 * T, -1.0, 0.4), (0.6 * T, 1.5, -0.2)])
+        path = DensePath(sys_, 0.0, 100 * T)
+        ts = np.concatenate([np.arange(800) * (T / 8), [100 * T]])
+        sizes, real = [], propagation._Window.sample
+
+        def counting(window, times):
+            sizes.append(len(times))
+            return real(window, times)
+
+        monkeypatch.setattr(propagation._Window, "sample", counting)
+        mats, prods = path.sample_matrices(ts)
+        monkeypatch.undo()
+        distinct = len(np.unique(split_period(ts[9:], T)[1]))
+        assert sizes == [9, distinct]  # the head window reads 0, T/8, ..., T
+        assert distinct == 8 if T == 1.0 else 8 < distinct < 792
+        for t, M, p in zip(ts.tolist(), mats, prods.tolist()):
+            ref_M, ref_p = path.at(t, RIGHT)
+            assert M.tobytes() == ref_M.tobytes() and p == ref_p, t
 
     def test_multi_period_closed_form(self):
         sys_ = rotation_system(1.0)

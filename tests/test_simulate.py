@@ -41,6 +41,10 @@ GOLDEN = {
     "overflow_1000x2": (
         rotation_descriptor(T=1.0, c=-1.0), ["--periods", "1000", "--samples-per-period", "2"],
         2002, "0eb5659393a8de0fbe21dce4bfe2f5d6111a96961e9b40a8547c7aa2dcd9b41e"),
+    "minus_alpha_overflow_1000x2": (  # inf, -inf and nan through the alpha = -1 sign flip
+        rotation_descriptor(T=1.0, c=-1.0, impulses=[(0.5, -1.0, 0.3)]),
+        ["--periods", "1000", "--samples-per-period", "2", "--x0", "0.5", "--u0", "2"],
+        2002, "52fa93c2652a17c9fb36a7ebd504876c31bd2a9deab9584d83e6b757f836fc6c"),
     "zero_periods": (
         _varied(), ["--periods", "0"], 1,
         "21192bd4c2393537101a7231c58602334cd9ba335c3d54a943ed92ea926c6ef3"),
@@ -65,13 +69,25 @@ def test_csv_bytes_match_the_golden_digest(tmp_path, capsys, name):
     assert hashlib.sha256(written).hexdigest() == digest
 
 
-def test_rows_are_the_csv_writer_rows_of_the_same_values(tmp_path, capsys):
-    path = write_descriptor(tmp_path, _varied())
-    rc, out, _ = run(capsys, ["simulate", "--input", path, "--periods", "3"])
+@pytest.mark.parametrize("alpha", [-1.0, 1.0, 1.7])
+@pytest.mark.parametrize("start", [[], ["--x0", "0", "--u0", "0"]], ids=["x1u0", "zero"])
+def test_rows_are_the_csv_writer_rows_of_the_same_values(tmp_path, capsys, alpha, start):
+    # z and v take the text of x and u where the alpha product is +-1: signed zeros too
+    doc = _varied()
+    doc["impulses"][0]["alpha"] = alpha
+    path = write_descriptor(tmp_path, doc)
+    rc, out, _ = run(capsys, ["simulate", "--input", path, "--periods", "3", *start])
     rows = list(csv.reader(io.StringIO(out)))
     buf = io.StringIO()
     csv.writer(buf).writerows([rows[0]] + [[float(v) for v in row] for row in rows[1:]])
     assert rc == 0 and buf.getvalue() == out
+    if start:  # x = u = 0.0 throughout; z = x / p and v = u / p are -0.0 where p = -1
+        assert {cell for row in rows[1:] for cell in row[1:3]} == {"0.0"}
+        assert {cell for row in rows[1:] for cell in row[3:]} == \
+            ({"0.0", "-0.0"} if alpha < 0 else {"0.0"})
+    elif abs(alpha) == 1.0:  # p = +-1: z = +-x and v = +-u, flipped after the alpha = -1 jump
+        pairs = [(float(row[i]), float(row[i + 2])) for row in rows[1:] for i in (1, 2)]
+        assert {a / b for a, b in pairs if b != 0.0} == ({1.0, -1.0} if alpha < 0 else {1.0})
 
 
 def test_overflow_prints_no_warning_and_ends_non_finite(tmp_path, capsys):
