@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
 from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes,
-                        adaptive_integral, integrate_panels, segments_min)
+                        adaptive_integral, integrate_panels, segment_rows, segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -261,8 +261,13 @@ class _Quantities:
     def int_a2_over_b(self) -> float | None:
         if not self.b_safe:
             return None
-        return integrate_panels(((_a2_over_b(sa, sb), lo, hi)
-                                 for lo, hi, sa, sb, _ in self.system.pieces()))
+        pieces = self.system.pieces()
+        a, b = (segment_rows([p[j] for p in pieces]) for j in (2, 3))
+
+        def a2_over_b(ts, rows):
+            av = a(ts, rows)
+            return av * av / b(ts, rows)
+        return integrate_panels(a2_over_b, [p[:2] for p in pieces])
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -299,13 +304,6 @@ class _Quantities:
     @cached_property
     def condition_c(self) -> ConditionCStatus:
         return _condition_c_branch(self)
-
-
-def _a2_over_b(sa, sb):
-    def fn(ts):
-        a = np.asarray(sa(ts), dtype=float)
-        return a * a / np.asarray(sb(ts), dtype=float)
-    return fn
 
 
 def _bc_minus_a2_pieces(system: ImpulsiveSystem, sign: float):

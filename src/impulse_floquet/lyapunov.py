@@ -26,7 +26,7 @@ import numpy as np
 from .piecewise import (CumulativeIntegral, PolySegment, _roots_within, _taylor_shift,
                         adaptive_integral, bracketed_root, finite_values, grid_golden_min,
                         integrate_panels, integrate_periodic, knot_eps, merge_knots,
-                        period_chunks, segments_extrema, split_period)
+                        period_chunks, segment_rows, segments_extrema, split_period)
 from .propagation import (_MAX_STEPS, DensePath, IntegrationFailureError, State,
                           _magnus_steps, _raising, _step_maps)
 from .system import ImpulsiveSystem
@@ -177,11 +177,10 @@ class _LhsFactors:
 
         integrate_panels takes its tolerance from the weighted integrand's own
         size, which a weight far from 1 cannot put out of reach."""
-        def weighted(seg, shift):
-            return lambda ts: (np.asarray(seg(ts), dtype=float)
-                               * np.exp(-2.0 * (self._cum_a.values(ts) + shift)))
-        return integrate_panels(((weighted(seg, shift), p0, p1)
-                                 for p0, p1, seg, shift in self.b_panels))
+        b = segment_rows([seg for _, _, seg, _ in self.b_panels])
+        shift = np.array([shift for *_, shift in self.b_panels])
+        return integrate_panels(lambda ts, rows: b(ts, rows) * np.exp(
+            -2.0 * (self._cum_a.values(ts) + shift[rows, None])), [p[:2] for p in self.b_panels])
 
     def lhs(self, t0: float) -> float:
         return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2

@@ -16,12 +16,13 @@ absolute-value and positive-part transforms it is split at the real roots of
 the polynomial. Every integral without a closed form goes through one rule,
 integrate_panels: callable panels, the a^2/b of the criteria, the weighted
 b * exp(-2A) of the Lyapunov layer and the in-segment values of a callable's
-cumulative integral. It runs adaptive Gauss-Legendre on each panel with an
-absolute tolerance relative to the panels' own 15-node estimates. For the
-abs and pos transforms every interior sign change of a callable is located
-first (a node scan plus Brent root refinement), so each panel integrates a
-smooth sign-definite integrand. One adaptive call has a budget of panel
-splits; past it the open panels keep their estimate and a warning is logged.
+cumulative integral. It runs adaptive Gauss-Legendre on all panels at once,
+with one integrand call per level of splitting and an absolute tolerance
+relative to the panels' own 15-node estimates. For the abs and pos transforms
+every interior sign change of a callable is located first (a node scan plus
+Brent root refinement), so each panel integrates a smooth sign-definite
+integrand. Each panel has a budget of splits; past it the open parts keep
+their estimate and a warning is logged.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ _POS = "pos"
 _TRANSFORMS = (_IDENTITY, _ABS, _POS)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-# Panel splits one adaptive_integral call may make. Every integral of the test
+# Panel splits one span of integrate_panels may make. Every integral of the test
 # suite and the benchmark workloads converges without a split, and a kink
 # inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
+_QUAD_BLOCK = 256  # panels per integrand call; all 9,000 of a 3,000-period window took 5x the memory
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
 _SAMPLED_MIN_NODES = 129  # Chebyshev nodes of sampled_min
 _SIGN_SCAN_NODES = 33     # Chebyshev nodes of the sign-change scan of a callable
@@ -232,13 +234,13 @@ Segment = Union[PolySegment, FuncSegment]
 
 
 def finite_values(fn, xs) -> np.ndarray:
-    """fn at xs (a float or an ndarray) as floats; EvaluationError at the first
+    """fn at xs (a float or an ndarray) as floats; EvaluationError at the earliest
     x whose value is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the EvaluationError below
         vals = np.asarray(fn(xs), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        t = float(np.asarray(xs)[bad][0])
+        t = float(np.min(np.asarray(xs)[bad]))
         raise EvaluationError(f"non-finite segment value at t={t}", t=t)
     return vals
 
@@ -249,54 +251,94 @@ def _gauss(fn, lo: float, hi: float) -> float:
     return half * float(_GL_W @ finite_values(fn, xs))
 
 
-def adaptive_integral(fn, lo: float, hi: float, tol_abs: float,
-                      whole: float | None = None) -> float:
-    """Adaptive Gauss-Legendre on a smooth integrand; `fn` takes ndarray.
+def segment_rows(segs):
+    """fn(ts, rows) with ts[r] read on segs[rows[r]]: the polynomials by Horner on their
+    coefficient table, zero-padded at the top degree (the bits of PolySegment's own call), any
+    other callable on its own row of nodes."""
+    table = _poly_table([(s,) for s in segs], 1)[0]
+    calls = np.array([not isinstance(s, PolySegment) for s in segs], dtype=bool)
 
-    Panels split depth first, each half with half the tolerance, until the two
-    halves of a panel agree. After _PANEL_BUDGET splits the panels still open
-    return their two-half estimate instead, and one warning is logged: rounding
-    noise above the tolerance would otherwise split down to depth 48."""
-    budget = [_PANEL_BUDGET]
-    total = _adaptive(fn, lo, hi, tol_abs, 48, budget, whole)
-    if budget[0] < 0:
-        _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; "
-                     "the result may miss its tolerance %.3g", lo, hi, _PANEL_BUDGET, tol_abs)
-    return total
-
-
-def _adaptive(fn, lo: float, hi: float, tol_abs: float, depth: int, budget: list,
-              whole: float | None = None) -> float:
-    if hi - lo <= 0.0:
-        return 0.0
-    whole = _gauss(fn, lo, hi) if whole is None else whole  # a caller may have it already
-    mid = 0.5 * (lo + hi)
-    halves = _gauss(fn, lo, mid) + _gauss(fn, mid, hi)
-    if abs(halves - whole) <= tol_abs or depth == 0 or (hi - lo) < 1e-15 * (1.0 + abs(lo) + abs(hi)):
-        return halves
-    if budget[0] <= 0:
-        budget[0] = -1
-        return halves
-    budget[0] -= 1
-    return (_adaptive(fn, lo, mid, 0.5 * tol_abs, depth - 1, budget)
-            + _adaptive(fn, mid, hi, 0.5 * tol_abs, depth - 1, budget))
+    def values(ts, rows):
+        coeffs, out = table[rows], 0.0
+        for k in range(table.shape[1] - 1, -1, -1):
+            out = out * ts + coeffs[:, k, None]
+        for r in np.flatnonzero(calls[rows]):
+            out[r] = segs[rows[r]](ts[r])
+        return out
+    return values
 
 
-def integrate_panels(panels) -> float:
-    """Sum of the integrals of fn over [lo, hi] for (fn, lo, hi) panels.
+def _poly_table(rows, width: int) -> np.ndarray:
+    """Coefficients of every PolySegment of the rows of `width` segments as a (width, rows,
+    degree + 1) array, zero-padded at the top degree (Horner then gives the same bits)."""
+    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in row] for row in rows]
+    table = np.zeros((width, len(rows), max([1] + [len(c) for row in polys for c in row])))
+    for i, row in enumerate(polys):
+        for j, c in enumerate(row):
+            table[j, i, :len(c)] = c
+    return table
 
-    The absolute tolerance is QUAD_REL_TOL times the summed size of the panels'
-    15-node estimates (at least 1e-3), so it follows the integrand's own scale,
-    as in QUADPACK. Panels share it in proportion to their length, and each
-    adaptive_integral call starts from its panel's estimate."""
-    panels = list(panels)
-    wholes = [_gauss(fn, lo, hi) for fn, lo, hi in panels]
-    span = sum(hi - lo for _, lo, hi in panels)
+
+def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 15-node rule of each [a, b], (n, r) arrays on the panels `rows`, as `_gauss` takes it;
+    one fn call per _QUAD_BLOCK rows, EvaluationError at its earliest non-finite node."""
+    half, out = 0.5 * (b - a), np.empty(a.shape)
+    for i in range(0, len(rows), _QUAD_BLOCK):
+        s = slice(i, i + _QUAD_BLOCK)
+        ts = (0.5 * (b[s] + a[s]))[..., None] + half[s, :, None] * _GL_X
+        vals = finite_values(lambda x: fn(x, rows[s]), ts.reshape(len(ts), -1))
+        out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]  # _gauss's dot
+    return out
+
+
+def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
+    """`integrate_panels` of fn(ts) on the one panel [lo, hi] with absolute tolerance tol_abs."""
+    return integrate_panels(segment_rows([fn]), [(lo, hi)], tol_abs)
+
+
+def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
+    """Sum of the integrals of fn over (lo, hi) spans by adaptive Gauss-Legendre, one fn call per
+    level: fn(ts, rows) reads (n, m) nodes, row r in span rows[r]. Level 0 takes every span's
+    15-node rule and its halves' rules, each later level the halves of the panels still open. A
+    panel closes when its halves agree with its rule within its tolerance (tol_abs, or
+    QUAD_REL_TOL times the spans' summed |rule|, at least 1e-3, shared by length: the integrand's
+    own scale, as in QUADPACK), at depth 48 or too short to split; its value is its halves' sum,
+    or its children's, each with half its tolerance. The spans' values add in order. A span past
+    _PANEL_BUDGET splits, counted level by level in time order, keeps its open panels' halves and
+    logs one warning: rounding noise above the tolerance would otherwise split to depth 48."""
+    lo, hi = np.array(spans, dtype=float).reshape(-1, 2).T
+    span = sum((hi - lo).tolist())
     if span <= 0.0:
         return 0.0
-    budget = QUAD_REL_TOL * max(sum(map(abs, wholes)), 1e-3)
-    return sum(adaptive_integral(fn, lo, hi, budget * (hi - lo) / span, whole)
-               for (fn, lo, hi), whole in zip(panels, wholes))
+    top, mid = np.arange(len(lo)), 0.5 * (lo + hi)
+    whole, left, right = _rules(fn, np.stack([lo, lo, mid], 1), np.stack([hi, mid, hi], 1), top).T
+    tol = (np.full(len(lo), tol_abs) if tol_abs is not None
+           else QUAD_REL_TOL * max(sum(map(abs, whole.tolist())), 1e-3) * (hi - lo) / span)
+    budget, levels, a, b, t = np.full(len(lo), _PANEL_BUDGET), [], lo, hi, tol
+    for depth in range(48, -1, -1):
+        halves = left + right
+        split = (b > a) & ~((np.abs(halves - whole) <= t) | (depth == 0)
+                            | ((b - a) < 1e-15 * (1.0 + np.abs(a) + np.abs(b))))
+        tops = top[split]  # in time order within each span
+        over = np.arange(len(tops)) - np.searchsorted(tops, tops) >= budget[tops]
+        budget -= np.bincount(tops, minlength=len(lo))
+        split[np.flatnonzero(split)[over]] = False
+        levels.append((split, np.where(b > a, halves, 0.0)))
+        if not split.any():
+            break
+        m = 0.5 * (a[split] + b[split])  # the halves, in time order
+        a, b, whole = (np.stack(p, 1).ravel() for p in ((a[split], m), (m, b[split]),
+                                                        (left[split], right[split])))
+        t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
+        left, right = _rules(fn, np.stack([a, m], 1), np.stack([m, b], 1), top).T
+    for i in np.flatnonzero(budget < 0):
+        _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result "
+                     "may miss its tolerance %.3g", float(lo[i]), float(hi[i]), _PANEL_BUDGET, tol[i])
+    vals = np.empty(0)
+    for split, values in reversed(levels):  # each split panel takes its children's sum
+        values[split] = vals[0::2] + vals[1::2]
+        vals = values
+    return sum(vals.tolist())
 
 
 def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -604,11 +646,11 @@ class PiecewiseFunction:
                 if isinstance(seg, PolySegment):  # its error report comes from the 15 nodes
                     _gauss(seg, a, b)
                 for p0, p1, sgn in _sign_definite_panels(seg, a, b, eps_root):
-                    if transform == _ABS:
-                        panels.append((lambda ts, _seg=seg: np.abs(_seg(ts)), p0, p1))
-                    elif sgn > 0:
-                        panels.append((seg, p0, p1))
-        return total + integrate_panels(panels)
+                    if transform == _ABS or sgn > 0:
+                        panels.append((lambda ts, _seg=seg: np.abs(_seg(ts)), p0, p1)
+                                      if transform == _ABS else (seg, p0, p1))
+        return total + (integrate_panels(segment_rows([p[0] for p in panels]),
+                                         [p[1:] for p in panels]) if panels else 0.0)
 
 
 def _poly_integral(seg: PolySegment, lo: float, hi: float, transform: str) -> float:
@@ -722,13 +764,14 @@ class CumulativeIntegral:
         anti = self._anti[i]
         if anti is not None:
             return self._base[i] + _horner(anti, local)
-        return self._base[i] + integrate_panels([(self.f.segments[i], self._knots[i], s)])
+        return self._base[i] + integrate_panels(segment_rows([self.f.segments[i]]),
+                                                [(self._knots[i], s)])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)
         out = np.empty_like(ss)
         idx = np.searchsorted(self.f.breakpoints, ss, side="right")
-        for i in set(idx.tolist()):  # the segments hit: one for the nodes of a panel
+        for i in set(idx.ravel().tolist()):  # the segments hit: one for the nodes of a panel
             mask, anti = idx == i, self._anti[i]
             if anti is not None:
                 out[mask] = self._base[i] + _horner(anti, self._offset(ss[mask], i))

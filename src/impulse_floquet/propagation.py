@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import LEFT, RIGHT, PolySegment, knot_eps, locate, split_period
+from .piecewise import LEFT, RIGHT, PolySegment, _poly_table, knot_eps, locate, split_period
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -167,18 +167,6 @@ def _step_maps(segs, t0, h):
     return _maps(a1, a2, b1, b2, c1, c2, h)
 
 
-def _poly_table(pieces) -> np.ndarray:
-    """Coefficients of every PolySegment of the pieces as a (3, pieces, degree + 1)
-    array, zero-padded at the top degree (Horner then gives the same bits)."""
-    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in p[2:]] for p in pieces]
-    width = max([1] + [len(c) for row in polys for c in row])
-    table = np.zeros((3, len(pieces), width))
-    for i, row in enumerate(polys):
-        for j, c in enumerate(row):
-            table[j, i, :len(c)] = c
-    return table
-
-
 def _magnus_steps(pieces, tol: Tolerances) -> list:
     """Step maps and products of smooth pieces [(lo, hi, seg_a, seg_b, seg_c)].
 
@@ -189,7 +177,7 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
     span = np.array([p[1] for p in pieces]) - lo
-    table = _poly_table(pieces)
+    table = _poly_table([p[2:] for p in pieces], 3)
     callable_rows = np.array([not all(isinstance(s, PolySegment) for s in p[2:])
                               for p in pieces], dtype=bool)
     results: list = [None] * len(pieces)

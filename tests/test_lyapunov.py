@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -832,3 +833,32 @@ def test_oracle_matches_the_direction_loop():
     sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
     assert _checked_oracle(sys_, 0.1, 1.4) == NOT_DISCONJUGATE
     assert _checked_oracle(sys_, 0.1, 0.3) == DISCONJUGATE
+
+
+def test_the_weighted_b_integral_of_a_window_is_one_integrand_call(monkeypatch):
+    # window 2 of seed 0 has 9 pieces of b, none of whose rules splits
+    w = windows_population(0)[2]
+    calls = []
+
+    def counted(fn, spans, *args):
+        def counted_fn(ts, rows):
+            calls.append(ts.shape)
+            return fn(ts, rows)
+        return piecewise.integrate_panels(counted_fn, spans, *args)
+    monkeypatch.setattr(lyapunov, "integrate_panels", counted)
+    factors = lyapunov._LhsFactors(system_from_descriptor(w["system"]), w["t1"], w["t2"])
+    assert len(factors.b_panels) == 9 and calls == [(9, 45)]
+
+
+def test_a_window_of_thousands_of_periods_keeps_its_quadrature_memory_bounded():
+    # 9,000 pieces of b: one integrand call over all of them peaked at 18.7 MB under
+    # tracemalloc, where the rule-by-rule quadrature peaked at 3.2 MB
+    sys_ = make_system(0.0, 1e-6, 1e-6, impulses=[(0.5, 1.5, 0.1)])
+    tracemalloc.start()
+    try:
+        check = disconjugacy_test(sys_, 0.25, 3000.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.status == DISCONJUGATE_CERTIFIED
+    assert peak < 2 * 3.2e6

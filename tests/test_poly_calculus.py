@@ -1,6 +1,6 @@
 """Closed-form integrals of polynomial panels, checked against the adaptive
-path and exact rational arithmetic, and the panel budget of adaptive
-quadrature."""
+path and exact rational arithmetic; the level loop of adaptive quadrature
+against its depth-first recursion, and its panel budget."""
 
 import logging
 import math
@@ -13,7 +13,8 @@ from numpy.polynomial import polynomial as npoly
 
 from impulse_floquet import FuncSegment, PiecewiseFunction, PolySegment
 from impulse_floquet import piecewise
-from impulse_floquet.piecewise import QUAD_REL_TOL, CumulativeIntegral, adaptive_integral
+from impulse_floquet.piecewise import (QUAD_REL_TOL, CumulativeIntegral, EvaluationError,
+                                       adaptive_integral, integrate_panels, segment_rows)
 
 PROBE_START = 993.6280168780241
 PROBE_CUBIC = (431335316.0, -1301805.72, 1309.65279, -0.439182484)  # -1.7 to -98 on its panel
@@ -105,6 +106,50 @@ def _unbudgeted(fn, lo, hi, tol_abs, depth=48):
         return halves
     return (_unbudgeted(fn, lo, mid, 0.5 * tol_abs, depth - 1)
             + _unbudgeted(fn, mid, hi, 0.5 * tol_abs, depth - 1))
+
+
+@st.composite
+def mixed_panels(draw):
+    """(fn, lo, hi) panels end to end: polynomials, |t - c| kinks that split about 30
+    times, sin(40 t) and zero-length panels."""
+    t, out = draw(st.floats(-3.0, 3.0)), []
+    for kind in draw(st.lists(st.sampled_from(["poly", "kink", "sine", "empty"]),
+                              min_size=1, max_size=6)):
+        width = 0.0 if kind == "empty" else draw(st.floats(0.01, 2.0))
+        if kind in ("poly", "empty"):
+            fn = PolySegment(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5)))
+        elif kind == "kink":
+            fn = (lambda ts, c=t + width * draw(st.floats(0.05, 0.95)): np.abs(ts - c))
+        else:
+            fn = (lambda ts: np.sin(40.0 * ts))
+        out.append((fn, t, t + width))
+        t += width
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_panels())
+def test_the_level_loop_gives_the_bits_of_the_depth_first_recursion(panels):
+    got = integrate_panels(segment_rows([p[0] for p in panels]), [p[1:] for p in panels])
+    span = sum(hi - lo for _, lo, hi in panels)
+    budget = QUAD_REL_TOL * max(sum(abs(piecewise._gauss(*p)) for p in panels), 1e-3)
+    expected = sum(_unbudgeted(fn, lo, hi, budget * (hi - lo) / span)
+                   for fn, lo, hi in panels) if span > 0.0 else 0.0
+    assert repr(got) == repr(expected)
+
+
+def test_a_nan_at_half_rule_nodes_raises_at_the_earliest():
+    # on [0, 1], NaN at the last node of the left half's rule, the first of the right
+    # half's and the last of the whole rule, which comes first in evaluation order; and
+    # at the first node of the second panel's rule
+    x = np.polynomial.legendre.leggauss(15)[0]
+    bad = {0.25 + 0.25 * x[14], 0.75 + 0.25 * x[0], 0.5 + 0.5 * x[14], 1.5 + 0.5 * x[0]}
+
+    def fn(ts):
+        return np.where(np.isin(ts, list(bad)), np.nan, 1.0)
+    with pytest.raises(EvaluationError) as info:
+        integrate_panels(segment_rows([fn, fn]), [(0.0, 1.0), (1.0, 2.0)])
+    assert info.value.t == 0.25 + 0.25 * x[14]
 
 
 @pytest.mark.parametrize("fn", [lambda t: np.abs(t - 0.3), lambda t: np.sqrt(np.abs(t - 0.7)),
