@@ -263,11 +263,8 @@ class _Quantities:
             return None
         pieces = self.system.pieces()
         a, b = (segment_rows([p[j] for p in pieces]) for j in (2, 3))
-
-        def a2_over_b(ts, rows):
-            av = a(ts, rows)
-            return av * av / b(ts, rows)
-        return integrate_panels(a2_over_b, [p[:2] for p in pieces])
+        return integrate_panels(lambda ts, rows: a(ts, rows) ** 2 / b(ts, rows),
+                                [p[:2] for p in pieces])
 
     @cached_property
     def mean_condition_value(self) -> float | None:

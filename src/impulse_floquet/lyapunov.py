@@ -23,10 +23,10 @@ from functools import cache
 import numpy as np
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
-from .piecewise import (CumulativeIntegral, PolySegment, _roots_within, _taylor_shift,
-                        adaptive_integral, bracketed_root, finite_values, grid_golden_min,
-                        integrate_panels, integrate_periodic, knot_eps, merge_knots,
-                        period_chunks, segment_rows, segments_extrema, split_period)
+from .piecewise import (CumulativeIntegral, PolySegment, _chebyshev_nodes, _roots_within,
+                        _taylor_shift, adaptive_integral, bracketed_root, finite_values,
+                        grid_golden_min, integrate_panels, integrate_periodic, knot_eps,
+                        merge_knots, period_chunks, segment_rows, segments_extrema, split_period)
 from .propagation import (_MAX_STEPS, DensePath, IntegrationFailureError, State,
                           _magnus_steps, _raising, _step_maps)
 from .system import ImpulsiveSystem
@@ -37,7 +37,7 @@ INCONCLUSIVE = "inconclusive"
 DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
-_WINDOW_GRID = 256       # interior samples of a window for the sup over t0 and the argmax of z
+_WINDOW_GRID = 256       # samples for the argmax of z on a window and for A on a callable piece of a
 _B_SIGN_SAMPLES = 1024   # even reads of a callable b's sign in disconjugacy_oracle
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
@@ -186,13 +186,20 @@ class _LhsFactors:
         return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2
 
     def sup_over_t0(self) -> tuple[float, float]:
-        """(sup value, argmax t0) over the open window interior."""
+        """(sup value, argmax t0) over the window, ends included: A's exact maximum, at an end, a
+        knot of a or a real root of a piece (a callable piece: _WINDOW_GRID Chebyshev samples)."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
-        ts = np.linspace(self.t1, self.t2, _WINDOW_GRID + 2)[1:-1]
-        t_best, a_neg = grid_golden_min(lambda t: -self._cum_a.value(t), ts,
-                                        -self._cum_a.values(ts))
-        return math.exp(-2.0 * a_neg) * self.weighted_b * self.factor2, t_best
+        T, ts = self.system.period, [self.t1, self.t2]
+        chunks = list(period_chunks(self.t1, self.t2, T))
+        for k, s0, s1 in chunks[:2] + chunks[-2:]:  # A(kT + s) = k A(T) + A(s): the whole
+            for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # periods peak at an end
+                ts.extend(k * T + p0 + np.array(
+                    [0.0, *_roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)]
+                    if isinstance(seg, PolySegment) else _chebyshev_nodes(0.0, p1 - p0, _WINDOW_GRID)))
+        A = self._cum_a.values(np.array(ts))
+        i = int(np.argmax(A))
+        return math.exp(2.0 * A[i]) * self.weighted_b * self.factor2, float(ts[i])
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> float:

@@ -259,9 +259,7 @@ def segment_rows(segs):
     calls = np.array([not isinstance(s, PolySegment) for s in segs], dtype=bool)
 
     def values(ts, rows):
-        coeffs, out = table[rows], 0.0
-        for k in range(table.shape[1] - 1, -1, -1):
-            out = out * ts + coeffs[:, k, None]
+        out = _horner(table[rows].T[..., None], ts)
         for r in np.flatnonzero(calls[rows]):
             out[r] = segs[rows[r]](ts[r])
         return out

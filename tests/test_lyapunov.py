@@ -259,6 +259,25 @@ class TestDisconjugacy:
         assert chk.status == INCONCLUSIVE
         assert disconjugacy_oracle(sys_, 0.0, 1.01) == NOT_DISCONJUGATE
 
+    def test_sup_at_the_window_end_is_not_certified(self):
+        # a = b = 1 on [0, 1]: A(t) = t peaks at t2, where the product reaches 4.01; the
+        # best of 256 interior samples refined by golden section read 3.97891 at 0.99611
+        # and certified the window
+        c = 4.01 / ((math.e ** 2 - 1.0) / 2.0)
+        chk = disconjugacy_test(make_system(1.0, 1.0, c), 0.0, 1.0)
+        assert chk.status == INCONCLUSIVE
+        assert chk.sup_value == pytest.approx(4.01, abs=1e-12)
+        assert chk.t0_at_sup == 1.0
+
+    def test_sup_at_a_root_of_a_is_the_product_there(self):
+        # a = 0.6 - t: A peaks at the roots of a, highest in the second period (A(T) > 0)
+        sys_ = make_system(poly([0.6, -1.0]), 1.0, 1.0)
+        chk = disconjugacy_test(sys_, 0.2, 1.9)
+        assert chk.t0_at_sup == pytest.approx(1.6, abs=1e-15)
+        assert chk.sup_value == lyapunov_lhs(sys_, 0.2, 1.9, chk.t0_at_sup)
+        assert all(lyapunov_lhs(sys_, 0.2, 1.9, t) <= chk.sup_value
+                   for t in np.linspace(0.2, 1.9, 1001)[1:-1])
+
     @pytest.mark.parametrize("t1", [0.0, 0.5, 1.1])
     def test_zero_at_the_window_end_not_disconjugate(self, t1):
         # x'' = -pi^2 x: the focal solution vanishes again exactly at t2 = t1 + 1, where

@@ -23,7 +23,7 @@ ANALYZE = {
     "force-main": "37106ed19ce693dac7a98a91ccb613b6f31c3536e7b9f497baf35636e39b95e9",
     "force-guseinov-zafer": "37106ed19ce693dac7a98a91ccb613b6f31c3536e7b9f497baf35636e39b95e9",
 }
-DISCONJUGACY = "8d0f7d5d789c13c0f691674f2b9ac8fab6c19639b14aa5c5b1a10a820d62347c"
+DISCONJUGACY = "1c19051a81925e17466018f02139daa6516ed545258844df54fbf62e84973628"
 
 
 def _digest(capsys, argvs) -> str:
