@@ -309,7 +309,7 @@ def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
     if span <= 0.0:
         return 0.0
     top, mid = np.arange(len(lo)), 0.5 * (lo + hi)
-    whole, left, right = _rules(fn, np.stack([lo, lo, mid], 1), np.stack([hi, mid, hi], 1), top).T
+    whole, left, right = _rules(fn, np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T, top).T
     tol = (np.full(len(lo), tol_abs) if tol_abs is not None
            else QUAD_REL_TOL * max(sum(map(abs, whole.tolist())), 1e-3) * (hi - lo) / span)
     budget, levels, a, b, t = np.full(len(lo), _PANEL_BUDGET), [], lo, hi, tol
@@ -317,18 +317,18 @@ def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
         halves = left + right
         split = (b > a) & ~((np.abs(halves - whole) <= t) | (depth == 0)
                             | ((b - a) < 1e-15 * (1.0 + np.abs(a) + np.abs(b))))
-        tops = top[split]  # in time order within each span
-        over = np.arange(len(tops)) - np.searchsorted(tops, tops) >= budget[tops]
-        budget -= np.bincount(tops, minlength=len(lo))
-        split[np.flatnonzero(split)[over]] = False
         levels.append((split, np.where(b > a, halves, 0.0)))
         if not split.any():
             break
+        tops = top[split]  # in time order within each span
+        over = np.arange(len(tops)) - np.searchsorted(tops, tops) >= budget[tops]
+        budget -= np.bincount(tops, minlength=len(lo))
+        split[np.flatnonzero(split)[over]] = False  # in place: levels holds this mask
         m = 0.5 * (a[split] + b[split])  # the halves, in time order
         a, b, whole = (np.stack(p, 1).ravel() for p in ((a[split], m), (m, b[split]),
                                                         (left[split], right[split])))
         t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
-        left, right = _rules(fn, np.stack([a, m], 1), np.stack([m, b], 1), top).T
+        left, right = _rules(fn, np.array([a, m]).T, np.array([m, b]).T, top).T
     for i in np.flatnonzero(budget < 0):
         _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result "
                      "may miss its tolerance %.3g", float(lo[i]), float(hi[i]), _PANEL_BUDGET, tol[i])
