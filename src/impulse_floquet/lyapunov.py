@@ -37,7 +37,7 @@ INCONCLUSIVE = "inconclusive"
 DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
-_WINDOW_GRID = 256       # samples for the argmax of z on a window and for A on a callable piece of a
+_WINDOW_GRID = 256       # samples of a window for the argmax of z, of a callable a's piece for A
 _B_SIGN_SAMPLES = 1024   # even reads of a callable b's sign in disconjugacy_oracle
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
@@ -177,8 +177,8 @@ class _LhsFactors:
 
         integrate_panels takes its tolerance from the weighted integrand's own
         size, which a weight far from 1 cannot put out of reach."""
-        b = segment_rows([seg for _, _, seg, _ in self.b_panels])
-        shift = np.array([shift for *_, shift in self.b_panels])
+        b = segment_rows([p[2] for p in self.b_panels])
+        shift = np.array([p[3] for p in self.b_panels])
         return integrate_panels(lambda ts, rows: b(ts, rows) * np.exp(
             -2.0 * (self._cum_a.values(ts) + shift[rows, None])), [p[:2] for p in self.b_panels])
 
@@ -192,14 +192,14 @@ class _LhsFactors:
             return 0.0, 0.5 * (self.t1 + self.t2)
         T, ts = self.system.period, [self.t1, self.t2]
         chunks = list(period_chunks(self.t1, self.t2, T))
-        for k, s0, s1 in chunks[:2] + chunks[-2:]:  # A(kT + s) = k A(T) + A(s): the whole
-            for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # periods peak at an end
-                ts.extend(k * T + p0 + np.array(
-                    [0.0, *_roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)]
-                    if isinstance(seg, PolySegment) else _chebyshev_nodes(0.0, p1 - p0, _WINDOW_GRID)))
+        for k, s0, s1 in chunks[:2] + chunks[-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
+            for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # peak at the first or last
+                local = (_roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
+                         if isinstance(seg, PolySegment)
+                         else _chebyshev_nodes(0.0, p1 - p0, _WINDOW_GRID))
+                ts.extend(k * T + p0 + np.array([0.0, *local]))
         A = self._cum_a.values(np.array(ts))
-        i = int(np.argmax(A))
-        return math.exp(2.0 * A[i]) * self.weighted_b * self.factor2, float(ts[i])
+        return math.exp(2.0 * A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> float:

@@ -49,7 +49,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # suite and the benchmark workloads converges without a split, and a kink
 # inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
-_QUAD_BLOCK = 256  # panels per integrand call; all 9,000 of a 3,000-period window took 5x the memory
+_QUAD_BLOCK = 256  # panels per integrand call, which bounds the memory of a long window
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
 _SAMPLED_MIN_NODES = 129  # Chebyshev nodes of sampled_min
 _SIGN_SCAN_NODES = 33     # Chebyshev nodes of the sign-change scan of a callable
@@ -266,11 +266,11 @@ def segment_rows(segs):
     return values
 
 
-def _poly_table(rows, width: int) -> np.ndarray:
-    """Coefficients of every PolySegment of the rows of `width` segments as a (width, rows,
+def _poly_table(groups, width: int) -> np.ndarray:
+    """Coefficients of every PolySegment of the groups of `width` segments as a (width, groups,
     degree + 1) array, zero-padded at the top degree (Horner then gives the same bits)."""
-    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in row] for row in rows]
-    table = np.zeros((width, len(rows), max([1] + [len(c) for row in polys for c in row])))
+    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in g] for g in groups]
+    table = np.zeros((width, len(groups), max([1] + [len(c) for row in polys for c in row])))
     for i, row in enumerate(polys):
         for j, c in enumerate(row):
             table[j, i, :len(c)] = c
@@ -278,14 +278,14 @@ def _poly_table(rows, width: int) -> np.ndarray:
 
 
 def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The 15-node rule of each [a, b], (n, r) arrays on the panels `rows`, as `_gauss` takes it;
-    one fn call per _QUAD_BLOCK rows, EvaluationError at its earliest non-finite node."""
+    """`_gauss` of each [a, b], (n, r) arrays on the panels `rows`, bit for bit: the same dot row
+    by row (`vals @ _GL_W` sums in another order); one fn call per _QUAD_BLOCK rows."""
     half, out = 0.5 * (b - a), np.empty(a.shape)
     for i in range(0, len(rows), _QUAD_BLOCK):
         s = slice(i, i + _QUAD_BLOCK)
         ts = (0.5 * (b[s] + a[s]))[..., None] + half[s, :, None] * _GL_X
         vals = finite_values(lambda x: fn(x, rows[s]), ts.reshape(len(ts), -1))
-        out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]  # _gauss's dot
+        out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]
     return out
 
 
@@ -330,8 +330,8 @@ def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
         t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
         left, right = _rules(fn, np.array([a, m]).T, np.array([m, b]).T, top).T
     for i in np.flatnonzero(budget < 0):
-        _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result "
-                     "may miss its tolerance %.3g", float(lo[i]), float(hi[i]), _PANEL_BUDGET, tol[i])
+        _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result may "
+                     "miss its tolerance %.3g", *map(float, (lo[i], hi[i])), _PANEL_BUDGET, tol[i])
     vals = np.empty(0)
     for split, values in reversed(levels):  # each split panel takes its children's sum
         values[split] = vals[0::2] + vals[1::2]
