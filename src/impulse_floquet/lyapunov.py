@@ -187,17 +187,20 @@ class _LhsFactors:
 
     def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the window, ends included: A's exact maximum, at an end, a
-        knot of a or a real root of a piece (a callable piece: _WINDOW_GRID Chebyshev samples)."""
+        knot of a or a real root of a piece (on a callable piece, a sampled and refined one)."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
         T, ts = self.system.period, [self.t1, self.t2]
         chunks = list(period_chunks(self.t1, self.t2, T))
         for k, s0, s1 in chunks[:2] + chunks[-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
             for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # peak at the first or last
-                local = (_roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
-                         if isinstance(seg, PolySegment)
-                         else _chebyshev_nodes(0.0, p1 - p0, _WINDOW_GRID))
-                ts.extend(k * T + p0 + np.array([0.0, *local]))
+                if isinstance(seg, PolySegment):
+                    local = _roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
+                    ts.extend(k * T + p0 + np.array([0.0, *local]))
+                else:  # the best of _WINDOW_GRID Chebyshev samples, refined by golden section
+                    xs = k * T + _chebyshev_nodes(p0, p1, _WINDOW_GRID)
+                    ts.append(grid_golden_min(lambda t: -self._cum_a.value(t), xs,
+                                              -self._cum_a.values(xs))[0])
         A = self._cum_a.values(np.array(ts))
         return math.exp(2.0 * A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
 

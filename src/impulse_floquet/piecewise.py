@@ -45,9 +45,8 @@ _POS = "pos"
 _TRANSFORMS = (_IDENTITY, _ABS, _POS)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-# Panel splits one span of integrate_panels may make. Every integral of the test
-# suite and the benchmark workloads converges without a split, and a kink
-# inside a panel takes about 30.
+# Panel splits one span of integrate_panels may make. Every integral of the test suite and the
+# benchmark workloads converges without a split, and a kink inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
 _QUAD_BLOCK = 256  # panels per integrand call, which bounds the memory of a long window
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
@@ -252,9 +251,8 @@ def _gauss(fn, lo: float, hi: float) -> float:
 
 
 def segment_rows(segs):
-    """fn(ts, rows) with ts[r] read on segs[rows[r]]: the polynomials by Horner on their
-    coefficient table, zero-padded at the top degree (the bits of PolySegment's own call), any
-    other callable on its own row of nodes."""
+    """fn(ts, rows) reading ts[r] on segs[rows[r]]: polynomials by Horner on one coefficient table,
+    zero-padded at the top degree (PolySegment's own bits), other callables row by row."""
     table = _poly_table([(s,) for s in segs], 1)[0]
     calls = np.array([not isinstance(s, PolySegment) for s in segs], dtype=bool)
 
@@ -297,13 +295,12 @@ def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
 def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
     """Sum of the integrals of fn over (lo, hi) spans by adaptive Gauss-Legendre, one fn call per
     level: fn(ts, rows) reads (n, m) nodes, row r in span rows[r]. Level 0 takes every span's
-    15-node rule and its halves' rules, each later level the halves of the panels still open. A
-    panel closes when its halves agree with its rule within its tolerance (tol_abs, or
-    QUAD_REL_TOL times the spans' summed |rule|, at least 1e-3, shared by length: the integrand's
-    own scale, as in QUADPACK), at depth 48 or too short to split; its value is its halves' sum,
-    or its children's, each with half its tolerance. The spans' values add in order. A span past
-    _PANEL_BUDGET splits, counted level by level in time order, keeps its open panels' halves and
-    logs one warning: rounding noise above the tolerance would otherwise split to depth 48."""
+    15-node rule and its halves' rules, later levels the halves of the panels still open. A panel
+    closes when its halves agree with its rule within its tolerance (tol_abs, or QUAD_REL_TOL times
+    the spans' summed |rule|, at least 1e-3, shared by length: the integrand's own scale, as in
+    QUADPACK), at depth 48 or too short to split; it is worth its halves' sum, or its children's,
+    each with half its tolerance. A span past _PANEL_BUDGET splits (counted by level in time
+    order) keeps its halves and logs one warning, lest rounding noise split it to depth 48."""
     lo, hi = np.array(spans, dtype=float).reshape(-1, 2).T
     span = sum((hi - lo).tolist())
     if span <= 0.0:

@@ -278,6 +278,14 @@ class TestDisconjugacy:
         assert all(lyapunov_lhs(sys_, 0.2, 1.9, t) <= chk.sup_value
                    for t in np.linspace(0.2, 1.9, 1001)[1:-1])
 
+    def test_sup_over_a_callable_a_is_refined_from_samples(self):
+        # A peaks at 0.25, where a = 0.3 cos(2 pi t) turns negative, between two samples
+        a = PiecewiseFunction.from_callable(lambda t: 0.3 * np.cos(2.0 * math.pi * t), 1.0)
+        sys_ = make_system(a, 1.0, 1.0)
+        chk = disconjugacy_test(sys_, 0.1, 0.9)
+        assert chk.t0_at_sup == pytest.approx(0.25, abs=1e-7)
+        assert chk.sup_value == lyapunov_lhs(sys_, 0.1, 0.9, chk.t0_at_sup)
+
     @pytest.mark.parametrize("t1", [0.0, 0.5, 1.1])
     def test_zero_at_the_window_end_not_disconjugate(self, t1):
         # x'' = -pi^2 x: the focal solution vanishes again exactly at t2 = t1 + 1, where
