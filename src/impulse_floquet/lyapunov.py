@@ -192,7 +192,7 @@ class _LhsFactors:
             return 0.0, 0.5 * (self.t1 + self.t2)
         T, ts = self.system.period, [self.t1, self.t2]
         chunks = list(period_chunks(self.t1, self.t2, T))
-        for k, s0, s1 in chunks[:2] + chunks[-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
+        for k, s0, s1 in chunks[:2] + chunks[2:][-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
             for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # peak at the first or last
                 if isinstance(seg, PolySegment):
                     local = _roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
