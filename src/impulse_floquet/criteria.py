@@ -441,14 +441,23 @@ def _exp_product_condition(q: _Quantities) -> Condition:
                          note="exp(2*int|a|) overflows; decided in log space")
 
 
+def _det_integrals_condition(q: _Quantities) -> Condition:
+    try:
+        return _cond_positive(LBL_DET_INTEGRALS, q.int_b * q.int_c - q.int_a ** 2, q.tol)
+    except OverflowError:  # int(a)^2 is not a float: decide in log space
+        above = q.int_b * q.int_c > 0.0 and \
+            math.log(abs(q.int_b)) + math.log(abs(q.int_c)) > 2.0 * math.log(abs(q.int_a))
+        return Condition(LBL_DET_INTEGRALS, SATISFIED if above else VIOLATED, None,
+                         note="int(a)^2 overflows; decided in log space")
+
+
 # Each hypothesis, keyed by its label, as a function of the shared quantities.
 _CONDITIONS = {
     LBL_B_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, q.tol),
     LBL_C_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, q.tol),
     LBL_BCA2_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, q.tol),
     LBL_B_POS: lambda q: _cond_pointwise_positive(LBL_B_POS, *q.min_b, q.tol),
-    LBL_DET_INTEGRALS: lambda q: _cond_positive(
-        LBL_DET_INTEGRALS, q.int_b * q.int_c - q.int_a ** 2, q.tol),
+    LBL_DET_INTEGRALS: _det_integrals_condition,
     LBL_ROOT_SUM_PLAIN: lambda q: _cond_upper(
         LBL_ROOT_SUM_PLAIN, q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, q.tol),
     LBL_BCA2_NONZERO: _nonzero_condition,

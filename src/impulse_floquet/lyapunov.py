@@ -159,6 +159,14 @@ def find_zero_pair(system: ImpulsiveSystem, initial: State, window: tuple[float,
     return find_zero_pairs(system, [initial], window, tolerances)[0]
 
 
+def _exp2(x: float) -> float:
+    """exp(2x) by math.exp, inf where that overflows."""
+    try:
+        return math.exp(2.0 * x)
+    except OverflowError:
+        return math.inf
+
+
 class _LhsFactors:
     """Shared machinery for the two-factor product over a window."""
 
@@ -183,7 +191,7 @@ class _LhsFactors:
             -2.0 * (self._cum_a.values(ts) + shift[rows, None])), [p[:2] for p in self.b_panels])
 
     def lhs(self, t0: float) -> float:
-        return math.exp(2.0 * self._cum_a.value(t0)) * self.weighted_b * self.factor2
+        return _exp2(self._cum_a.value(t0)) * self.weighted_b * self.factor2
 
     def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the window, ends included: A's exact maximum, at an end, a
@@ -202,7 +210,7 @@ class _LhsFactors:
                     ts.append(grid_golden_min(lambda t: -self._cum_a.value(t), xs,
                                               -self._cum_a.values(xs))[0])
         A = self._cum_a.values(np.array(ts))
-        return math.exp(2.0 * A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
+        return _exp2(A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> float:

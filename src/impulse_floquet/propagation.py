@@ -40,6 +40,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 _MAX_STEPS = 1 << 16  # per smooth piece
+_FIRST_STEPS = 64  # the first kernel call steps every piece at 1, 2, 4, ..., 64 steps
 _REL_FLOOR = 100.0 * np.finfo(float).eps
 
 
@@ -171,8 +172,13 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     """Step maps and products of smooth pieces [(lo, hi, seg_a, seg_b, seg_c)].
 
     Every piece starts at one step and doubles its count until two successive
-    products agree; all pieces still doubling share one kernel call per level.
-    Entry i is (steps, product) of piece i, or the exception that stopped it.
+    products agree. One kernel call steps every piece still doubling at several
+    counts (the first call at 1, 2, ..., _FIRST_STEPS, each later one at the next
+    count): the levels lie in one row, largest first, so one Horner pass and one
+    `_maps` call evaluate them all, and after log2(m) pairings of the row level m's
+    product is its last entry. The levels are then read in ascending order, as one
+    call per level would read them, with the same bits. Entry i is (steps, product)
+    of piece i, or the exception that stopped it.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
@@ -183,43 +189,55 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     results: list = [None] * len(pieces)
     active = np.arange(len(pieces))
     prev = None
-    n = 1
-    while len(active) and n <= _MAX_STEPS:
-        h = (span[active] / n)[:, None]
-        t0 = lo[active, None] + h * np.arange(n)
+    levels = [1 << k for k in range(min(_FIRST_STEPS, _MAX_STEPS).bit_length())]
+    while len(active) and levels:
+        top, sizes = levels[-1], levels[::-1]
+        width = 2 * top - levels[0]  # level m's steps start at 2 * top - 2 * m
+        h = span[active, None] / np.repeat(sizes, sizes)
+        t0 = lo[active, None] + h * np.concatenate([np.arange(m) for m in sizes])
         ts = np.concatenate([t0 + _GAUSS[0] * h, t0 + _GAUSS[1] * h], axis=1)
         coeffs, vals = table[:, active, :, None], 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the piece below
             for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
                 vals = vals * ts + coeffs[:, :, k]
+        raised, errors = np.zeros(len(active), dtype=int), {}  # the level a callable raised at
         for row in np.flatnonzero(callable_rows[active]):
-            i = int(active[row])
-            try:
-                for j, s in enumerate(pieces[i][2:]):
-                    if not isinstance(s, PolySegment):
-                        vals[j, row] = s(ts[row])
-            except Exception as exc:  # the piece's entry; its NaN row stops it below
-                results[i] = exc
-                vals[:, row] = np.nan
-        (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
-        steps = _maps(a1, a2, b1, b2, c1, c2, h)
-        X = steps
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _maps
-            while X.shape[1] > 1:
-                X = X[:, 1::2] @ X[:, ::2]
-            X = X[:, 0]
-            done = np.zeros(len(active), dtype=bool)
-            if prev is not None:
-                done = np.max(np.abs(X - prev), axis=(1, 2)) <= \
-                    tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
-        finite = np.isfinite(X).all(axis=(1, 2))
-        for i in active[~finite]:
-            if results[i] is None:  # not a callable's own exception
-                results[i] = IntegrationFailureError("non-finite step map", pieces[i][0])
-        for row in np.flatnonzero(done & finite):
-            results[active[row]] = steps[row], X[row]
-        keep = finite & ~done
-        active, prev, n = active[keep], X[keep], 2 * n
+            for m in levels:  # level by level, each on its own nodes
+                off = 2 * top - 2 * m
+                cols = np.r_[off:off + m, width + off:width + off + m]
+                try:
+                    for j, s in enumerate(pieces[active[row]][2:]):
+                        if not isinstance(s, PolySegment):
+                            vals[j, row, cols] = s(ts[row, cols])
+                except Exception as exc:  # the piece's entry, unless it converged below m
+                    raised[row], errors[row] = m, exc
+                    break
+        (a1, b1, c1), (a2, b2, c2) = vals[..., :width], vals[..., width:]
+        X = steps = _maps(a1, a2, b1, b2, c1, c2, h)
+        pairs, open_ = 1, np.ones(len(active), dtype=bool)
+        for m in levels:  # ascending; m-fold pairing leaves level m's product last in the row
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _maps
+                while pairs < m:
+                    X, pairs = X[:, 1::2] @ X[:, ::2], 2 * pairs
+                Xm, X = X[:, -1], X[:, :-1]
+                done = np.zeros(len(active), dtype=bool) if prev is None else \
+                    np.max(np.abs(Xm - prev), axis=(1, 2)) <= \
+                    tol.abs_tol + rel * np.max(np.abs(Xm), axis=(1, 2))
+            for row in np.flatnonzero(open_ & (raised == m)):
+                results[active[row]] = errors[row]
+            open_ &= raised != m
+            finite = np.isfinite(Xm).all(axis=(1, 2))
+            for row in np.flatnonzero(open_ & ~finite):
+                results[active[row]] = IntegrationFailureError("non-finite step map",
+                                                               pieces[active[row]][0])
+            for row in np.flatnonzero(open_ & finite & done):
+                results[active[row]] = steps[row, 2 * top - 2 * m:2 * top - m], Xm[row]
+            open_ &= finite & ~done
+            prev = Xm
+            if not open_.any():
+                break
+        active, prev = active[open_], prev[open_]
+        levels = [2 * top] if 2 * top <= _MAX_STEPS else []
     for i in active:
         results[i] = IntegrationFailureError(
             f"no convergence within {_MAX_STEPS} steps per piece", pieces[i][0])

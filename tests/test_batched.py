@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, FuncSegment,
                              IntegrationFailureError, InvalidSystemError, PiecewiseFunction,
                              PolySegment, classify, cli, criteria, descriptors, evaluate_all,
-                             evaluate_many, monodromies, monodromy, propagation, validate_system)
+                             evaluate_many, lyapunov, monodromies, monodromy, propagation,
+                             validate_system)
 from impulse_floquet.criteria import CRITERION_ORDER
 from impulse_floquet.descriptors import (DescriptorError, set_descriptor_value,
                                          system_from_descriptor, system_to_descriptor)
 from impulse_floquet.harness import CHUNK, GeneratorSpec, generate
-from perfbench.inputs import SWEEP_ROW_VALUES, sweep_descriptor, sweep_rows
+from impulse_floquet.piecewise import split_period
+from perfbench.inputs import SWEEP_ROW_VALUES, sweep_descriptor, sweep_rows, windows_population
 
 from helpers import make_system, poly
 from test_magnus import systems
@@ -111,13 +113,13 @@ def test_a_batch_makes_as_many_kernel_calls_as_its_deepest_system(monkeypatch, b
         systems_ = [generate(GeneratorSpec(seed=s)) for s in range(12)]
     singles = [_count_maps(monkeypatch, lambda s=s: monodromy(s)) for s in systems_]
     assert _count_maps(monkeypatch, lambda: monodromies(systems_)) == max(singles)
-    if batch == "sweep_row":
-        assert max(singles) == 6
+    if batch == "sweep_row":  # every piece converges within the first call's 64 steps
+        assert max(singles) == 1
 
 
-@pytest.mark.parametrize("system, calls", [
-    (system_from_descriptor(sweep_descriptor(0)), 6), (generate(GeneratorSpec(seed=12)), 7),
-    (generate(GeneratorSpec(seed=5, amplitude=4.0)), 8)],
+@pytest.mark.parametrize("system, calls", [  # deepest pieces at 32, 64 and 128 steps: the
+    (system_from_descriptor(sweep_descriptor(0)), 1), (generate(GeneratorSpec(seed=12)), 1),
+    (generate(GeneratorSpec(seed=5, amplitude=4.0)), 2)],  # first call steps 1 to 64
     ids=["sweep_0", "seed_12", "seed_5_amp_4"])
 def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls):
     T = system.period
@@ -125,6 +127,24 @@ def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls
     head = _count_maps(monkeypatch, lambda: propagation.fundamental_matrix(system, 0.3 * T, T))
     assert _count_maps(monkeypatch, lambda: DensePath(system, 0.3 * T, 3 * T)) == \
         max(cycle, head) == calls
+
+
+
+def test_the_oracle_steps_a_window_within_64_steps_in_one_kernel_call(monkeypatch):
+    # every part of 27 of the 40 seed-0 windows converges within the first call's 64 steps
+    one = 0
+    for w in windows_population(0):
+        system = system_from_descriptor(w["system"])
+        s1 = split_period(w["t1"], system.period)[1]
+        parts = {(*p[:2], p[-2]): p[:5] for _, chunk in lyapunov._grid_parts(
+            system, s1, s1 + w["t2"] - w["t1"]) for p in chunk}
+        deepest = max(len(steps) for steps, _ in propagation._magnus_steps(
+            list(parts.values()), DEFAULT_TOLERANCES))
+        calls = _count_maps(monkeypatch, lambda: lyapunov.disconjugacy_oracle(
+            system, w["t1"], w["t2"]))
+        assert (calls == 1) == (deepest <= propagation._FIRST_STEPS)
+        one += calls == 1
+    assert one == 27
 
 
 def _stepped_pieces(monkeypatch, fn):

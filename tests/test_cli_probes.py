@@ -16,7 +16,8 @@ import pytest
 
 import impulse_floquet
 from impulse_floquet import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
-                             PiecewiseFunction, monodromy, validate_system)
+                             PiecewiseFunction, descriptors, lyapunov_lhs, monodromy,
+                             validate_system)
 
 from perfbench.inputs import sweep_descriptor
 from test_cli import rotation_descriptor, run, write_descriptor
@@ -364,3 +365,37 @@ def test_sweep_moving_an_impulse_onto_another_gives_an_error_row(tmp_path, capsy
     assert rc == 0 and len(rows) == 5
     assert rows[0.5].endswith(",error: impulse 2: tau=0.5 not greater than previous impulse time")
     assert rows[0.6].endswith(",ok") and rows[0.7].endswith(",ok")
+
+
+def test_disconjugacy_with_a_product_past_the_float_range_exits_0(tmp_path, capsys):
+    # a = 10: at t0 = 36, e^(2A(t0)) = e^720 is no float; the supremum reads as inf
+    doc = rotation_descriptor(T=1.0)
+    doc["coefficients"]["a"] = [{"end": 1.0, "poly": [10.0]}]
+    path = write_descriptor(tmp_path, doc)
+    rc, out, err = run(capsys, ["disconjugacy", "--input", path, "--t1", "0", "--t2", "36"])
+    assert rc == 0 and "Traceback" not in err
+    result = json.loads(out)
+    assert result["test"]["status"] == "inconclusive" and result["test"]["sup_value"] is None
+    assert result["oracle"] == "disconjugate"
+    rc, out, _ = run(capsys, ["disconjugacy", "--input", path, "--t1", "0", "--t2", "35.4"])
+    assert rc == 0 and 1e307 < json.loads(out)["test"]["sup_value"] < math.inf
+    system = descriptors.system_from_descriptor(doc)
+    assert lyapunov_lhs(system, 0.0, 36.0, 35.9) == math.inf
+
+
+def test_criteria_with_the_a_integral_squared_past_the_float_range_exits_0(tmp_path, capsys):
+    # int(a) = 2e154 over T = 100: int(a)^2 is no float, so int(b)*int(c) - int(a)^2 > 0 is
+    # violated with a null margin
+    doc = rotation_descriptor(T=100.0)
+    doc["coefficients"]["a"] = [{"end": 100.0, "poly": [2e152]}]
+    rc, out, err = run(capsys, ["criteria", "--input", write_descriptor(tmp_path, doc)])
+    assert rc == 0 and "Traceback" not in err
+    conditions = [c for report in json.loads(out)["criteria"] for c in report["conditions"]
+                  if c["label"] == "int(b)*int(c) - int(a)^2 > 0"]
+    assert conditions and all(c["status"] == "violated" and c["margin"] is None
+                              for c in conditions)
+    # over T = 1, a = 2e154 also overflows a^2 in the a^2/b integral: integration failure
+    doc = rotation_descriptor(T=1.0)
+    doc["coefficients"]["a"] = [{"end": 1.0, "poly": [2e154]}]
+    rc, out, err = run(capsys, ["criteria", "--input", write_descriptor(tmp_path, doc)])
+    assert rc == 3 and "non-finite segment value" in err and "Traceback" not in err

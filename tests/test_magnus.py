@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from impulse_floquet import (DEFAULT_TOLERANCES, FuncSegment, IntegrationFailure
                              PiecewiseFunction, PolySegment, State, monodromy, propagate_state,
                              propagation)
 from impulse_floquet.descriptors import system_from_descriptor
-from impulse_floquet.piecewise import knot_eps
+from impulse_floquet.piecewise import _poly_table, knot_eps
 from perfbench.inputs import sweep_descriptor
 
 from helpers import make_system, poly
@@ -131,9 +132,131 @@ def test_one_kernel_call_per_doubling_level(monkeypatch):
     maps = propagation._maps
     monkeypatch.setattr(propagation, "_maps", counted)
     monodromy(sys_)
-    # five smooth pieces converge at 4 to 32 steps: levels 1, 2, 4, 8, 16, 32
-    assert len(calls) == 6
+    # five smooth pieces converge at 4 to 32 steps: levels 1, 2, 4, ..., 64 of all five
+    # lie in the first call, 127 steps a piece
+    assert calls == [(5, 2 * propagation._FIRST_STEPS - 1)]
     assert len(sys_.knots) - 1 == 5
+
+
+def _one_level_per_call(pieces, tol):
+    """`_magnus_steps` as one kernel call per doubling level, kept as its reference: the
+    pieces still doubling step at n, then 2n, ..., each level read before the next runs."""
+    rel = max(tol.rel_tol, propagation._REL_FLOOR)
+    lo = np.array([p[0] for p in pieces])
+    span = np.array([p[1] for p in pieces]) - lo
+    table = _poly_table([p[2:] for p in pieces], 3)
+    results, active, prev, n = [None] * len(pieces), np.arange(len(pieces)), None, 1
+    while len(active) and n <= propagation._MAX_STEPS:
+        h = (span[active] / n)[:, None]
+        t0 = lo[active, None] + h * np.arange(n)
+        ts = np.concatenate([t0 + propagation._GAUSS[0] * h, t0 + propagation._GAUSS[1] * h], axis=1)
+        vals = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(table.shape[2] - 1, -1, -1):
+                vals = vals * ts + table[:, active, k, None]
+        for row, i in enumerate(active):
+            try:
+                for j, s in enumerate(pieces[i][2:]):
+                    if not isinstance(s, PolySegment):
+                        vals[j, row] = s(ts[row])
+            except Exception as exc:
+                results[i] = exc
+                vals[:, row] = np.nan
+        (a1, b1, c1), (a2, b2, c2) = vals[..., :n], vals[..., n:]
+        X = steps = propagation._maps(a1, a2, b1, b2, c1, c2, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while X.shape[1] > 1:
+                X = X[:, 1::2] @ X[:, ::2]
+            X = X[:, 0]
+            done = np.zeros(len(active), dtype=bool) if prev is None else \
+                np.max(np.abs(X - prev), axis=(1, 2)) <= tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
+        finite = np.isfinite(X).all(axis=(1, 2))
+        for row, i in enumerate(active):
+            if not finite[row] and results[i] is None:
+                results[i] = IntegrationFailureError("non-finite step map", pieces[i][0])
+            elif finite[row] and done[row]:
+                results[i] = steps[row], X[row]
+        keep = finite & ~done
+        active, prev, n = active[keep], X[keep], 2 * n
+    for i in active:
+        results[i] = IntegrationFailureError(
+            f"no convergence within {propagation._MAX_STEPS} steps per piece", pieces[i][0])
+    return results
+
+
+
+def _raising_near(point, width, fn):
+    """Callable segment fn that raises on any node within `width` of `point`."""
+    def guarded(t):
+        if np.any(np.abs(np.asarray(t, dtype=float) - point) < width):
+            raise ValueError(f"node within {width} of {point}")
+        return fn(t)
+    return FuncSegment(guarded)
+
+
+@st.composite
+def magnus_pieces(draw):
+    """A smooth piece (lo, hi, seg_a, seg_b, seg_c): polynomials of degree 0-3, constants
+    (2 steps), c near 300 as in `high_frequency_descriptor` (hundreds of steps, past the first
+    call), or a callable b or c that is smooth, raises near one point or turns NaN past it."""
+    lo = draw(st.floats(-2.0, 2.0))
+    hi = lo + draw(st.floats(0.01, 2.0))
+    coef = st.floats(-3.0, 3.0)
+    kind = draw(st.sampled_from(["polynomial", "constant", "fast", "smooth", "raising", "nan"]))
+    if kind == "polynomial":
+        return (lo, hi, *(PolySegment(tuple(draw(st.lists(coef, min_size=1, max_size=4))))
+                          for _ in range(3)))
+    if kind == "constant":
+        return (lo, hi, *(PolySegment((draw(coef),)) for _ in range(3)))
+    if kind == "fast":
+        return (lo, hi, PolySegment((draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.01, 0.01)))),
+                PolySegment((draw(st.floats(0.9, 1.1)), draw(st.floats(-0.005, 0.005)))),
+                PolySegment((300.0 + draw(st.floats(-10.0, 10.0)), draw(st.floats(-0.5, 0.5)),
+                             draw(st.floats(-0.02, 0.02)))))
+    w, at = draw(st.floats(0.5, 20.0)), lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+
+    def fn(t):
+        return 1.0 + 0.5 * np.sin(w * np.asarray(t, dtype=float))
+    seg = {"smooth": FuncSegment(fn),
+           "raising": _raising_near(at, draw(st.floats(1e-4, 0.05)), fn),
+           "nan": FuncSegment(lambda t: np.where(np.asarray(t) > at, np.nan, fn(t)))}[kind]
+    rest = PolySegment(tuple(draw(st.lists(coef, min_size=1, max_size=2))))
+    return (lo, hi, PolySegment((draw(coef),)), *((seg, rest) if draw(st.booleans()) else (rest, seg)))
+
+
+def _assert_same_entries(entries, expected):
+    assert len(entries) == len(expected)
+    for entry, ref in zip(entries, expected):
+        if isinstance(ref, Exception):
+            assert type(entry) is type(ref) and str(entry) == str(ref)
+        else:
+            (steps, X), (ref_steps, ref_X) = entry, ref
+            assert steps.shape == ref_steps.shape and steps.tobytes() == ref_steps.tobytes()
+            assert X.shape == ref_X.shape and X.tobytes() == ref_X.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(magnus_pieces(), min_size=1, max_size=6),
+       st.sampled_from([1 << 16, 1 << 16, 256, 100, 64, 8, 1]))
+def test_magnus_steps_equal_one_level_per_call(pieces, max_steps):
+    # below 1 << 16 the c near 300 pieces run out of steps
+    with mock.patch.object(propagation, "_MAX_STEPS", max_steps):
+        entries = propagation._magnus_steps(pieces, DEFAULT_TOLERANCES)
+        expected = _one_level_per_call(pieces, DEFAULT_TOLERANCES)
+    _assert_same_entries(entries, expected)
+
+
+def test_a_raise_past_the_converged_level_is_not_the_result():
+    # c converges at 16 steps on [0, 1], while only the first call's last level (64 steps)
+    # puts a node within 1.5 * 0.211 / 64 of lo: its steps come back, not its exception
+    width = 1.5 * propagation._GAUSS[0] / propagation._FIRST_STEPS
+    c = _raising_near(0.0, width, lambda t: 1.0 + 1e-4 * np.cos(t))
+    piece = (0.0, 1.0, PolySegment((0.0,)), PolySegment((1.0,)), c)
+    expected = _one_level_per_call([piece], DEFAULT_TOLERANCES)
+    assert len(expected[0][0]) == 16
+    with pytest.raises(ValueError):
+        c(np.array([propagation._GAUSS[0] / propagation._FIRST_STEPS]))
+    _assert_same_entries(propagation._magnus_steps([piece], DEFAULT_TOLERANCES), expected)
 
 
 def _three_pieces(middle_c):
