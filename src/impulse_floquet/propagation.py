@@ -8,9 +8,10 @@ pieces are exact. A piece starts at one step and doubles the count until two
 successive piece products agree within abs_tol + rel_tol * max|X|. One
 builder, `_windows`, makes every window inside one period [0, T] (period maps,
 dense paths, `propagate_state`, `fundamental_matrix`), and the pieces of all
-the windows it is given double together: each level evaluates the coefficients
-of every piece still doubling (one Horner pass over their stacked polynomial
-coefficients) and makes their step maps and products in one kernel call.
+the windows it is given double together: one kernel call evaluates the
+coefficients of every piece still doubling (one Horner pass over their stacked
+polynomial coefficients) and makes their step maps and products, at levels 1
+to 64 in the first call and at one further level in each later one.
 `_windows` steps each distinct piece once (the same lo, hi and segment
 objects), whichever windows hold it, such as the points of one sweep chunk.
 Every piece doubles to its own end; a window with failing pieces raises the
@@ -175,10 +176,10 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     products agree. One kernel call steps every piece still doubling at several
     counts (the first call at 1, 2, ..., _FIRST_STEPS, each later one at the next
     count): the levels lie in one row, largest first, so one Horner pass and one
-    `_maps` call evaluate them all, and after log2(m) pairings of the row level m's
-    product is its last entry. The levels are then read in ascending order, as one
-    call per level would read them, with the same bits. Entry i is (steps, product)
-    of piece i, or the exception that stopped it.
+    `_maps` call evaluate them all, and after log2(m) rounds of pairing neighbours
+    the row ends in level m's product. The levels are then read in ascending order,
+    as one call per level would read them, with the same bits. Entry i is (steps,
+    product) of piece i, or the exception that stopped it.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
@@ -200,7 +201,7 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the piece below
             for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
                 vals = vals * ts + coeffs[:, :, k]
-        raised, errors = np.zeros(len(active), dtype=int), {}  # the level a callable raised at
+        raised = {}  # row: (level, exception) of a callable that raised
         for row in np.flatnonzero(callable_rows[active]):
             for m in levels:  # level by level, each on its own nodes
                 off = 2 * top - 2 * m
@@ -209,8 +210,8 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
                     for j, s in enumerate(pieces[active[row]][2:]):
                         if not isinstance(s, PolySegment):
                             vals[j, row, cols] = s(ts[row, cols])
-                except Exception as exc:  # the piece's entry, unless it converged below m
-                    raised[row], errors[row] = m, exc
+                except Exception as exc:
+                    raised[row] = m, exc
                     break
         (a1, b1, c1), (a2, b2, c2) = vals[..., :width], vals[..., width:]
         X = steps = _maps(a1, a2, b1, b2, c1, c2, h)
@@ -223,9 +224,9 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
                 done = np.zeros(len(active), dtype=bool) if prev is None else \
                     np.max(np.abs(Xm - prev), axis=(1, 2)) <= \
                     tol.abs_tol + rel * np.max(np.abs(Xm), axis=(1, 2))
-            for row in np.flatnonzero(open_ & (raised == m)):
-                results[active[row]] = errors[row]
-            open_ &= raised != m
+            for row, (at, exc) in raised.items():
+                if at == m and open_[row]:  # the piece's entry, unless it converged below m
+                    results[active[row]], open_[row] = exc, False
             finite = np.isfinite(Xm).all(axis=(1, 2))
             for row in np.flatnonzero(open_ & ~finite):
                 results[active[row]] = IntegrationFailureError("non-finite step map",
@@ -493,8 +494,8 @@ def _period_map(system: ImpulsiveSystem, X: np.ndarray, tol: Tolerances) -> Mono
 
 
 def monodromies(systems, tolerances: Tolerances | None = None) -> list:
-    """Period maps of many systems, their smooth pieces doubling together in one
-    kernel call per level.
+    """Period maps of many systems, their smooth pieces doubling together in the
+    kernel calls of one `_magnus_steps` call.
 
     Entry i is the MonodromyResult of systems[i], or the InvalidSystemError or
     IntegrationFailureError (or the exception of a callable coefficient) that
