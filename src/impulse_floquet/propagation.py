@@ -41,7 +41,8 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 _MAX_STEPS = 1 << 16  # per smooth piece
-_FIRST_STEPS = 64  # the first kernel call steps every piece at 1, 2, 4, ..., 64 steps
+_FIRST_STEPS = 64  # the first kernel call steps every piece at 1, 2, 4, ..., 64 steps, or
+_FIRST_BUDGET = 1 << 13  # at fewer where that passes this many steps in all (its memory)
 _REL_FLOOR = 100.0 * np.finfo(float).eps
 
 
@@ -174,12 +175,13 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
 
     Every piece starts at one step and doubles its count until two successive
     products agree. One kernel call steps every piece still doubling at several
-    counts (the first call at 1, 2, ..., _FIRST_STEPS, each later one at the next
-    count): the levels lie in one row, largest first, so one Horner pass and one
+    counts: the first call at 1, 2, ..., _FIRST_STEPS (fewer where the pieces
+    would take more than _FIRST_BUDGET steps in all), each later one at the next
+    count. The levels lie in one row, largest first, so one Horner pass and one
     `_maps` call evaluate them all, and after log2(m) rounds of pairing neighbours
-    the row ends in level m's product. The levels are then read in ascending order,
-    as one call per level would read them, with the same bits. Entry i is (steps,
-    product) of piece i, or the exception that stopped it.
+    the row ends in level m's product. The levels are then read in ascending
+    order, as one call per level would read them, with the same bits. Entry i is
+    (steps, product) of piece i, or the exception that stopped it.
     """
     rel = max(tol.rel_tol, _REL_FLOOR)
     lo = np.array([p[0] for p in pieces])
@@ -190,7 +192,8 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     results: list = [None] * len(pieces)
     active = np.arange(len(pieces))
     prev = None
-    levels = [1 << k for k in range(min(_FIRST_STEPS, _MAX_STEPS).bit_length())]
+    depth = min(_FIRST_STEPS, _MAX_STEPS, max(1, _FIRST_BUDGET // (2 * len(pieces) or 1)))
+    levels = [1 << k for k in range(depth.bit_length())]
     while len(active) and levels:
         top, sizes = levels[-1], levels[::-1]
         width = 2 * top - levels[0]  # level m's steps start at 2 * top - 2 * m

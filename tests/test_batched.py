@@ -130,6 +130,20 @@ def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls
 
 
 
+def test_a_large_batch_steps_fewer_levels_in_its_first_call(monkeypatch):
+    # 50 generated systems hold too many pieces for 127 steps each within the step budget
+    systems_, shapes, maps = [generate(GeneratorSpec(seed=s)) for s in range(50)], [], propagation._maps
+
+    def counted(*args):
+        shapes.append(args[-1].shape)
+        return maps(*args)
+
+    monkeypatch.setattr(propagation, "_maps", counted)
+    monodromies(systems_)
+    (pieces, steps), budget = shapes[0], propagation._FIRST_BUDGET
+    assert 1 < steps and pieces * steps <= budget < pieces * (2 * propagation._FIRST_STEPS - 1)
+
+
 def test_the_oracle_steps_a_window_within_64_steps_in_one_kernel_call(monkeypatch):
     # every part of 27 of the 40 seed-0 windows converges within the first call's 64 steps
     one = 0

@@ -237,10 +237,12 @@ def _assert_same_entries(entries, expected):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(magnus_pieces(), min_size=1, max_size=6),
-       st.sampled_from([1 << 16, 1 << 16, 256, 100, 64, 8, 1]))
-def test_magnus_steps_equal_one_level_per_call(pieces, max_steps):
-    # below 1 << 16 the c near 300 pieces run out of steps
-    with mock.patch.object(propagation, "_MAX_STEPS", max_steps):
+       st.sampled_from([1 << 16, 1 << 16, 256, 100, 64, 8, 1]), st.sampled_from([1 << 13, 40, 1]))
+def test_magnus_steps_equal_one_level_per_call(pieces, max_steps, budget):
+    # below 1 << 16 the c near 300 pieces run out of steps; a budget of 40 steps takes the
+    # first call to fewer levels, one of 1 to one level
+    with mock.patch.object(propagation, "_MAX_STEPS", max_steps), \
+            mock.patch.object(propagation, "_FIRST_BUDGET", budget):
         entries = propagation._magnus_steps(pieces, DEFAULT_TOLERANCES)
         expected = _one_level_per_call(pieces, DEFAULT_TOLERANCES)
     _assert_same_entries(entries, expected)
