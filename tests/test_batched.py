@@ -132,7 +132,8 @@ def test_a_dense_paths_head_and_cycle_double_together(monkeypatch, system, calls
 
 def test_a_large_batch_steps_fewer_levels_in_its_first_call(monkeypatch):
     # 50 generated systems hold too many pieces for 127 steps each within the step budget
-    systems_, shapes, maps = [generate(GeneratorSpec(seed=s)) for s in range(50)], [], propagation._maps
+    systems_ = [generate(GeneratorSpec(seed=s)) for s in range(50)]
+    shapes, maps = [], propagation._maps
 
     def counted(*args):
         shapes.append(args[-1].shape)

@@ -149,7 +149,8 @@ def _one_level_per_call(pieces, tol):
     while len(active) and n <= propagation._MAX_STEPS:
         h = (span[active] / n)[:, None]
         t0 = lo[active, None] + h * np.arange(n)
-        ts = np.concatenate([t0 + propagation._GAUSS[0] * h, t0 + propagation._GAUSS[1] * h], axis=1)
+        g0, g1 = propagation._GAUSS
+        ts = np.concatenate([t0 + g0 * h, t0 + g1 * h], axis=1)
         vals = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(table.shape[2] - 1, -1, -1):
@@ -169,7 +170,8 @@ def _one_level_per_call(pieces, tol):
                 X = X[:, 1::2] @ X[:, ::2]
             X = X[:, 0]
             done = np.zeros(len(active), dtype=bool) if prev is None else \
-                np.max(np.abs(X - prev), axis=(1, 2)) <= tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
+                np.max(np.abs(X - prev), axis=(1, 2)) <= \
+                tol.abs_tol + rel * np.max(np.abs(X), axis=(1, 2))
         finite = np.isfinite(X).all(axis=(1, 2))
         for row, i in enumerate(active):
             if not finite[row] and results[i] is None:
@@ -182,7 +184,6 @@ def _one_level_per_call(pieces, tol):
         results[i] = IntegrationFailureError(
             f"no convergence within {propagation._MAX_STEPS} steps per piece", pieces[i][0])
     return results
-
 
 
 def _raising_near(point, width, fn):
@@ -221,7 +222,8 @@ def magnus_pieces(draw):
            "raising": _raising_near(at, draw(st.floats(1e-4, 0.05)), fn),
            "nan": FuncSegment(lambda t: np.where(np.asarray(t) > at, np.nan, fn(t)))}[kind]
     rest = PolySegment(tuple(draw(st.lists(coef, min_size=1, max_size=2))))
-    return (lo, hi, PolySegment((draw(coef),)), *((seg, rest) if draw(st.booleans()) else (rest, seg)))
+    b, c = (seg, rest) if draw(st.booleans()) else (rest, seg)
+    return lo, hi, PolySegment((draw(coef),)), b, c
 
 
 def _assert_same_entries(entries, expected):
