@@ -10,8 +10,8 @@ builder, `_windows`, makes every window inside one period [0, T] (period maps,
 dense paths, `propagate_state`, `fundamental_matrix`), and the pieces of all
 the windows it is given double together: one kernel call evaluates the
 coefficients of every piece still doubling (one Horner pass over their stacked
-polynomial coefficients) and makes their step maps and products, at levels 1
-to 64 in the first call and at one further level in each later one.
+polynomial coefficients) and makes their step maps and products: levels 1 to 64
+in the first call (fewer for many pieces), one further level in each later one.
 `_windows` steps each distinct piece once (the same lo, hi and segment
 objects), whichever windows hold it, such as the points of one sweep chunk.
 Every piece doubles to its own end; a window with failing pieces raises the
