@@ -27,8 +27,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
-from .piecewise import (PiecewiseFunction, PolySegment, _chebyshev_nodes,
-                        adaptive_integral, integrate_panels, segment_rows, segments_min)
+from .piecewise import (EvaluationError, PolySegment, _chebyshev_nodes, _raising,
+                        adaptive_integral, integrate_groups, integrate_many, segment_rows,
+                        segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -140,7 +141,9 @@ EQUALITY_TOL = 1e-9  # of the equality-type conditions, scaled by the size of th
 
 def _cond_equality(label: str, value: float, scale: float) -> Condition:
     tol_eff = EQUALITY_TOL * max(1.0, scale)
-    if abs(value) <= tol_eff:
+    if not math.isfinite(value):  # -inf beside an infinite scale is no equality
+        status = VIOLATED
+    elif abs(value) <= tol_eff:
         status = SATISFIED
     elif abs(value) <= 10.0 * tol_eff:
         status = MARGINAL
@@ -158,12 +161,62 @@ def _conclude(conditions: list[Condition]) -> str:
 
 
 def _shared_property(fn):
-    """A cached quantity of a, b, c and the period alone, kept in `q.shared`."""
+    """A cached quantity of a, b, c and the period alone, kept in `q.shared`: its value, or the
+    exception that reading it raises."""
     def get(q: "_Quantities"):
         if fn.__name__ not in q.shared:
             q.shared[fn.__name__] = fn(q)
-        return q.shared[fn.__name__]
+        value = q.shared[fn.__name__]
+        if isinstance(value, Exception):
+            raise value
+        return value
     return property(get, doc=fn.__doc__)
+
+
+# The closed-form integrals over one period, by (coefficient, transform).
+_CLOSED_FORMS = {"int_abs_a": (0, "abs"), "int_a": (0, "identity"), "int_b": (1, "identity"),
+                 "int_c": (2, "identity"), "int_c_plus": (2, "pos"), "int_abs_c": (2, "abs")}
+
+
+def _closed_form(name: str):
+    """The `_shared_property` `name` of `_CLOSED_FORMS`, which `_fill` computes."""
+    def compute(q: "_Quantities"):
+        _fill([(q, (name,))])
+        return q.shared[name]
+    compute.__name__ = name
+    return _shared_property(compute)
+
+
+def _fill(asks) -> None:
+    """Fill q.shared with the named integrals of each (q, names), a value or the exception that
+    reading it raises: the closed forms of all in one `integrate_many` call, the int(a^2/b) of
+    those whose b is safely positive in one grouped quadrature."""
+    closed = [(q, name) for q, names in asks for name in names if name in _CLOSED_FORMS]
+    for (q, name), value in zip(closed, integrate_many([
+            (q.system.coefficients()[i], 0.0, q.system.period, transform)
+            for q, name in closed for i, transform in [_CLOSED_FORMS[name]]])):
+        q.shared[name] = value
+    try:  # where a callable raises (or b_safe does), each integrates alone where it is read
+        grouped = [q for q, names in asks if "int_a2_over_b" in names and q.b_safe]
+        values = _a2_over_b_integrals(grouped) if grouped else []
+    except Exception:
+        grouped = values = []
+    for q, value in zip(grouped, values):
+        q.shared["int_a2_over_b"] = value
+
+
+def _a2_over_b_integrals(qs) -> list:
+    """int(a^2/b) over the pieces of each q, in one `integrate_groups` call that reads a and b from
+    one table: a value, +inf where a^2/b overflows at a finite a (its first non-finite value is
+    +inf), or the EvaluationError of a NaN or of a non-finite a."""
+    pieces = [q.system.pieces() for q in qs]
+    ab = segment_rows(*([p[j] for ps in pieces for p in ps] for j in (2, 3)))
+
+    def a2_over_b(ts, rows):
+        a, b = ab(ts, rows)
+        return np.where(np.isinf(a), np.nan, a ** 2 / b)
+    return [math.inf if isinstance(v, EvaluationError) and v.value == math.inf else v
+            for v in integrate_groups(a2_over_b, [[p[:2] for p in ps] for ps in pieces])]
 
 
 def _coefficient_key(system: ImpulsiveSystem) -> tuple:
@@ -183,32 +236,12 @@ class _Quantities:
         self.tol = tol
         self.shared = {} if shared is None else shared
 
-    def _integral(self, f: PiecewiseFunction, transform: str = "identity") -> float:
-        return f.integrate(0.0, f.domain_end, transform)
-
-    @_shared_property
-    def int_abs_a(self) -> float:
-        return self._integral(self.system.coeff_a, "abs")
-
-    @_shared_property
-    def int_a(self) -> float:
-        return self._integral(self.system.coeff_a)
-
-    @_shared_property
-    def int_b(self) -> float:
-        return self._integral(self.system.coeff_b)
-
-    @_shared_property
-    def int_c(self) -> float:
-        return self._integral(self.system.coeff_c)
-
-    @_shared_property
-    def int_c_plus(self) -> float:
-        return self._integral(self.system.coeff_c, "pos")
-
-    @_shared_property
-    def int_abs_c(self) -> float:
-        return self._integral(self.system.coeff_c, "abs")
+    int_abs_a = _closed_form("int_abs_a")
+    int_a = _closed_form("int_a")
+    int_b = _closed_form("int_b")
+    int_c = _closed_form("int_c")
+    int_c_plus = _closed_form("int_c_plus")
+    int_abs_c = _closed_form("int_abs_c")
 
     @cached_property
     def prod_alpha2(self) -> float:
@@ -259,12 +292,7 @@ class _Quantities:
 
     @_shared_property
     def int_a2_over_b(self) -> float | None:
-        if not self.b_safe:
-            return None
-        pieces = self.system.pieces()
-        a, b = (segment_rows([p[j] for p in pieces]) for j in (2, 3))
-        return integrate_panels(lambda ts, rows: a(ts, rows) ** 2 / b(ts, rows),
-                                [p[:2] for p in pieces])
+        return _a2_over_b_integrals([self])[0] if self.b_safe else None
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -370,17 +398,19 @@ def _condition_c_branch(q: _Quantities) -> ConditionCStatus:
     max_inputs = 0.0
     for lo, hi, sa, sb, sc in system.pieces():
         ts = _chebyshev_nodes(lo, hi, 65)
-        av = np.asarray(sa(ts), dtype=float)
-        bv = np.asarray(sb(ts), dtype=float)
-        cv = np.asarray(sc(ts), dtype=float)
-        apv = np.asarray(sa.derivative()(ts), dtype=float)
-        bpv = np.asarray(sb.derivative()(ts), dtype=float)
-        slope = (apv * bv - av * bpv) / (bv * bv)
-        expr = slope - cv + av * av / bv
+        with np.errstate(over="ignore", invalid="ignore"):  # a^2 past the float range reads inf
+            av = np.asarray(sa(ts), dtype=float)
+            bv = np.asarray(sb(ts), dtype=float)
+            cv = np.asarray(sc(ts), dtype=float)
+            apv = np.asarray(sa.derivative()(ts), dtype=float)
+            bpv = np.asarray(sb.derivative()(ts), dtype=float)
+            slope = (apv * bv - av * bpv) / (bv * bv)
+            a2_over_b = av * av / bv
+            expr = slope - cv + a2_over_b
         max_expr = max(max_expr, float(np.max(np.abs(expr))))
         max_inputs = max(max_inputs, float(np.max(np.abs(slope))),
-                         float(np.max(np.abs(cv))), float(np.max(np.abs(av * av / bv))))
-    if max_expr > tol.strict * (1.0 + max_inputs):
+                         float(np.max(np.abs(cv))), float(np.max(np.abs(a2_over_b))))
+    if max_expr > tol.strict * (1.0 + max_inputs) or max_expr == math.inf:
         return ConditionCStatus("C3", f"max |(a/b)' - c + a^2/b| = {max_expr:.3g}",
                                 max_expression=max_expr)
     return ConditionCStatus("none", "expression vanishes and all strengths are zero",
@@ -522,11 +552,13 @@ check_main_boundary = _check(MAIN_BOUNDARY)
 
 def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
-    with the same `_coefficient_key` share their coefficient quantities."""
+    with the same `_coefficient_key` share their coefficient quantities, and the
+    integrals of every distinct key are filled by one `_fill` call first."""
     tol = tolerances or DEFAULT_TOLERANCES
     shared, out = {}, []
-    for system in systems:
-        q = _Quantities(system, tol, shared.setdefault(_coefficient_key(system), {}))
+    qs = [_Quantities(s, tol, shared.setdefault(_coefficient_key(s), {})) for s in systems]
+    _fill([(q, (*_CLOSED_FORMS, "int_a2_over_b")) for q in {id(q.shared): q for q in qs}.values()])
+    for q in qs:
         try:
             out.append([_report(name, q) for name in CRITERION_ORDER])
         except Exception as exc:
@@ -537,10 +569,7 @@ def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
 def evaluate_all(system: ImpulsiveSystem,
                  tolerances: Tolerances | None = None) -> list[CriterionReport]:
     """All seven criteria, in fixed order, sharing one set of quantities."""
-    reports = evaluate_many([system], tolerances)[0]
-    if isinstance(reports, Exception):
-        raise reports
-    return reports
+    return _raising(evaluate_many([system], tolerances))[0]
 
 
 def any_certified(reports) -> bool:

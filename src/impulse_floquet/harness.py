@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from types import GeneratorType
 from typing import ClassVar
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import criteria as crit
 from .criteria import evaluate_all, evaluate_many
 from .floquet import STABLE, classify
 from .lyapunov import find_zero_pair, find_zero_pairs, lyapunov_verify
-from .piecewise import PiecewiseFunction, PolySegment, segments_min
+from .piecewise import PiecewiseFunction, PolySegment, _raising, integrate_many, segments_min
 from .propagation import State, monodromies, monodromy
 from .system import Impulse, ImpulseSchedule, ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -81,6 +82,39 @@ def _min_value(f: PiecewiseFunction) -> float:
 
 def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
     """Deterministic system for the given spec; same spec, same system."""
+    return _raising(generate_many([spec]))[0]
+
+
+def generate_many(specs) -> list:
+    """Entry i is `generate(specs[i])` or the exception it raises. Each spec is drawn on its own;
+    the forced ones then run `_force_hypotheses` side by side, each stage of integrals one
+    `integrate_many` call and one `criteria._fill` call for all of them."""
+    out = []
+    for spec in specs:
+        try:
+            out.append(_draw(spec))
+        except Exception as exc:
+            out.append(exc)
+    stages = {i: gen for i, gen in enumerate(out) if isinstance(gen, GeneratorType)}
+    replies = dict.fromkeys(stages)
+    while stages:
+        asks = {}
+        for i, gen in stages.items():
+            try:
+                asks[i] = gen.send(replies[i])
+            except StopIteration as stop:
+                out[i] = stop.value
+            except Exception as exc:
+                out[i] = exc
+        values = iter(integrate_many([r for requests, _ in asks.values() for r in requests]))
+        crit._fill([(q, ("int_a2_over_b",)) for _, qs in asks.values() for q in qs])
+        replies = {i: [next(values) for _ in requests] for i, (requests, _) in asks.items()}
+        stages = {i: stages[i] for i in asks}
+    return out
+
+
+def _draw(spec: GeneratorSpec):
+    """The system of an unforced spec, or the `_force_hypotheses` generator of a forced one."""
     rng = np.random.default_rng(spec.seed)
     T = spec.period
     amp = spec.amplitude
@@ -120,16 +154,22 @@ def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
     return ImpulsiveSystem(coeff_a, coeff_b, coeff_c, schedule)
 
 
-def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule) -> ImpulsiveSystem:
-    """Adjust (a, c, beta) so the selected criterion holds with the margin."""
+def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
+    """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator that
+    returns the system. Each stage of integrals yields (requests, quantities): `integrate_many`
+    requests, whose results (values or exceptions) it is sent back, and `_Quantities` whose
+    int(a^2/b) `criteria._fill` fills. The stages are int(c); int(c+), int(b), int|a| and
+    int(a^2/b); and the int|a| of the shrunk a."""
     T = spec.period
-    int_c = coeff_c.integrate(0.0, T)
+    int_c = _raising((yield [(coeff_c, 0.0, T, "identity")], ()))[0]
     gap = 0.3 - (int_c + schedule.ratio_sum())
     if gap > 0.0:
         coeff_c = coeff_c.plus_constant(gap / T)
         int_c += gap
     q = crit._Quantities(ImpulsiveSystem(coeff_a, coeff_b, coeff_c, ImpulseSchedule(T)),
                          DEFAULT_TOLERANCES)
+    q.shared.update(zip(("int_c_plus", "int_b", "int_abs_a"), (yield [
+        (coeff_c, 0.0, T, "pos"), (coeff_b, 0.0, T, "identity"), (coeff_a, 0.0, T, "abs")], [q])))
     g_val = int_c + schedule.ratio_sum()
     h_val = q.int_c_plus + schedule.ratio_sum(positive=True)
     margin = max(spec.margin, 1e-9)
@@ -154,7 +194,7 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule) -> ImpulsiveSys
         raise GenerationError("could not satisfy the criterion hypotheses "
                               "within the iteration budget")
 
-    s = min(1.0, s_bound(coeff_a.integrate(0.0, T, "abs")))
+    s = min(1.0, s_bound(_raising((yield [(coeff_a, 0.0, T, "abs")], ()))[0]))
     return ImpulsiveSystem(coeff_a, coeff_b, coeff_c.scaled(s), ImpulseSchedule(
         T, tuple(replace(imp, beta=s * imp.beta) for imp in schedule.impulses)))
 
@@ -249,15 +289,10 @@ def chunked_map(fn, items, workers: int, make_job) -> list:
 
 
 def _soundness_chunk(job) -> list[SystemRecord]:
-    """Records of consecutive systems, criteria and period maps in one call each; the lowest
-    failing index raises its generation, else its criteria, else its period-map error."""
+    """Records of consecutive systems, generation, criteria and period maps in one call each; the
+    lowest failing index raises its generation, else its criteria, else its period-map error."""
     spec, indices, tol = job
-    systems = []
-    for index in indices:
-        try:
-            systems.append(generate(replace(spec, seed=spec.seed + index)))
-        except Exception as exc:  # raised below, unless a lower index fails first
-            systems.append(exc)
+    systems = generate_many([replace(spec, seed=spec.seed + index) for index in indices])
     made = [s for s in systems if not isinstance(s, Exception)]
     found = iter(zip(evaluate_many(made, tol), monodromies(made, tol)))
     target = _TARGETS.get(spec.mode)
@@ -352,8 +387,9 @@ def _lyapunov_chunk(job) -> list:
     initials = [State(0.0, math.cos(math.pi * j / directions),
                       math.sin(math.pi * j / directions)) for j in range(directions)]
     out = []
-    for i in indices:
-        system = generate(replace(spec, seed=spec.seed + i))
+    for i, system in zip(indices, generate_many([replace(spec, seed=spec.seed + i)
+                                                 for i in indices])):
+        _raising([system])
         if _min_value(system.coeff_b) <= 0.0:
             out.append(None)
             continue

@@ -34,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import LEFT, RIGHT, PolySegment, _poly_table, knot_eps, locate, split_period
+from .piecewise import (LEFT, RIGHT, PolySegment, _poly_table, _raising, knot_eps, locate,
+                        split_period)
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -351,14 +352,6 @@ def _windows(requests, tol: Tolerances) -> list:
             or _Window(*request, sp, res) for request, sp, res in zip(requests, spans, own)]
 
 
-def _raising(entries: list) -> list:
-    """`entries`, unless one is an exception: then the first of those is raised."""
-    for entry in entries:
-        if isinstance(entry, Exception):
-            raise entry
-    return entries
-
-
 def _mat_pows(M: np.ndarray, ks) -> np.ndarray:
     """M**k for every k of `ks` (non-negative ints) as (len(ks), 2, 2), by binary
     expansion with one batched product per bit j: P_j = P_{j-1} @ P_{j-1}, and
@@ -484,13 +477,15 @@ def fundamental_matrix(system: ImpulsiveSystem, t_from: float, t_to: float,
     return FundamentalMatrix(window.end, t_from, t_to)
 
 
-def _period_map(system: ImpulsiveSystem, X: np.ndarray, tol: Tolerances) -> MonodromyResult:
+def _period_map(system: ImpulsiveSystem, X: np.ndarray, norm: float,
+                tol: Tolerances) -> MonodromyResult:
+    """The result for period map X, whose spectral norm is `norm`."""
     trace = float(X[0, 0] + X[1, 1])
     det_prod = system.schedule.alpha_sq_product
     with np.errstate(over="ignore", invalid="ignore"):  # the cross-check may be inf; det is exact
         det_int = float(np.linalg.det(X))
     mult = floquet_multipliers(trace, det_prod)
-    err = 10.0 * (tol.abs_tol + tol.rel_tol * float(np.linalg.norm(X, 2)))
+    err = 10.0 * (tol.abs_tol + tol.rel_tol * norm)
     return MonodromyResult(matrix=X, period=system.period, trace=trace, det=det_prod,
                            det_integrated=det_int, multipliers=mult,
                            error_estimate=err, tolerances=tol)
@@ -508,6 +503,7 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
     out: list = [InvalidSystemError(v) if v else None for v in map(validate_system, systems)]
     valid = [i for i, entry in enumerate(out) if entry is None]
     windows = _windows([(systems[i], 0.0, systems[i].period, False) for i in valid], tol)
+    finite = []
     for i, window in zip(valid, windows):
         if isinstance(window, Exception):
             out[i] = window
@@ -515,7 +511,10 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
             out[i] = IntegrationFailureError("non-finite period map", max(
                 p.lo for p in window.pieces if np.isfinite(p.start).all()))
         else:
-            out[i] = _period_map(systems[i], window.end, tol)
+            finite.append((i, window.end))
+    norms = np.linalg.norm(np.array([X for _, X in finite]).reshape(-1, 2, 2), 2, axis=(1, 2))
+    for (i, X), norm in zip(finite, norms.tolist()):  # one SVD call for every ||X||_2
+        out[i] = _period_map(systems[i], X, norm, tol)
     return out
 
 

@@ -12,12 +12,15 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import impulse_floquet
-from impulse_floquet import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
-                             PiecewiseFunction, descriptors, lyapunov_lhs, monodromy,
-                             validate_system)
+from impulse_floquet import (DEFAULT_TOLERANCES, Impulse, ImpulseSchedule, ImpulsiveSystem,
+                             InvalidSystemError, PiecewiseFunction, PolySegment, descriptors,
+                             lyapunov_lhs, monodromy, validate_system)
+from impulse_floquet import criteria as crit
+from impulse_floquet.piecewise import EvaluationError
 
 from perfbench.inputs import sweep_descriptor
 from test_cli import rotation_descriptor, run, write_descriptor
@@ -394,8 +397,29 @@ def test_criteria_with_the_a_integral_squared_past_the_float_range_exits_0(tmp_p
                   if c["label"] == "int(b)*int(c) - int(a)^2 > 0"]
     assert conditions and all(c["status"] == "violated" and c["margin"] is None
                               for c in conditions)
-    # over T = 1, a = 2e154 also overflows a^2 in the a^2/b integral: integration failure
+
+
+def test_criteria_with_a_squared_past_the_float_range_in_the_a2_over_b_integral_exits_0(
+        tmp_path, capsys):
+    # over T = 1, a = 2e154 overflows a^2 inside the integrand of int(a^2/b), which once
+    # ended in exit 3; a finite a with b safely positive reads the integral as +inf
     doc = rotation_descriptor(T=1.0)
     doc["coefficients"]["a"] = [{"end": 1.0, "poly": [2e154]}]
     rc, out, err = run(capsys, ["criteria", "--input", write_descriptor(tmp_path, doc)])
-    assert rc == 3 and "non-finite segment value" in err and "Traceback" not in err
+    assert rc == 0 and "Traceback" not in err
+    conditions = {(report["criterion"], c["label"]): c for report in json.loads(out)["criteria"]
+                  for c in report["conditions"]}
+    for name, label in (("main", crit.LBL_MEAN_POS), ("guseinov-zafer", crit.LBL_MEAN_POS),
+                        ("main-boundary", crit.LBL_MEAN_ZERO)):
+        assert conditions[name, label] == {"label": label, "status": "violated", "margin": None,
+                                           "note": "non-finite margin -inf"}
+    assert conditions["main-boundary", crit.LBL_CONDITION_C]["status"] == "satisfied"
+    # an a that is itself past the float range, or a NaN, still raises
+    past = PiecewiseFunction(1.0, (0.9,), (PolySegment((0.0,)), PolySegment((1e308, 1e308))))
+    nan = PiecewiseFunction.from_callable(lambda t: np.full_like(t, np.nan), 1.0)
+    one = PiecewiseFunction.constant(1.0, 1.0)
+    for a in (past, nan):
+        q = crit._Quantities(ImpulsiveSystem(a, one, one, ImpulseSchedule(1.0)),
+                             DEFAULT_TOLERANCES)
+        with pytest.raises(EvaluationError, match="non-finite segment value"):
+            q.int_a2_over_b

@@ -116,7 +116,7 @@ class TestForceHypotheses:
 
     @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
     def test_integrals_do_not_grow_with_the_rounds(self, monkeypatch, mode):
-        calls = {"integrate": 0, "integrate_panels": 0, "rounds": 0}
+        calls = {"integrate": 0, "integrate_groups": 0, "rounds": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -133,15 +133,15 @@ class TestForceHypotheses:
         monkeypatch.setattr(piecewise.PiecewiseFunction, "integrate",
                             counted("integrate", piecewise.PiecewiseFunction.integrate))
         for module in (piecewise, criteria):
-            monkeypatch.setattr(module, "integrate_panels",
-                                counted("integrate_panels", piecewise.integrate_panels))
+            monkeypatch.setattr(module, "integrate_groups",
+                                counted("integrate_groups", piecewise.integrate_groups))
         monkeypatch.setattr(piecewise.PiecewiseFunction, "scaled", scaled)
         counts = []
         for seed, rounds in ((4, 0), (9, 5)):
-            calls.update(integrate=0, integrate_panels=0, rounds=0)
+            calls.update(integrate=0, integrate_groups=0, rounds=0)
             generate(GeneratorSpec(seed=seed, mode=mode, margin=1e-3))
             assert calls["rounds"] == rounds
-            counts.append((calls["integrate"], calls["integrate_panels"]))
+            counts.append((calls["integrate"], calls["integrate_groups"]))
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])

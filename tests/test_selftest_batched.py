@@ -126,15 +126,19 @@ def test_sweep_longer_than_one_chunk_equals_per_system_loop(monkeypatch):
 def _failing(monkeypatch, spec, generate_at=(), criteria_at=(), map_at=()):
     """Patch the harness so system `i` fails in the named stage."""
     seeds = {}
-    real_generate, real_many, real_maps = generate, harness.evaluate_many, harness.monodromies
+    real_generate, real_many, real_maps = (harness.generate_many, harness.evaluate_many,
+                                           harness.monodromies)
 
-    def fake_generate(s):
-        index = s.seed - spec.seed
-        if index in generate_at:
-            raise harness.GenerationError(f"generation failed at {index}")
-        system = real_generate(s)
-        seeds[id(system)] = index
-        return system
+    def fake_generate(specs):
+        out = []
+        for s, system in zip(specs, real_generate(specs)):
+            index = s.seed - spec.seed
+            if index in generate_at:
+                system = harness.GenerationError(f"generation failed at {index}")
+            else:
+                seeds[id(system)] = index
+            out.append(system)
+        return out
 
     def failing(real, indices, label):
         def patched(systems, tol=None):
@@ -143,7 +147,7 @@ def _failing(monkeypatch, spec, generate_at=(), criteria_at=(), map_at=()):
                     if seeds[id(s)] in indices else entry for s, entry in zip(systems, out)]
         return patched
 
-    monkeypatch.setattr(harness, "generate", fake_generate)
+    monkeypatch.setattr(harness, "generate_many", fake_generate)
     monkeypatch.setattr(harness, "evaluate_many", failing(real_many, criteria_at, "criteria"))
     monkeypatch.setattr(harness, "monodromies", failing(real_maps, map_at, "period map"))
 
@@ -241,18 +245,18 @@ def test_find_zero_pairs_rejects_states_with_different_start_times():
 def test_lyapunov_sweep_builds_one_dense_path_per_system(monkeypatch):
     # at most one per system, and none where no initial direction has two zero sites
     builds, systems = [], []
-    real_init, real_generate = DensePath.__init__, harness.generate
+    real_init, real_generate = DensePath.__init__, harness.generate_many
 
     def counting(self, *args, **kwargs):
         builds.append(args[0])
         real_init(self, *args, **kwargs)
 
-    def recording(spec):
-        systems.append(real_generate(spec))
-        return systems[-1]
+    def recording(specs):
+        systems.extend(real_generate(specs))
+        return systems[-len(specs):]
 
     monkeypatch.setattr(DensePath, "__init__", counting)
-    monkeypatch.setattr(harness, "generate", recording)
+    monkeypatch.setattr(harness, "generate_many", recording)
     summary = harness.lyapunov_sweep(GeneratorSpec(seed=0, mode=harness.FORCE_MAIN), 12)
     assert summary.systems_scanned == 12 and summary.pairs_found > 0
     angles = np.pi * np.arange(8) / 8
