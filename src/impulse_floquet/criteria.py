@@ -236,12 +236,7 @@ class _Quantities:
         self.tol = tol
         self.shared = {} if shared is None else shared
 
-    int_abs_a = _closed_form("int_abs_a")
-    int_a = _closed_form("int_a")
-    int_b = _closed_form("int_b")
-    int_c = _closed_form("int_c")
-    int_c_plus = _closed_form("int_c_plus")
-    int_abs_c = _closed_form("int_abs_c")
+    int_abs_a, int_a, int_b, int_c, int_c_plus, int_abs_c = map(_closed_form, _CLOSED_FORMS)
 
     @cached_property
     def prod_alpha2(self) -> float:

@@ -155,11 +155,10 @@ def _draw(spec: GeneratorSpec):
 
 
 def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
-    """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator that
-    returns the system. Each stage of integrals yields (requests, quantities): `integrate_many`
-    requests, whose results (values or exceptions) it is sent back, and `_Quantities` whose
-    int(a^2/b) `criteria._fill` fills. The stages are int(c); int(c+), int(b), int|a| and
-    int(a^2/b); and the int|a| of the shrunk a."""
+    """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator returning
+    the system, which yields each stage of integrals (int(c); int(c+), int(b), int|a| and
+    int(a^2/b); the shrunk a's int|a|) as `integrate_many` requests, whose results it is sent,
+    and the `_Quantities` whose int(a^2/b) `criteria._fill` fills."""
     T = spec.period
     int_c = _raising((yield [(coeff_c, 0.0, T, "identity")], ()))[0]
     gap = 0.3 - (int_c + schedule.ratio_sum())

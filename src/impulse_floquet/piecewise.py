@@ -13,16 +13,17 @@ derivative-based downstream checks undecidable.
 Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
 absolute-value and positive-part transforms it is split at the real roots of
-the polynomial. Every integral without a closed form goes through one rule,
-integrate_panels: callable panels, the a^2/b of the criteria, the weighted
+the polynomial; integrate_many takes the panels of many requests in one array
+pass. Every integral without a closed form goes through one rule,
+integrate_groups: callable panels, the a^2/b of the criteria, the weighted
 b * exp(-2A) of the Lyapunov layer and the in-segment values of a callable's
-cumulative integral. It runs adaptive Gauss-Legendre on all panels at once,
-with one integrand call per level of splitting and an absolute tolerance
-relative to the panels' own 15-node estimates. For the abs and pos transforms
-every interior sign change of a callable is located first (a node scan plus
-Brent root refinement), so each panel integrates a smooth sign-definite
-integrand. Each panel has a budget of splits; past it the open parts keep
-their estimate and a warning is logged.
+cumulative integral. It runs adaptive Gauss-Legendre on all panels of many
+groups at once, with one integrand call per level of splitting and an
+absolute tolerance relative to each group's own 15-node estimates. For the abs
+and pos transforms every interior sign change of a callable is located first
+(a node scan plus Brent root refinement), so each panel integrates a smooth
+sign-definite integrand. Each panel has a budget of splits; past it the open
+parts keep their estimate and a warning is logged.
 """
 
 from __future__ import annotations
@@ -322,22 +323,22 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
     at least 1e-3, shared by length: the integrand's own scale, as in QUADPACK), at depth 48 or too
     short to split; it is worth its halves' sum, or its children's, each with half its tolerance.
     A span past _PANEL_BUDGET splits (counted by level in time order) keeps its halves and logs a
-    warning, lest rounding noise split it to depth 48. Each group keeps the bits, warnings and
-    EvaluationError of a call of its own: entry g is its sum or that error, at the earliest t of
-    its first level, and first block of _QUAD_BLOCK of its own rows, with a non-finite value."""
+    warning, lest rounding noise split it to depth 48. Entry g is group g's sum, or the
+    EvaluationError of its first non-finite value: each group as if integrated alone."""
     widths = [sum([hi - lo for lo, hi in spans]) for spans in groups]
     out: list = [0.0] * len(groups)
     live = [g for g, w in enumerate(widths) if w > 0.0]
     if not live:
         return out
     counts = [len(groups[g]) for g in live]
-    ends = list(itertools.accumulate(counts))
+    ends, starts = list(itertools.accumulate(counts)), [0, *itertools.accumulate(map(len, groups))]
+    ids = np.concatenate([np.arange(starts[g], starts[g + 1]) for g in live])  # fn's row numbers
     lo, hi = np.array([span for g in live for span in groups[g]], dtype=float).T
     group, top, mid = np.repeat(live, counts), np.arange(len(lo)), 0.5 * (lo + hi)
 
-    def settle(rules, bad):  # a group that read a non-finite value fails; its rows read 0
-        if not bad:
-            return rules.T
+    def settle(rules, bad):
+        """A group that read a non-finite value fails, at the earliest t of its first block of
+        _QUAD_BLOCK of its own rows that has one, as alone; its rows read 0 and close."""
         first, rows = {}, group[top]
         for r, (t, v) in bad.items():
             g = rows[r]
@@ -345,18 +346,16 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
                            ((r - np.searchsorted(rows, g)) // _QUAD_BLOCK, t, v))
         for g, (_, t, v) in first.items():
             out[g] = EvaluationError(f"non-finite segment value at t={t}", t=t, value=v)
-        rules[np.isin(rows, list(first))] = 0.0
+        if first:
+            rules[np.isin(rows, list(first))] = 0.0
         return rules.T
     whole, left, right = settle(*_rules(fn, np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T,
-                                        top))
-    if tol_abs is not None:
-        tol = np.full(len(lo), tol_abs)
-    else:
-        w = whole.tolist()
-        per_group = [(QUAD_REL_TOL * max(sum(map(abs, w[j - n:j])), 1e-3), widths[g])
-                     for g, n, j in zip(live, counts, ends)]
-        scale, width = np.repeat(per_group, counts, axis=0).T if len(live) > 1 else per_group[0]
-        tol = scale * (hi - lo) / width
+                                        ids[top]))
+    w = whole.tolist()
+    per_group = [(QUAD_REL_TOL * max(sum(map(abs, w[j - n:j])), 1e-3), widths[g])
+                 for g, n, j in zip(live, counts, ends)]
+    scale, width = np.repeat(per_group, counts, axis=0).T if len(live) > 1 else per_group[0]
+    tol = np.full(len(lo), tol_abs) if tol_abs is not None else scale * (hi - lo) / width
     budget, levels, a, b, t = None, [], lo, hi, tol
     for depth in range(48, -1, -1):
         halves, positive = left + right, b > a
@@ -375,7 +374,7 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         a, b, whole = (np.stack(p, 1).ravel() for p in ((a[split], m), (m, b[split]),
                                                         (left[split], right[split])))
         t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
-        left, right = settle(*_rules(fn, np.array([a, m]).T, np.array([m, b]).T, top))
+        left, right = settle(*_rules(fn, np.array([a, m]).T, np.array([m, b]).T, ids[top]))
     for i in np.flatnonzero(budget < 0) if budget is not None else ():
         if not isinstance(out[group[i]], Exception):
             _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result "
@@ -387,8 +386,7 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         vals = values
     vals = vals.tolist()
     for g, n, j in zip(live, counts, ends):
-        if not isinstance(out[g], Exception):
-            out[g] = sum(vals[j - n:j])
+        out[g] = out[g] if isinstance(out[g], Exception) else sum(vals[j - n:j])
     return out
 
 
