@@ -331,15 +331,18 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
     if not live:
         return out
     counts = [len(groups[g]) for g in live]
-    ends, starts = list(itertools.accumulate(counts)), [0, *itertools.accumulate(map(len, groups))]
-    ids = np.concatenate([np.arange(starts[g], starts[g + 1]) for g in live])  # fn's row numbers
+    ends = list(itertools.accumulate(counts))
     lo, hi = np.array([span for g in live for span in groups[g]], dtype=float).T
-    group, top, mid = np.repeat(live, counts), np.arange(len(lo)), 0.5 * (lo + hi)
+    top, mid = np.arange(len(lo)), 0.5 * (lo + hi)
+    ids = None if len(live) == len(groups) else np.flatnonzero(  # fn's row numbers of the spans
+        np.repeat([w > 0.0 for w in widths], list(map(len, groups))))
 
-    def settle(rules, bad):
-        """A group that read a non-finite value fails, at the earliest t of its first block of
-        _QUAD_BLOCK of its own rows that has one, as alone; its rows read 0 and close."""
-        first, rows = {}, group[top]
+    def rules(a, b):
+        """`_rules` of [a, b] on the spans `top`. A group that read a non-finite value fails, at the
+        earliest t of its first block of _QUAD_BLOCK of its own rows that has one, as alone; its
+        rows read 0 and close."""
+        out_rules, bad = _rules(fn, a, b, top if ids is None else ids[top])
+        first, rows = {}, np.repeat(live, counts)[top] if bad else None
         for r, (t, v) in bad.items():
             g = rows[r]
             first[g] = min(first.get(g, (math.inf,)),
@@ -347,10 +350,9 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         for g, (_, t, v) in first.items():
             out[g] = EvaluationError(f"non-finite segment value at t={t}", t=t, value=v)
         if first:
-            rules[np.isin(rows, list(first))] = 0.0
-        return rules.T
-    whole, left, right = settle(*_rules(fn, np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T,
-                                        ids[top]))
+            out_rules[np.isin(rows, list(first))] = 0.0
+        return out_rules.T
+    whole, left, right = rules(np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T)
     w = whole.tolist()
     per_group = [(QUAD_REL_TOL * max(sum(map(abs, w[j - n:j])), 1e-3), widths[g])
                  for g, n, j in zip(live, counts, ends)]
@@ -374,12 +376,12 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         a, b, whole = (np.stack(p, 1).ravel() for p in ((a[split], m), (m, b[split]),
                                                         (left[split], right[split])))
         t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
-        left, right = settle(*_rules(fn, np.array([a, m]).T, np.array([m, b]).T, ids[top]))
+        left, right = rules(np.array([a, m]).T, np.array([m, b]).T)
     for i in np.flatnonzero(budget < 0) if budget is not None else ():
-        if not isinstance(out[group[i]], Exception):
-            _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the result "
-                         "may miss its tolerance %.3g", *map(float, (lo[i], hi[i])), _PANEL_BUDGET,
-                         tol[i])
+        if not isinstance(out[live[np.searchsorted(ends, i, side="right")]], Exception):
+            _LOG.warning("adaptive quadrature on [%r, %r] stopped after %d panel splits; the "
+                         "result may miss its tolerance %.3g", *map(float, (lo[i], hi[i])),
+                         _PANEL_BUDGET, tol[i])
     vals = levels[-1][1]
     for split, values in reversed(levels[:-1]):  # each split panel takes its children's sum
         values[split] = vals[0::2] + vals[1::2]
@@ -741,26 +743,28 @@ def _poly_integrals(panels) -> list:
     for i, p in enumerate(panels):
         by_len.setdefault(len(p[0]), []).append(i)
     for n, idx in by_len.items():
-        q = np.array([c for i in idx for c in panels[i][0]]).reshape(len(idx), n).T
+        q = np.array([c for i in idx for c in panels[i][0]]).reshape(len(idx), n).T.copy()
         lo = np.array([panels[i][1] for i in idx])
-        length = (np.array([panels[i][2] for i in idx]) - lo).tolist()
+        length = [panels[i][2] - panels[i][1] for i in idx]
+        transforms = {panels[i][3] for i in idx}
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported
-            for i in range(n - 1):
-                for j in range(n - 2, i - 1, -1):
+            for d in range(n - 1):
+                for j in range(n - 2, d - 1, -1):
                     q[j] += lo * q[j + 1]
-            F = np.concatenate([np.zeros((1, len(idx))), q / np.arange(1.0, n + 1.0)[:, None]])
-            qs = q.T.tolist() if any(panels[i][3] != _IDENTITY for i in idx) else ()
+            qs = q.T.tolist() if transforms != {_IDENTITY} else ()
             cuts = [[s] if panels[i][3] == _IDENTITY else [0.0, *_roots_within(qs[k], s), s]
                     for k, (i, s) in enumerate(zip(idx, length))]
-            vals = _horner(F[:, [k for k, c in enumerate(cuts) for _ in c]],
-                           np.array([x for c in cuts for x in c]))
-            diffs = np.diff(vals) if qs else vals
-            parts = {_IDENTITY: vals.tolist(), _ABS: np.abs(diffs).tolist(),
-                     _POS: np.maximum(diffs, 0.0).tolist()}
+            at = np.array([x for c in cuts for x in c])  # F(s) = s * G(s): F has no constant term
+            F = _horner((q / np.arange(1.0, n + 1.0)[:, None])[:, [k for k, c in enumerate(cuts)
+                                                                   for _ in c]], at) * at + 0.0
+            parts = {_IDENTITY: F.tolist()}
+            if transforms != {_IDENTITY}:
+                diffs = F[1:] - F[:-1]
+                parts.update({_ABS: np.abs(diffs).tolist(), _POS: np.maximum(diffs, 0.0).tolist()})
         start = 0
         for i, c in zip(idx, cuts):  # a split panel's parts summed in order, as sum() sums them
-            out[i] = sum(parts[panels[i][3]][start:start + len(c) - 1]) if len(c) > 1 else \
-                parts[_IDENTITY][start]
+            out[i] = (parts[_IDENTITY][start] if len(c) == 1
+                      else sum(parts[panels[i][3]][start:start + len(c) - 1]))
             start += len(c)
     return out
 
@@ -841,6 +845,9 @@ class CumulativeIntegral:
             anti.append(F)
         self._base = base
         self._anti = anti
+        n = max([len(F) for F in anti if F is not None], default=1)  # zero-padded at the top degree
+        self._table = np.array([(F or ()) + (0.0,) * (n - len(F or ())) for F in anti]).T
+        self._starts = np.array(knots[:-1]), np.array(base[:-1])
 
     @property
     def total(self) -> float:
@@ -867,15 +874,15 @@ class CumulativeIntegral:
                                                 [(self._knots[i], s)])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
+        """`value` at each t: a node's segment's antiderivative by Horner on one table, with the
+        bits of the scalar read; a callable segment's nodes one by one."""
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)
-        out = np.empty_like(ss)
         idx = np.searchsorted(self.f.breakpoints, ss, side="right")
-        for i in set(idx.ravel().tolist()):  # the segments hit: one for the nodes of a panel
-            mask, anti = idx == i, self._anti[i]
-            if anti is not None:
-                out[mask] = self._base[i] + _horner(anti, self._offset(ss[mask], i))
-            else:
-                out[mask] = [self._within(float(s)) for s in ss[mask]]
+        knots, bases = self._starts
+        local = (ss - knots[idx]) * (ss - knots[idx] > knot_eps(self.f.domain_end))
+        out = bases[idx] + _horner(self._table[:, idx], local)
+        for i in (i for i, F in enumerate(self._anti) if F is None):
+            out[idx == i] = [self._within(float(s)) for s in ss[idx == i]]
         return ks * self.total + out
 
 
@@ -883,5 +890,5 @@ def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,
                        transform: str = _IDENTITY) -> float:
     """Integral of transform(f) over an arbitrary window, extending f by periodicity: the
     `integrate_many` of its period chunks, summed in order."""
-    return sum(_raising(integrate_many([(f, s0, s1, transform)
-                                        for _, s0, s1 in period_chunks(lo, hi, f.domain_end)])), 0.0)
+    chunks = period_chunks(lo, hi, f.domain_end)
+    return sum(_raising(integrate_many([(f, s0, s1, transform) for _, s0, s1 in chunks])), 0.0)

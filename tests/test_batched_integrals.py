@@ -26,7 +26,7 @@ from test_poly_calculus import mixed_panels
 
 
 def _outcome(fn, *args):
-    """fn(*args) as text: a descriptor's JSON, a float's repr, or the exception's type, text and t."""
+    """fn(*args) as text: a descriptor's JSON, a float's repr, or the exception's type, text, t."""
     try:
         value = fn(*args)
     except Exception as exc:
