@@ -547,12 +547,18 @@ check_main_boundary = _check(MAIN_BOUNDARY)
 
 def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
-    with the same `_coefficient_key` share their coefficient quantities, and the
-    integrals of every distinct key are filled by one `_fill` call first."""
+    with the same `_coefficient_key` share their coefficient quantities. The closed
+    forms of every distinct key with polynomial coefficients are filled first by one
+    `_fill` call, and int(a^2/b) by another where they all came out; callables,
+    and the rest, integrate where a report reads them, as alone."""
     tol = tolerances or DEFAULT_TOLERANCES
     shared, out = {}, []
     qs = [_Quantities(s, tol, shared.setdefault(_coefficient_key(s), {})) for s in systems]
-    _fill([(q, (*_CLOSED_FORMS, "int_a2_over_b")) for q in {id(q.shared): q for q in qs}.values()])
+    polys = [q for q in {id(q.shared): q for q in qs}.values() if all(
+        isinstance(s, PolySegment) for f in q.system.coefficients() for s in f.segments)]
+    _fill([(q, _CLOSED_FORMS) for q in polys])
+    _fill([(q, ("int_a2_over_b",)) for q in polys
+           if not any(isinstance(q.shared[name], Exception) for name in _CLOSED_FORMS)])
     for q in qs:
         try:
             out.append([_report(name, q) for name in CRITERION_ORDER])

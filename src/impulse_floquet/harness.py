@@ -156,9 +156,10 @@ def _draw(spec: GeneratorSpec):
 
 def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
     """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator returning
-    the system, which yields each stage of integrals (int(c); int(c+), int(b), int|a| and
-    int(a^2/b); the shrunk a's int|a|) as `integrate_many` requests, whose results it is sent,
-    and the `_Quantities` whose int(a^2/b) `criteria._fill` fills."""
+    the system, which yields each stage of integrals (int(c); int(c+), int(b) and int|a|;
+    int(a^2/b), at the first round that reads it; the shrunk a's int|a|) as `integrate_many`
+    requests, whose results it is sent, and the `_Quantities` whose int(a^2/b) `criteria._fill`
+    fills."""
     T = spec.period
     int_c = _raising((yield [(coeff_c, 0.0, T, "identity")], ()))[0]
     gap = 0.3 - (int_c + schedule.ratio_sum())
@@ -168,7 +169,7 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
     q = crit._Quantities(ImpulsiveSystem(coeff_a, coeff_b, coeff_c, ImpulseSchedule(T)),
                          DEFAULT_TOLERANCES)
     q.shared.update(zip(("int_c_plus", "int_b", "int_abs_a"), (yield [
-        (coeff_c, 0.0, T, "pos"), (coeff_b, 0.0, T, "identity"), (coeff_a, 0.0, T, "abs")], [q])))
+        (coeff_c, 0.0, T, "pos"), (coeff_b, 0.0, T, "identity"), (coeff_a, 0.0, T, "abs")], ())))
     g_val = int_c + schedule.ratio_sum()
     h_val = q.int_c_plus + schedule.ratio_sum(positive=True)
     margin = max(spec.margin, 1e-9)
@@ -185,6 +186,8 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
     lam = 1.0
     for _ in range(200):
         sb = s_bound(lam * q.int_abs_a)
+        if sb > 0.0 and "int_a2_over_b" not in q.shared:
+            yield [], [q]
         if sb > 0.0 and lam * lam * q.int_a2_over_b <= 0.45 * g_val * min(sb, 1.0):
             break
         lam *= 0.7

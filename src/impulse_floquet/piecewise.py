@@ -13,8 +13,8 @@ derivative-based downstream checks undecidable.
 Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
 absolute-value and positive-part transforms it is split at the real roots of
-the polynomial; integrate_many takes the panels of many requests in one array
-pass. Every integral without a closed form goes through one rule,
+the polynomial; integrate_many takes the panels of many requests in one pass,
+as arrays where a coefficient length has enough of them. Every integral without a closed form goes through one rule,
 integrate_groups: callable panels, the a^2/b of the criteria, the weighted
 b * exp(-2A) of the Lyapunov layer and the in-segment values of a callable's
 cumulative integral. It runs adaptive Gauss-Legendre on all panels of many
@@ -51,6 +51,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # benchmark workloads converges without a split, and a kink inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
 _QUAD_BLOCK = 256  # panels per integrand call, which bounds the memory of a long window
+_ARRAY_PANELS = 8  # polynomial panels of one length from which their closed forms take arrays
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
 _SAMPLED_MIN_NODES = 129  # Chebyshev nodes of sampled_min
 _SIGN_SCAN_NODES = 33     # Chebyshev nodes of the sign-change scan of a callable
@@ -285,10 +286,11 @@ def _poly_table(groups, width: int) -> np.ndarray:
                     dtype=float).reshape(width, len(groups), n)
 
 
-def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray, stop: bool = False):
     """`_gauss` of each [a, b], (n, r) arrays on the panels `rows`, bit for bit: the same dot row
     by row (`vals @ _GL_W` sums in another order); one fn call per _QUAD_BLOCK rows. Also
-    {row: (t, value)} at the earliest non-finite value of each row that has one."""
+    {row: (t, value)} at the earliest non-finite value of each row that has one; with `stop`, no
+    block after the first that has one is read (its rows' rules are left unset)."""
     half, out, bad = 0.5 * (b - a), np.empty(a.shape), {}
     for i in range(0, len(rows), _QUAD_BLOCK):
         s = slice(i, i + _QUAD_BLOCK)
@@ -301,6 +303,8 @@ def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
             j = int(np.argmin(np.where(ok[r], np.inf, xs[r])))
             bad[i + r] = float(xs[r, j]), float(vals[r, j])
         out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]
+        if stop and bad:
+            break
     return out, bad
 
 
@@ -336,12 +340,14 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
     top, mid = np.arange(len(lo)), 0.5 * (lo + hi)
     ids = None if len(live) == len(groups) else np.flatnonzero(  # fn's row numbers of the spans
         np.repeat([w > 0.0 for w in widths], list(map(len, groups))))
+    dead = None  # the spans of the groups that failed
 
     def rules(a, b):
         """`_rules` of [a, b] on the spans `top`. A group that read a non-finite value fails, at the
         earliest t of its first block of _QUAD_BLOCK of its own rows that has one, as alone; its
-        rows read 0 and close."""
-        out_rules, bad = _rules(fn, a, b, top if ids is None else ids[top])
+        rows read 0 and its spans are dead: they close, and fn never reads them again."""
+        nonlocal dead
+        out_rules, bad = _rules(fn, a, b, top if ids is None else ids[top], len(live) == 1)
         first, rows = {}, np.repeat(live, counts)[top] if bad else None
         for r, (t, v) in bad.items():
             g = rows[r]
@@ -350,7 +356,10 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         for g, (_, t, v) in first.items():
             out[g] = EvaluationError(f"non-finite segment value at t={t}", t=t, value=v)
         if first:
-            out_rules[np.isin(rows, list(first))] = 0.0
+            failed = np.isin(rows, list(first))
+            out_rules[failed] = 0.0
+            dead = np.zeros(len(lo), dtype=bool) if dead is None else dead
+            dead[top[failed]] = True
         return out_rules.T
     whole, left, right = rules(np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T)
     w = whole.tolist()
@@ -363,6 +372,8 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
         halves, positive = left + right, b > a
         split = positive & ~((np.abs(halves - whole) <= t)
                              | ((b - a) < 1e-15 * (1.0 + np.abs(a) + np.abs(b))))
+        if dead is not None:
+            split &= ~dead[top]
         levels.append((split, np.where(positive, halves, 0.0)))
         if depth == 0 or not split.any():  # the last level splits nothing
             break
@@ -669,22 +680,23 @@ class PiecewiseFunction:
 
     # -- quadrature --------------------------------------------------------
 
-    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY,
-                  closed=None) -> float:
+    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY, *,
+                  _closed=None) -> float:
         """Integral of transform(f) over [lo, hi] within [0, domain_end].
 
         transform is one of "identity", "abs" (absolute value) or "pos"
         (positive part). Panels never straddle a breakpoint; for the non-identity
         transforms they never straddle a sign change either. Polynomial pieces
-        take their closed forms: `closed` is (pieces, those closed forms) as
-        `integrate_many` hands them out, else the range gets a pass of its own.
+        take their closed forms from `_poly_integrals`; `_closed` is internal:
+        the (pieces, closed forms) that `integrate_many` computed for the range.
         """
-        if closed is None:
+        if _closed is None:
             pieces, polys = self._integration_pieces(lo, hi, transform)
-            closed = pieces, _poly_integrals(polys)
-        values, total, panels = iter(closed[1]), 0.0, []
+            _closed = pieces, _poly_integrals(polys)
+        pieces, values = _closed
+        values, total, panels = iter(values), 0.0, []
         eps_root = 1e-13 * max(1.0, self.domain_end)
-        for a, b, seg in closed[0]:
+        for a, b, seg in pieces:
             val = next(values) if isinstance(seg, PolySegment) else math.nan
             if math.isfinite(val):
                 total += val
@@ -728,45 +740,56 @@ def integrate_many(requests) -> list:
     for (f, lo, hi, transform), part in zip(requests, parts):
         try:
             out.append(f.integrate(lo, hi, transform,
-                                   part and (part[0], [next(values) for _ in part[1]])))
+                                   _closed=part and (part[0], [next(values) for _ in part[1]])))
         except Exception as exc:  # raised where that integral is read
             out.append(exc)
     return out
 
 
 def _poly_integrals(panels) -> list:
-    """Integral of transform(p) over [lo, hi] for each (coeffs, lo, hi, transform) panel, from the
-    antiderivative in s = t - lo, split at `_roots_within`'s roots for the abs and pos transforms.
-    The panels of one coefficient length take `_taylor_shift`'s updates, the antiderivative and
-    Horner as array operations, so each keeps the bits of its own scalar pass."""
+    """Integral of transform(p) over [lo, hi] for each (coeffs, lo, hi, transform) panel: the
+    antiderivative of `_taylor_shift`'s coefficients in s = t - lo, by `_horner` at `_cuts`. From
+    _ARRAY_PANELS panels of one coefficient length on, these steps run once on columns, a numpy
+    array per coefficient; fewer panels run them one by one on floats, as numpy's cost per call
+    would outweigh their work. Every panel keeps the bits of its own pass."""
     out, by_len = [0.0] * len(panels), {}
-    for i, p in enumerate(panels):
+    for i, p in enumerate(panels) if len(panels) >= _ARRAY_PANELS else ():
         by_len.setdefault(len(p[0]), []).append(i)
-    for n, idx in by_len.items():
-        q = np.array([c for i in idx for c in panels[i][0]]).reshape(len(idx), n).T.copy()
-        lo = np.array([panels[i][1] for i in idx])
-        length = [panels[i][2] - panels[i][1] for i in idx]
-        transforms = {panels[i][3] for i in idx}
+    for idx in [range(len(panels))] if not by_len else by_len.values():
+        if len(idx) < _ARRAY_PANELS:
+            for i in idx:
+                coeffs, lo, hi, transform = panels[i]
+                q = _taylor_shift(coeffs, lo)
+                F = _antiderivative(q)
+                out[i] = (_horner(F, hi - lo) if transform == _IDENTITY else
+                          _summed([_horner(F, s) for s in _cuts(q, hi - lo, transform)], transform))
+            continue
+        coeffs, lo, hi, transforms = zip(*[panels[i] for i in idx])
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported
-            for d in range(n - 1):
-                for j in range(n - 2, d - 1, -1):
-                    q[j] += lo * q[j + 1]
-            qs = q.T.tolist() if transforms != {_IDENTITY} else ()
-            cuts = [[s] if panels[i][3] == _IDENTITY else [0.0, *_roots_within(qs[k], s), s]
-                    for k, (i, s) in enumerate(zip(idx, length))]
-            at = np.array([x for c in cuts for x in c])  # F(s) = s * G(s): F has no constant term
-            F = _horner((q / np.arange(1.0, n + 1.0)[:, None])[:, [k for k, c in enumerate(cuts)
-                                                                   for _ in c]], at) * at + 0.0
-            parts = {_IDENTITY: F.tolist()}
-            if transforms != {_IDENTITY}:
-                diffs = F[1:] - F[:-1]
-                parts.update({_ABS: np.abs(diffs).tolist(), _POS: np.maximum(diffs, 0.0).tolist()})
-        start = 0
-        for i, c in zip(idx, cuts):  # a split panel's parts summed in order, as sum() sums them
-            out[i] = (parts[_IDENTITY][start] if len(c) == 1
-                      else sum(parts[panels[i][3]][start:start + len(c) - 1]))
-            start += len(c)
+            q = _taylor_shift([np.array(c) for c in zip(*coeffs)], np.array(lo))
+            F = _antiderivative(q)
+            cuts = [_cuts(qk, b - a, tr)
+                    for qk, a, b, tr in zip(np.array(q).T.tolist(), lo, hi, transforms)]
+            rep = np.repeat(np.arange(len(idx)), list(map(len, cuts)))  # every cut in one pass
+            vals = _horner([F[0], *(f[rep] for f in F[1:])],
+                           np.array([s for c in cuts for s in c])).tolist()
+        for i, c, tr in zip(idx, cuts, transforms):
+            out[i], vals = _summed(vals[:len(c)], tr), vals[len(c):]
     return out
+
+
+def _cuts(q: list[float], length: float, transform: str) -> list[float]:
+    """Where a panel's antiderivative is read: its end, or for the abs and pos transforms also 0
+    and `_roots_within`'s roots."""
+    return [length] if transform == _IDENTITY else [0.0, *_roots_within(q, length), length]
+
+
+def _summed(vals: list[float], transform: str) -> float:
+    """A panel's integral from its antiderivative at its `_cuts`: the parts, summed in order."""
+    if transform == _IDENTITY:
+        return vals[0]
+    parts = [b - a for a, b in zip(vals[:-1], vals[1:])]
+    return sum(abs(p) for p in parts) if transform == _ABS else sum(max(p, 0.0) for p in parts)
 
 
 def _roots_within(q: list[float], length: float) -> list[float]:
@@ -845,9 +868,6 @@ class CumulativeIntegral:
             anti.append(F)
         self._base = base
         self._anti = anti
-        n = max([len(F) for F in anti if F is not None], default=1)  # zero-padded at the top degree
-        self._table = np.array([(F or ()) + (0.0,) * (n - len(F or ())) for F in anti]).T
-        self._starts = np.array(knots[:-1]), np.array(base[:-1])
 
     @property
     def total(self) -> float:
@@ -874,21 +894,20 @@ class CumulativeIntegral:
                                                 [(self._knots[i], s)])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """`value` at each t: a node's segment's antiderivative by Horner on one table, with the
-        bits of the scalar read; a callable segment's nodes one by one."""
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)
+        out = np.empty_like(ss)
         idx = np.searchsorted(self.f.breakpoints, ss, side="right")
-        knots, bases = self._starts
-        local = (ss - knots[idx]) * (ss - knots[idx] > knot_eps(self.f.domain_end))
-        out = bases[idx] + _horner(self._table[:, idx], local)
-        for i in (i for i, F in enumerate(self._anti) if F is None):
-            out[idx == i] = [self._within(float(s)) for s in ss[idx == i]]
+        for i in set(idx.ravel().tolist()):  # the segments hit: one for the nodes of a panel
+            mask, anti = idx == i, self._anti[i]
+            if anti is not None:
+                out[mask] = self._base[i] + _horner(anti, self._offset(ss[mask], i))
+            else:
+                out[mask] = [self._within(float(s)) for s in ss[mask]]
         return ks * self.total + out
 
 
 def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,
                        transform: str = _IDENTITY) -> float:
-    """Integral of transform(f) over an arbitrary window, extending f by periodicity: the
-    `integrate_many` of its period chunks, summed in order."""
-    chunks = period_chunks(lo, hi, f.domain_end)
-    return sum(_raising(integrate_many([(f, s0, s1, transform) for _, s0, s1 in chunks])), 0.0)
+    """Integral of transform(f) over an arbitrary window, extending f by periodicity."""
+    return sum((f.integrate(s0, s1, transform)
+                for _, s0, s1 in period_chunks(lo, hi, f.domain_end)), 0.0)

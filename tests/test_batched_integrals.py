@@ -1,11 +1,12 @@
 """Batched integrals against their one-item cases: `generate_many` against `generate`,
-`integrate_groups` against `integrate_panels` group by group, `_poly_integrals` against
-the scalar closed form it replaced, and `evaluate_many` on a mixed chunk against
-`evaluate_all` system by system."""
+`integrate_groups` against `integrate_panels` group by group (and both against the one-group
+quadrature they replaced), `_poly_integrals` against the scalar closed form it replaced, and
+`evaluate_many` on a mixed chunk against `evaluate_all` system by system."""
 
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,15 +85,61 @@ def _grouped(groups):
     return [_entry(v) for v in integrate_groups(fn, [[p[1:] for p in g] for g in groups])]
 
 
-def _alone(groups):
-    return [_outcome(integrate_panels, segment_rows([p[0] for p in g]), [p[1:] for p in g])
+def _alone(groups, integrate=integrate_panels):
+    return [_outcome(integrate, segment_rows([p[0] for p in g]), [p[1:] for p in g])
             for g in groups]
+
+
+def _one_group_quadrature(fn, spans):
+    """The one-group adaptive quadrature before groups, kept as the reference: a level's fn calls
+    raise at the first block of _QUAD_BLOCK rows that reads a non-finite value."""
+    def rules(a, b, rows):
+        half, out = 0.5 * (b - a), np.empty(a.shape)
+        for i in range(0, len(rows), piecewise._QUAD_BLOCK):
+            s = slice(i, i + piecewise._QUAD_BLOCK)
+            ts = (0.5 * (b[s] + a[s]))[..., None] + half[s, :, None] * piecewise._GL_X
+            vals = piecewise.finite_values(lambda x: fn(x, rows[s]), ts.reshape(len(ts), -1))
+            out[s] = half[s] * (piecewise._GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]
+        return out.T
+    lo, hi = np.array(spans, dtype=float).reshape(-1, 2).T
+    span = sum((hi - lo).tolist())
+    if span <= 0.0:
+        return 0.0
+    top, mid = np.arange(len(lo)), 0.5 * (lo + hi)
+    whole, left, right = rules(np.array([lo, lo, mid]).T, np.array([hi, mid, hi]).T, top)
+    t = piecewise.QUAD_REL_TOL * max(sum(map(abs, whole.tolist())), 1e-3) * (hi - lo) / span
+    budget, levels, a, b, tol = np.full(len(lo), piecewise._PANEL_BUDGET), [], lo, hi, t
+    for depth in range(48, -1, -1):
+        halves = left + right
+        split = (b > a) & ~((np.abs(halves - whole) <= t) | (depth == 0)
+                            | ((b - a) < 1e-15 * (1.0 + np.abs(a) + np.abs(b))))
+        levels.append((split, np.where(b > a, halves, 0.0)))
+        if not split.any():
+            break
+        tops = top[split]
+        over = np.arange(len(tops)) - np.searchsorted(tops, tops) >= budget[tops]
+        budget -= np.bincount(tops, minlength=len(lo))
+        split[np.flatnonzero(split)[over]] = False
+        m = 0.5 * (a[split] + b[split])
+        a, b, whole = (np.stack(p, 1).ravel() for p in ((a[split], m), (m, b[split]),
+                                                        (left[split], right[split])))
+        t, top, m = np.repeat(0.5 * t[split], 2), np.repeat(top[split], 2), 0.5 * (a + b)
+        left, right = rules(np.array([a, m]).T, np.array([m, b]).T, top)
+    for i in np.flatnonzero(budget < 0):
+        logging.getLogger("impulse_floquet").warning(
+            "adaptive quadrature on [%r, %r] stopped after %d panel splits; the result may miss "
+            "its tolerance %.3g", *map(float, (lo[i], hi[i])), piecewise._PANEL_BUDGET, tol[i])
+    vals = np.empty(0)
+    for split, values in reversed(levels):
+        values[split] = vals[0::2] + vals[1::2]
+        vals = values
+    return sum(vals.tolist())
 
 
 @settings(max_examples=60, deadline=None)
 @given(quadrature_groups())
 def test_grouped_quadrature_equals_each_group_alone(groups):
-    assert _grouped(groups) == _alone(groups)
+    assert _grouped(groups) == _alone(groups) == _alone(groups, _one_group_quadrature)
 
 
 def test_a_group_that_raises_leaves_the_others_their_sums():
@@ -112,8 +159,24 @@ def test_a_group_raises_at_its_own_first_block():
     late = list(zip(nan, *zip(*spans)))
     ahead = [(PolySegment((2.0,)), float(k), k + 1.0) for k in range(100)]
     grouped = _grouped([ahead, late])
-    assert grouped == _alone([ahead, late])
+    assert grouped == _alone([ahead, late]) == _alone([ahead, late], _one_group_quadrature)
     assert grouped[1][2] == pytest.approx(10.5, abs=1e-3) and grouped[0] == repr(200.0)
+
+
+def test_a_group_that_first_fails_past_level_0_stops_at_that_level():
+    # The peak at 10.5 splits [10, 11]; the NaN band around 10.502 is first read at level 1,
+    # and only deeper levels would put a node within 5e-5 of 10.502, where the callable raises.
+    def peaked(ts):
+        if np.any(np.abs(ts - 10.502) < 5e-5):
+            raise ZeroDivisionError("read past the failing level")
+        return np.where(np.abs(ts - 10.502) < 5e-4, np.nan, 1.0 / (1e-4 + (ts - 10.5) ** 2))
+    band = [(peaked, 10.0, 11.0)]
+    ok = [(PolySegment((1.0, 2.0)), 0.0, 1.0)]
+    expected = ("EvaluationError", "non-finite segment value at t=10.501500935247439",
+                10.501500935247439)
+    assert _alone([band]) == _alone([band], _one_group_quadrature) == [expected]
+    grouped = _grouped([ok, band, ok])
+    assert grouped == _alone([ok, band, ok]) and grouped[1] == expected
 
 
 def test_each_span_past_its_budget_warns_once_as_alone(monkeypatch, caplog):
@@ -125,6 +188,9 @@ def test_each_span_past_its_budget_warns_once_as_alone(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="impulse_floquet"):
         alone = _alone(groups)
         expected = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        assert _alone(groups, _one_group_quadrature) == alone
+        assert [r.getMessage() for r in caplog.records] == expected
         caplog.clear()
         assert _grouped(groups) == alone
     assert [r.getMessage() for r in caplog.records] == expected
@@ -165,11 +231,12 @@ def closed_form_panels(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(closed_form_panels(), min_size=1, max_size=12))
-def test_batched_closed_form_equals_the_scalar_closed_form(panels):
+@given(st.lists(closed_form_panels(), min_size=1, max_size=16), st.sampled_from([1, 2, 8]))
+def test_batched_closed_form_equals_the_scalar_closed_form(panels, array_panels):
     with np.errstate(over="ignore", invalid="ignore"):  # the reference's polymul of 1e308
         expected = [repr(_poly_integral(*p)) for p in panels]
-    assert [repr(v) for v in _poly_integrals(panels)] == expected
+    with mock.patch.object(piecewise, "_ARRAY_PANELS", array_panels):  # arrays from 1, 2 or 8 on
+        assert [repr(v) for v in _poly_integrals(panels)] == expected
 
 
 # -- criteria ------------------------------------------------------------------------------
