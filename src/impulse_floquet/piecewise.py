@@ -773,8 +773,9 @@ def _poly_integrals(panels) -> list:
             rep = np.repeat(np.arange(len(idx)), list(map(len, cuts)))  # every cut in one pass
             vals = _horner([F[0], *(f[rep] for f in F[1:])],
                            np.array([s for c in cuts for s in c])).tolist()
+        start = 0
         for i, c, tr in zip(idx, cuts, transforms):
-            out[i], vals = _summed(vals[:len(c)], tr), vals[len(c):]
+            out[i], start = _summed(vals[start:start + len(c)], tr), start + len(c)
     return out
 
 
