@@ -14,16 +14,17 @@ Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
 absolute-value and positive-part transforms it is split at the real roots of
 the polynomial; integrate_many takes the panels of many requests in one pass,
-as arrays where a coefficient length has enough of them. Every integral without a closed form goes through one rule,
-integrate_groups: callable panels, the a^2/b of the criteria, the weighted
-b * exp(-2A) of the Lyapunov layer and the in-segment values of a callable's
-cumulative integral. It runs adaptive Gauss-Legendre on all panels of many
-groups at once, with one integrand call per level of splitting and an
-absolute tolerance relative to each group's own 15-node estimates. For the abs
-and pos transforms every interior sign change of a callable is located first
-(a node scan plus Brent root refinement), so each panel integrates a smooth
-sign-definite integrand. Each panel has a budget of splits; past it the open
-parts keep their estimate and a warning is logged.
+as arrays where a coefficient length has enough of them. Every integral
+without a closed form goes through one rule, integrate_groups: callable
+panels, the a^2/b of the criteria, the weighted b * exp(-2A) of the Lyapunov
+layer and the in-segment values of a callable's cumulative integral. It runs
+adaptive Gauss-Legendre on all panels of many groups at once, with one
+integrand call per level of splitting and an absolute tolerance relative to
+each group's own 15-node estimates. For the abs and pos transforms every
+interior sign change of a callable is located first (a node scan plus Brent
+root refinement), so each panel integrates a smooth sign-definite integrand.
+Each panel has a budget of splits; past it the open parts keep their estimate
+and a warning is logged.
 """
 
 from __future__ import annotations
