@@ -3,8 +3,8 @@ impulsive state jumps: period-map computation, multiplier classification,
 sufficient stability criteria with margins, a two-zero inequality with a
 disconjugacy certificate, and a seeded validation harness."""
 
-from .piecewise import (CumulativeIntegral, EvaluationError, FuncSegment, LEFT,
-                        PiecewiseFunction, PolySegment, RIGHT, integrate_periodic)
+from .piecewise import (CumulativeIntegral, EvaluationError, LEFT, PiecewiseFunction,
+                        PolySegment, RIGHT, integrate_periodic)
 from .system import (Impulse, ImpulseSchedule, ImpulsiveSystem, InvalidSystemError,
                      jump_matrix, time_shift, validate_system)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

@@ -11,10 +11,9 @@ spare), and certifies stability only when all hypotheses hold clear of the
 strictness tolerance.
 
 Pointwise minima and maxima (b > 0, b*c - a^2 not identically 0 and the
-like) share one helper, `segments_min`: exact polynomial minimization where
-the representation allows it, dense sampling with local refinement
-otherwise. Ratio hypotheses guard against b approaching zero and degrade to
-"undecidable" rather than guessing.
+like) share one helper, `segments_min`: exact polynomial minimization from
+the derivative's roots. Ratio hypotheses guard against b approaching zero and
+degrade to "undecidable" rather than guessing.
 """
 
 from __future__ import annotations
@@ -196,12 +195,8 @@ def _fill(asks) -> None:
             (q.system.coefficients()[i], 0.0, q.system.period, transform)
             for q, name in closed for i, transform in [_CLOSED_FORMS[name]]])):
         q.shared[name] = value
-    try:  # where a callable raises (or b_safe does), each integrates alone where it is read
-        grouped = [q for q, names in asks if "int_a2_over_b" in names and q.b_safe]
-        values = _a2_over_b_integrals(grouped) if grouped else []
-    except Exception:
-        grouped = values = []
-    for q, value in zip(grouped, values):
+    grouped = [q for q, names in asks if "int_a2_over_b" in names and q.b_safe]
+    for q, value in zip(grouped, _a2_over_b_integrals(grouped) if grouped else []):
         q.shared["int_a2_over_b"] = value
 
 
@@ -222,8 +217,7 @@ def _a2_over_b_integrals(qs) -> list:
 def _coefficient_key(system: ImpulsiveSystem) -> tuple:
     """Everything a shared quantity reads, with the sign of each number (-0.0 == 0.0)."""
     fs = system.coefficients()
-    numbers = [system.period, *(c for f in fs for s in f.segments
-                                if isinstance(s, PolySegment) for c in s.coeffs)]
+    numbers = [system.period, *(c for f in fs for s in f.segments for c in s.coeffs)]
     return (*fs, tuple(math.copysign(1.0, x) for x in numbers))
 
 
@@ -327,19 +321,11 @@ class _Quantities:
 
 
 def _bc_minus_a2_pieces(system: ImpulsiveSystem, sign: float):
-    """(lo, hi, segment) pieces of sign * (b*c - a^2), polynomial where a, b, c are."""
+    """(lo, hi, segment) pieces of sign * (b*c - a^2)."""
     for lo, hi, sa, sb, sc in system.pieces():
-        if all(isinstance(s, PolySegment) for s in (sa, sb, sc)):
-            coeffs = npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
-                                   npoly.polymul(sa.coeffs, sa.coeffs))
-            yield lo, hi, PolySegment(coeffs).scaled(sign)
-            continue
-
-        def seg(ts, _sa=sa, _sb=sb, _sc=sc):
-            a = np.asarray(_sa(ts), dtype=float)
-            return sign * (np.asarray(_sb(ts), dtype=float) * np.asarray(_sc(ts), dtype=float)
-                           - a * a)
-        yield lo, hi, seg
+        coeffs = npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
+                               npoly.polymul(sa.coeffs, sa.coeffs))
+        yield lo, hi, PolySegment(coeffs).scaled(sign)
 
 
 # -- condition (C) ----------------------------------------------------------
@@ -351,9 +337,8 @@ def condition_C_status(system: ImpulsiveSystem,
     C1: some impulse strength is nonzero. C2: all strengths vanish and a/b is
     not piecewise-smooth (a one-sided value or derivative mismatch of a/b at a
     breakpoint that is not an impulse time). C3: all strengths vanish, a/b is
-    piecewise-smooth, and (a/b)' - c + a^2/b is not identically zero. The
-    derivative tests require polynomial a and b; otherwise the status is
-    undecidable.
+    piecewise-smooth, and (a/b)' - c + a^2/b is not identically zero. Without
+    a b bounded away from zero the status is undecidable.
     """
     return _Quantities(system, tolerances or DEFAULT_TOLERANCES).condition_c
 
@@ -365,8 +350,6 @@ def _condition_c_branch(q: _Quantities) -> ConditionCStatus:
             return ConditionCStatus("C1", f"impulse {i} has nonzero strength",
                                     nonzero_beta_index=i)
     a, b = system.coeff_a, system.coeff_b
-    if not (a.is_polynomial and b.is_polynomial):
-        return ConditionCStatus(UNDECIDABLE, "a or b has non-polynomial segments")
     if not q.b_safe:
         return ConditionCStatus(UNDECIDABLE, "b is not bounded away from zero")
 
@@ -548,16 +531,15 @@ check_main_boundary = _check(MAIN_BOUNDARY)
 def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
     with the same `_coefficient_key` share their coefficient quantities. The closed
-    forms of every distinct key with polynomial coefficients are filled first by one
-    `_fill` call, and int(a^2/b) by another where they all came out; callables,
-    and the rest, integrate where a report reads them, as alone."""
+    forms of every distinct key are filled first by one `_fill` call, and int(a^2/b)
+    by another where they all came out; the rest integrate where a report reads
+    them, as alone."""
     tol = tolerances or DEFAULT_TOLERANCES
     shared, out = {}, []
     qs = [_Quantities(s, tol, shared.setdefault(_coefficient_key(s), {})) for s in systems]
-    polys = [q for q in {id(q.shared): q for q in qs}.values() if all(
-        isinstance(s, PolySegment) for f in q.system.coefficients() for s in f.segments)]
-    _fill([(q, _CLOSED_FORMS) for q in polys])
-    _fill([(q, ("int_a2_over_b",)) for q in polys
+    distinct = list({id(q.shared): q for q in qs}.values())
+    _fill([(q, _CLOSED_FORMS) for q in distinct])
+    _fill([(q, ("int_a2_over_b",)) for q in distinct
            if not any(isinstance(q.shared[name], Exception) for name in _CLOSED_FORMS)])
     for q in qs:
         try:

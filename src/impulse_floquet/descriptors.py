@@ -126,9 +126,6 @@ def system_from_descriptor(doc: dict, memo: dict | None = None) -> ImpulsiveSyst
 def system_to_descriptor(system: ImpulsiveSystem) -> dict:
     coeffs = {}
     for name, f in zip(_COEFF_NAMES, system.coefficients()):
-        if not f.is_polynomial:
-            raise DescriptorError(f"coefficients.{name}: non-polynomial segments cannot "
-                                  "be serialized")
         segs = []
         knots = f.knots
         for i, seg in enumerate(f.segments):

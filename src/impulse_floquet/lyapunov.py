@@ -23,10 +23,10 @@ from functools import cache
 import numpy as np
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
-from .piecewise import (CumulativeIntegral, PolySegment, _chebyshev_nodes, _roots_within,
-                        _taylor_shift, adaptive_integral, bracketed_root, finite_values,
-                        grid_golden_min, integrate_panels, integrate_periodic, knot_eps,
-                        merge_knots, period_chunks, segment_rows, segments_extrema, split_period)
+from .piecewise import (CumulativeIntegral, _roots_within, _taylor_shift, adaptive_integral,
+                        bracketed_root, grid_golden_min, integrate_panels, integrate_periodic,
+                        knot_eps, merge_knots, period_chunks, segment_rows, segments_extrema,
+                        split_period)
 from .propagation import (_MAX_STEPS, DensePath, IntegrationFailureError, State,
                           _magnus_steps, _raising, _step_maps)
 from .system import ImpulsiveSystem
@@ -37,8 +37,7 @@ INCONCLUSIVE = "inconclusive"
 DISCONJUGATE = "disconjugate"
 NOT_DISCONJUGATE = "not-disconjugate"
 
-_WINDOW_GRID = 256       # samples of a window for the argmax of z, of a callable a's piece for A
-_B_SIGN_SAMPLES = 1024   # even reads of a callable b's sign in disconjugacy_oracle
+_WINDOW_GRID = 256       # samples of a window for the argmax of z
 ROOT_TOL = 1e-12         # zero location in find_zero_pairs, scaled by max(1, T)
 SLACK = 1e-6             # lyapunov_verify's witness holds at a product of 4 - SLACK or more
 ZERO_BAND = 1e-9         # zeros this close are one, and at an impulse; scaled by max(1, T)
@@ -195,20 +194,15 @@ class _LhsFactors:
 
     def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the window, ends included: A's exact maximum, at an end, a
-        knot of a or a real root of a piece (on a callable piece, a sampled and refined one)."""
+        knot of a or a real root of a piece."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
             return 0.0, 0.5 * (self.t1 + self.t2)
         T, ts = self.system.period, [self.t1, self.t2]
         chunks = list(period_chunks(self.t1, self.t2, T))
         for k, s0, s1 in chunks[:2] + chunks[2:][-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
             for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # peak at the first or last
-                if isinstance(seg, PolySegment):
-                    local = _roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
-                    ts.extend(k * T + p0 + np.array([0.0, *local]))
-                else:  # the best of _WINDOW_GRID Chebyshev samples, refined by golden section
-                    xs = k * T + _chebyshev_nodes(p0, p1, _WINDOW_GRID)
-                    ts.append(grid_golden_min(lambda t: -self._cum_a.value(t), xs,
-                                              -self._cum_a.values(xs))[0])
+                local = _roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
+                ts.extend(k * T + p0 + np.array([0.0, *local]))
         A = self._cum_a.values(np.array(ts))
         return _exp2(A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
 
@@ -257,15 +251,13 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
                       tolerances: Tolerances | None = None) -> DisconjugacyCheck:
     """Certify that no solution has two zeros in [t1, t2] when the supremum
     of the product over interior weight points stays below 4. The bound needs
-    b >= 0 on the window, decided exactly for polynomial b; a callable b, whose
-    minimum is only sampled, is never certified."""
+    b >= 0 on the window, decided exactly from b's extrema."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     factors = _LhsFactors(system, t1, t2)
     sup, t0 = factors.sup_over_t0()
-    certified = (sup < 4.0 - tol.strict * 4.0 and system.coeff_b.is_polynomial
-                 and _b_sign(factors.b_panels) in (0, 1))
+    certified = sup < 4.0 - tol.strict * 4.0 and _b_sign(factors.b_panels) in (0, 1)
     return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
 
 
@@ -290,23 +282,21 @@ def _b_pieces(system: ImpulsiveSystem, t1: float, t2: float) -> list:
             for p0, p1, seg in cut(s0, s1)]
 
 
-def _b_sign(pieces, samples=()) -> int | None:
+def _b_sign(pieces) -> int | None:
     """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0, None
-    where b takes both signs; from `segments_extrema` of the distinct pieces and the samples."""
+    where b takes both signs; from `segments_extrema` of the distinct pieces."""
     lo, hi = segments_extrema({(p0, p1, id(s)): (p0, p1, s) for p0, p1, s, *_ in pieces}.values())
-    lo, hi = float(np.min(samples, initial=lo)), float(np.max(samples, initial=hi))
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
 def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
     """(k, parts) for each period chunk of [t1, t2], a distinct chunk cut once: parts (q0, q1,
-    seg_a, seg_b, seg_c, n, jump, (max|b|, max|c|)) cut at every knot and sign change of a
-    polynomial b, n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part
+    seg_a, seg_b, seg_c, n, jump, (max|b|, max|c|)) cut at every knot and sign change of b,
+    n = max(1, ceil(L (max|a| + sqrt(max|b| max|c|)) / (pi/2))) steps on a part
     of length L, jump the impulse where a smooth piece starts at q0 after the chunk's start.
     On a step the angle of (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by less than pi/2
     and, b of one sign, passes the zeros of x one way only (modified Pruefer angle; Coppel
-    1971): a `_zero_scan` step holds at most one (not rigorously on callables: sampled
-    maxima). IntegrationFailureError past _MAX_STEPS."""
+    1971): a `_zero_scan` step holds at most one. IntegrationFailureError past _MAX_STEPS."""
     T, cut, out = system.period, {}, []
     for k, s0, s1 in period_chunks(t1, t2, T):
         parts = cut.setdefault((s0, s1), [])
@@ -314,7 +304,7 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
         if parts:  # cut at an earlier period
             continue
         for p0, p1, *segs in system.pieces(s0, s1):
-            q = _taylor_shift(segs[1].coeffs, p0) if isinstance(segs[1], PolySegment) else []
+            q = _taylor_shift(segs[1].coeffs, p0)
             cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
             for q0, q1 in zip(cuts[:-1], cuts[1:]):
                 a, b, c = (max(-lo, hi)  # max|f|
@@ -379,20 +369,15 @@ def disconjugacy_oracle(system: ImpulsiveSystem, t1: float, t2: float,
                         tolerances: Tolerances | None = None) -> str:
     """Not disconjugate where b takes both signs on the window, disconjugate where b is 0 on
     all of it; otherwise not disconjugate exactly when the focal solution, (x, u)(t1) = (0, 1),
-    has a second zero site in `_zero_scan` (t1 the first). A callable b is also read at
-    _B_SIGN_SAMPLES + 1 even times. EvaluationError at a non-finite b, IntegrationFailureError
-    where the state overflows."""
+    has a second zero site in `_zero_scan` (t1 the first). IntegrationFailureError where a
+    part's step bound is not finite or the state overflows."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
     T = system.period
     _, s1 = split_period(t1, T)
     s2 = s1 + (t2 - t1)
-    even = np.linspace(s1, s2, _B_SIGN_SAMPLES + 1)
-    pieces = _b_pieces(system, s1, s2)
-    samples = [finite_values(seg, even[(even >= k * T + p0) & (even <= k * T + p1)] - k * T)
-               for p0, p1, seg, k in pieces if not isinstance(seg, PolySegment)]
-    sign = _b_sign(pieces, np.concatenate([np.empty(0), *samples]))
+    sign = _b_sign(_b_pieces(system, s1, s2))
     if sign in (None, 0):
         return NOT_DISCONJUGATE if sign is None else DISCONJUGATE
     _, sites = _zero_scan(system, s1, s2, np.array([[0.0], [1.0]]), tol)

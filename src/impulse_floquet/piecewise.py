@@ -1,30 +1,25 @@
 """Piecewise coefficient functions on a bounded interval.
 
-A function on [0, domain_end] is stored as evaluators for the open segments
-between sorted interior breakpoints. Values at a breakpoint are one-sided
-limits, selected with a side flag. One knot rule holds everywhere: times
-closer than knot_eps are one time; `locate` finds the piece that owns a time
-or a grid of times, and `merge_knots` keeps one knot of each close group.
-Polynomial segments (coefficients in the global time variable, ascending
-degree) are the canonical representation: they admit exact derivatives,
-extrema and antiderivatives. Opaque callables are accepted, but they leave
-derivative-based downstream checks undecidable.
+A function on [0, domain_end] is stored as polynomial segments (coefficients
+in the global time variable, ascending degree) for the open intervals between
+sorted interior breakpoints: they admit exact derivatives, extrema and
+antiderivatives. Values at a breakpoint are one-sided limits, selected with a
+side flag. One knot rule holds everywhere: times closer than knot_eps are one
+time; `locate` finds the piece that owns a time or a grid of times, and
+`merge_knots` keeps one knot of each close group.
 
 Integrals never cross a breakpoint. A polynomial panel is integrated in
 closed form from its antiderivative in the local variable t - lo; for the
 absolute-value and positive-part transforms it is split at the real roots of
 the polynomial; integrate_many takes the panels of many requests in one pass,
 as arrays where a coefficient length has enough of them. Every integral
-without a closed form goes through one rule, integrate_groups: callable
-panels, the a^2/b of the criteria, the weighted b * exp(-2A) of the Lyapunov
-layer and the in-segment values of a callable's cumulative integral. It runs
-adaptive Gauss-Legendre on all panels of many groups at once, with one
-integrand call per level of splitting and an absolute tolerance relative to
-each group's own 15-node estimates. For the abs and pos transforms every
-interior sign change of a callable is located first (a node scan plus Brent
-root refinement), so each panel integrates a smooth sign-definite integrand.
-Each panel has a budget of splits; past it the open parts keep their estimate
-and a warning is logged.
+without a closed form goes through one rule, integrate_groups: the a^2/b of
+the criteria, the weighted b * exp(-2A) of the Lyapunov layer and the error
+report of a panel whose closed form is not finite. It runs adaptive
+Gauss-Legendre on all panels of many groups at once, with one integrand call
+per level of splitting and an absolute tolerance relative to each group's own
+15-node estimates. Each panel has a budget of splits; past it the open parts
+keep their estimate and a warning is logged.
 """
 
 from __future__ import annotations
@@ -34,7 +29,8 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -46,6 +42,7 @@ _IDENTITY = "identity"
 _ABS = "abs"
 _POS = "pos"
 _TRANSFORMS = (_IDENTITY, _ABS, _POS)
+_TRANSFORM_FNS = {_IDENTITY: lambda v: v, _ABS: np.abs, _POS: lambda v: np.maximum(v, 0.0)}
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # Panel splits one span of integrate_panels may make. Every integral of the test suite and the
@@ -54,8 +51,6 @@ _PANEL_BUDGET = 1 << 12
 _QUAD_BLOCK = 256  # panels per integrand call, which bounds the memory of a long window
 _ARRAY_PANELS = 8  # polynomial panels of one length from which their closed forms take arrays
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
-_SAMPLED_MIN_NODES = 129  # Chebyshev nodes of sampled_min
-_SIGN_SCAN_NODES = 33     # Chebyshev nodes of the sign-change scan of a callable
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _LOG = logging.getLogger("impulse_floquet")
@@ -202,40 +197,6 @@ class PolySegment:
         return PolySegment(tuple(shifted.coef))
 
 
-@dataclass(frozen=True, eq=False)  # equal only to itself, so hashable whatever its callable
-class FuncSegment:
-    """Opaque callable segment."""
-
-    fn: Callable[[float], float]
-
-    def __call__(self, t):
-        if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-            return float(self.fn(float(t)))
-        ts = np.asarray(t, dtype=float)
-        try:
-            out = np.asarray(self.fn(ts), dtype=float)
-            if out.shape == ts.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(self.fn(float(x))) for x in ts])
-
-    def scaled(self, factor: float) -> "FuncSegment":
-        fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _s=factor: _s * _f(t))
-
-    def plus_constant(self, offset: float) -> "FuncSegment":
-        fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _d=offset: _f(t) + _d)
-
-    def time_shifted(self, delta: float) -> "FuncSegment":
-        fn = self.fn
-        return FuncSegment(lambda t, _f=fn, _d=delta: _f(t + _d))
-
-
-Segment = Union[PolySegment, FuncSegment]
-
-
 def _raising(entries: list) -> list:
     """`entries`, unless one is an exception: then the first of those is raised."""
     for entry in entries:
@@ -263,25 +224,21 @@ def _gauss(fn, lo: float, hi: float) -> float:
 
 
 def segment_rows(*columns):
-    """fn(ts, rows) reading ts[r] on columns[k][rows[r]] for each column k of segments: polynomials
-    by Horner on one coefficient table, zero-padded at the top degree (PolySegment's own bits),
-    callables row by row, column by column; one column's values, or an array of them per column."""
+    """fn(ts, rows) reading ts[r] on columns[k][rows[r]] for each column k of segments, by Horner
+    on one coefficient table, zero-padded at the top degree (PolySegment's own bits); one column's
+    values, or an array of them per column."""
     table = _poly_table(list(zip(*columns)), len(columns))
-    calls = np.array([[not isinstance(s, PolySegment) for s in col] for col in columns], dtype=bool)
-    any_calls = calls.any()
 
     def values(ts, rows):
         out = _horner(table[:, rows].transpose(2, 0, 1)[..., None], ts)
-        for k, r in zip(*np.nonzero(calls[:, rows])) if any_calls else ():
-            out[k, r] = columns[k][rows[r]](ts[r])
         return out if len(columns) > 1 else out[0]
     return values
 
 
 def _poly_table(groups, width: int) -> np.ndarray:
-    """Coefficients of every PolySegment of the groups of `width` segments as a (width, groups,
-    degree + 1) array, zero-padded at the top degree (Horner then gives the same bits)."""
-    polys = [[s.coeffs if isinstance(s, PolySegment) else () for s in g] for g in groups]
+    """Coefficients of the groups of `width` segments as a (width, groups, degree + 1) array,
+    zero-padded at the top degree (Horner then gives the same bits)."""
+    polys = [[s.coeffs for s in g] for g in groups]
     n = max([1] + [len(c) for row in polys for c in row])
     return np.array([[c + (0.0,) * (n - len(c)) for c in col] for col in zip(*polys)],
                     dtype=float).reshape(width, len(groups), n)
@@ -311,7 +268,7 @@ def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray, stop: bool = Fals
 
 def adaptive_integral(fn, lo: float, hi: float, tol_abs: float) -> float:
     """`integrate_panels` of fn(ts) on the one panel [lo, hi] with absolute tolerance tol_abs."""
-    return integrate_panels(segment_rows([fn]), [(lo, hi)], tol_abs)
+    return integrate_panels(lambda ts, rows: fn(ts), [(lo, hi)], tol_abs)
 
 
 def integrate_panels(fn, spans, tol_abs: float | None = None) -> float:
@@ -513,21 +470,11 @@ def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
     return x_cur
 
 
-def sampled_min(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Approximate minimum of a black-box function on [lo, hi]; EvaluationError at
-    the first non-finite value read, on the grid or in the golden-section search."""
-    xs = _chebyshev_nodes(lo, hi, _SAMPLED_MIN_NODES)
-    t, ft = grid_golden_min(lambda x: float(finite_values(fn, x)), xs, finite_values(fn, xs))
-    return ft, t
-
-
 def segments_min(pieces) -> tuple[float, float]:
-    """(minimum, argmin) over (lo, hi, segment) pieces: exact for a PolySegment,
-    sampled otherwise; a tie goes to the earliest piece."""
+    """Exact (minimum, argmin) over (lo, hi, segment) pieces; a tie goes to the earliest piece."""
     best, best_at = math.inf, 0.0
     for lo, hi, seg in pieces:
-        val, at = (poly_min_on(seg.coeffs, lo, hi) if isinstance(seg, PolySegment)
-                   else sampled_min(seg, lo, hi))
+        val, at = poly_min_on(seg.coeffs, lo, hi)
         if val < best:
             best, best_at = val, at
     return best, best_at
@@ -535,25 +482,21 @@ def segments_min(pieces) -> tuple[float, float]:
 
 def segments_extrema(pieces) -> tuple[float, float]:
     """(minimum, maximum) over (lo, hi, segment) pieces, as `segments_min` of the pieces and
-    of their negations; a PolySegment's both from one candidate set (-p(t) is exact)."""
+    of their negations; both from one candidate set of each piece (-p(t) is exact)."""
     lo = neg = math.inf
     for p0, p1, seg in pieces:
-        if isinstance(seg, PolySegment):
-            vals = [_horner(seg.coeffs, t) for t in _extremum_candidates(seg.coeffs, p0, p1)]
-            val, neg_val = min(vals), min([-v for v in vals])
-        else:
-            val, neg_val = sampled_min(seg, p0, p1)[0], sampled_min(seg.scaled(-1.0), p0, p1)[0]
-        lo, neg = min(lo, val), min(neg, neg_val)  # segments_min's rule
+        vals = [_horner(seg.coeffs, t) for t in _extremum_candidates(seg.coeffs, p0, p1)]
+        lo, neg = min(lo, min(vals)), min(neg, min([-v for v in vals]))  # segments_min's rule
     return lo, -neg
 
 
 @dataclass(frozen=True)
 class PiecewiseFunction:
-    """Real function on [0, domain_end] given by segments between breakpoints."""
+    """Real function on [0, domain_end] given by polynomial segments between breakpoints."""
 
     domain_end: float
     breakpoints: tuple[float, ...]
-    segments: tuple[Segment, ...]
+    segments: tuple[PolySegment, ...]
     _starts: tuple[float, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -567,6 +510,9 @@ class PiecewiseFunction:
         if len(self.segments) != len(bps) + 1:
             raise ValueError(
                 f"need {len(bps) + 1} segments for {len(bps)} breakpoints, got {len(self.segments)}")
+        for i, seg in enumerate(self.segments):
+            if not isinstance(seg, PolySegment):
+                raise ValueError(f"segment {i} is a {type(seg).__name__}, not a PolySegment")
         prev = 0.0
         for b in bps:
             if not (prev < b < end):
@@ -580,22 +526,16 @@ class PiecewiseFunction:
     def constant(cls, value: float, domain_end: float) -> "PiecewiseFunction":
         return cls(domain_end, (), (PolySegment((float(value),)),))
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float], domain_end: float,
-                      breakpoints: Sequence[float] = ()) -> "PiecewiseFunction":
-        bps = tuple(sorted(float(b) for b in breakpoints))
-        segs = tuple(FuncSegment(fn) for _ in range(len(bps) + 1))
-        return cls(domain_end, bps, segs)
-
     # -- structure ---------------------------------------------------------
 
     @property
     def knots(self) -> tuple[float, ...]:
         return (0.0, *self.breakpoints, self.domain_end)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(isinstance(s, PolySegment) for s in self.segments)
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The segments' coefficients as rows, zero-padded at the top degree (the same bits)."""
+        return _poly_table([self.segments], len(self.segments))[:, 0]
 
     def segment_index(self, t: float, side: str) -> int:
         """Index of the segment owning the one-sided limit at t."""
@@ -626,12 +566,8 @@ class PiecewiseFunction:
         """Vectorized evaluation with eval's side convention: right at a
         breakpoint, left at domain_end."""
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.domain_end)
-        out = np.empty_like(ts)
         idx = locate(self._starts, ts, RIGHT, knot_eps(self.domain_end))
-        for i in set(np.ravel(idx).tolist()):
-            mask = idx == i
-            out[mask] = self.segments[i](ts[mask])
-        return out
+        return _horner(np.moveaxis(self._table[idx], -1, 0), ts)
 
     def with_breakpoints(self, points: Sequence[float]) -> "PiecewiseFunction":
         """Refined copy whose breakpoints include `points` (interior ones only),
@@ -661,8 +597,6 @@ class PiecewiseFunction:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PiecewiseFunction":
-        if not self.is_polynomial:
-            raise ValueError("derivative unavailable for non-polynomial segments")
         return PiecewiseFunction(self.domain_end, self.breakpoints,
                                  tuple(s.derivative() for s in self.segments))
 
@@ -687,35 +621,33 @@ class PiecewiseFunction:
 
         transform is one of "identity", "abs" (absolute value) or "pos"
         (positive part). Panels never straddle a breakpoint; for the non-identity
-        transforms they never straddle a sign change either. Polynomial pieces
-        take their closed forms from `_poly_integrals`; `_closed` is internal:
-        the (pieces, closed forms) that `integrate_many` computed for the range.
-        """
+        transforms they never straddle a real root either. Each piece takes its
+        closed form from `_poly_integrals`; `_closed` is internal: the (pieces,
+        closed forms) that `integrate_many` computed for the range. A piece whose
+        closed form is not finite goes to `integrate_panels`, which reports the
+        earliest non-finite value it reads (for abs and pos, the 15-node rule's
+        over the whole piece first)."""
         if _closed is None:
             pieces, polys = self._integration_pieces(lo, hi, transform)
             _closed = pieces, _poly_integrals(polys)
-        pieces, values = _closed
-        values, total, panels = iter(values), 0.0, []
-        eps_root = 1e-13 * max(1.0, self.domain_end)
-        for a, b, seg in pieces:
-            val = next(values) if isinstance(seg, PolySegment) else math.nan
+        total, panels = 0.0, []
+        for (a, b, seg), val in zip(*_closed):
             if math.isfinite(val):
                 total += val
-            elif transform == _IDENTITY:  # callables, or the error report of a non-finite polynomial
-                panels.append((seg, a, b))
-            else:
-                if isinstance(seg, PolySegment):  # its error report comes from the 15 nodes
-                    _gauss(seg, a, b)
-                for p0, p1, sgn in _sign_definite_panels(seg, a, b, eps_root):
-                    if transform == _ABS or sgn > 0:
-                        panels.append((lambda ts, _seg=seg: np.abs(_seg(ts)), p0, p1)
-                                      if transform == _ABS else (seg, p0, p1))
-        return total + (integrate_panels(segment_rows([p[0] for p in panels]),
-                                         [p[1:] for p in panels]) if panels else 0.0)
+                continue
+            if transform != _IDENTITY:  # its error report comes from the 15 nodes
+                _gauss(seg, a, b)
+            roots = _cuts(_taylor_shift(seg.coeffs, a), b - a, transform)[1:-1]
+            cuts = [a, *(a + r for r in roots), b]
+            panels += [(seg, p0, p1) for p0, p1 in zip(cuts[:-1], cuts[1:])]
+        if not panels:
+            return total
+        rows, op = segment_rows([p[0] for p in panels]), _TRANSFORM_FNS[transform]
+        return total + integrate_panels(lambda ts, r: op(rows(ts, r)), [p[1:] for p in panels])
 
     def _integration_pieces(self, lo: float, hi: float, transform: str) -> tuple:
         """`pieces` of [lo, hi] clipped to the domain, none if shorter than the knot tolerance, and
-        the `_poly_integrals` panels of the polynomial ones."""
+        their `_poly_integrals` panels."""
         if transform not in _TRANSFORMS:
             raise ValueError(f"unknown transform {transform!r}")
         eps = knot_eps(self.domain_end)
@@ -724,13 +656,12 @@ class PiecewiseFunction:
         lo = min(max(lo, 0.0), self.domain_end)
         hi = min(max(hi, 0.0), self.domain_end)
         pieces = [] if hi - lo <= eps else self.pieces(lo, hi)
-        return pieces, [(s.coeffs, a, b, transform) for a, b, s in pieces
-                        if isinstance(s, PolySegment)]
+        return pieces, [(s.coeffs, a, b, transform) for a, b, s in pieces]
 
 
 def integrate_many(requests) -> list:
     """Entry i is `f.integrate(lo, hi, transform)` of requests[i] = (f, lo, hi, transform), or the
-    exception it raises: one `_poly_integrals` pass takes the polynomial pieces of all requests."""
+    exception it raises: one `_poly_integrals` pass takes the pieces of all requests."""
     parts = []
     for f, lo, hi, transform in requests:
         try:
@@ -815,45 +746,13 @@ def _roots_within(q: list[float], length: float) -> list[float]:
     return sorted(r for r in roots if 0.0 < r < length)
 
 
-def _sign_definite_panels(seg, lo: float, hi: float, eps_root: float):
-    """Split [lo, hi] at the sign changes of seg; yields (a, b, sign)."""
-    xs = _chebyshev_nodes(lo, hi, _SIGN_SCAN_NODES)
-    vals = finite_values(seg, xs)
-    roots = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(float(xs[i]))
-        elif v0 * v1 < 0.0:
-            roots.append(bracketed_root(seg, xs[i], xs[i + 1], eps_root))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    cuts = [lo]
-    for r in sorted(roots):
-        if r - cuts[-1] > eps_root:
-            cuts.append(r)
-    if hi - cuts[-1] > eps_root:
-        cuts.append(hi)
-    else:
-        cuts[-1] = hi
-    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        probes = np.linspace(a, b, 9)[1:-1]
-        pv = np.asarray(seg(probes), dtype=float)
-        j = int(np.argmax(np.abs(pv)))
-        if abs(pv[j]) <= 1e-14 * (1.0 + scale):
-            yield a, b, 0
-        else:
-            yield a, b, (1 if pv[j] > 0.0 else -1)
-
-
 class CumulativeIntegral:
     """F(t) = integral of f from 0 to t, extended periodically: with (k, s)
     from split_period, F(k*T + s) = k*F(T) + F(s).
 
-    A polynomial segment carries its antiderivative in the local variable
-    t - lo, which gives both its contribution to the knot bases and its
-    in-segment values."""
+    Each segment carries its antiderivative in the local variable t - lo,
+    which gives both its contribution to the knot bases and its in-segment
+    values; `values` reads every node from one table of them."""
 
     def __init__(self, f: PiecewiseFunction):
         self.f = f
@@ -862,14 +761,16 @@ class CumulativeIntegral:
         anti = []
         for i, seg in enumerate(f.segments):
             lo, hi = knots[i], knots[i + 1]
-            F = _antiderivative(_taylor_shift(seg.coeffs, lo)) if isinstance(seg, PolySegment) else None
-            step = _horner(F, hi - lo) if F is not None else math.nan
-            if not math.isfinite(step):  # callables, or the error report
+            F = _antiderivative(_taylor_shift(seg.coeffs, lo))
+            step = _horner(F, hi - lo)
+            if not math.isfinite(step):  # the error report
                 step = f.integrate(lo, hi)
             base.append(base[-1] + step)
             anti.append(F)
         self._base = base
         self._anti = anti
+        n = max(map(len, anti))  # zero-padded at the top degree: the same bits
+        self._table = np.array([F + (0.0,) * (n - len(F)) for F in anti])
 
     @property
     def total(self) -> float:
@@ -889,23 +790,16 @@ class CumulativeIntegral:
         local = self._offset(s, i)
         if local == 0.0:
             return self._base[i]
-        anti = self._anti[i]
-        if anti is not None:
-            return self._base[i] + _horner(anti, local)
-        return self._base[i] + integrate_panels(segment_rows([self.f.segments[i]]),
-                                                [(self._knots[i], s)])
+        return self._base[i] + _horner(self._anti[i], local)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
+        """`value` at every t of an array, bit for bit."""
         ks, ss = split_period(np.asarray(ts, dtype=float), self.f.domain_end)
-        out = np.empty_like(ss)
         idx = np.searchsorted(self.f.breakpoints, ss, side="right")
-        for i in set(idx.ravel().tolist()):  # the segments hit: one for the nodes of a panel
-            mask, anti = idx == i, self._anti[i]
-            if anti is not None:
-                out[mask] = self._base[i] + _horner(anti, self._offset(ss[mask], i))
-            else:
-                out[mask] = [self._within(float(s)) for s in ss[mask]]
-        return ks * self.total + out
+        local = ss - np.take(self._knots, idx)
+        local *= local > knot_eps(self.f.domain_end)  # `_offset`
+        return ks * self.total + (np.take(self._base, idx)
+                                  + _horner(np.moveaxis(self._table[idx], -1, 0), local))
 
 
 def integrate_periodic(f: PiecewiseFunction, lo: float, hi: float,

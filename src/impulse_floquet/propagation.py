@@ -34,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import (LEFT, RIGHT, PolySegment, _poly_table, _raising, knot_eps, locate,
-                        split_period)
+from .piecewise import LEFT, RIGHT, _poly_table, _raising, knot_eps, locate, split_period
 from .system import ImpulsiveSystem, InvalidSystemError, validate_system
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -188,8 +187,6 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
     lo = np.array([p[0] for p in pieces])
     span = np.array([p[1] for p in pieces]) - lo
     table = _poly_table([p[2:] for p in pieces], 3)
-    callable_rows = np.array([not all(isinstance(s, PolySegment) for s in p[2:])
-                              for p in pieces], dtype=bool)
     results: list = [None] * len(pieces)
     active = np.arange(len(pieces))
     prev = None
@@ -205,18 +202,6 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the piece below
             for k in range(table.shape[2] - 1, -1, -1):  # Horner, as PolySegment.__call__
                 vals = vals * ts + coeffs[:, :, k]
-        raised = {}  # row: (level, exception) of a callable that raised
-        for row in np.flatnonzero(callable_rows[active]):
-            for m in levels:  # level by level, each on its own nodes
-                off = 2 * top - 2 * m
-                cols = np.r_[off:off + m, width + off:width + off + m]
-                try:
-                    for j, s in enumerate(pieces[active[row]][2:]):
-                        if not isinstance(s, PolySegment):
-                            vals[j, row, cols] = s(ts[row, cols])
-                except Exception as exc:
-                    raised[row] = m, exc
-                    break
         (a1, b1, c1), (a2, b2, c2) = vals[..., :width], vals[..., width:]
         X = steps = _maps(a1, a2, b1, b2, c1, c2, h)
         pairs, open_ = 1, np.ones(len(active), dtype=bool)
@@ -228,9 +213,6 @@ def _magnus_steps(pieces, tol: Tolerances) -> list:
                 done = np.zeros(len(active), dtype=bool) if prev is None else \
                     np.max(np.abs(Xm - prev), axis=(1, 2)) <= \
                     tol.abs_tol + rel * np.max(np.abs(Xm), axis=(1, 2))
-            for row, (at, exc) in raised.items():
-                if at == m and open_[row]:  # the piece's entry, unless it converged below m
-                    results[active[row]], open_[row] = exc, False
             finite = np.isfinite(Xm).all(axis=(1, 2))
             for row in np.flatnonzero(open_ & ~finite):
                 results[active[row]] = IntegrationFailureError("non-finite step map",
@@ -419,9 +401,6 @@ class DensePath:
     def alpha_product(self, t: float, side: str | None = None) -> float:
         return self.at(t, side)[1]
 
-    def eval_state(self, t: float, y0: np.ndarray, side: str | None = None) -> np.ndarray:
-        return self.at(t, side)[0] @ np.asarray(y0, dtype=float)
-
     def sample_matrices(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrices (n,2,2) and alpha products (n,) on a sorted grid."""
         ts = np.asarray(ts, dtype=float)
@@ -496,8 +475,7 @@ def monodromies(systems, tolerances: Tolerances | None = None) -> list:
     kernel calls of one `_magnus_steps` call.
 
     Entry i is the MonodromyResult of systems[i], or the InvalidSystemError or
-    IntegrationFailureError (or the exception of a callable coefficient) that
-    `monodromy(systems[i])` raises.
+    IntegrationFailureError that `monodromy(systems[i])` raises.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     out: list = [InvalidSystemError(v) if v else None for v in map(validate_system, systems)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from impulse_floquet import (ImpulseSchedule, ImpulsiveSystem, PiecewiseFunction,
                              PolySegment)
 
@@ -29,3 +31,11 @@ def poly(coeffs, T: float = 1.0, breaks=(), per_segment=None) -> PiecewiseFuncti
 
 def rotation_system(T: float) -> ImpulsiveSystem:
     return make_system(0.0, 1.0, 1.0, T=T)
+
+
+def stand_in(fn) -> PiecewiseFunction:
+    """One-piece coefficient on [0, 1] that stands in for a smooth function such as
+    cos(2 pi t): its degree-18 Chebyshev interpolant in power form (within 1e-13 of it)."""
+    cheb = np.polynomial.Chebyshev.interpolate(fn, 18, domain=[0.0, 1.0])
+    return poly(cheb.convert(kind=np.polynomial.Polynomial, domain=[0.0, 1.0],
+                             window=[0.0, 1.0]).coef)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from impulse_floquet import (PiecewiseFunction, State, check_krein, check_main_boundary,
+from impulse_floquet import (State, check_krein, check_main_boundary,
                              check_wang, classify, cli, condition_C_status,
                              find_zero_pair, lyapunov_verify, monodromy,
                              disconjugacy_oracle, disconjugacy_test)
@@ -21,7 +21,7 @@ from impulse_floquet.harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, POSITIVE_
                                      soundness_sweep)
 from impulse_floquet.lyapunov import DISCONJUGATE, DISCONJUGATE_CERTIFIED, NOT_DISCONJUGATE
 
-from helpers import make_system, rotation_system
+from helpers import make_system, rotation_system, stand_in
 
 PI_SQ = math.pi ** 2
 INV_PI = 0.3183098861837907
@@ -172,8 +172,7 @@ def test_criterion_7_disconjugacy_consistency():
 
 def test_criterion_8_boundary_machinery():
     start = time.monotonic()
-    c = PiecewiseFunction.from_callable(lambda t: np.cos(2 * np.pi * t), 1.0)
-    sys_ = make_system(0.0, 1.0, c)
+    sys_ = make_system(0.0, 1.0, stand_in(lambda t: np.cos(2 * np.pi * t)))
     rep = check_main_boundary(sys_)
     status = condition_C_status(sys_)
     int_c_plus = sys_.coeff_c.integrate(0.0, 1.0, "pos")

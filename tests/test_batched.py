@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, FuncSegment,
-                             IntegrationFailureError, InvalidSystemError, PiecewiseFunction,
-                             PolySegment, classify, cli, criteria, descriptors, evaluate_all,
-                             evaluate_many, lyapunov, monodromies, monodromy, propagation,
-                             validate_system)
+from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, IntegrationFailureError,
+                             InvalidSystemError, PiecewiseFunction, PolySegment, classify, cli,
+                             criteria, descriptors, evaluate_all, evaluate_many, lyapunov,
+                             monodromies, monodromy, propagation, validate_system)
 from impulse_floquet.criteria import CRITERION_ORDER
 from impulse_floquet.descriptors import (DescriptorError, set_descriptor_value,
                                          system_from_descriptor, system_to_descriptor)
@@ -27,18 +26,11 @@ from helpers import make_system, poly
 from test_magnus import systems
 
 
-def _raising(t):
-    raise ValueError("coefficient undefined")
-
-
 _ODD_SYSTEMS = [
     make_system(0.0, 1.0, 1.0, impulses=[(0.5, 0.0, 0.0)]),  # zero impulse multiplier
     make_system(0.0, 1.0, PiecewiseFunction(1.0, (0.5,), (PolySegment((1.0,)),
                                                           PolySegment((math.inf,))))),
-    make_system(0.0, 1.0, PiecewiseFunction.from_callable(
-        lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0), 1.0)),
-    make_system(0.0, 1.0, PiecewiseFunction(1.0, (0.5,), (PolySegment((1.0,)),
-                                                          FuncSegment(_raising)))),
+    make_system(0.0, 1.0, poly([1.0, 1.7e308])),  # c overflows past t = 0.057
 ]
 
 
@@ -61,8 +53,7 @@ def _assert_same(entry, expected):
 
 def test_odd_systems_fail_as_alone():
     kinds = [type(_single(s)) for s in _ODD_SYSTEMS]
-    assert kinds == [InvalidSystemError, IntegrationFailureError, IntegrationFailureError,
-                     ValueError]
+    assert kinds == [InvalidSystemError, IntegrationFailureError, IntegrationFailureError]
 
 
 @settings(max_examples=80, deadline=None)
@@ -330,19 +321,6 @@ def test_signed_zero_coefficients_do_not_share(monkeypatch):
         _assert_same_reports(entry, _single(system, evaluate_all))
     one = _integrate_calls(monkeypatch, lambda: evaluate_all(chunk[0]))
     assert _integrate_calls(monkeypatch, lambda: evaluate_many(chunk)) == 2 * one
-
-
-def test_one_callable_coefficient_object_is_shared(monkeypatch):
-    seg = FuncSegment(lambda t: 1.5 + 0.5 * np.cos(2.0 * np.pi * np.asarray(t)))
-    c = PiecewiseFunction(1.0, (), (seg,))
-    twin = PiecewiseFunction(1.0, (), (FuncSegment(seg.fn),))  # same callable, another segment
-    chunk = [make_system(0.2, 1.0, c, impulses=[(0.5, 1.0, beta)]) for beta in (0.0, 0.7)]
-    chunk.append(make_system(0.2, 1.0, twin, impulses=[(0.5, 1.0, -0.3)]))
-    for entry, system in zip(evaluate_many(chunk), chunk):
-        _assert_same_reports(entry, _single(system, evaluate_all))
-    # the first two share; the impulse-free first needs every integral the second does
-    apart = sum(_integrate_calls(monkeypatch, lambda s=s: evaluate_all(s)) for s in chunk[::2])
-    assert _integrate_calls(monkeypatch, lambda: evaluate_many(chunk)) == apart
 
 
 def test_one_integrate_pass_per_distinct_coefficient_set(monkeypatch):

@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import PiecewiseFunction, PolySegment, piecewise
+from impulse_floquet import PolySegment, piecewise
 from impulse_floquet.criteria import evaluate_all, evaluate_many
 from impulse_floquet.descriptors import system_to_descriptor
 from impulse_floquet.harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, MODES, GeneratorSpec,
                                      generate, generate_many)
 from impulse_floquet.piecewise import (_antiderivative, _horner, _poly_integrals, _roots_within,
-                                       _taylor_shift, integrate_groups, integrate_panels,
-                                       segment_rows)
+                                       _taylor_shift, integrate_groups, integrate_panels)
 
-from helpers import make_system, poly
+from helpers import make_system, poly, stand_in
 from test_batched import _assert_same_reports, _single
-from test_poly_calculus import mixed_panels
+from test_poly_calculus import mixed_panels, panel_rows
 
 
 def _outcome(fn, *args):
@@ -81,12 +80,12 @@ def quadrature_groups(draw):
 
 
 def _grouped(groups):
-    fn = segment_rows([p[0] for g in groups for p in g])
+    fn = panel_rows([p[0] for g in groups for p in g])
     return [_entry(v) for v in integrate_groups(fn, [[p[1:] for p in g] for g in groups])]
 
 
 def _alone(groups, integrate=integrate_panels):
-    return [_outcome(integrate, segment_rows([p[0] for p in g]), [p[1:] for p in g])
+    return [_outcome(integrate, panel_rows([p[0] for p in g]), [p[1:] for p in g])
             for g in groups]
 
 
@@ -242,12 +241,10 @@ def test_batched_closed_form_equals_the_scalar_closed_form(panels, array_panels)
 # -- criteria ------------------------------------------------------------------------------
 
 def test_evaluate_many_on_a_mixed_chunk_equals_evaluate_all():
-    callable_c = PiecewiseFunction.from_callable(
-        lambda t: 1.5 + 0.5 * np.cos(2.0 * np.pi * np.asarray(t)), 1.0)
-    nan_b = PiecewiseFunction.from_callable(
-        lambda t: np.where(np.abs(np.asarray(t) - 0.3) < 0.01, np.nan, 1.0), 1.0)
+    wavy_c = stand_in(lambda t: 1.5 + 0.5 * np.cos(2.0 * np.pi * t))
+    nan_b = poly(None, breaks=(0.29, 0.31), per_segment=[[1.0], [math.nan], [1.0]])
     chunk = [
-        make_system(0.3, 1.0, callable_c, impulses=[(0.5, 1.0, 0.4)]),  # a callable c
+        make_system(0.3, 1.0, wavy_c, impulses=[(0.5, 1.0, 0.4)]),  # c of degree 18
         make_system(0.2, poly((-0.5, 1.0)), 2.0, impulses=[(0.4, 0.8, 0.1)]),  # b < 0 on [0, .5)
         make_system(2e154, 1.0, 1.0),  # a^2 past the float range in the a^2/b integrand
         make_system(0.0, 1.0, 1.0),  # impulse-free
@@ -262,14 +259,3 @@ def test_evaluate_many_on_a_mixed_chunk_equals_evaluate_all():
     main = {c.label: c for c in entries[2][5].conditions}
     assert main["int(c - a^2/b) + sum(beta/alpha) > 0"].margin == -math.inf
 
-
-def test_a_callable_that_raises_in_the_grouped_a2_over_b_fails_only_its_system():
-    def boom(t):
-        raise ZeroDivisionError("callable a failed")
-    chunk = [make_system(0.2, 1.0, 1.0, impulses=[(0.5, 1.0, 0.3)]),
-             make_system(PiecewiseFunction.from_callable(boom, 1.0), 1.0, 1.0),
-             make_system(0.4, 2.0, 1.0, impulses=[(0.5, 1.0, -0.3)])]
-    entries = evaluate_many(chunk)
-    for entry, system in zip(entries, chunk):
-        _assert_same_reports(entry, _single(system, evaluate_all))
-    assert str(entries[1]) == "callable a failed"

@@ -12,7 +12,6 @@ import time
 import tracemalloc
 import warnings
 
-import numpy as np
 import pytest
 
 import impulse_floquet
@@ -416,7 +415,7 @@ def test_criteria_with_a_squared_past_the_float_range_in_the_a2_over_b_integral_
     assert conditions["main-boundary", crit.LBL_CONDITION_C]["status"] == "satisfied"
     # an a that is itself past the float range, or a NaN, still raises
     past = PiecewiseFunction(1.0, (0.9,), (PolySegment((0.0,)), PolySegment((1e308, 1e308))))
-    nan = PiecewiseFunction.from_callable(lambda t: np.full_like(t, np.nan), 1.0)
+    nan = PiecewiseFunction.constant(math.nan, 1.0)
     one = PiecewiseFunction.constant(1.0, 1.0)
     for a in (past, nan):
         q = crit._Quantities(ImpulsiveSystem(a, one, one, ImpulseSchedule(1.0)),

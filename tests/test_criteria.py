@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impulse_floquet import (CERTIFIED, INCONCLUSIVE, NOT_APPLICABLE, STABLE,
-                             PiecewiseFunction, check_guseinov_kaymakcalan,
+                             check_guseinov_kaymakcalan,
                              check_guseinov_zafer, check_guseinov_zafer_boundary,
                              check_krein, check_main, check_main_boundary, check_wang,
                              classify, condition_C_status, evaluate_all, monodromy,
@@ -14,14 +14,13 @@ from impulse_floquet.criteria import (LBL_EXP_PRODUCT, LBL_MEAN_POS, LBL_B_POS,
                                       any_certified)
 from impulse_floquet.harness import GeneratorSpec, generate
 
-from helpers import const, make_system, poly, rotation_system
+from helpers import const, make_system, poly, rotation_system, stand_in
 
 INV_PI = 0.3183098861837907
 
 
 def cos_system():
-    c = PiecewiseFunction.from_callable(lambda t: np.cos(2 * np.pi * t), 1.0)
-    return make_system(0.0, 1.0, c)
+    return make_system(0.0, 1.0, stand_in(lambda t: np.cos(2 * np.pi * t)))
 
 
 class TestKrein:
@@ -169,11 +168,6 @@ class TestConditionC:
         st = condition_C_status(make_system(0.0, 1.0, 1.0))
         assert st.branch == "C3"
         assert st.max_expression == pytest.approx(1.0, abs=1e-12)
-
-    def test_opaque_callable_undecidable(self):
-        a = PiecewiseFunction.from_callable(lambda t: 0.0 * t, 1.0)
-        st = condition_C_status(make_system(a, 1.0, 1.0))
-        assert st.branch == "undecidable"
 
     def test_c2_ratio_kink(self):
         # a/b has a derivative jump at a non-impulse breakpoint

@@ -1,12 +1,10 @@
 """The criteria as data: the two tables, the report built from them, and the
 shared pointwise-minimum helper."""
 
-import math
-
 import numpy as np
 import pytest
 
-from impulse_floquet import PiecewiseFunction, PolySegment, criteria, evaluate_all
+from impulse_floquet import PolySegment, criteria, evaluate_all
 from impulse_floquet.criteria import (CRITERION_ORDER, GUSEINOV_KAYMAKCALAN, KREIN,
                                       LBL_BCA2_NONNEG, LBL_BCA2_NONZERO, _CONDITIONS,
                                       _CRITERIA, _Quantities)
@@ -14,7 +12,7 @@ from impulse_floquet.harness import MODES, GeneratorSpec, generate
 from impulse_floquet.piecewise import segments_min
 from impulse_floquet.tolerances import DEFAULT_TOLERANCES
 
-from helpers import make_system
+from helpers import make_system, stand_in
 
 
 def _check(name):
@@ -49,11 +47,10 @@ def test_checks_are_named_after_their_criterion():
         assert check(make_system(0.0, 1.0, 1.0)).criterion == name
 
 
-def test_nonzero_margin_bounds_the_sampled_minimum():
-    # The most negative value of b*c - a^2 lies between sample nodes; the
-    # "not identically 0" margin is the largest |b*c - a^2|, so it cannot be
-    # smaller than the refined minimum that krein reports.
-    c = PiecewiseFunction.from_callable(lambda t: -1.0 - 0.2 * np.sin(7.0 * t), 1.0)
+def test_nonzero_margin_bounds_the_minimum():
+    # The "not identically 0" margin is the largest |b*c - a^2|, so it cannot be
+    # smaller than the magnitude of the minimum that krein reports.
+    c = stand_in(lambda t: -1.0 - 0.2 * np.sin(7.0 * t))
     sys_ = make_system(0.3, 1.0, c)
     krein = _check(KREIN)(sys_).condition(LBL_BCA2_NONNEG).margin
     nonzero = _check(GUSEINOV_KAYMAKCALAN)(sys_).condition(LBL_BCA2_NONZERO).margin
@@ -67,11 +64,6 @@ class TestSegmentsMin:
         val, at = segments_min(pieces)
         assert val == pytest.approx(0.1, abs=1e-15)
         assert at == pytest.approx(0.3, abs=1e-12)
-
-    def test_callable_pieces_are_sampled_and_refined(self):
-        val, at = segments_min([(0.0, 1.0, lambda t: np.cos(2.0 * np.pi * np.asarray(t) + 0.1))])
-        assert val == pytest.approx(-1.0, abs=1e-12)
-        assert at == pytest.approx((math.pi - 0.1) / (2.0 * math.pi), abs=1e-6)
 
     def test_a_tie_goes_to_the_earliest_piece(self):
         pieces = [(0.0, 1.0, PolySegment((2.0, -1.0))), (1.0, 2.0, PolySegment((3.0, -1.0)))]

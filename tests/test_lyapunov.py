@@ -18,7 +18,7 @@ from impulse_floquet.lyapunov import (DISCONJUGATE, DISCONJUGATE_CERTIFIED,
 from impulse_floquet.piecewise import PolySegment, split_period
 from perfbench.inputs import windows_population
 
-from helpers import make_system, poly, rotation_system
+from helpers import make_system, poly, rotation_system, stand_in
 from test_propagation import dense_read_times, two_lookup_reference
 
 PI_SQ = math.pi ** 2
@@ -278,14 +278,6 @@ class TestDisconjugacy:
         assert all(lyapunov_lhs(sys_, 0.2, 1.9, t) <= chk.sup_value
                    for t in np.linspace(0.2, 1.9, 1001)[1:-1])
 
-    def test_sup_over_a_callable_a_is_refined_from_samples(self):
-        # A peaks at 0.25, where a = 0.3 cos(2 pi t) turns negative, between two samples
-        a = PiecewiseFunction.from_callable(lambda t: 0.3 * np.cos(2.0 * math.pi * t), 1.0)
-        sys_ = make_system(a, 1.0, 1.0)
-        chk = disconjugacy_test(sys_, 0.1, 0.9)
-        assert chk.t0_at_sup == pytest.approx(0.25, abs=1e-7)
-        assert chk.sup_value == lyapunov_lhs(sys_, 0.1, 0.9, chk.t0_at_sup)
-
     @pytest.mark.parametrize("t1", [0.0, 0.5, 1.1])
     def test_zero_at_the_window_end_not_disconjugate(self, t1):
         # x'' = -pi^2 x: the focal solution vanishes again exactly at t2 = t1 + 1, where
@@ -448,24 +440,14 @@ class TestDisconjugacy:
         assert out["test"]["status"] == INCONCLUSIVE
         assert out["oracle"] == NOT_DISCONJUGATE and out["disagreement"] is False
 
-    def test_narrow_dip_of_a_callable_b_not_disconjugate(self):
-        # b < 0 only on (0.3042, 0.3058), between the sampled minimum's Chebyshev nodes
-        # (its golden-section search refines the sine's minimum at 0.75); the oracle
-        # also reads a callable b at its grid times, and 312/1024 lies in the dip
-        b = PiecewiseFunction.from_callable(
-            lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t)
-            - 3.0 * np.exp(-(((t - 0.305) / 1e-3) ** 2)), 1.0)
-        sys_ = make_system(0.0, b, 1.0)
-        assert _checked_oracle(sys_, 0.0, 1.0) == NOT_DISCONJUGATE
-
     def test_non_finite_b_sample_raises_before_any_dense_path(self, monkeypatch):
-        # b is NaN on (0.49, 0.51): its sampled minimum and the oracle's grid read the
-        # NaN, which once passed the sign check as b >= 0
-        b = PiecewiseFunction.from_callable(
-            lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 0.0), 1.0)
+        # b overflows on (0.49, 0.51), where it is 1e308 + 1.7e308 t: the weighted b-integral
+        # reads inf there, and the oracle's step bound for that part is not finite
+        b = poly(None, breaks=(0.49, 0.51), per_segment=[[0.0], [1e308, 1.7e308], [0.0]])
         sys_ = make_system(0.0, b, 1.0)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError) as info:
             disconjugacy_test(sys_, 0.0, 1.0)
+        assert 0.49 < info.value.t < 0.51
         builds = []
         real_init = DensePath.__init__
 
@@ -474,18 +456,16 @@ class TestDisconjugacy:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(DensePath, "__init__", counting)
-        with pytest.raises(EvaluationError) as info:
+        with pytest.raises(IntegrationFailureError, match="zero scan needs inf steps") as info:
             disconjugacy_oracle(sys_, 0.0, 1.0)
-        assert 0.49 < info.value.t < 0.51
+        assert info.value.t_last == 0.49
         assert builds == []
 
     def test_non_finite_angle_reading_raises(self, monkeypatch):
-        # c is NaN on (0.49, 0.51) and b = 1: no Magnus node lands there, but the dense
-        # path reads NaN rows from 0.453125 on, and a NaN reading once passed both
-        # verdict tests. The sampled maximum of c for the step grid now reads the NaN
-        # first, before any dense path
-        c = PiecewiseFunction.from_callable(
-            lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, np.nan, 1.0), 1.0)
+        # c overflows on (0.49, 0.51) and b = 1. A NaN reading of the dense path once passed
+        # both verdict tests; the maximum of c for the step grid now reads inf first, before
+        # any dense path
+        c = poly(None, breaks=(0.49, 0.51), per_segment=[[1.0], [1e308, 1.7e308], [1.0]])
         sys_ = make_system(0.0, 1.0, c)
         builds = []
         real_init = DensePath.__init__
@@ -495,9 +475,9 @@ class TestDisconjugacy:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(DensePath, "__init__", counting)
-        with pytest.raises(EvaluationError) as info:
+        with pytest.raises(IntegrationFailureError, match="zero scan needs inf steps") as info:
             disconjugacy_oracle(sys_, 0.0, 1.0)
-        assert 0.49 < info.value.t < 0.51
+        assert info.value.t_last == 0.49
         assert builds == []
         # a = 800 on both halves of the period: each half's map is finite, but x grows
         # by e^800 inside the first period chunk, and the state check raises at its start
@@ -604,13 +584,6 @@ class TestDisconjugacy:
         assert chk.sup_value < 1.0 and chk.status == status
         assert disconjugacy_oracle(sys_, 0.0, 1.0) == verdict == _oracle_by_sample(sys_, 0.0, 1.0)
 
-    def test_callable_b_not_certified(self):
-        # b >= 0.5, but a callable b has only a sampled minimum
-        b = PiecewiseFunction.from_callable(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t), 1.0)
-        sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
-        chk = disconjugacy_test(sys_, 0.1, 0.3)
-        assert chk.sup_value == pytest.approx(1.73, abs=0.01) and chk.status == INCONCLUSIVE
-
 
 class TestZeroScan:
     def test_step_grid_cuts_each_distinct_period_chunk_once(self, monkeypatch):
@@ -673,8 +646,7 @@ class TestZeroScan:
 
         for owner, name, key in ((piecewise, "poly_min_on", "poly_min_on"),
                                  (piecewise, "_extremum_candidates", "candidates"),
-                                 (PolySegment, "scaled", "scaled"),
-                                 (piecewise.FuncSegment, "scaled", "scaled")):
+                                 (PolySegment, "scaled", "scaled")):
             monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
         for w in windows_population(0)[:10]:
             sys_ = system_from_descriptor(w["system"])
@@ -855,8 +827,8 @@ def test_oracle_matches_the_direction_loop():
     assert 100 <= len(verdicts) <= 150
     assert min(verdicts.count(DISCONJUGATE), verdicts.count(NOT_DISCONJUGATE)) >= 20
 
-    # a callable b takes the same rule
-    b = PiecewiseFunction.from_callable(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t), 1.0)
+    # b = 1 + 0.5 sin(2 pi t) of degree 18 takes the same rule
+    b = stand_in(lambda t: 1.0 + 0.5 * np.sin(2.0 * math.pi * t))
     sys_ = make_system(0.0, b, 30.0, impulses=[(0.4, -0.8, 0.3)])
     assert _checked_oracle(sys_, 0.1, 1.4) == NOT_DISCONJUGATE
     assert _checked_oracle(sys_, 0.1, 0.3) == DISCONJUGATE

@@ -1,5 +1,5 @@
 """Closed-form integrals of polynomial panels, checked against the adaptive
-path and exact rational arithmetic; the level loop of adaptive quadrature
+rule and exact rational arithmetic; the level loop of adaptive quadrature
 against its depth-first recursion, and its panel budget."""
 
 import logging
@@ -11,23 +11,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from impulse_floquet import FuncSegment, PiecewiseFunction, PolySegment
+from impulse_floquet import PiecewiseFunction, PolySegment
 from impulse_floquet import piecewise
 from impulse_floquet.piecewise import (QUAD_REL_TOL, CumulativeIntegral, EvaluationError,
-                                       adaptive_integral, integrate_panels, segment_rows)
+                                       adaptive_integral, integrate_panels)
 
 PROBE_START = 993.6280168780241
 PROBE_CUBIC = (431335316.0, -1301805.72, 1309.65279, -0.439182484)  # -1.7 to -98 on its panel
 
 
+def panel_rows(fns):
+    """fn(ts, rows) of `integrate_groups` reading ts[r] on fns[rows[r]], row by row."""
+    def values(ts, rows):
+        out = np.empty(ts.shape)
+        for r, row in enumerate(rows):
+            out[r] = fns[row](ts[r])
+        return out
+    return values
+
+
 @st.composite
 def panels(draw):
-    """(coeffs, T, lo, hi): a polynomial of degree <= 4 on [lo, hi] within [0, T].
+    """(coeffs, T, lo, hi, roots): a polynomial of degree <= 4 on [lo, hi] within [0, T].
 
-    Its real roots in [lo, hi] sit on a grid of tenths of the panel, wider than
-    the 33-node Chebyshev scan of the adaptive path, so that path sees every
-    sign change; the rest of the factors are a root outside the panel or a
-    complex pair."""
+    Its real roots in [lo, hi] sit on a grid of tenths of the panel, and `roots` lists
+    them; the rest of the factors are a root outside the panel or a complex pair."""
     T = draw(st.floats(0.5, 5.0))
     lo_frac, hi_frac = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
     lo, hi = T * lo_frac, T * hi_frac
@@ -44,25 +52,28 @@ def panels(draw):
             u, v = lo + width * draw(st.floats(-1.0, 2.0)), width * draw(st.floats(0.05, 1.0))
             coeffs = npoly.polymul(coeffs, [u * u + v * v, -2.0 * u, 1.0])
     lead = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    return tuple(lead * np.asarray(coeffs)), T, lo, hi
+    return tuple(lead * np.asarray(coeffs)), T, lo, hi, sorted(roots)
 
 
 @settings(max_examples=200, deadline=None)
 @given(panels(), st.sampled_from(["identity", "abs", "pos"]))
 def test_closed_form_matches_the_adaptive_path(panel, transform):
-    coeffs, T, lo, hi = panel
+    # the reference: the adaptive rule on the panel, split at its real roots for abs and pos
+    coeffs, T, lo, hi, roots = panel
     seg = PolySegment(coeffs)
     exact = PiecewiseFunction(T, (), (seg,))
-    adaptive = PiecewiseFunction(T, (), (FuncSegment(seg),))
+    fn = {"identity": seg, "abs": lambda ts: np.abs(seg(ts)),
+          "pos": lambda ts: np.maximum(seg(ts), 0.0)}[transform]
+    cuts = [lo, *(roots if transform != "identity" else ()), hi]
+    adaptive = integrate_panels(lambda ts, rows: fn(ts), list(zip(cuts[:-1], cuts[1:])))
     rel = QUAD_REL_TOL
     scale = max(exact.integrate(lo, hi, "abs"), 1e-3)
-    assert abs(exact.integrate(lo, hi, transform)
-               - adaptive.integrate(lo, hi, transform)) <= rel * scale
+    assert abs(exact.integrate(lo, hi, transform) - adaptive) <= rel * scale
 
 
 def test_close_root_pair_positive_part():
     # c = (t - 0.496)^2 - 0.004^2 is negative only on [0.492, 0.5], between two
-    # nodes of a 33-node scan, which saw no sign change and returned int(c).
+    # nodes of a 33-node scan, which once saw no sign change and returned int(c).
     c = PiecewiseFunction(1.0, (), (PolySegment((0.246, -0.992, 1.0)),))
     closed = (1.0 / 3.0 - 0.496 + 0.246) + 4.0 / 3.0 * 0.004 ** 3
     assert c.integrate(0.0, 1.0, "pos") == pytest.approx(closed, rel=1e-12)
@@ -130,7 +141,7 @@ def mixed_panels(draw):
 @settings(max_examples=60, deadline=None)
 @given(mixed_panels())
 def test_the_level_loop_gives_the_bits_of_the_depth_first_recursion(panels):
-    got = integrate_panels(segment_rows([p[0] for p in panels]), [p[1:] for p in panels])
+    got = integrate_panels(panel_rows([p[0] for p in panels]), [p[1:] for p in panels])
     span = sum(hi - lo for _, lo, hi in panels)
     budget = QUAD_REL_TOL * max(sum(abs(piecewise._gauss(*p)) for p in panels), 1e-3)
     expected = sum(_unbudgeted(fn, lo, hi, budget * (hi - lo) / span)
@@ -148,7 +159,7 @@ def test_a_nan_at_half_rule_nodes_raises_at_the_earliest():
     def fn(ts):
         return np.where(np.isin(ts, list(bad)), np.nan, 1.0)
     with pytest.raises(EvaluationError) as info:
-        integrate_panels(segment_rows([fn, fn]), [(0.0, 1.0), (1.0, 2.0)])
+        integrate_panels(panel_rows([fn, fn]), [(0.0, 1.0), (1.0, 2.0)])
     assert info.value.t == 0.25 + 0.25 * x[14]
 
 

@@ -236,8 +236,6 @@ class TestDensePath:
                     np.array([ref_p, *ref_M.ravel()]).tobytes(), (t, side)
                 assert path.matrix(float(t), side).tobytes() == M.tobytes()
                 assert path.alpha_product(float(t), side) == p
-                y0 = np.array([1.0, -2.0])
-                assert path.eval_state(float(t), y0, side).tobytes() == (M @ y0).tobytes()
 
     def test_scalar_read_has_the_grid_bits_up_to_and_past_the_float_range(self):
         # alpha = 1.9 once a period, from a descriptor (Python floats): the alpha
@@ -282,7 +280,7 @@ class TestDensePath:
         sys_ = rotation_system(1.0)
         path = DensePath(sys_, 0.0, 5.0)
         for t in (0.4, 1.0, 1.7, 3.2, 4.9):
-            y = path.eval_state(t, np.array([0.0, 1.0]))
+            y = path.matrix(t) @ np.array([0.0, 1.0])
             assert y[0] == pytest.approx(math.sin(t), abs=1e-8)
             assert y[1] == pytest.approx(math.cos(t), abs=1e-8)
 
