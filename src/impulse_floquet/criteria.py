@@ -172,6 +172,17 @@ def _shared_property(fn):
     return property(get, doc=fn.__doc__)
 
 
+def _shared_condition(build):
+    """A hypothesis of a, b, c and the period alone: built once per coefficient set and kept
+    in `q.shared`, so it must read only `_shared_property`s and the tolerances."""
+    def get(q: "_Quantities") -> Condition:
+        if get not in q.shared:
+            q.shared[get] = build(q)
+        return q.shared[get]
+    get.coefficient_only = True
+    return get
+
+
 # The closed-form integrals over one period, by (coefficient, transform).
 _CLOSED_FORMS = {"int_abs_a": (0, "abs"), "int_a": (0, "identity"), "int_b": (1, "identity"),
                  "int_c": (2, "identity"), "int_c_plus": (2, "pos"), "int_abs_c": (2, "abs")}
@@ -229,6 +240,7 @@ class _Quantities:
         self.system = system
         self.tol = tol
         self.shared = {} if shared is None else shared
+        self.hypotheses = {}  # label -> Condition, each built once for all criteria
 
     int_abs_a, int_a, int_b, int_c, int_c_plus, int_abs_c = map(_closed_form, _CLOSED_FORMS)
 
@@ -459,16 +471,20 @@ def _det_integrals_condition(q: _Quantities) -> Condition:
                          note="int(a)^2 overflows; decided in log space")
 
 
-# Each hypothesis, keyed by its label, as a function of the shared quantities.
+# Each hypothesis, keyed by its label, as a function of the shared quantities; those of the
+# coefficients alone are `_shared_condition`s.
 _CONDITIONS = {
-    LBL_B_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, q.tol),
-    LBL_C_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, q.tol),
-    LBL_BCA2_NONNEG: lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, q.tol),
-    LBL_B_POS: lambda q: _cond_pointwise_positive(LBL_B_POS, *q.min_b, q.tol),
-    LBL_DET_INTEGRALS: _det_integrals_condition,
-    LBL_ROOT_SUM_PLAIN: lambda q: _cond_upper(
-        LBL_ROOT_SUM_PLAIN, q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, q.tol),
-    LBL_BCA2_NONZERO: _nonzero_condition,
+    LBL_B_NONNEG: _shared_condition(
+        lambda q: _cond_pointwise_nonneg(LBL_B_NONNEG, *q.min_b, q.tol)),
+    LBL_C_NONNEG: _shared_condition(
+        lambda q: _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, q.tol)),
+    LBL_BCA2_NONNEG: _shared_condition(
+        lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, q.tol)),
+    LBL_B_POS: _shared_condition(lambda q: _cond_pointwise_positive(LBL_B_POS, *q.min_b, q.tol)),
+    LBL_DET_INTEGRALS: _shared_condition(_det_integrals_condition),
+    LBL_ROOT_SUM_PLAIN: _shared_condition(lambda q: _cond_upper(
+        LBL_ROOT_SUM_PLAIN, q.int_abs_a + math.sqrt(max(q.int_b * q.int_c, 0.0)), 2.0, q.tol)),
+    LBL_BCA2_NONZERO: _shared_condition(_nonzero_condition),
     LBL_PROD_ALPHA: lambda q: _cond_equality(LBL_PROD_ALPHA, q.prod_alpha2 - 1.0, 1.0),
     LBL_MEAN_POS: lambda q: _mean_condition(q, LBL_MEAN_POS, equality=False),
     LBL_MEAN_ZERO: lambda q: _mean_condition(q, LBL_MEAN_ZERO, equality=True),
@@ -476,10 +492,10 @@ _CONDITIONS = {
         LBL_ROOT_SUM_POS, q.int_abs_a + math.sqrt(max(q.int_b, 0.0)) * math.sqrt(q.pos_mass),
         2.0, q.tol),
     LBL_EXP_PRODUCT: _exp_product_condition,
-    LBL_WANG_PRODUCT: lambda q: _cond_upper(
-        LBL_WANG_PRODUCT, q.int_b * q.int_c_plus, 4.0 * math.exp(-2.0 * q.int_abs_a), q.tol),
-    LBL_RATIO_CONT: lambda q: Condition(LBL_RATIO_CONT, q.ratio_continuity[0],
-                                        note=q.ratio_continuity[1]),
+    LBL_WANG_PRODUCT: _shared_condition(lambda q: _cond_upper(
+        LBL_WANG_PRODUCT, q.int_b * q.int_c_plus, 4.0 * math.exp(-2.0 * q.int_abs_a), q.tol)),
+    LBL_RATIO_CONT: _shared_condition(lambda q: Condition(
+        LBL_RATIO_CONT, q.ratio_continuity[0], note=q.ratio_continuity[1])),
     LBL_CONDITION_C: _condition_c_condition,
 }
 
@@ -499,13 +515,20 @@ _CRITERIA = {
 }
 
 
+# The one report of each impulse-free-only criterion on a system with genuine impulses.
+_NOT_IMPULSE_FREE = {name: CriterionReport(name, (Condition(
+    LBL_IMPULSE_FREE, VIOLATED, None, note="criterion applies only without genuine impulses"),),
+    NOT_APPLICABLE) for name, (impulse_free_only, _) in _CRITERIA.items() if impulse_free_only}
+
+
 def _report(name: str, q: _Quantities) -> CriterionReport:
     impulse_free_only, labels = _CRITERIA[name]
     if impulse_free_only and not q.impulse_free:
-        cond = Condition(LBL_IMPULSE_FREE, VIOLATED, None,
-                         note="criterion applies only without genuine impulses")
-        return CriterionReport(name, (cond,), NOT_APPLICABLE)
-    conds = tuple(_CONDITIONS[label](q) for label in labels)
+        return _NOT_IMPULSE_FREE[name]
+    for label in labels:
+        if label not in q.hypotheses:
+            q.hypotheses[label] = _CONDITIONS[label](q)
+    conds = tuple(q.hypotheses[label] for label in labels)
     if any(c.label == LBL_RATIO_CONT and c.status == VIOLATED for c in conds):
         return CriterionReport(name, conds, NOT_APPLICABLE)
     return CriterionReport(name, conds, _conclude(conds))
@@ -530,13 +553,17 @@ check_main_boundary = _check(MAIN_BOUNDARY)
 
 def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
-    with the same `_coefficient_key` share their coefficient quantities. The closed
-    forms of every distinct key are filled first by one `_fill` call, and int(a^2/b)
-    by another where they all came out; the rest integrate where a report reads
-    them, as alone."""
+    with the same `_coefficient_key` (taken once per period and coefficient objects)
+    share their coefficient quantities and hypotheses. The closed forms of every
+    distinct key are filled first by one `_fill` call, and int(a^2/b) by another
+    where they all came out; the rest integrate where a report reads them, as alone."""
     tol = tolerances or DEFAULT_TOLERANCES
-    shared, out = {}, []
-    qs = [_Quantities(s, tol, shared.setdefault(_coefficient_key(s), {})) for s in systems]
+    shared, by_objects, qs, out = {}, {}, [], []
+    for s in systems:  # qs keeps every system, so no id is reused during the call
+        objects = (s.period, *map(id, s.coefficients()))
+        if objects not in by_objects:
+            by_objects[objects] = shared.setdefault(_coefficient_key(s), {})
+        qs.append(_Quantities(s, tol, by_objects[objects]))
     distinct = list({id(q.shared): q for q in qs}.values())
     _fill([(q, _CLOSED_FORMS) for q in distinct])
     _fill([(q, ("int_a2_over_b",)) for q in distinct

@@ -17,6 +17,8 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
+from functools import lru_cache
 
 from .piecewise import PiecewiseFunction, PolySegment
 from .system import ImpulseSchedule, ImpulsiveSystem
@@ -78,7 +80,7 @@ def system_from_descriptor(doc: dict, memo: dict | None = None) -> ImpulsiveSyst
     """The system of a descriptor. Points of one sweep chunk pass one `memo`: a
     coefficient list that is the same object, under the same period, is parsed
     once, and the same parsed coefficients and impulse times reuse the merged
-    coefficients of the earlier system. Only what parsed is kept."""
+    coefficients and knots of the earlier system. Only what parsed is kept."""
     memo = {} if memo is None else memo
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor: expected a JSON object")
@@ -118,8 +120,9 @@ def system_from_descriptor(doc: dict, memo: dict | None = None) -> ImpulsiveSyst
                         _number(imp["beta"], f"{path}.beta")))
     schedule = ImpulseSchedule.from_triples(period, triples)
     key = (*map(id, parsed), schedule.taus)
-    merged = memo[key].coefficients() if key in memo else parsed
-    memo[key] = system = ImpulsiveSystem(*merged, schedule)
+    system = (replace(memo[key], schedule=schedule) if key in memo
+              else ImpulsiveSystem(*parsed, schedule))
+    memo[key] = system
     return system
 
 
@@ -163,10 +166,12 @@ def load_system(source: str) -> ImpulsiveSystem:
     return system_from_descriptor(read_descriptor_source(source))
 
 
-def path_keys(path: str) -> list[tuple[str, str | int]]:
+@lru_cache(maxsize=64)
+def path_keys(path: str) -> tuple[tuple[str, str | int], ...]:
     """The keys of a path such as 'coefficients.c[0].poly[1]', in order, each with
     the text of the path up to its dotted part: ('coefficients', 'coefficients'),
-    ('coefficients.c[0]', 'c'), ('coefficients.c[0]', 0), ..."""
+    ('coefficients.c[0]', 'c'), ('coefficients.c[0]', 0), ...; each distinct path
+    is parsed once."""
     parts, out = path.split("."), []
     for n, part in enumerate(parts):
         m = _PATH_TOKEN.match(part)
@@ -175,7 +180,7 @@ def path_keys(path: str) -> list[tuple[str, str | int]]:
         trail = ".".join(parts[:n + 1])
         out += [(trail, key) for key in
                 (m.group(1), *(int(x) for x in re.findall(r"\[(\d+)\]", m.group(2))))]
-    return out
+    return tuple(out)
 
 
 def set_descriptor_value(doc: dict, path: str, value: float) -> dict:

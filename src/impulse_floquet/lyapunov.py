@@ -296,7 +296,8 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
     of length L, jump the impulse where a smooth piece starts at q0 after the chunk's start.
     On a step the angle of (w x, u / w), w^2 = sqrt(max|c| / max|b|), turns by less than pi/2
     and, b of one sign, passes the zeros of x one way only (modified Pruefer angle; Coppel
-    1971): a `_zero_scan` step holds at most one. IntegrationFailureError past _MAX_STEPS."""
+    1971): a `_zero_scan` step holds at most one. IntegrationFailureError past _MAX_STEPS, or
+    where a maximum is not a number."""
     T, cut, out = system.period, {}, []
     for k, s0, s1 in period_chunks(t1, t2, T):
         parts = cut.setdefault((s0, s1), [])
@@ -307,7 +308,7 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
             q = _taylor_shift(segs[1].coeffs, p0)
             cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
             for q0, q1 in zip(cuts[:-1], cuts[1:]):
-                a, b, c = (max(-lo, hi)  # max|f|
+                a, b, c = (max(-lo, hi) if lo <= hi else math.nan  # max|f|; NaN reads (inf, -inf)
                            for lo, hi in (segments_extrema([(q0, q1, f)]) for f in segs))
                 n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
                 if not n <= _MAX_STEPS:

@@ -113,6 +113,8 @@ class ImpulsiveSystem:
     _knots: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
+        if self._knots:  # coefficients that already carry these impulse times, and their knots
+            return
         taus = self.schedule.taus
         object.__setattr__(self, "coeff_a", self.coeff_a.with_breakpoints(taus))
         object.__setattr__(self, "coeff_b", self.coeff_b.with_breakpoints(taus))

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from impulse_floquet import (DEFAULT_TOLERANCES, DensePath, IntegrationFailureError,
                              InvalidSystemError, PiecewiseFunction, PolySegment, classify, cli,
                              criteria, descriptors, evaluate_all, evaluate_many, lyapunov,
-                             monodromies, monodromy, propagation, validate_system)
+                             monodromies, monodromy, propagation, system, validate_system)
 from impulse_floquet.criteria import CRITERION_ORDER
 from impulse_floquet.descriptors import (DescriptorError, set_descriptor_value,
                                          system_from_descriptor, system_to_descriptor)
@@ -349,6 +350,39 @@ def test_a_beta_row_parses_each_coefficient_and_steps_each_piece_once(monkeypatc
     rows, counts = _stepped_pieces(monkeypatch, lambda: cli._sweep_chunk(job))
     assert [row[-1] for row in rows] == ["ok"] * 21
     assert counts == [5] and len(parses) == 3
+
+
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_a_beta_row_builds_what_its_impulses_do_not_change_once(monkeypatch):
+    doc = sweep_rows(sweep_descriptor(0))[0]
+    job = (doc, [[("impulses[0].beta", float(b))] for b in np.linspace(-2.0, 2.0, 21)],
+           DEFAULT_TOLERANCES)
+    built, keys, merges, refined = [], [], [], []
+    for owner, name, calls in ((criteria, "Condition", built), (criteria, "_coefficient_key", keys),
+                               (system, "merge_knots", merges),
+                               (PiecewiseFunction, "with_breakpoints", refined)):
+        monkeypatch.setattr(owner, name, _counting(calls, getattr(owner, name)))
+    descriptors.path_keys.cache_clear()
+    rows = cli._sweep_chunk(job)
+    parses = descriptors.path_keys.cache_info()
+    assert [row[-1] for row in rows] == ["ok"] * 21
+    shared = {label for label, build in criteria._CONDITIONS.items()
+              if getattr(build, "coefficient_only", False)}
+    # every point has impulses, so the impulse-free-only criteria build no hypothesis
+    counts = Counter(label for label, *_ in built)
+    assert {label for label in counts if label in shared} == {criteria.LBL_B_POS,
+                                                              criteria.LBL_RATIO_CONT}
+    assert len(counts) - 2 == len(set(criteria._CONDITIONS) - shared) == 6
+    assert counts == {label: 1 if label in shared else 21 for label in counts}
+    assert len(keys) == 1
+    assert (parses.misses, parses.hits) == (1, 20)
+    assert len(merges) == 1 and len(refined) == 3  # the first point's knots, a, b and c
 
 
 _MOVES = {  # the seed-0 sweep descriptor: T = 1, knots 0.3353 and 0.7417, taus 0.4410, 0.7048

@@ -31,6 +31,29 @@ def test_every_hypothesis_has_a_condition_labelled_by_its_key():
         assert build(q).label == label
 
 
+class _CoefficientsOnly(_Quantities):
+    """Quantities whose per-system parts, those of the impulses, raise when read."""
+
+    def _per_system(self):
+        raise AssertionError("a coefficient-only hypothesis read a per-system quantity")
+
+    prod_alpha2 = sum_ratio = sum_ratio_plus = sum_abs_ratio = property(_per_system)
+    impulse_free = condition_c = property(_per_system)
+
+
+def test_coefficient_only_hypotheses_read_no_per_system_quantity():
+    shared = [label for label, build in _CONDITIONS.items()
+              if getattr(build, "coefficient_only", False)]
+    assert len(shared) == 9
+    systems = [generate(GeneratorSpec(seed=seed, mode=mode)) for mode in MODES
+               for seed in range(3)]
+    for sys_ in systems + [make_system(0.2, 1.0, 1.0, impulses=[(0.5, 1.2, 0.3)])]:
+        q = _CoefficientsOnly(sys_, DEFAULT_TOLERANCES)
+        full = _Quantities(sys_, DEFAULT_TOLERANCES)
+        for label in shared:
+            assert _CONDITIONS[label](q) == _CONDITIONS[label](full)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_each_check_matches_evaluate_all(mode):
     for seed in range(8):

@@ -486,6 +486,19 @@ class TestDisconjugacy:
             disconjugacy_oracle(make_system(a, 1.0, 0.0), 0.0, 1.0)
         assert info.value.t_last == 0.0
 
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["a", "b", "c"])
+    def test_nan_piece_raises_at_its_start(self, index):
+        # a NaN coefficient on (0.49, 0.51): its extrema read (inf, -inf), which once gave a
+        # bare ValueError from math.sqrt (b, c) or an OverflowError from int(-inf) (a); the
+        # part's step count is now NaN, so it raises as an infinite one does
+        nan = poly(None, breaks=(0.49, 0.51), per_segment=[[1.0], [math.nan], [1.0]])
+        coefficients = [0.0, 1.0, 1.0]
+        coefficients[index] = nan
+        sys_ = make_system(*coefficients)
+        with pytest.raises(IntegrationFailureError, match="zero scan needs nan steps") as info:
+            disconjugacy_oracle(sys_, 0.0, 1.0)
+        assert info.value.t_last == 0.49
+
     def test_growing_solution_past_the_float_range_disconjugate(self, capsys):
         # x'' = x: no solution has two zeros. The solutions grow as e^t, and the
         # products of two rows of the fundamental matrix once overflowed past t = 355
