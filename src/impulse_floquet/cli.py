@@ -39,6 +39,7 @@ _STATUS_MARKS = {crit.SATISFIED: "✓", crit.VIOLATED: "✗",
 SWEEP_BASE_COLUMNS = ["trace", "det", "verdict", *crit.CRITERION_ORDER, "status"]
 SIMULATE_COLUMNS = ["t", "x", "u", "z", "v"]
 _MAX_SWEEP_POINTS = 1_000_000  # cmd_sweep holds every point and the whole CSV in memory
+_MAX_DISCONJUGACY_PERIODS = 100_000  # the oracle's zero scan takes time linear in periods
 _MAX_SIMULATE_ROWS = 4_000_000  # cmd_simulate peaks at 180-230 B a row (tracemalloc, 10**6 rows)
 _SIMULATE_BLOCK = 64  # CSV rows per write; 256 to 4,096 raised peak RSS in long-running processes
 _TOL_FLAGS = {"abs": "ODE absolute tolerance", "rel": "ODE relative tolerance",
@@ -260,6 +261,9 @@ def cmd_disconjugacy(args) -> int:
         raise DescriptorError("disconjugacy needs finite --t1 and --t2 with --t1 < --t2")
     tol = _tolerances(args)
     system = _load_valid_system(args)
+    if (args.t2 - args.t1) / system.period > _MAX_DISCONJUGACY_PERIODS:
+        raise DescriptorError(
+            f"disconjugacy window of more than {_MAX_DISCONJUGACY_PERIODS} periods")
     check = disconjugacy_test(system, args.t1, args.t2, tol)
     oracle = disconjugacy_oracle(system, args.t1, args.t2, tol)
     disagreement = (check.status == DISCONJUGATE_CERTIFIED and oracle == NOT_DISCONJUGATE)

@@ -27,8 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
 from .piecewise import (EvaluationError, PolySegment, _chebyshev_nodes, _raising,
-                        adaptive_integral, integrate_groups, integrate_many, segment_rows,
-                        segments_min)
+                        adaptive_integral, integrate_groups, segment_rows, segments_min)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -189,24 +188,31 @@ _CLOSED_FORMS = {"int_abs_a": (0, "abs"), "int_a": (0, "identity"), "int_b": (1,
 
 
 def _closed_form(name: str):
-    """The `_shared_property` `name` of `_CLOSED_FORMS`, which `_fill` computes."""
+    """The `_shared_property` `name` of `_CLOSED_FORMS`: its integral, or the exception that
+    integrating raised, which reading it raises."""
     def compute(q: "_Quantities"):
-        _fill([(q, (name,))])
-        return q.shared[name]
+        index, transform = _CLOSED_FORMS[name]
+        try:
+            return q.system.coefficients()[index].integrate(0.0, q.system.period, transform)
+        except Exception as exc:  # raised where that integral is read
+            return exc
     compute.__name__ = name
     return _shared_property(compute)
 
 
-def _fill(asks) -> None:
-    """Fill q.shared with the named integrals of each (q, names), a value or the exception that
-    reading it raises: the closed forms of all in one `integrate_many` call, the int(a^2/b) of
-    those whose b is safely positive in one grouped quadrature."""
-    closed = [(q, name) for q, names in asks for name in names if name in _CLOSED_FORMS]
-    for (q, name), value in zip(closed, integrate_many([
-            (q.system.coefficients()[i], 0.0, q.system.period, transform)
-            for q, name in closed for i, transform in [_CLOSED_FORMS[name]]])):
-        q.shared[name] = value
-    grouped = [q for q, names in asks if "int_a2_over_b" in names and q.b_safe]
+def _comes_out(q: "_Quantities", name: str) -> bool:
+    """Whether reading the quantity `name` of q gives a value rather than an exception."""
+    try:
+        getattr(q, name)
+    except Exception:
+        return False
+    return True
+
+
+def _fill(qs) -> None:
+    """Fill q.shared with the int(a^2/b) of each q whose b is safely positive, in one
+    `integrate_groups` call for all: a value, or the exception that reading it raises."""
+    grouped = [q for q in qs if q.b_safe]
     for q, value in zip(grouped, _a2_over_b_integrals(grouped) if grouped else []):
         q.shared["int_a2_over_b"] = value
 
@@ -555,8 +561,8 @@ def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
     with the same `_coefficient_key` (taken once per period and coefficient objects)
     share their coefficient quantities and hypotheses. The closed forms of every
-    distinct key are filled first by one `_fill` call, and int(a^2/b) by another
-    where they all came out; the rest integrate where a report reads them, as alone."""
+    distinct key are read first, and one `_fill` call takes int(a^2/b) of those whose
+    closed forms all came out; the rest integrate where a report reads them, as alone."""
     tol = tolerances or DEFAULT_TOLERANCES
     shared, by_objects, qs, out = {}, {}, [], []
     for s in systems:  # qs keeps every system, so no id is reused during the call
@@ -565,9 +571,7 @@ def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
             by_objects[objects] = shared.setdefault(_coefficient_key(s), {})
         qs.append(_Quantities(s, tol, by_objects[objects]))
     distinct = list({id(q.shared): q for q in qs}.values())
-    _fill([(q, _CLOSED_FORMS) for q in distinct])
-    _fill([(q, ("int_a2_over_b",)) for q in distinct
-           if not any(isinstance(q.shared[name], Exception) for name in _CLOSED_FORMS)])
+    _fill([q for q in distinct if all([_comes_out(q, name) for name in _CLOSED_FORMS])])
     for q in qs:
         try:
             out.append([_report(name, q) for name in CRITERION_ORDER])

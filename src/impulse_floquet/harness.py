@@ -29,7 +29,7 @@ from . import criteria as crit
 from .criteria import evaluate_all, evaluate_many
 from .floquet import STABLE, classify
 from .lyapunov import find_zero_pair, find_zero_pairs, lyapunov_verify
-from .piecewise import PiecewiseFunction, PolySegment, _raising, integrate_many, segments_min
+from .piecewise import PiecewiseFunction, PolySegment, _raising, segments_min
 from .propagation import State, monodromies, monodromy
 from .system import Impulse, ImpulseSchedule, ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -87,8 +87,8 @@ def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
 
 def generate_many(specs) -> list:
     """Entry i is `generate(specs[i])` or the exception it raises. Each spec is drawn on its own;
-    the forced ones then run `_force_hypotheses` side by side, each stage of integrals one
-    `integrate_many` call and one `criteria._fill` call for all of them."""
+    the forced ones then run `_force_hypotheses` side by side: each round, one `criteria._fill`
+    call takes the int(a^2/b) of every one that yielded its `_Quantities`."""
     out = []
     for spec in specs:
         try:
@@ -96,19 +96,16 @@ def generate_many(specs) -> list:
         except Exception as exc:
             out.append(exc)
     stages = {i: gen for i, gen in enumerate(out) if isinstance(gen, GeneratorType)}
-    replies = dict.fromkeys(stages)
     while stages:
         asks = {}
         for i, gen in stages.items():
             try:
-                asks[i] = gen.send(replies[i])
+                asks[i] = next(gen)
             except StopIteration as stop:
                 out[i] = stop.value
             except Exception as exc:
                 out[i] = exc
-        values = iter(integrate_many([r for requests, _ in asks.values() for r in requests]))
-        crit._fill([(q, ("int_a2_over_b",)) for _, qs in asks.values() for q in qs])
-        replies = {i: [next(values) for _ in requests] for i, (requests, _) in asks.items()}
+        crit._fill(asks.values())
         stages = {i: stages[i] for i in asks}
     return out
 
@@ -156,20 +153,16 @@ def _draw(spec: GeneratorSpec):
 
 def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
     """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator returning
-    the system, which yields each stage of integrals (int(c); int(c+), int(b) and int|a|;
-    int(a^2/b), at the first round that reads it; the shrunk a's int|a|) as `integrate_many`
-    requests, whose results it is sent, and the `_Quantities` whose int(a^2/b) `criteria._fill`
-    fills."""
+    the system, which reads its integrals of one period from a `_Quantities` and yields that
+    `_Quantities` at the first round that reads int(a^2/b), for `criteria._fill` to fill."""
     T = spec.period
-    int_c = _raising((yield [(coeff_c, 0.0, T, "identity")], ()))[0]
+    int_c = coeff_c.integrate(0.0, T)
     gap = 0.3 - (int_c + schedule.ratio_sum())
     if gap > 0.0:
         coeff_c = coeff_c.plus_constant(gap / T)
         int_c += gap
     q = crit._Quantities(ImpulsiveSystem(coeff_a, coeff_b, coeff_c, ImpulseSchedule(T)),
                          DEFAULT_TOLERANCES)
-    q.shared.update(zip(("int_c_plus", "int_b", "int_abs_a"), (yield [
-        (coeff_c, 0.0, T, "pos"), (coeff_b, 0.0, T, "identity"), (coeff_a, 0.0, T, "abs")], ())))
     g_val = int_c + schedule.ratio_sum()
     h_val = q.int_c_plus + schedule.ratio_sum(positive=True)
     margin = max(spec.margin, 1e-9)
@@ -187,7 +180,7 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
     for _ in range(200):
         sb = s_bound(lam * q.int_abs_a)
         if sb > 0.0 and "int_a2_over_b" not in q.shared:
-            yield [], [q]
+            yield q
         if sb > 0.0 and lam * lam * q.int_a2_over_b <= 0.45 * g_val * min(sb, 1.0):
             break
         lam *= 0.7
@@ -196,7 +189,7 @@ def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
         raise GenerationError("could not satisfy the criterion hypotheses "
                               "within the iteration budget")
 
-    s = min(1.0, s_bound(_raising((yield [(coeff_a, 0.0, T, "abs")], ()))[0]))
+    s = min(1.0, s_bound(coeff_a.integrate(0.0, T, "abs")))
     return ImpulsiveSystem(coeff_a, coeff_b, coeff_c.scaled(s), ImpulseSchedule(
         T, tuple(replace(imp, beta=s * imp.beta) for imp in schedule.impulses)))
 

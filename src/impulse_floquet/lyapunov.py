@@ -251,14 +251,19 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
                       tolerances: Tolerances | None = None) -> DisconjugacyCheck:
     """Certify that no solution has two zeros in [t1, t2] when the supremum
     of the product over interior weight points stays below 4. The bound needs
-    b >= 0 on the window, decided exactly from b's extrema."""
+    b >= 0 on the window, decided exactly from b's extrema. The product is the
+    same for the window moved by whole periods, so it is taken on the window
+    moved to start in the first period: read from t = 0, the running integral
+    A of a far window underflowed exp(-2A)."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
-    factors = _LhsFactors(system, t1, t2)
+    offset = split_period(t1, system.period)[0] * system.period
+    factors = _LhsFactors(system, t1 - offset, t2 - offset)
     sup, t0 = factors.sup_over_t0()
     certified = sup < 4.0 - tol.strict * 4.0 and _b_sign(factors.b_panels) in (0, 1)
-    return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
+    return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup,
+                             t0 + offset)
 
 
 def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:

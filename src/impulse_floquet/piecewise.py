@@ -8,18 +8,17 @@ side flag. One knot rule holds everywhere: times closer than knot_eps are one
 time; `locate` finds the piece that owns a time or a grid of times, and
 `merge_knots` keeps one knot of each close group.
 
-Integrals never cross a breakpoint. A polynomial panel is integrated in
-closed form from its antiderivative in the local variable t - lo; for the
-absolute-value and positive-part transforms it is split at the real roots of
-the polynomial; integrate_many takes the panels of many requests in one pass,
-as arrays where a coefficient length has enough of them. Every integral
-without a closed form goes through one rule, integrate_groups: the a^2/b of
-the criteria, the weighted b * exp(-2A) of the Lyapunov layer and the error
-report of a panel whose closed form is not finite. It runs adaptive
-Gauss-Legendre on all panels of many groups at once, with one integrand call
-per level of splitting and an absolute tolerance relative to each group's own
-15-node estimates. Each panel has a budget of splits; past it the open parts
-keep their estimate and a warning is logged.
+Integrals never cross a breakpoint. A polynomial piece is integrated in
+closed form by `_poly_integral`, from its antiderivative in the local variable
+t - lo; for the absolute-value and positive-part transforms it is split at the
+real roots of the polynomial. Every integral without a closed form goes through
+one rule, integrate_groups: the a^2/b of the criteria, the weighted
+b * exp(-2A) of the Lyapunov layer and the error report of a piece whose closed
+form is not finite. It runs adaptive Gauss-Legendre on all panels of many
+groups at once, with one integrand call per level of splitting and an absolute
+tolerance relative to each group's own 15-node estimates. Each panel has a
+budget of splits; past it the open parts keep their estimate and a warning is
+logged.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 # benchmark workloads converges without a split, and a kink inside a panel takes about 30.
 _PANEL_BUDGET = 1 << 12
 _QUAD_BLOCK = 256  # panels per integrand call, which bounds the memory of a long window
-_ARRAY_PANELS = 8  # polynomial panels of one length from which their closed forms take arrays
 QUAD_REL_TOL = 1e-10  # relative tolerance of every quadrature without a closed form
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -220,7 +218,9 @@ def finite_values(fn, xs) -> np.ndarray:
 def _gauss(fn, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     xs = 0.5 * (hi + lo) + half * _GL_X
-    return half * float(_GL_W @ finite_values(fn, xs))
+    vals = finite_values(fn, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range reads inf
+        return half * float(_GL_W @ vals)
 
 
 def segment_rows(*columns):
@@ -256,11 +256,11 @@ def _rules(fn, a: np.ndarray, b: np.ndarray, rows: np.ndarray, stop: bool = Fals
         xs = ts.reshape(len(ts), -1)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is an EvaluationError
             vals = np.asarray(fn(xs, rows[s]), dtype=float)
+            out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]  # or inf
         ok = np.isfinite(vals)
         for r in np.flatnonzero(~ok.all(1)) if not ok.all() else ():
             j = int(np.argmin(np.where(ok[r], np.inf, xs[r])))
             bad[i + r] = float(xs[r, j]), float(vals[r, j])
-        out[s] = half[s] * (_GL_W @ vals.reshape(ts.shape)[..., None])[..., 0]
         if stop and bad:
             break
     return out, bad
@@ -282,8 +282,9 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
     spans numbered through the groups. Level 0 takes every span's 15-node rule and its halves'
     rules, later levels the halves of the panels still open. A panel closes when its halves agree
     with its rule within its tolerance (tol_abs, or QUAD_REL_TOL times its group's summed |rule|,
-    at least 1e-3, shared by length: the integrand's own scale, as in QUADPACK), at depth 48 or too
-    short to split; it is worth its halves' sum, or its children's, each with half its tolerance.
+    at least 1e-3, shared by length: the integrand's own scale, as in QUADPACK), at depth 48, too
+    short to split or where both sums pass the float range; it is worth its halves' sum, or its
+    children's, each with half its tolerance.
     A span past _PANEL_BUDGET splits (counted by level in time order) keeps its halves and logs a
     warning, lest rounding noise split it to depth 48. Entry g is group g's sum, or the
     EvaluationError of its first non-finite value: each group as if integrated alone."""
@@ -327,9 +328,10 @@ def integrate_groups(fn, groups, tol_abs: float | None = None) -> list:
     tol = np.full(len(lo), tol_abs) if tol_abs is not None else scale * (hi - lo) / width
     budget, levels, a, b, t = None, [], lo, hi, tol
     for depth in range(48, -1, -1):
-        halves, positive = left + right, b > a
-        split = positive & ~((np.abs(halves - whole) <= t)
-                             | ((b - a) < 1e-15 * (1.0 + np.abs(a) + np.abs(b))))
+        with np.errstate(invalid="ignore"):  # inf - inf: a sum past the float range closes
+            halves, positive = left + right, b > a
+            split = positive & (np.abs(halves - whole) > t) & (
+                b - a >= 1e-15 * (1.0 + np.abs(a) + np.abs(b)))
         if dead is not None:
             split &= ~dead[top]
         levels.append((split, np.where(positive, halves, 0.0)))
@@ -615,39 +617,16 @@ class PiecewiseFunction:
 
     # -- quadrature --------------------------------------------------------
 
-    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY, *,
-                  _closed=None) -> float:
+    def integrate(self, lo: float, hi: float, transform: str = _IDENTITY) -> float:
         """Integral of transform(f) over [lo, hi] within [0, domain_end].
 
         transform is one of "identity", "abs" (absolute value) or "pos"
         (positive part). Panels never straddle a breakpoint; for the non-identity
         transforms they never straddle a real root either. Each piece takes its
-        closed form from `_poly_integrals`; `_closed` is internal: the (pieces,
-        closed forms) that `integrate_many` computed for the range. A piece whose
-        closed form is not finite goes to `integrate_panels`, which reports the
-        earliest non-finite value it reads (for abs and pos, the 15-node rule's
-        over the whole piece first)."""
-        if _closed is None:
-            pieces, polys = self._integration_pieces(lo, hi, transform)
-            _closed = pieces, _poly_integrals(polys)
-        total, panels = 0.0, []
-        for (a, b, seg), val in zip(*_closed):
-            if math.isfinite(val):
-                total += val
-                continue
-            if transform != _IDENTITY:  # its error report comes from the 15 nodes
-                _gauss(seg, a, b)
-            roots = _cuts(_taylor_shift(seg.coeffs, a), b - a, transform)[1:-1]
-            cuts = [a, *(a + r for r in roots), b]
-            panels += [(seg, p0, p1) for p0, p1 in zip(cuts[:-1], cuts[1:])]
-        if not panels:
-            return total
-        rows, op = segment_rows([p[0] for p in panels]), _TRANSFORM_FNS[transform]
-        return total + integrate_panels(lambda ts, r: op(rows(ts, r)), [p[1:] for p in panels])
-
-    def _integration_pieces(self, lo: float, hi: float, transform: str) -> tuple:
-        """`pieces` of [lo, hi] clipped to the domain, none if shorter than the knot tolerance, and
-        their `_poly_integrals` panels."""
+        closed form from `_poly_integral`. A piece whose closed form is not
+        finite goes to `integrate_panels`, which reports the earliest non-finite
+        value it reads (for abs and pos, the 15-node rule's over the whole piece
+        first)."""
         if transform not in _TRANSFORMS:
             raise ValueError(f"unknown transform {transform!r}")
         eps = knot_eps(self.domain_end)
@@ -655,72 +634,32 @@ class PiecewiseFunction:
             raise ValueError(f"integration range [{lo}, {hi}] outside [0, {self.domain_end}]")
         lo = min(max(lo, 0.0), self.domain_end)
         hi = min(max(hi, 0.0), self.domain_end)
-        pieces = [] if hi - lo <= eps else self.pieces(lo, hi)
-        return pieces, [(s.coeffs, a, b, transform) for a, b, s in pieces]
+        total, panels = 0.0, []
+        for a, b, seg in [] if hi - lo <= eps else self.pieces(lo, hi):
+            val = _poly_integral(seg.coeffs, a, b, transform)
+            if math.isfinite(val):
+                total += val
+                continue
+            cuts = [a, b]
+            if transform != _IDENTITY:  # its error report comes from the 15 nodes
+                _gauss(seg, a, b)
+                cuts[1:1] = [a + r for r in _roots_within(_taylor_shift(seg.coeffs, a), b - a)]
+            panels += [(seg, p0, p1) for p0, p1 in zip(cuts[:-1], cuts[1:])]
+        if not panels:
+            return total
+        rows, op = segment_rows([p[0] for p in panels]), _TRANSFORM_FNS[transform]
+        return total + integrate_panels(lambda ts, r: op(rows(ts, r)), [p[1:] for p in panels])
 
 
-def integrate_many(requests) -> list:
-    """Entry i is `f.integrate(lo, hi, transform)` of requests[i] = (f, lo, hi, transform), or the
-    exception it raises: one `_poly_integrals` pass takes the pieces of all requests."""
-    parts = []
-    for f, lo, hi, transform in requests:
-        try:
-            parts.append(f._integration_pieces(lo, hi, transform))
-        except ValueError:
-            parts.append(None)  # f.integrate raises it below
-    values, out = iter(_poly_integrals([p for part in parts if part for p in part[1]])), []
-    for (f, lo, hi, transform), part in zip(requests, parts):
-        try:
-            out.append(f.integrate(lo, hi, transform,
-                                   _closed=part and (part[0], [next(values) for _ in part[1]])))
-        except Exception as exc:  # raised where that integral is read
-            out.append(exc)
-    return out
-
-
-def _poly_integrals(panels) -> list:
-    """Integral of transform(p) over [lo, hi] for each (coeffs, lo, hi, transform) panel: the
-    antiderivative of `_taylor_shift`'s coefficients in s = t - lo, by `_horner` at `_cuts`. From
-    _ARRAY_PANELS panels of one coefficient length on, these steps run once on columns, a numpy
-    array per coefficient; fewer panels run them one by one on floats, as numpy's cost per call
-    would outweigh their work. Every panel keeps the bits of its own pass."""
-    out, by_len = [0.0] * len(panels), {}
-    for i, p in enumerate(panels) if len(panels) >= _ARRAY_PANELS else ():
-        by_len.setdefault(len(p[0]), []).append(i)
-    for idx in [range(len(panels))] if not by_len else by_len.values():
-        if len(idx) < _ARRAY_PANELS:
-            for i in idx:
-                coeffs, lo, hi, transform = panels[i]
-                q = _taylor_shift(coeffs, lo)
-                F = _antiderivative(q)
-                out[i] = (_horner(F, hi - lo) if transform == _IDENTITY else
-                          _summed([_horner(F, s) for s in _cuts(q, hi - lo, transform)], transform))
-            continue
-        coeffs, lo, hi, transforms = zip(*[panels[i] for i in idx])
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported
-            q = _taylor_shift([np.array(c) for c in zip(*coeffs)], np.array(lo))
-            F = _antiderivative(q)
-            cuts = [_cuts(qk, b - a, tr)
-                    for qk, a, b, tr in zip(np.array(q).T.tolist(), lo, hi, transforms)]
-            rep = np.repeat(np.arange(len(idx)), list(map(len, cuts)))  # every cut in one pass
-            vals = _horner([F[0], *(f[rep] for f in F[1:])],
-                           np.array([s for c in cuts for s in c])).tolist()
-        start = 0
-        for i, c, tr in zip(idx, cuts, transforms):
-            out[i], start = _summed(vals[start:start + len(c)], tr), start + len(c)
-    return out
-
-
-def _cuts(q: list[float], length: float, transform: str) -> list[float]:
-    """Where a panel's antiderivative is read: its end, or for the abs and pos transforms also 0
-    and `_roots_within`'s roots."""
-    return [length] if transform == _IDENTITY else [0.0, *_roots_within(q, length), length]
-
-
-def _summed(vals: list[float], transform: str) -> float:
-    """A panel's integral from its antiderivative at its `_cuts`: the parts, summed in order."""
+def _poly_integral(coeffs, lo: float, hi: float, transform: str) -> float:
+    """Integral of transform(p) over [lo, hi] for the polynomial p of `coeffs`: the
+    antiderivative of `_taylor_shift`'s coefficients in s = t - lo by `_horner`, at the end and,
+    for the abs and pos transforms, at 0 and `_roots_within`'s roots, the parts summed in order."""
+    q = _taylor_shift(coeffs, lo)
+    F = _antiderivative(q)
     if transform == _IDENTITY:
-        return vals[0]
+        return _horner(F, hi - lo)
+    vals = [_horner(F, s) for s in (0.0, *_roots_within(q, hi - lo), hi - lo)]
     parts = [b - a for a, b in zip(vals[:-1], vals[1:])]
     return sum(abs(p) for p in parts) if transform == _ABS else sum(max(p, 0.0) for p in parts)
 

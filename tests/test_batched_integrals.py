@@ -1,23 +1,23 @@
 """Batched integrals against their one-item cases: `generate_many` against `generate`,
 `integrate_groups` against `integrate_panels` group by group (and both against the one-group
-quadrature they replaced), `_poly_integrals` against the scalar closed form it replaced, and
-`evaluate_many` on a mixed chunk against `evaluate_all` system by system."""
+quadrature they replaced), and `evaluate_many` on a mixed chunk against `evaluate_all` system
+by system; the one int(a^2/b) quadrature of a generation round and of a criteria chunk; and
+`PiecewiseFunction.integrate` against a scalar closed form summed piece by piece."""
 
 import json
 import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet import PolySegment, piecewise
+from impulse_floquet import PiecewiseFunction, PolySegment, criteria, piecewise
 from impulse_floquet.criteria import evaluate_all, evaluate_many
 from impulse_floquet.descriptors import system_to_descriptor
 from impulse_floquet.harness import (FORCE_GUSEINOV_ZAFER, FORCE_MAIN, MODES, GeneratorSpec,
                                      generate, generate_many)
-from impulse_floquet.piecewise import (_antiderivative, _horner, _poly_integrals, _roots_within,
+from impulse_floquet.piecewise import (EvaluationError, _antiderivative, _horner, _roots_within,
                                        _taylor_shift, integrate_groups, integrate_panels)
 
 from helpers import make_system, poly, stand_in
@@ -56,6 +56,33 @@ def test_generate_many_equals_per_spec_generate(mode):
     assert [_entry(s) for s in batched] == [_outcome(generate, spec) for spec in specs]
     if mode in (FORCE_MAIN, FORCE_GUSEINOV_ZAFER):
         assert sum(isinstance(s, Exception) for s in batched) == 2
+
+
+def _integrate_group_calls(monkeypatch, fn):
+    """The number of groups of each `integrate_groups` call of the criteria while fn runs."""
+    calls, real = [], criteria.integrate_groups
+
+    def counted(integrand, groups, *args):
+        calls.append(len(groups))
+        return real(integrand, groups, *args)
+    monkeypatch.setattr(criteria, "integrate_groups", counted)
+    fn()
+    monkeypatch.setattr(criteria, "integrate_groups", real)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
+def test_forced_specs_share_one_a2_over_b_quadrature_per_round(monkeypatch, mode):
+    # every spec reads int(a^2/b) at the first round that has room, so ten specs take one
+    # quadrature of ten groups, not ten of one
+    specs = [GeneratorSpec(seed=seed, mode=mode) for seed in range(10)]
+    assert _integrate_group_calls(monkeypatch, lambda: generate_many(specs)) == [10]
+    assert _integrate_group_calls(monkeypatch, lambda: [generate(s) for s in specs]) == [1] * 10
+
+
+def test_a_selftest_chunk_takes_one_a2_over_b_quadrature(monkeypatch):
+    chunk = generate_many([GeneratorSpec(seed=seed, mode=FORCE_MAIN) for seed in range(5)])
+    assert _integrate_group_calls(monkeypatch, lambda: evaluate_many(chunk)) == [5]
 
 
 # -- grouped quadrature ----------------------------------------------------------------
@@ -198,9 +225,9 @@ def test_each_span_past_its_budget_warns_once_as_alone(monkeypatch, caplog):
 
 # -- closed forms ------------------------------------------------------------------------
 
-def _poly_integral(coeffs, lo, hi, transform):
-    """The scalar closed form that `_poly_integrals` replaced: antiderivative in s = t - lo,
-    split at the real roots for the abs and pos transforms."""
+def _scalar_closed_form(coeffs, lo, hi, transform):
+    """Integral of one polynomial panel: antiderivative in s = t - lo, split at the real roots
+    for the abs and pos transforms."""
     q = _taylor_shift(coeffs, lo)
     F = _antiderivative(q)
     length = hi - lo
@@ -230,12 +257,29 @@ def closed_form_panels(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(closed_form_panels(), min_size=1, max_size=16), st.sampled_from([1, 2, 8]))
-def test_batched_closed_form_equals_the_scalar_closed_form(panels, array_panels):
-    with np.errstate(over="ignore", invalid="ignore"):  # the reference's polymul of 1e308
-        expected = [repr(_poly_integral(*p)) for p in panels]
-    with mock.patch.object(piecewise, "_ARRAY_PANELS", array_panels):  # arrays from 1, 2 or 8 on
-        assert [repr(v) for v in _poly_integrals(panels)] == expected
+@given(st.lists(closed_form_panels(), min_size=1, max_size=16))
+def test_integrate_equals_the_scalar_closed_form_piece_by_piece(panels):
+    # f on [0, 8] is cut at the ends of every panel; the piece that starts at a panel's lo takes
+    # its coefficients, every other piece those of a panel in turn
+    cuts = sorted({x for _, lo, hi, _ in panels for x in (lo, hi) if 0.0 < x < 8.0})
+    by_start = {lo: PolySegment(coeffs) for coeffs, lo, _, _ in panels}
+    segs = [by_start.get(x, PolySegment(panels[k % len(panels)][0]))
+            for k, x in enumerate([0.0, *cuts])]
+    f = PiecewiseFunction(8.0, tuple(cuts), tuple(segs))
+    lo, hi = min(p[1] for p in panels), max(p[2] for p in panels)
+    for transform in ("identity", "abs", "pos"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's sums of 1e308
+            parts = [_scalar_closed_form(s.coeffs, a, b, transform) for a, b, s in f.pieces(lo, hi)]
+        try:
+            value = repr(f.integrate(lo, hi, transform))
+        except EvaluationError:  # from the quadrature of a piece not finite in closed form
+            assert not all(map(math.isfinite, parts))
+            continue
+        if all(map(math.isfinite, parts)):
+            expected = 0.0
+            for part in parts if hi - lo > piecewise.knot_eps(8.0) else ():
+                expected += part
+            assert value == repr(expected)
 
 
 # -- criteria ------------------------------------------------------------------------------

@@ -337,6 +337,19 @@ def test_sweep_of_over_a_million_points_exits_2_at_once(tmp_path, capsys, axes):
     assert err == "invalid input: sweep grid of more than 1000000 points\n"
 
 
+@pytest.mark.parametrize("T, t2", [
+    (1.0, 1e9),  # ran on past 30 s: the oracle's zero scan walks every period
+    (1e-11, 1.0),  # 1e11 periods of the same system, once past 20 s
+])
+def test_disconjugacy_window_of_over_100000_periods_exits_2_at_once(tmp_path, capsys, T, t2):
+    path = write_descriptor(tmp_path, rotation_descriptor(T=T, c=1e-6))
+    with _within(2.0):
+        rc, out, err = run(capsys, ["disconjugacy", "--input", path, "--t1", "0",
+                                    "--t2", repr(t2)])
+    assert rc == 2 and out == ""
+    assert err == "invalid input: disconjugacy window of more than 100000 periods\n"
+
+
 @pytest.mark.parametrize("extra", [
     ["--periods", str(10 ** 15)],  # once a numpy _ArrayMemoryError traceback
     ["--periods", "125000", "--samples-per-period", "32"],  # one row past the limit

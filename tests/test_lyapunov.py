@@ -324,6 +324,19 @@ class TestDisconjugacy:
         assert rc == 0 and "Traceback" not in captured.err
         assert json.loads(captured.out)["oracle"] == DISCONJUGATE
 
+    @pytest.mark.parametrize("t1", [100.0, 3700.0, 3800.0, 5000.0, 1e15])
+    def test_window_far_from_zero_keeps_the_product_of_its_first_period(self, t1):
+        # The running a-integral was read from t = 0: exp(-2A) underflowed from about t = 3700,
+        # and from 3800 on the weighted b read 0 and the window was certified with sup 0,
+        # against an oracle that finds two zeros
+        sys_ = make_system(0.1, 1.0, 1.0, impulses=[(0.5, 1.5, 0.1)])
+        near = disconjugacy_test(sys_, 0.0, 10.0)
+        far = disconjugacy_test(sys_, t1, t1 + 10.0)
+        assert far.status == near.status == INCONCLUSIVE
+        assert far.sup_value == near.sup_value == 340.7496586096346
+        assert far.t0_at_sup == t1 + near.t0_at_sup
+        assert disconjugacy_oracle(sys_, t1, t1 + 10.0) == NOT_DISCONJUGATE
+
     def test_sine_half_window_certified(self):
         sys_ = sine_system()
         chk = disconjugacy_test(sys_, 0.0, 0.5)

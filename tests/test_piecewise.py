@@ -138,6 +138,14 @@ class TestIntegrate:
                 f.integrate(0.0, 2.0, transform)
             assert err.value.t is not None and err.value.t > 0.5
 
+    def test_finite_values_whose_sum_passes_the_float_range_read_inf(self, caplog):
+        # every node reads 1e308, but the 15-node sums overflow: numpy's overflow and inf - inf
+        # warnings (errors under the suite's filter) and every panel split to its budget
+        f = PiecewiseFunction(2.0, (), (PolySegment((1e308,)),))
+        for transform in ("identity", "abs", "pos"):
+            assert f.integrate(0.0, 2.0, transform) == math.inf
+        assert caplog.records == []
+
 
 class TestHelpers:
     def test_poly_min_interior(self):
