@@ -11,7 +11,7 @@ spare), and certifies stability only when all hypotheses hold clear of the
 strictness tolerance.
 
 Pointwise minima and maxima (b > 0, b*c - a^2 not identically 0 and the
-like) share one helper, `segments_min`: exact polynomial minimization from
+like) share one helper, `segments_extrema`: exact polynomial extrema from
 the derivative's roots. Ratio hypotheses guard against b approaching zero and
 degrade to "undecidable" rather than guessing.
 """
@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 # adaptive_integral stays imported unused: perfbench/spans.py wraps it here.
 from .piecewise import (EvaluationError, PolySegment, _chebyshev_nodes, _raising,
-                        adaptive_integral, integrate_groups, segment_rows, segments_min)
+                        adaptive_integral, integrate_groups, segment_rows, segments_extrema)
 from .system import ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -159,15 +159,11 @@ def _conclude(conditions: list[Condition]) -> str:
 
 
 def _shared_property(fn):
-    """A cached quantity of a, b, c and the period alone, kept in `q.shared`: its value, or the
-    exception that reading it raises."""
+    """A cached quantity of a, b, c and the period alone, kept in `q.shared`."""
     def get(q: "_Quantities"):
         if fn.__name__ not in q.shared:
             q.shared[fn.__name__] = fn(q)
-        value = q.shared[fn.__name__]
-        if isinstance(value, Exception):
-            raise value
-        return value
+        return q.shared[fn.__name__]
     return property(get, doc=fn.__doc__)
 
 
@@ -188,40 +184,19 @@ _CLOSED_FORMS = {"int_abs_a": (0, "abs"), "int_a": (0, "identity"), "int_b": (1,
 
 
 def _closed_form(name: str):
-    """The `_shared_property` `name` of `_CLOSED_FORMS`: its integral, or the exception that
-    integrating raised, which reading it raises."""
+    """The `_shared_property` `name` of `_CLOSED_FORMS`: its integral over one period."""
     def compute(q: "_Quantities"):
         index, transform = _CLOSED_FORMS[name]
-        try:
-            return q.system.coefficients()[index].integrate(0.0, q.system.period, transform)
-        except Exception as exc:  # raised where that integral is read
-            return exc
+        return q.system.coefficients()[index].integrate(0.0, q.system.period, transform)
     compute.__name__ = name
     return _shared_property(compute)
 
 
-def _comes_out(q: "_Quantities", name: str) -> bool:
-    """Whether reading the quantity `name` of q gives a value rather than an exception."""
-    try:
-        getattr(q, name)
-    except Exception:
-        return False
-    return True
-
-
-def _fill(qs) -> None:
-    """Fill q.shared with the int(a^2/b) of each q whose b is safely positive, in one
-    `integrate_groups` call for all: a value, or the exception that reading it raises."""
-    grouped = [q for q in qs if q.b_safe]
-    for q, value in zip(grouped, _a2_over_b_integrals(grouped) if grouped else []):
-        q.shared["int_a2_over_b"] = value
-
-
-def _a2_over_b_integrals(qs) -> list:
-    """int(a^2/b) over the pieces of each q, in one `integrate_groups` call that reads a and b from
-    one table: a value, +inf where a^2/b overflows at a finite a (its first non-finite value is
-    +inf), or the EvaluationError of a NaN or of a non-finite a."""
-    pieces = [q.system.pieces() for q in qs]
+def a2_over_b_integrals(systems) -> list:
+    """int(a^2/b) over one period of each system, in one `integrate_groups` call that reads a and b
+    from one table, each as if alone: a value, +inf where a^2/b overflows at a finite a (its first
+    non-finite value is +inf), or the EvaluationError of a NaN or of a non-finite a."""
+    pieces = [s.pieces() for s in systems]
     ab = segment_rows(*([p[j] for ps in pieces for p in ps] for j in (2, 3)))
 
     def a2_over_b(ts, rows):
@@ -273,20 +248,15 @@ class _Quantities:
 
     @_shared_property
     def min_b(self) -> tuple[float, float]:
-        return segments_min((lo, hi, sb) for lo, hi, _, sb, _ in self.system.pieces())
+        return segments_extrema((lo, hi, sb) for lo, hi, _, sb, _ in self.system.pieces())[:2]
 
     @_shared_property
     def min_c(self) -> tuple[float, float]:
-        return segments_min((lo, hi, sc) for lo, hi, _, _, sc in self.system.pieces())
+        return segments_extrema((lo, hi, sc) for lo, hi, _, _, sc in self.system.pieces())[:2]
 
     @_shared_property
-    def min_bc_a2(self) -> tuple[float, float]:
-        return segments_min(_bc_minus_a2_pieces(self.system, 1.0))
-
-    @_shared_property
-    def max_abs_bc_a2(self) -> float:
-        top = -segments_min(_bc_minus_a2_pieces(self.system, -1.0))[0]
-        return max(abs(self.min_bc_a2[0]), abs(top))
+    def bc_a2_extrema(self) -> tuple[float, float, float]:
+        return segments_extrema(_bc_minus_a2_pieces(self.system))
 
     @_shared_property
     def b_safe(self) -> bool:
@@ -299,7 +269,7 @@ class _Quantities:
 
     @_shared_property
     def int_a2_over_b(self) -> float | None:
-        return _a2_over_b_integrals([self])[0] if self.b_safe else None
+        return _raising(a2_over_b_integrals([self.system]))[0] if self.b_safe else None
 
     @cached_property
     def mean_condition_value(self) -> float | None:
@@ -338,12 +308,11 @@ class _Quantities:
         return _condition_c_branch(self)
 
 
-def _bc_minus_a2_pieces(system: ImpulsiveSystem, sign: float):
-    """(lo, hi, segment) pieces of sign * (b*c - a^2)."""
-    for lo, hi, sa, sb, sc in system.pieces():
-        coeffs = npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
-                               npoly.polymul(sa.coeffs, sa.coeffs))
-        yield lo, hi, PolySegment(coeffs).scaled(sign)
+def _bc_minus_a2_pieces(system: ImpulsiveSystem):
+    """(lo, hi, segment) pieces of b*c - a^2."""
+    return [(lo, hi, PolySegment(npoly.polysub(npoly.polymul(sb.coeffs, sc.coeffs),
+                                               npoly.polymul(sa.coeffs, sa.coeffs))))
+            for lo, hi, sa, sb, sc in system.pieces()]
 
 
 # -- condition (C) ----------------------------------------------------------
@@ -443,7 +412,7 @@ def _mean_condition(q: _Quantities, label: str, equality: bool) -> Condition:
 
 
 def _nonzero_condition(q: _Quantities) -> Condition:
-    nz = q.max_abs_bc_a2
+    nz = max(abs(q.bc_a2_extrema[0]), abs(q.bc_a2_extrema[2]))
     return Condition(LBL_BCA2_NONZERO, SATISFIED if nz > q.tol.strict * (1.0 + nz) else VIOLATED, nz)
 
 
@@ -485,7 +454,7 @@ _CONDITIONS = {
     LBL_C_NONNEG: _shared_condition(
         lambda q: _cond_pointwise_nonneg(LBL_C_NONNEG, *q.min_c, q.tol)),
     LBL_BCA2_NONNEG: _shared_condition(
-        lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.min_bc_a2, q.tol)),
+        lambda q: _cond_pointwise_nonneg(LBL_BCA2_NONNEG, *q.bc_a2_extrema[:2], q.tol)),
     LBL_B_POS: _shared_condition(lambda q: _cond_pointwise_positive(LBL_B_POS, *q.min_b, q.tol)),
     LBL_DET_INTEGRALS: _shared_condition(_det_integrals_condition),
     LBL_ROOT_SUM_PLAIN: _shared_condition(lambda q: _cond_upper(
@@ -560,9 +529,9 @@ check_main_boundary = _check(MAIN_BOUNDARY)
 def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
     """Entry i is `evaluate_all(systems[i])` or the exception it raises; systems
     with the same `_coefficient_key` (taken once per period and coefficient objects)
-    share their coefficient quantities and hypotheses. The closed forms of every
-    distinct key are read first, and one `_fill` call takes int(a^2/b) of those whose
-    closed forms all came out; the rest integrate where a report reads them, as alone."""
+    share their coefficient quantities and hypotheses. One `a2_over_b_integrals` call
+    takes int(a^2/b) of every distinct key whose b is safely positive; a key whose
+    integral failed integrates again where a report reads it, as alone, and raises there."""
     tol = tolerances or DEFAULT_TOLERANCES
     shared, by_objects, qs, out = {}, {}, [], []
     for s in systems:  # qs keeps every system, so no id is reused during the call
@@ -570,8 +539,10 @@ def evaluate_many(systems, tolerances: Tolerances | None = None) -> list:
         if objects not in by_objects:
             by_objects[objects] = shared.setdefault(_coefficient_key(s), {})
         qs.append(_Quantities(s, tol, by_objects[objects]))
-    distinct = list({id(q.shared): q for q in qs}.values())
-    _fill([q for q in distinct if all([_comes_out(q, name) for name in _CLOSED_FORMS])])
+    distinct = [q for q in {id(q.shared): q for q in qs}.values() if q.b_safe]
+    for q, value in zip(distinct, a2_over_b_integrals([q.system for q in distinct])):
+        if not isinstance(value, Exception):
+            q.shared["int_a2_over_b"] = value
     for q in qs:
         try:
             out.append([_report(name, q) for name in CRITERION_ORDER])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from types import GeneratorType
 from typing import ClassVar
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import criteria as crit
 from .criteria import evaluate_all, evaluate_many
 from .floquet import STABLE, classify
 from .lyapunov import find_zero_pair, find_zero_pairs, lyapunov_verify
-from .piecewise import PiecewiseFunction, PolySegment, _raising, segments_min
+from .piecewise import PiecewiseFunction, PolySegment, _raising, segments_extrema
 from .propagation import State, monodromies, monodromy
 from .system import Impulse, ImpulseSchedule, ImpulsiveSystem
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -77,7 +76,7 @@ def _random_piecewise(rng, T: float, breakpoints, degree: int, amp: float) -> Pi
 
 def _min_value(f: PiecewiseFunction) -> float:
     knots = f.knots
-    return segments_min(zip(knots[:-1], knots[1:], f.segments))[0]
+    return segments_extrema(zip(knots[:-1], knots[1:], f.segments))[0]
 
 
 def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
@@ -86,32 +85,28 @@ def generate(spec: GeneratorSpec) -> ImpulsiveSystem:
 
 
 def generate_many(specs) -> list:
-    """Entry i is `generate(specs[i])` or the exception it raises. Each spec is drawn on its own;
-    the forced ones then run `_force_hypotheses` side by side: each round, one `criteria._fill`
-    call takes the int(a^2/b) of every one that yielded its `_Quantities`."""
+    """Entry i is `generate(specs[i])` or the exception it raises. Every spec is drawn first;
+    one `criteria.a2_over_b_integrals` call then takes the int(a^2/b) of the drawn a and b of
+    every forced spec, which its `_force_hypotheses` reads."""
     out = []
     for spec in specs:
         try:
             out.append(_draw(spec))
         except Exception as exc:
             out.append(exc)
-    stages = {i: gen for i, gen in enumerate(out) if isinstance(gen, GeneratorType)}
-    while stages:
-        asks = {}
-        for i, gen in stages.items():
-            try:
-                asks[i] = next(gen)
-            except StopIteration as stop:
-                out[i] = stop.value
-            except Exception as exc:
-                out[i] = exc
-        crit._fill(asks.values())
-        stages = {i: stages[i] for i in asks}
+    forced = {i: args for i, args in enumerate(out) if isinstance(args, tuple)}
+    probes = [ImpulsiveSystem(a, b, c, ImpulseSchedule(spec.period))
+              for spec, a, b, c, _ in forced.values()]
+    for (i, args), k_val in zip(forced.items(), crit.a2_over_b_integrals(probes)):
+        try:
+            out[i] = _force_hypotheses(*args, k_val)
+        except Exception as exc:
+            out[i] = exc
     return out
 
 
 def _draw(spec: GeneratorSpec):
-    """The system of an unforced spec, or the `_force_hypotheses` generator of a forced one."""
+    """The system of an unforced spec, or the (spec, a, b, c, schedule) of a forced one."""
     rng = np.random.default_rng(spec.seed)
     T = spec.period
     amp = spec.amplitude
@@ -147,41 +142,38 @@ def _draw(spec: GeneratorSpec):
     schedule = ImpulseSchedule(T, tuple(Impulse(t, al, be)
                                         for t, al, be in zip(taus, alphas, betas)))
     if force:
-        return _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule)
+        return spec, coeff_a, coeff_b, coeff_c, schedule
     return ImpulsiveSystem(coeff_a, coeff_b, coeff_c, schedule)
 
 
-def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule):
-    """Adjust (a, c, beta) so the selected criterion holds with the margin: a generator returning
-    the system, which reads its integrals of one period from a `_Quantities` and yields that
-    `_Quantities` at the first round that reads int(a^2/b), for `criteria._fill` to fill."""
+def _force_hypotheses(spec, coeff_a, coeff_b, coeff_c, schedule, k_val):
+    """Adjust (a, c, beta) so the selected criterion holds with the margin. k_val is int(a^2/b) of
+    the drawn a over one period, or the exception that integrating it raised, raised where the
+    rounds first read it."""
     T = spec.period
     int_c = coeff_c.integrate(0.0, T)
     gap = 0.3 - (int_c + schedule.ratio_sum())
     if gap > 0.0:
         coeff_c = coeff_c.plus_constant(gap / T)
         int_c += gap
-    q = crit._Quantities(ImpulsiveSystem(coeff_a, coeff_b, coeff_c, ImpulseSchedule(T)),
-                         DEFAULT_TOLERANCES)
     g_val = int_c + schedule.ratio_sum()
-    h_val = q.int_c_plus + schedule.ratio_sum(positive=True)
+    h_val = coeff_c.integrate(0.0, T, "pos") + schedule.ratio_sum(positive=True)
+    int_abs_a, int_b = coeff_a.integrate(0.0, T, "abs"), coeff_b.integrate(0.0, T)
     margin = max(spec.margin, 1e-9)
 
     def s_bound(int_abs_a: float) -> float:
         if spec.mode == FORCE_MAIN:
             try:
-                return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * q.int_b * h_val)
+                return (4.0 - margin) / (math.exp(2.0 * int_abs_a) * int_b * h_val)
             except OverflowError:  # no room, as below: the rounds shrink a
                 return -1.0
         room = 2.0 - margin - int_abs_a
-        return room * room / (q.int_b * h_val) if room > 0.0 else -1.0
+        return room * room / (int_b * h_val) if room > 0.0 else -1.0
 
     lam = 1.0
     for _ in range(200):
-        sb = s_bound(lam * q.int_abs_a)
-        if sb > 0.0 and "int_a2_over_b" not in q.shared:
-            yield q
-        if sb > 0.0 and lam * lam * q.int_a2_over_b <= 0.45 * g_val * min(sb, 1.0):
+        sb = s_bound(lam * int_abs_a)
+        if sb > 0.0 and lam * lam * _raising([k_val])[0] <= 0.45 * g_val * min(sb, 1.0):
             break
         lam *= 0.7
         coeff_a = coeff_a.scaled(0.7)  # not scaled(0.7**j), which moves the last bits

@@ -167,16 +167,20 @@ def _exp2(x: float) -> float:
 
 
 class _LhsFactors:
-    """Shared machinery for the two-factor product over a window."""
+    """Shared machinery for the two-factor product over a window. The product is the same for
+    the window moved by whole periods, so it is taken on the window moved into the period of t1;
+    t0 stays in absolute time. Read from t = 0, the running integral A of a far window
+    overflowed exp(2A) and underflowed exp(-2A): a NaN product, inf * 0."""
 
     def __init__(self, system: ImpulsiveSystem, t1: float, t2: float):
-        self.system, self.t1, self.t2 = system, t1, t2
+        self.offset = split_period(t1, system.period)[0] * system.period
+        self.system, self.t1, self.t2 = system, t1 - self.offset, t2 - self.offset
         self._cum_a = CumulativeIntegral(system.coeff_a)
         # pieces of b in the window, each with the a-integral of its whole periods
         self.b_panels = [(p0, p1, seg, k * self._cum_a.total)
-                         for p0, p1, seg, k in _b_pieces(system, t1, t2)]
-        self.factor2 = (integrate_periodic(system.coeff_c, t1, t2, "pos")
-                        + system.schedule.ratio_sum(t1, t2, positive=True))
+                         for p0, p1, seg, k in _b_pieces(system, self.t1, self.t2)]
+        self.factor2 = (integrate_periodic(system.coeff_c, self.t1, self.t2, "pos")
+                        + system.schedule.ratio_sum(self.t1, self.t2, positive=True))
         self.weighted_b = self._weighted_b_integral()
 
     def _weighted_b_integral(self) -> float:
@@ -190,21 +194,22 @@ class _LhsFactors:
             -2.0 * (self._cum_a.values(ts) + shift[rows, None])), [p[:2] for p in self.b_panels])
 
     def lhs(self, t0: float) -> float:
-        return _exp2(self._cum_a.value(t0)) * self.weighted_b * self.factor2
+        return _exp2(self._cum_a.value(t0 - self.offset)) * self.weighted_b * self.factor2
 
     def sup_over_t0(self) -> tuple[float, float]:
         """(sup value, argmax t0) over the window, ends included: A's exact maximum, at an end, a
         knot of a or a real root of a piece."""
         if self.factor2 <= 0.0 or self.weighted_b <= 0.0:
-            return 0.0, 0.5 * (self.t1 + self.t2)
+            return 0.0, 0.5 * (self.t1 + self.t2) + self.offset
         T, ts = self.system.period, [self.t1, self.t2]
-        chunks = list(period_chunks(self.t1, self.t2, T))
+        chunks = period_chunks(self.t1, self.t2, T)
         for k, s0, s1 in chunks[:2] + chunks[2:][-2:]:  # A(kT + s) = k A(T) + A(s): whole periods
             for p0, p1, seg in self.system.coeff_a.pieces(s0, s1):  # peak at the first or last
                 local = _roots_within(_taylor_shift(seg.coeffs, p0), p1 - p0)
                 ts.extend(k * T + p0 + np.array([0.0, *local]))
         A = self._cum_a.values(np.array(ts))
-        return _exp2(A.max()) * self.weighted_b * self.factor2, float(ts[np.argmax(A)])
+        t0 = float(ts[np.argmax(A)]) + self.offset
+        return _exp2(A.max()) * self.weighted_b * self.factor2, t0
 
 
 def lyapunov_lhs(system: ImpulsiveSystem, t1: float, t2: float, t0: float) -> float:
@@ -251,19 +256,14 @@ def disconjugacy_test(system: ImpulsiveSystem, t1: float, t2: float,
                       tolerances: Tolerances | None = None) -> DisconjugacyCheck:
     """Certify that no solution has two zeros in [t1, t2] when the supremum
     of the product over interior weight points stays below 4. The bound needs
-    b >= 0 on the window, decided exactly from b's extrema. The product is the
-    same for the window moved by whole periods, so it is taken on the window
-    moved to start in the first period: read from t = 0, the running integral
-    A of a far window underflowed exp(-2A)."""
+    b >= 0 on the window, decided exactly from b's extrema."""
     if t2 <= t1:
         raise ValueError("need t1 < t2")
     tol = tolerances or DEFAULT_TOLERANCES
-    offset = split_period(t1, system.period)[0] * system.period
-    factors = _LhsFactors(system, t1 - offset, t2 - offset)
+    factors = _LhsFactors(system, t1, t2)
     sup, t0 = factors.sup_over_t0()
     certified = sup < 4.0 - tol.strict * 4.0 and _b_sign(factors.b_panels) in (0, 1)
-    return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup,
-                             t0 + offset)
+    return DisconjugacyCheck(DISCONJUGATE_CERTIFIED if certified else INCONCLUSIVE, sup, t0)
 
 
 def _zero_sites(zs: np.ndarray, ztol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +290,7 @@ def _b_pieces(system: ImpulsiveSystem, t1: float, t2: float) -> list:
 def _b_sign(pieces) -> int | None:
     """1 where b >= 0 on (lo, hi, segment, ...) pieces, -1 where b <= 0, 0 where b = 0, None
     where b takes both signs; from `segments_extrema` of the distinct pieces."""
-    lo, hi = segments_extrema({(p0, p1, id(s)): (p0, p1, s) for p0, p1, s, *_ in pieces}.values())
+    lo, _, hi = segments_extrema({(*p[:2], id(p[2])): p[:3] for p in pieces}.values())
     return None if lo < 0.0 < hi else -1 if lo < 0.0 else 0 if lo == hi == 0.0 else 1
 
 
@@ -314,7 +314,7 @@ def _grid_parts(system: ImpulsiveSystem, t1: float, t2: float) -> list:
             cuts = [p0, *(p0 + r for r in _roots_within(q, p1 - p0)), p1]
             for q0, q1 in zip(cuts[:-1], cuts[1:]):
                 a, b, c = (max(-lo, hi) if lo <= hi else math.nan  # max|f|; NaN reads (inf, -inf)
-                           for lo, hi in (segments_extrema([(q0, q1, f)]) for f in segs))
+                           for lo, _, hi in (segments_extrema([(q0, q1, f)]) for f in segs))
                 n = np.ceil((q1 - q0) * (a + math.sqrt(b) * math.sqrt(c)) / (0.5 * math.pi))
                 if not n <= _MAX_STEPS:
                     raise IntegrationFailureError(f"zero scan needs {n:.0f} steps", k * T + q0)

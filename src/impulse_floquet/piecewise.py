@@ -121,17 +121,18 @@ def merge_knots(knots, eps: float, kept=()) -> list[float]:
     return out
 
 
-def period_chunks(lo: float, hi: float, T: float):
-    """Walk the window [lo, hi] period by period: yields (k, s0, s1), the part
+def period_chunks(lo: float, hi: float, T: float) -> list:
+    """The window [lo, hi] period by period: (k, s0, s1) for the part
     [k*T + s0, k*T + s1] of the window in period k. The first s0 comes from
     split_period, later ones are 0; s1 is min(hi, (k+1)*T) - k*T."""
     eps = knot_eps(T)
     k, s0 = split_period(lo, T)
-    t = lo
+    t, out = lo, []
     while t < hi - eps:
         t = min(hi, (k + 1) * T)
-        yield k, s0, t - k * T
+        out.append((k, s0, t - k * T))
         k, s0 = k + 1, 0.0
+    return out
 
 
 def _horner(coeffs, t):
@@ -390,14 +391,6 @@ def _extremum_candidates(coeffs: Sequence[float], lo: float, hi: float) -> list:
     return [lo, hi, *(float(r) for r in roots if lo < r < hi)]
 
 
-def poly_min_on(coeffs: Sequence[float], lo: float, hi: float) -> tuple[float, float]:
-    """Exact minimum of a polynomial on [lo, hi] via derivative roots."""
-    cands = _extremum_candidates(coeffs, lo, hi)
-    vals = [_horner(coeffs, t) for t in cands]
-    i = min(range(len(vals)), key=vals.__getitem__)
-    return float(vals[i]), float(cands[i])
-
-
 def golden_min(fn, a: float, b: float) -> tuple[float, float]:
     """Golden-section search for a minimum of fn on [a, b]; returns (t, fn(t))."""
     c = b - _INVPHI * (b - a)
@@ -472,24 +465,19 @@ def bracketed_root(fn, a: float, b: float, xtol: float) -> float:
     return x_cur
 
 
-def segments_min(pieces) -> tuple[float, float]:
-    """Exact (minimum, argmin) over (lo, hi, segment) pieces; a tie goes to the earliest piece."""
-    best, best_at = math.inf, 0.0
-    for lo, hi, seg in pieces:
-        val, at = poly_min_on(seg.coeffs, lo, hi)
-        if val < best:
-            best, best_at = val, at
-    return best, best_at
-
-
-def segments_extrema(pieces) -> tuple[float, float]:
-    """(minimum, maximum) over (lo, hi, segment) pieces, as `segments_min` of the pieces and
-    of their negations; both from one candidate set of each piece (-p(t) is exact)."""
-    lo = neg = math.inf
+def segments_extrema(pieces) -> tuple[float, float, float]:
+    """Exact (minimum, argmin, maximum) over (lo, hi, segment) pieces, from each polynomial at its
+    `_extremum_candidates`: a tie goes to the first candidate of the earliest piece, and a piece
+    whose first value is NaN counts for neither (inf, 0.0, -inf where no piece counts)."""
+    lo, at, hi = math.inf, 0.0, -math.inf
     for p0, p1, seg in pieces:
-        vals = [_horner(seg.coeffs, t) for t in _extremum_candidates(seg.coeffs, p0, p1)]
-        lo, neg = min(lo, min(vals)), min(neg, min([-v for v in vals]))  # segments_min's rule
-    return lo, -neg
+        cands = _extremum_candidates(seg.coeffs, p0, p1)
+        vals = [_horner(seg.coeffs, t) for t in cands]
+        i = min(range(len(vals)), key=vals.__getitem__)
+        if vals[i] < lo:
+            lo, at = vals[i], cands[i]
+        hi = max(hi, max(vals))
+    return float(lo), float(at), float(hi)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ class ImpulseSchedule:
         [s0, s1) of the window that period_chunks gives, so windows may span
         multiple periods and the schedule extends periodically.
         """
-        chunks = list(period_chunks(lo, self.period if hi is None else hi, self.period))
+        chunks = period_chunks(lo, self.period if hi is None else hi, self.period)
         total = 0.0
         for imp in self.impulses:
             val = max(imp.ratio, 0.0) if positive else imp.ratio

@@ -1,7 +1,7 @@
 """Batched integrals against their one-item cases: `generate_many` against `generate`,
 `integrate_groups` against `integrate_panels` group by group (and both against the one-group
 quadrature they replaced), and `evaluate_many` on a mixed chunk against `evaluate_all` system
-by system; the one int(a^2/b) quadrature of a generation round and of a criteria chunk; and
+by system; the one int(a^2/b) quadrature of a generation chunk and of a criteria chunk; and
 `PiecewiseFunction.integrate` against a scalar closed form summed piece by piece."""
 
 import json
@@ -73,11 +73,23 @@ def _integrate_group_calls(monkeypatch, fn):
 
 @pytest.mark.parametrize("mode", [FORCE_MAIN, FORCE_GUSEINOV_ZAFER])
 def test_forced_specs_share_one_a2_over_b_quadrature_per_round(monkeypatch, mode):
-    # every spec reads int(a^2/b) at the first round that has room, so ten specs take one
-    # quadrature of ten groups, not ten of one
+    # each forced spec reads int(a^2/b) of its drawn a, so ten specs take one quadrature of
+    # ten groups, not ten of one
     specs = [GeneratorSpec(seed=seed, mode=mode) for seed in range(10)]
     assert _integrate_group_calls(monkeypatch, lambda: generate_many(specs)) == [10]
     assert _integrate_group_calls(monkeypatch, lambda: [generate(s) for s in specs]) == [1] * 10
+
+
+def test_one_chunk_of_every_mode_equals_per_spec_generate(monkeypatch):
+    # the modes interleave, and the forced specs past the float range raise inside the chunk
+    specs = [GeneratorSpec(seed=seed, mode=MODES[seed % len(MODES)], margin=1e-3)
+             for seed in range(60)]
+    specs[13:13] = [GeneratorSpec(seed=0, mode=FORCE_MAIN, a_amplitude=1e150),
+                    GeneratorSpec(seed=1, mode=FORCE_GUSEINOV_ZAFER, a_amplitude=2e155)]
+    batched = generate_many(specs)
+    assert [_entry(s) for s in batched] == [_outcome(generate, spec) for spec in specs]
+    assert [i for i, s in enumerate(batched) if isinstance(s, Exception)] == [13, 14]
+    assert _integrate_group_calls(monkeypatch, lambda: generate_many(specs)) == [22]
 
 
 def test_a_selftest_chunk_takes_one_a2_over_b_quadrature(monkeypatch):
@@ -284,7 +296,7 @@ def test_integrate_equals_the_scalar_closed_form_piece_by_piece(panels):
 
 # -- criteria ------------------------------------------------------------------------------
 
-def test_evaluate_many_on_a_mixed_chunk_equals_evaluate_all():
+def test_evaluate_many_on_a_mixed_chunk_equals_evaluate_all(monkeypatch):
     wavy_c = stand_in(lambda t: 1.5 + 0.5 * np.cos(2.0 * np.pi * t))
     nan_b = poly(None, breaks=(0.29, 0.31), per_segment=[[1.0], [math.nan], [1.0]])
     chunk = [
@@ -302,4 +314,7 @@ def test_evaluate_many_on_a_mixed_chunk_equals_evaluate_all():
     assert isinstance(entries[4], Exception) and not isinstance(entries[5], Exception)
     main = {c.label: c for c in entries[2][5].conditions}
     assert main["int(c - a^2/b) + sum(beta/alpha) > 0"].margin == -math.inf
+    # one quadrature of the five whose b is safely positive; the NaN one raises where it is
+    # read, integrated again alone
+    assert _integrate_group_calls(monkeypatch, lambda: evaluate_many(chunk)) == [5, 1]
 

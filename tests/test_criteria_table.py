@@ -1,18 +1,18 @@
 """The criteria as data: the two tables, the report built from them, and the
-shared pointwise-minimum helper."""
+shared pointwise-extrema helper."""
 
 import numpy as np
 import pytest
 
-from impulse_floquet import PolySegment, criteria, evaluate_all
+from impulse_floquet import PolySegment, criteria, evaluate_all, piecewise
 from impulse_floquet.criteria import (CRITERION_ORDER, GUSEINOV_KAYMAKCALAN, KREIN,
                                       LBL_BCA2_NONNEG, LBL_BCA2_NONZERO, _CONDITIONS,
                                       _CRITERIA, _Quantities)
 from impulse_floquet.harness import MODES, GeneratorSpec, generate
-from impulse_floquet.piecewise import segments_min
+from impulse_floquet.piecewise import segments_extrema
 from impulse_floquet.tolerances import DEFAULT_TOLERANCES
 
-from helpers import make_system, stand_in
+from helpers import make_system, poly, stand_in
 
 
 def _check(name):
@@ -81,15 +81,32 @@ def test_nonzero_margin_bounds_the_minimum():
     assert nonzero >= abs(krein)
 
 
-class TestSegmentsMin:
+def test_b_c_minus_a2_takes_its_minimum_and_maximum_from_one_candidate_set(monkeypatch):
+    # the maximum once came from a second pass over the negated pieces
+    calls, real = [], piecewise._extremum_candidates
+    monkeypatch.setattr(piecewise, "_extremum_candidates",
+                        lambda *args: calls.append(args) or real(*args))
+    sys_ = make_system(0.3, poly((1.0, 0.5)), 1.0)
+    report = _check(GUSEINOV_KAYMAKCALAN)(sys_)
+    assert report.condition(LBL_BCA2_NONZERO).margin == pytest.approx(1.41, abs=1e-9)
+    assert len(calls) == 3 * len(sys_.pieces())  # b, c and b*c - a^2
+
+
+class TestSegmentsExtrema:
     def test_polynomial_pieces_are_exact(self):
         pieces = [(0.0, 1.0, PolySegment((0.19, -0.6, 1.0))), (1.0, 2.0, PolySegment((1.0,)))]
-        val, at = segments_min(pieces)
+        val, at, top = segments_extrema(pieces)
         assert val == pytest.approx(0.1, abs=1e-15)
         assert at == pytest.approx(0.3, abs=1e-12)
+        assert top == 1.0
 
     def test_a_tie_goes_to_the_earliest_piece(self):
         pieces = [(0.0, 1.0, PolySegment((2.0, -1.0))), (1.0, 2.0, PolySegment((3.0, -1.0)))]
-        assert segments_min(pieces) == (1.0, 1.0)
+        assert segments_extrema(pieces) == (1.0, 1.0, 2.0)
         flat = [(0.0, 0.5, PolySegment((1.0,))), (0.5, 1.0, PolySegment((1.0,)))]
-        assert segments_min(flat) == (1.0, 0.0)
+        assert segments_extrema(flat) == (1.0, 0.0, 1.0)
+
+    def test_a_piece_whose_first_value_is_nan_counts_for_neither(self):
+        nan = (0.0, 1.0, PolySegment((float("nan"),)))
+        assert segments_extrema([nan]) == (float("inf"), 0.0, float("-inf"))
+        assert segments_extrema([nan, (1.0, 2.0, PolySegment((0.0, 1.0)))]) == (1.0, 1.0, 2.0)

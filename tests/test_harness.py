@@ -12,7 +12,6 @@ from impulse_floquet.harness import (FORCE_ALPHA_PRODUCT_ONE, FORCE_GUSEINOV_ZAF
                                      GeneratorSpec, generate, lyapunov_sweep,
                                      soundness_sweep)
 from impulse_floquet.system import Impulse, ImpulseSchedule, ImpulsiveSystem
-from impulse_floquet.tolerances import DEFAULT_TOLERANCES
 
 
 class TestGenerate:
@@ -63,9 +62,10 @@ class TestGenerate:
             GeneratorSpec(mode="bogus")
 
 
-def _force_round_by_round(spec, coeff_a, coeff_b, coeff_c, schedule):
+def _force_round_by_round(spec, coeff_a, coeff_b, coeff_c, schedule, k_val):
     """Reference for harness._force_hypotheses: each round shrinks a by 0.7 and
-    integrates |a| and a^2/b of the shrunk a again."""
+    integrates |a| and a^2/b of the shrunk a again; k_val, the int(a^2/b) of the
+    drawn a, goes unread."""
     T = spec.period
     alphas = [imp.alpha for imp in schedule.impulses]
     betas = [imp.beta for imp in schedule.impulses]
@@ -90,13 +90,13 @@ def _force_round_by_round(spec, coeff_a, coeff_b, coeff_c, schedule):
             return -1.0
         return room * room / (int_b * h_val)
 
-    def k_val(a_fn):
+    def a2_over_b(a_fn):
         probe = ImpulsiveSystem(a_fn, coeff_b, coeff_c, ImpulseSchedule(T))
-        return criteria._Quantities(probe, DEFAULT_TOLERANCES).int_a2_over_b
+        return criteria.a2_over_b_integrals([probe])[0]
 
     for _ in range(200):
         sb = s_bound(coeff_a)
-        if sb > 0.0 and k_val(coeff_a) <= 0.45 * g_val * min(sb, 1.0):
+        if sb > 0.0 and a2_over_b(coeff_a) <= 0.45 * g_val * min(sb, 1.0):
             break
         coeff_a = coeff_a.scaled(0.7)
     else:

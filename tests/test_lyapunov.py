@@ -186,6 +186,14 @@ class TestLyapunovLhs:
         with pytest.raises(ValueError):
             lyapunov_lhs(sine_system(), 0.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("t1", [100.0, 3800.0, 1e15])
+    def test_window_far_from_zero_keeps_the_product_of_its_first_period(self, t1):
+        # A(t0) was read from t = 0: at t1 = 100 the product moved in its last bits, and at
+        # 3800 exp(2A(t0)) overflowed against a weighted b that underflowed to 0, a NaN product
+        sys_ = make_system(0.1, 1.0, 1.0, impulses=[(0.5, 1.5, 0.1)])
+        near = lyapunov_lhs(sys_, 0.0, 10.0, 5.0)
+        assert lyapunov_lhs(sys_, t1, t1 + 10.0, t1 + 5.0) == near == 125.35479398867211
+
 
 class TestLyapunovVerify:
     def test_sine_witness(self):
@@ -216,6 +224,17 @@ class TestLyapunovVerify:
         stripped = type(pair)(pair.t1, pair.t2, pair.t1_at_impulse, pair.t2_at_impulse)
         w = lyapunov_verify(sys_, stripped)
         assert w.lhs == pytest.approx(PI_SQ, abs=1e-6)
+
+    @pytest.mark.parametrize("shift", [100.0, 3800.0])
+    def test_pair_far_from_zero_keeps_the_product_of_its_first_period(self, shift):
+        # the product was taken on the pair's window read from t = 0: NaN at 3800
+        sys_ = make_system(0.1, 1.0, 1.0, impulses=[(0.5, 1.5, 0.1)])
+        pair = find_zero_pair(sys_, State(0.0, 0.0, 1.0), (0.0, 10.0))
+        near = lyapunov_verify(sys_, type(pair)(pair.t1, pair.t2))
+        far = lyapunov_verify(sys_, type(pair)(pair.t1 + shift, pair.t2 + shift))
+        assert far.lhs == pytest.approx(near.lhs, rel=1e-9) and far.holds
+        assert far.t0 == pytest.approx(near.t0 + shift, abs=1e-9)
+        assert far.lhs_sup == pytest.approx(near.lhs_sup, rel=1e-9)
 
     def test_degenerate_pair_rejected(self):
         sys_ = sine_system()
@@ -642,7 +661,7 @@ class TestZeroScan:
             calls["pieces"] += 1
             return real_pieces(self, lo, hi)
 
-        def counting_candidates(coeffs, lo, hi):  # behind poly_min_on and segments_extrema
+        def counting_candidates(coeffs, lo, hi):  # behind segments_extrema
             calls["candidates"] += 1
             return real_candidates(coeffs, lo, hi)
 
@@ -661,8 +680,8 @@ class TestZeroScan:
     def test_one_candidate_set_gives_each_minimum_and_maximum(self, monkeypatch):
         # the oracle once negated every segment (`scaled`) to take max|f| and max b as a
         # second minimum; now each distinct b piece and each part's a, b and c give one
-        # candidate set and no poly_min_on call
-        calls = {"poly_min_on": 0, "scaled": 0, "candidates": 0}
+        # candidate set
+        calls = {"scaled": 0, "candidates": 0}
 
         def counting(name, real):
             def wrapped(*args):
@@ -670,8 +689,7 @@ class TestZeroScan:
                 return real(*args)
             return wrapped
 
-        for owner, name, key in ((piecewise, "poly_min_on", "poly_min_on"),
-                                 (piecewise, "_extremum_candidates", "candidates"),
+        for owner, name, key in ((piecewise, "_extremum_candidates", "candidates"),
                                  (PolySegment, "scaled", "scaled")):
             monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
         for w in windows_population(0)[:10]:
@@ -680,9 +698,9 @@ class TestZeroScan:
             s2 = s1 + (w["t2"] - w["t1"])
             b_pieces = {(p0, p1, id(seg)) for p0, p1, seg, _ in lyapunov._b_pieces(sys_, s1, s2)}
             parts = {id(chunk): chunk for _, chunk in lyapunov._grid_parts(sys_, s1, s2)}
-            calls.update(poly_min_on=0, scaled=0, candidates=0)
+            calls.update(scaled=0, candidates=0)
             assert disconjugacy_oracle(sys_, w["t1"], w["t2"]) == DISCONJUGATE
-            assert calls == {"poly_min_on": 0, "scaled": 0,
+            assert calls == {"scaled": 0,
                              "candidates": len(b_pieces) + 3 * sum(map(len, parts.values()))}, w
 
     def test_spike_zeros_inside_one_even_step_are_found(self):

@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as npoly
 
 from impulse_floquet import EvaluationError, PiecewiseFunction, PolySegment
 from impulse_floquet.piecewise import (CumulativeIntegral, bracketed_root, golden_min,
-                                       integrate_periodic, knot_eps, poly_min_on)
+                                       integrate_periodic, knot_eps, segments_extrema)
 
 from helpers import stand_in
 
@@ -150,12 +150,12 @@ class TestIntegrate:
 class TestHelpers:
     def test_poly_min_interior(self):
         # (t - 0.3)^2 + 0.1
-        val, at = poly_min_on((0.19, -0.6, 1.0), 0.0, 1.0)
+        val, at, _ = segments_extrema([(0.0, 1.0, PolySegment((0.19, -0.6, 1.0)))])
         assert val == pytest.approx(0.1, abs=1e-12)
         assert at == pytest.approx(0.3, abs=1e-9)
 
     def test_poly_min_endpoint(self):
-        val, at = poly_min_on((0.0, 1.0), 0.0, 1.0)
+        val, at, _ = segments_extrema([(0.0, 1.0, PolySegment((0.0, 1.0)))])
         assert val == 0.0 and at == 0.0
 
     def test_derivative_polynomial_only(self):

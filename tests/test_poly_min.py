@@ -1,12 +1,12 @@
-"""`poly_min_on` takes a linear derivative's root in closed form; it must give
-the same bits as the numpy.polynomial path it replaced."""
+"""`segments_extrema` takes a linear derivative's root in closed form; its minimum and
+argmin on one piece must be the bits of the numpy.polynomial path it replaced."""
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impulse_floquet.piecewise import poly_min_on
+from impulse_floquet.piecewise import PolySegment, segments_extrema
 
 
 def _numpy_poly_min(coeffs, lo, hi):
@@ -22,6 +22,10 @@ def _numpy_poly_min(coeffs, lo, hi):
     return float(vals[i]), float(cands[i])
 
 
+def _poly_min(coeffs, lo, hi):
+    return segments_extrema([(lo, hi, PolySegment(coeffs))])[:2]
+
+
 # Zero or at least 1e-6 in magnitude: npoly.polyroots, which both paths call for
 # cubics and above, fails once its companion matrix overflows.
 _coef = st.one_of(st.integers(-30000, 30000).map(lambda k: k / 1e4),
@@ -33,7 +37,7 @@ _coef = st.one_of(st.integers(-30000, 30000).map(lambda k: k / 1e4),
        st.one_of(st.floats(0.0, 3.0), st.just(1e-9)))
 def test_same_bits_as_the_numpy_path(coeffs, lo, width):
     coeffs, hi = tuple(coeffs), lo + width
-    assert poly_min_on(coeffs, lo, hi) == _numpy_poly_min(coeffs, lo, hi)
+    assert _poly_min(coeffs, lo, hi) == _numpy_poly_min(coeffs, lo, hi)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
@@ -44,4 +48,4 @@ def test_same_bits_on_random_polynomials(degree):
         coeffs = tuple(float(c) for c in rng.uniform(-3.0, 3.0, degree + 1))
         lo = float(rng.uniform(-2.0, 1.0))
         hi = lo + float(rng.uniform(0.0, 3.0))
-        assert poly_min_on(coeffs, lo, hi) == _numpy_poly_min(coeffs, lo, hi)
+        assert _poly_min(coeffs, lo, hi) == _numpy_poly_min(coeffs, lo, hi)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from impulse_floquet import STABLE, classify, evaluate_all, monodromy, time_shift
 from impulse_floquet.criteria import CERTIFIED, _Quantities
 from impulse_floquet.harness import MODES, GeneratorSpec, generate
-from impulse_floquet.piecewise import segments_min
+from impulse_floquet.piecewise import segments_extrema
 from impulse_floquet.tolerances import DEFAULT_TOLERANCES
 
 from test_magnus import systems
@@ -31,7 +31,7 @@ def test_time_shift_keeps_the_trace(data):
 def _lift_b(sys_):
     """The same system with b raised to a minimum of 0.5, so a^2/b is defined."""
     b = sys_.coeff_b
-    low = segments_min(zip(b.knots[:-1], b.knots[1:], b.segments))[0]
+    low = segments_extrema(zip(b.knots[:-1], b.knots[1:], b.segments))[0]
     if low >= 0.5:
         return sys_
     return type(sys_)(sys_.coeff_a, b.plus_constant(0.5 - low), sys_.coeff_c, sys_.schedule)
